@@ -324,10 +324,7 @@ def main(argv=None):
             flags = {a for a in argv if a.startswith('--')}
             _apply_config(args, args.command, flags)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError,) as exc:
+    except ValueError as exc:   # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RasterFormatError as exc:

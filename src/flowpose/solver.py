@@ -10,10 +10,14 @@ Conventions:
         [[ q, 0, -u q, -u v,   u^2+1, -v ],
          [ 0, q, -v q, -v^2-1, u v,    u ]];
 
+    it depends only on the fixed points (u, v, q), so `prepare` builds it
+    once per solve, together with the valid pixels, the measured flow and
+    the confidences (the precomputed-Jacobian idea of the inverse
+    compositional algorithm, Baker & Matthews, IJCV 2004);
   * diagonal robust weight per pixel:
         diag(C_x m^2 / (m^2 + r_x^2), C_y m^2 / (m^2 + r_y^2))
     with m the mean residual magnitude of the image, recomputed each
-    iteration;
+    iteration from the residuals at the current estimate;
   * update solves (J^T W J) beta = -J^T W r and applies xi <- xi + beta.
 """
 
@@ -21,15 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import infomat
-from .camera import depth_valid_mask
-from .errors import DegenerateGeometryError, InsufficientDataError
+from . import infomat, se3
+from .camera import CHEIRALITY_EPS, depth_valid_mask
+from .errors import (DegenerateGeometryError, InsufficientDataError,
+                     RasterFormatError)
 
 # Inverse depths outside this band destabilise the Jacobian and are masked.
 Q_MIN = 1e-4
 Q_MAX = 1e4
 
 CONDITION_LIMIT = 1e12
+
+# exp() of a raw information parameter above this overflows to inf.
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass
@@ -64,7 +72,6 @@ class SolverConfig:
     use_confidence: bool = True
     single_iteration: bool = False
     damping: float = 0.0
-    full_block_weight: bool = False
     seed_xi: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
@@ -77,14 +84,12 @@ class SolverConfig:
 
 @dataclass
 class ResidualReport:
-    residuals: np.ndarray       # (H, W, 2), normalised units; 0 where invalid
+    residuals: np.ndarray       # (H, W, 2), normalised units; 0 where invalid.
+                                # None from gauss_newton_step, which does not
+                                # scatter them back into the raster
     m: float                    # mean residual magnitude over valid pixels
     weighted_cost: float
-    valid: np.ndarray           # (H, W) bool
     valid_count: int
-    # flattened per-valid-pixel quantities used by the normal equations
-    points: np.ndarray = None   # (N, 3) of (u, v, q)
-    r: np.ndarray = None        # (N, 2)
 
 
 @dataclass
@@ -96,13 +101,101 @@ class SolveResult:
     per_iteration_costs: list
 
 
-def _valid_geometry(depth, flow_field):
+@dataclass
+class Problem:
+    """The parts of a solve that do not depend on the motion estimate, over
+    the N valid pixels in raster order."""
+    shape: tuple                # (H, W) of the rasters
+    index: np.ndarray           # (N,) flat raster index of each valid pixel
+    points: np.ndarray          # (4, N) inverse-depth points, rows u, v, 1, q
+    flow: np.ndarray            # (2, N) measured flow, normalised units
+    conf: np.ndarray = None     # (2, N) confidences, rows C_x, C_y
+    JT: np.ndarray = None       # (6, 2N) transposed Jacobians: the columns
+                                # hold all x rows, then all y rows
+
+
+def _geometry(depth, flow_field, K):
+    """The valid pixels' points and measured flow; checks that depth, flow
+    and intrinsics describe the same raster size."""
     depth = np.asarray(depth, dtype=float)
+    h, w = depth.shape
+    fh, fw = flow_field.flow.shape[:2]
+    if (fh, fw) != (h, w):
+        raise RasterFormatError(
+            f"depth raster is {w}x{h} but flow raster is {fw}x{fh}")
+    if (K.height, K.width) != (h, w):
+        raise RasterFormatError(
+            f"intrinsics are {K.width}x{K.height} but the rasters are {w}x{h}")
+
     mask = depth_valid_mask(depth) & flow_field.valid
     q = np.zeros_like(depth)
     np.divide(1.0, depth, out=q, where=mask)
     mask &= (q >= Q_MIN) & (q <= Q_MAX)
-    return mask, q
+    index = np.flatnonzero(mask)
+    ys, xs = np.divmod(index, w)
+    points = np.empty((4, len(index)))
+    points[0] = (xs - K.cx) / K.fx
+    points[1] = (ys - K.cy) / K.fy
+    points[2] = 1.0
+    points[3] = q.ravel()[index]
+    meas = flow_field.flow.reshape(-1, 2)[index] / np.array([K.fx, K.fy])
+    return Problem(shape=(h, w), index=index, points=points, flow=meas.T.copy())
+
+
+def prepare(depth, flow_field, K, config):
+    """Everything constant over a solve: the valid pixels, their points and
+    measured flow, their confidences (ones with use_confidence off) and the
+    Jacobians at the identity."""
+    problem = _geometry(depth, flow_field, K)
+    n = len(problem.index)
+    if config.use_confidence:
+        info = flow_field.info.reshape(-1, 3)[problem.index]
+        with np.errstate(over='ignore'):
+            c_x, c_y = infomat.confidences(info)
+        if not (np.all(np.isfinite(c_x)) and np.all(np.isfinite(c_y))):
+            worst = float(np.max(info[:, [0, 2]]))
+            raise DegenerateGeometryError(
+                f"confidence exp({worst:.6g}) overflows: a_hat and g_hat must "
+                f"stay below log(finfo(float).max) = {LOG_FLOAT_MAX:.6g}")
+        problem.conf = np.stack([c_x, c_y])
+    else:
+        problem.conf = np.ones((2, n))
+    u, v, _, q = problem.points
+    problem.JT = _jacobians(u, v, q).reshape(6, 2 * n)
+    return problem
+
+
+def _residuals(problem, xi):
+    """Residuals r = F+ - F at exp(xi) over the pixels that stay in front of
+    the camera.
+
+    Returns (r (2, M), keep) where keep is None when all N pixels pass the
+    cheirality test and an (N,) bool mask of the M passing ones otherwise.
+    """
+    T = se3.exp(xi)
+    # T acting on (u, v, 1, q): rows 0..2 give R (u,v,1)^T + t q
+    y = T[:3] @ problem.points              # (3, N)
+    keep = y[2] > CHEIRALITY_EPS
+    uv, meas = problem.points[:2], problem.flow
+    if keep.all():
+        keep = None
+    else:
+        y, uv, meas = y[:, keep], uv[:, keep], meas[:, keep]
+    return y[:2] / y[2] - uv - meas, keep
+
+
+def _residual_report(r, min_valid_pixels):
+    """m and the unweighted cost of (2, M) residuals; raises when M is below
+    min_valid_pixels."""
+    valid_count = r.shape[1]
+    if valid_count < min_valid_pixels:
+        raise InsufficientDataError(
+            f"{valid_count} valid pixels < required {min_valid_pixels}")
+    squares = r[0] * r[0] + r[1] * r[1]
+    m = float(np.sqrt(squares).mean()) if valid_count else 0.0
+    return ResidualReport(residuals=None, m=m,
+                          weighted_cost=float(squares.sum()),
+                          valid_count=valid_count)
 
 
 def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
@@ -111,63 +204,38 @@ def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
     F+ is the flow induced by exp(xi) on the inverse-depth points of the
     depth map; F is the measured flow converted from pixel units.
     """
-    from . import se3
-
-    depth = np.asarray(depth, dtype=float)
-    h, w = depth.shape
-    mask, q = _valid_geometry(depth, flow_field)
-
-    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    u = (xs - K.cx) / K.fx
-    v = (ys - K.cy) / K.fy
-
-    T = se3.exp(xi)
-    # T acting on (u, v, 1, q): rows 0..2 give R (u,v,1)^T + t q
-    pts = np.stack([u, v, np.ones_like(u), q], axis=-1)
-    y = pts @ T[:3].T                       # (H, W, 3)
-    z = y[..., 2]
-    cheir = z > 1e-12
-    mask = mask & cheir
-    zsafe = np.where(cheir, z, 1.0)
-    est_flow = np.stack([y[..., 0] / zsafe - u,
-                         y[..., 1] / zsafe - v], axis=-1)
-
-    meas = flow_field.flow / np.array([K.fx, K.fy])
-    r = est_flow - meas
-    r = np.where(mask[..., None], r, 0.0)
-
-    valid_count = int(mask.sum())
-    if valid_count < min_valid_pixels:
-        raise InsufficientDataError(
-            f"{valid_count} valid pixels < required {min_valid_pixels}")
-
-    norms = np.linalg.norm(r[mask], axis=-1)
-    m = float(norms.mean()) if valid_count else 0.0
-    report = ResidualReport(
-        residuals=r, m=m, weighted_cost=float((norms ** 2).sum()),
-        valid=mask, valid_count=valid_count,
-        points=np.stack([u[mask], v[mask], q[mask]], axis=-1),
-        r=r[mask])
+    problem = _geometry(depth, flow_field, K)
+    r, keep = _residuals(problem, xi)
+    report = _residual_report(r, min_valid_pixels)
+    h, w = problem.shape
+    residuals = np.zeros((h * w, 2))
+    residuals[problem.index if keep is None else problem.index[keep]] = r.T
+    report.residuals = residuals.reshape(h, w, 2)
     return report
 
 
 def jacobian_row(u, v, q):
     """2x6 Jacobian of the estimated flow w.r.t. the motion vector at the
     identity, for an inverse-depth point (u, v, 1, q)."""
-    return np.array([
-        [q, 0.0, -u * q, -u * v, u * u + 1.0, -v],
-        [0.0, q, -v * q, -v * v - 1.0, u * v, u],
-    ])
+    return _jacobians(*np.array([[u], [v], [q]], dtype=float))[:, :, 0].T
 
 
-def _jacobians(points):
-    """Stacked (N, 2, 6) Jacobians for (N, 3) points of (u, v, q)."""
-    u, v, q = points[:, 0], points[:, 1], points[:, 2]
-    zero = np.zeros_like(u)
-    one = np.ones_like(u)
-    row0 = np.stack([q, zero, -u * q, -u * v, u * u + one, -v], axis=-1)
-    row1 = np.stack([zero, q, -v * q, -v * v - one, u * v, u], axis=-1)
-    return np.stack([row0, row1], axis=1)
+def _jacobians(u, v, q):
+    """Transposed Jacobians for (N,) arrays of u, v and q, as a (6, 2, N)
+    array: entry [j, i, n] is the derivative of flow component i at point n
+    w.r.t. motion component j."""
+    J = np.zeros((6, 2, len(u)))
+    J[0, 0] = q
+    J[2, 0] = -u * q
+    J[3, 0] = -u * v
+    J[4, 0] = u * u + 1.0
+    J[5, 0] = -v
+    J[1, 1] = q
+    J[2, 1] = -v * q
+    J[3, 1] = -v * v - 1.0
+    J[4, 1] = u * v
+    J[5, 1] = u
+    return J
 
 
 def build_weight(c_x, c_y, rx, ry, m):
@@ -188,33 +256,30 @@ def build_weight(c_x, c_y, rx, ry, m):
     return c_x * m2 / (m2 + rx * rx), c_y * m2 / (m2 + ry * ry)
 
 
-def _pixel_confidences(flow_field, mask, config):
-    if not config.use_confidence:
-        n = int(mask.sum())
-        return np.ones(n), np.ones(n)
-    c_x, c_y = infomat.confidences(flow_field.info)
-    return c_x[mask], c_y[mask]
-
-
-def gauss_newton_step(depth, flow_field, xi, K, config):
-    """One weighted Gauss-Newton update.
+def gauss_newton_step(problem, xi, config):
+    """One weighted Gauss-Newton update on a prepared problem.
 
     Returns (beta, report); the caller applies xi <- xi + beta.
     """
-    report = compute_residuals(depth, flow_field, xi, K,
-                               config.min_valid_pixels)
-    J = _jacobians(report.points)          # (N, 2, 6)
-    r = report.r                           # (N, 2)
-    c_x, c_y = _pixel_confidences(flow_field, report.valid, config)
-    wx, wy = build_weight(c_x, c_y, r[:, 0], r[:, 1], report.m)
-    w = np.stack([wx, wy], axis=-1)        # (N, 2)
+    r, keep = _residuals(problem, xi)
+    report = _residual_report(r, config.min_valid_pixels)
+    JT, conf = problem.JT, problem.conf
+    if keep is not None:
+        JT = JT.reshape(6, 2, -1)[:, :, keep].reshape(6, -1)
+        conf = conf[:, keep]
+    wx, wy = build_weight(conf[0], conf[1], r[0], r[1], report.m)
+    w = np.concatenate([wx, wy])            # (2M,), the columns of JT
+    r = r.reshape(-1)
 
-    Jw = J * w[:, :, None]
-    A = np.einsum('nij,nik->jk', Jw, J)
-    b = np.einsum('nij,ni->j', Jw, r)
+    JwT = JT * w
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        A = JwT @ JT.T
+        b = JwT @ r
     if config.damping > 0:
         A = A + config.damping * np.eye(6)
 
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise DegenerateGeometryError("normal equations are not finite")
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
         raise DegenerateGeometryError(
@@ -229,11 +294,13 @@ def solve(depth, flow_field, K, config=None):
     """Iterate gauss_newton_step until the update norm drops below the
     convergence tolerance or the iteration budget is exhausted.
 
-    Residuals, m and the weights are recomputed every iteration (true
-    IRLS). With single_iteration set, stops after one step.
+    The Jacobians, the valid pixels and the confidences are built once, by
+    `prepare`; residuals, m and the weights are recomputed every iteration
+    (true IRLS). With single_iteration set, stops after one step.
     """
     if config is None:
         config = SolverConfig()
+    problem = prepare(depth, flow_field, K, config)
     xi = np.array(config.seed_xi, dtype=float)
     costs = []
     converged = False
@@ -241,7 +308,7 @@ def solve(depth, flow_field, K, config=None):
     final_cost = float('nan')
     max_iter = 1 if config.single_iteration else config.max_iterations
     for _ in range(max_iter):
-        beta, report = gauss_newton_step(depth, flow_field, xi, K, config)
+        beta, report = gauss_newton_step(problem, xi, config)
         xi = xi + beta
         iterations += 1
         costs.append(report.weighted_cost)

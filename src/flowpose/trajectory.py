@@ -5,6 +5,7 @@ Trajectories are ordered lists of (timestamp, 4x4 world-from-camera pose)
 with strictly increasing timestamps.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ class Trajectory:
         self.poses = np.asarray(self.poses, dtype=float)
         if len(self.timestamps) != len(self.poses):
             raise ValueError("timestamp/pose count mismatch")
+        if not np.all(np.isfinite(self.timestamps)):
+            raise ValueError("timestamps must be finite")
         if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
 
@@ -282,6 +285,9 @@ def read_tum(path):
             except ValueError as exc:
                 raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
             ts, tx, ty, tz, qx, qy, qz, qw = vals
+            if not math.isfinite(ts):
+                raise RasterFormatError(
+                    f"{path}:{lineno}: timestamp {parts[0]} is not finite")
             T = np.eye(4)
             T[:3, :3] = rotation_from_quaternion(qx, qy, qz, qw)
             T[:3, 3] = (tx, ty, tz)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from flowpose import cli, rasters, se3, synthetic, trajectory
+from flowpose.camera import Intrinsics
 from flowpose.trajectory import Trajectory
 
 
@@ -9,6 +12,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(capsys, *argv):
+    """run() with every warning turned into an escaping exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
 
 
 SYNTH_ARGS = ["synth", "--width", "64", "--height", "48",
@@ -148,6 +158,56 @@ class TestSolve:
                          "--flow", str(directory / "flow.engr"),
                          "--intrinsics", str(directory / "intrinsics.txt"))
         assert code == 5
+
+    def test_intrinsics_size_mismatch_is_format_error(self, capsys, scene_dir,
+                                                      tmp_path):
+        directory, _ = scene_dir
+        intrinsics = tmp_path / "wide.txt"
+        rasters.write_intrinsics(intrinsics, Intrinsics(
+            fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120))
+        code, out, err = run_strict(
+            capsys, "solve", "--depth", str(directory / "depth.engr"),
+            "--flow", str(directory / "flow.engr"),
+            "--intrinsics", str(intrinsics))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "160x120" in err and "64x48" in err
+
+    def test_depth_flow_size_mismatch_is_format_error(self, capsys, scene_dir,
+                                                      tmp_path):
+        directory, _ = scene_dir
+        depth = rasters.read_raster(directory / "depth.engr")[:46]
+        short = tmp_path / "short.engr"
+        rasters.write_raster(short, depth)
+        code, out, err = run_strict(
+            capsys, "solve", "--depth", str(short),
+            "--flow", str(directory / "flow.engr"),
+            "--intrinsics", str(directory / "intrinsics.txt"))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "64x46" in err and "64x48" in err
+
+    # 800 overflows exp itself; 705 overflows the normal equations
+    @pytest.mark.parametrize("log_conf, words", [
+        (800.0, ("800", "709.78")), (705.0, ("not finite",))])
+    def test_huge_confidences_are_degenerate(self, capsys, scene_dir,
+                                             tmp_path, log_conf, words):
+        directory, _ = scene_dir
+        flow = rasters.read_raster(directory / "flow.engr")
+        flow[..., 2] = log_conf     # a_hat
+        flow[..., 4] = log_conf     # g_hat
+        huge = tmp_path / "huge.engr"
+        rasters.write_raster(huge, flow)
+        code, out, err = run_strict(
+            capsys, "solve", "--depth", str(directory / "depth.engr"),
+            "--flow", str(huge),
+            "--intrinsics", str(directory / "intrinsics.txt"))
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert all(word in err for word in words)
 
 
 class TestEvalTraj:

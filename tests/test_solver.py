@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowpose import camera, se3, solver, synthetic
+from flowpose import camera, infomat, se3, solver, synthetic
 from flowpose.camera import Intrinsics
 from flowpose.errors import DegenerateGeometryError, InsufficientDataError
 from flowpose.solver import FlowField, SolverConfig
@@ -111,16 +111,18 @@ class TestGaussNewtonStep:
         xi_star = np.array([0.05, 0, 0, 0, 0, 0])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
-        beta, _ = solver.gauss_newton_step(depth, ff, np.zeros(6), K,
-                                           SolverConfig())
+        config = SolverConfig()
+        beta, _ = solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
+                                           np.zeros(6), config)
         assert np.linalg.norm(beta - xi_star) < 1e-10
 
     def test_zero_flow_zero_update(self, K):
         depth = np.full((K.height, K.width), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        beta, _ = solver.gauss_newton_step(depth, ff, np.zeros(6), K,
-                                           SolverConfig())
+        config = SolverConfig()
+        beta, _ = solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
+                                           np.zeros(6), config)
         assert np.linalg.norm(beta) == 0.0
 
     def test_z_rotation_converges_quickly(self, K):
@@ -128,8 +130,10 @@ class TestGaussNewtonStep:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         xi = np.zeros(6)
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
         for _ in range(3):
-            beta, _ = solver.gauss_newton_step(depth, ff, xi, K, SolverConfig())
+            beta, _ = solver.gauss_newton_step(problem, xi, config)
             xi = xi + beta
         assert np.linalg.norm(xi - xi_star) < 1e-8
 
@@ -140,8 +144,164 @@ class TestGaussNewtonStep:
         depth = np.full((16, 16), 2.0)
         ff = FlowField(flow=np.full((16, 16, 2), 0.1),
                        info=np.zeros((16, 16, 3)))
+        config = SolverConfig()
         with pytest.raises(DegenerateGeometryError):
-            solver.gauss_newton_step(depth, ff, np.zeros(6), K, SolverConfig())
+            solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
+                                     np.zeros(6), config)
+
+
+def reference_step(depth, flow_field, xi, K, config):
+    """Reference Gauss-Newton step: rebuilds the mask, points, Jacobians and
+    confidences on the raster and assembles the normal equations by einsum.
+    Returns (beta, extended-precision beta, weighted cost, valid count)."""
+    depth = np.asarray(depth, dtype=float)
+    h, w = depth.shape
+    mask = camera.depth_valid_mask(depth) & flow_field.valid
+    q = np.zeros_like(depth)
+    np.divide(1.0, depth, out=q, where=mask)
+    mask &= (q >= solver.Q_MIN) & (q <= solver.Q_MAX)
+    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    u = (xs - K.cx) / K.fx
+    v = (ys - K.cy) / K.fy
+    pts = np.stack([u, v, np.ones_like(u), q], axis=-1)
+    y = pts @ se3.exp(xi)[:3].T
+    z = y[..., 2]
+    cheir = z > 1e-12
+    mask = mask & cheir
+    zsafe = np.where(cheir, z, 1.0)
+    est_flow = np.stack([y[..., 0] / zsafe - u, y[..., 1] / zsafe - v], axis=-1)
+    r = (est_flow - flow_field.flow / np.array([K.fx, K.fy]))[mask]
+    m = float(np.linalg.norm(r, axis=-1).mean())
+
+    uu, vv, qq = u[mask], v[mask], q[mask]
+    zero, one = np.zeros_like(uu), np.ones_like(uu)
+    J = np.stack([
+        np.stack([qq, zero, -uu * qq, -uu * vv, uu * uu + one, -vv], axis=-1),
+        np.stack([zero, qq, -vv * qq, -vv * vv - one, uu * vv, uu], axis=-1),
+    ], axis=1)
+    if config.use_confidence:
+        c_x, c_y = (c[mask] for c in infomat.confidences(flow_field.info))
+    else:
+        c_x = c_y = np.ones(len(r))
+    m2 = m * m
+    wgt = np.stack([c_x * m2 / (m2 + r[:, 0] ** 2),
+                    c_y * m2 / (m2 + r[:, 1] ** 2)], axis=-1)
+    Jw = J * wgt[:, :, None]
+    A = np.einsum('nij,nik->jk', Jw, J)
+    b = np.einsum('nij,ni->j', Jw, r)
+    if config.damping > 0:
+        A = A + config.damping * np.eye(6)
+    return (np.linalg.solve(A, -b), extended_beta(J, wgt, r, config),
+            float(np.sum(wgt * r * r)), int(mask.sum()))
+
+
+def extended_beta(J, wgt, r, config):
+    """The same normal equations accumulated in extended precision and
+    solved with two steps of iterative refinement: an oracle for the
+    rounding error of a double-precision assembly."""
+    Jl, wl, rl = (x.astype(np.longdouble) for x in (J, wgt, r))
+    Jwl = Jl * wl[:, :, None]
+    A = np.einsum('nij,nik->jk', Jwl, Jl)
+    b = np.einsum('nij,ni->j', Jwl, rl)
+    if config.damping > 0:
+        A = A + config.damping * np.eye(6, dtype=np.longdouble)
+    A64 = A.astype(float)
+    beta = np.linalg.solve(A64, -b.astype(float))
+    for _ in range(2):
+        residual = -b - A @ beta.astype(np.longdouble)
+        beta = beta + np.linalg.solve(A64, residual.astype(float))
+    return beta
+
+
+def assert_agrees_with_reference(beta, ref, exact):
+    """beta is within 1e-12 relative of the extended-precision solution, or
+    no further from it than the reference step; so it agrees with the
+    reference to 1e-12 relative give or take the reference's own rounding
+    error.
+
+    With outliers, that error alone reaches 1e-11 relative: large residuals
+    cancel in J^T W r, and the einsum accumulates them less accurately than
+    the BLAS product.
+    """
+    err_ref = np.linalg.norm(ref - exact)
+    assert np.linalg.norm(beta - exact) \
+        <= max(1e-12 * np.linalg.norm(exact), err_ref)
+    assert np.linalg.norm(beta - ref) \
+        <= 1e-12 * np.linalg.norm(ref) + 2 * err_ref
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a long double wider than double")
+class TestPreparedStep:
+    @pytest.fixture
+    def outlier_scene(self, K):
+        spec = synthetic.SceneSpec(
+            width=K.width, height=K.height, intrinsics=K,
+            motion=[0.03, 0.01, -0.02, 0.004, 0.006, -0.01],
+            noise_sigma=0.3, outlier_fraction=0.2, outlier_magnitude=50.0,
+            seed=28)
+        return synthetic.render(spec)
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(),
+        SolverConfig(use_confidence=False),
+        SolverConfig(damping=0.5),
+        SolverConfig(use_confidence=False, damping=2.0),
+    ], ids=["confidence", "no-confidence", "damping", "no-confidence-damping"])
+    def test_matches_reference_step_on_outliers(self, K, outlier_scene, config):
+        scene = outlier_scene
+        problem = solver.prepare(scene.depth, scene.flow_field, K, config)
+        for xi in (np.zeros(6), np.array([0.02, 0.0, -0.01, 0.003, 0.004, -0.008])):
+            beta, report = solver.gauss_newton_step(problem, xi, config)
+            ref, exact, cost, count = reference_step(
+                scene.depth, scene.flow_field, xi, K, config)
+            assert_agrees_with_reference(beta, ref, exact)
+            assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
+            assert report.valid_count == count
+
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_matches_reference_step_when_cheirality_drops_pixels(
+            self, K, use_confidence):
+        rng = np.random.default_rng(29)
+        depth = rng.uniform(0.5, 5.0, (K.height, K.width))
+        info = rng.uniform(-1.0, 1.0, (K.height, K.width, 3))
+        ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
+                       info=info)
+        # a backward step of 1 m puts every point nearer than 1 m behind
+        # the camera
+        xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
+        config = SolverConfig(use_confidence=use_confidence)
+        beta, report = solver.gauss_newton_step(
+            solver.prepare(depth, ff, K, config), xi, config)
+        ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
+        assert 0 < count < K.width * K.height
+        assert report.valid_count == count
+        assert_agrees_with_reference(beta, ref, exact)
+        assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
+
+    def test_cheirality_drops_pixels_from_residual_raster(self, K):
+        depth = np.full((K.height, K.width), 2.0)
+        depth[:, :10] = 0.5
+        ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
+                       info=np.zeros((K.height, K.width, 3)))
+        xi = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+        rep = solver.compute_residuals(depth, ff, xi, K)
+        assert rep.valid_count == K.height * (K.width - 10)
+        assert np.count_nonzero(rep.residuals[:, :10]) == 0
+
+    def test_confidences_computed_once_per_solve(self, K, monkeypatch,
+                                                 outlier_scene):
+        calls = []
+        original = infomat.confidences
+
+        def counting(info):
+            calls.append(info.shape)
+            return original(info)
+
+        monkeypatch.setattr(infomat, "confidences", counting)
+        res = solver.solve(outlier_scene.depth, outlier_scene.flow_field, K)
+        assert res.iterations > 1
+        assert len(calls) == 1
 
 
 class TestSolve:
@@ -183,15 +343,17 @@ class TestSolve:
             motion=[0.02, -0.01, 0.01, 0.003, 0.002, -0.004],
             noise_sigma=0.5, seed=25)
         scene = synthetic.render(spec)
-        base, _ = solver.gauss_newton_step(scene.depth, scene.flow_field,
-                                           np.zeros(6), K, SolverConfig())
+        config = SolverConfig()
+        base, _ = solver.gauss_newton_step(
+            solver.prepare(scene.depth, scene.flow_field, K, config),
+            np.zeros(6), config)
         scaled_info = scene.flow_field.info.copy()
         scaled_info[..., 0] += np.log(7.0)
         scaled_info[..., 2] += np.log(7.0)
         ff2 = FlowField(flow=scene.flow_field.flow, info=scaled_info,
                         valid=scene.flow_field.valid)
-        scaled, _ = solver.gauss_newton_step(scene.depth, ff2,
-                                             np.zeros(6), K, SolverConfig())
+        scaled, _ = solver.gauss_newton_step(
+            solver.prepare(scene.depth, ff2, K, config), np.zeros(6), config)
         assert np.max(np.abs(base - scaled)) < 1e-12
 
     def test_weighted_cost_not_worse_than_seed(self, K):
@@ -200,10 +362,10 @@ class TestSolve:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         res = solver.solve(depth, ff, K)
-        _, rep_final = solver.gauss_newton_step(depth, ff, res.xi, K,
-                                                SolverConfig())
-        _, rep_zero = solver.gauss_newton_step(depth, ff, np.zeros(6), K,
-                                               SolverConfig())
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
+        _, rep_final = solver.gauss_newton_step(problem, res.xi, config)
+        _, rep_zero = solver.gauss_newton_step(problem, np.zeros(6), config)
         assert rep_final.weighted_cost <= rep_zero.weighted_cost
 
     def test_seed_independence(self, K):

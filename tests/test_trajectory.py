@@ -16,6 +16,13 @@ def random_trajectory(rng, n=20, dt=0.1, scale=0.1):
     return Trajectory(ts, np.array(poses))
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamps_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array([0.0, bad, 2.0]), np.tile(np.eye(4), (3, 1, 1)))
+
+
 class TestChain:
     def test_all_zero(self):
         traj = trajectory.chain([(float(i), np.zeros(6)) for i in range(5)])
@@ -236,6 +243,24 @@ class TestTumIO:
         path.write_text("0.0 1 2 3\n")
         with pytest.raises(RasterFormatError):
             trajectory.read_tum(path)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected_with_line(self, tmp_path, stamp):
+        path = tmp_path / "traj.txt"
+        path.write_text("# header\n0.0 0 0 0 0 0 0 1\n"
+                        f"{stamp} 1 0 0 0 0 0 1\n2.0 2 0 0 0 0 0 1\n")
+        with pytest.raises(RasterFormatError, match=":3: timestamp"):
+            trajectory.read_tum(path)
+
+    def test_non_finite_timestamp_exits_3(self, tmp_path, capsys):
+        from flowpose import cli
+        path = tmp_path / "traj.txt"
+        path.write_text("0.0 0 0 0 0 0 0 1\nnan 1 0 0 0 0 0 1\n"
+                        "2.0 2 0 0 0 0 0 1\n3.0 3 0 0 0 0 0 1\n")
+        code = cli.main(["eval-traj", "--est", str(path), "--gt", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and ":2:" in err
 
     def test_quaternion_roundtrip(self):
         rng = np.random.default_rng(45)

@@ -3,6 +3,11 @@
 Raster convention: arrays are (height, width[, channels]) with pixel (x, y)
 addressed as data[y, x]. Pixel centres sit at integer coordinates.
 
+Two kernels serve this module, the solver and the synthetic renderer:
+`pixel_offsets` (x - cx, y - cy), which checks that the raster is
+K.width x K.height, and `divide`, the perspective divide with the
+cheirality test.
+
 Flow rasters are stored in pixel units; the solver converts to normalised
 camera coordinates by dividing by (fx, fy). flow_from_pose returns
 normalised flow, with a pixel-unit variant alongside.
@@ -13,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import se3
-from .errors import CheiralityError
-
-CHEIRALITY_EPS = 1e-12
+from .errors import CheiralityError, RasterFormatError
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class Intrinsics:
 def project(x):
     """Perspective division: 3-vector camera point -> normalised 2-vector."""
     x = np.asarray(x, dtype=float)
-    if x[2] <= CHEIRALITY_EPS:
+    if x[2] <= se3.CHEIRALITY_EPS:
         raise CheiralityError("point not in front of the camera")
     return x[:2] / x[2]
 
@@ -73,10 +76,27 @@ def depth_valid_mask(depth):
     return np.isfinite(depth) & (depth > 0)
 
 
-def _pixel_grid(width, height):
-    xs, ys = np.meshgrid(np.arange(width, dtype=float),
-                         np.arange(height, dtype=float))
-    return xs, ys
+def pixel_offsets(K, shape):
+    """(x - cx, y - cy) as two (H, W) arrays; raises RasterFormatError
+    unless shape is (K.height, K.width). Offsets, not rays: d * (x - cx) / fx
+    and d * ((x - cx) / fx) round differently."""
+    h, w = shape
+    if (h, w) != (K.height, K.width):
+        raise RasterFormatError(
+            f"intrinsics are {K.width}x{K.height} but the raster is {w}x{h}")
+    return np.meshgrid(np.arange(w, dtype=float) - K.cx,
+                       np.arange(h, dtype=float) - K.cy)
+
+
+def divide(Y):
+    """Perspective divide of channel-first camera points Y (3, ...): returns
+    (Y[:2] / z, front) with front = z > se3.CHEIRALITY_EPS, and z replaced by
+    1 where front is False."""
+    z = Y[2]
+    front = z > se3.CHEIRALITY_EPS
+    if not front.all():
+        z = np.where(front, z, 1.0)
+    return Y[:2] / z, front
 
 
 def bilinear_sample(img, px, py):
@@ -110,23 +130,17 @@ def bilinear_sample(img, px, py):
     return out, valid
 
 
-def _transform_grid(depth, T, K):
-    """Transform every valid pixel's camera point by T.
-
-    Returns (points (H,W,3) in the target frame, source validity mask).
-    """
+def _moved_grid(depth, T, K):
+    """Backproject every pixel, move it by T and divide. Returns (uv (2, H, W)
+    in the target view, valid depth and in front, pixel offsets)."""
     depth = np.asarray(depth, dtype=float)
-    h, w = depth.shape
-    xs, ys = _pixel_grid(w, h)
+    ox, oy = pixel_offsets(K, depth.shape)
     valid = depth_valid_mask(depth)
     d = np.where(valid, depth, 1.0)
-    X = np.stack([d * (xs - K.cx) / K.fx,
-                  d * (ys - K.cy) / K.fy,
-                  d], axis=-1)
-    R = T[:3, :3]
-    t = T[:3, 3]
-    Y = X @ R.T + t
-    return Y, valid
+    X = np.stack([d * ox / K.fx, d * oy / K.fy, d], axis=-1)
+    Y = X @ T[:3, :3].T + T[:3, 3]
+    uv, front = divide(np.moveaxis(Y, -1, 0))
+    return uv, valid & front, (ox, oy)
 
 
 def warp_image(src, depth, T, K):
@@ -136,18 +150,11 @@ def warp_image(src, depth, T, K):
     Returns (warped image, validity mask). Pixels failing cheirality or
     sampling out of bounds are invalid; invalid pixels hold 0.
     """
-    Y, valid = _transform_grid(depth, T, K)
-    z = Y[..., 2]
-    cheir = z > CHEIRALITY_EPS
-    zsafe = np.where(cheir, z, 1.0)
-    px = Y[..., 0] / zsafe * K.fx + K.cx
-    py = Y[..., 1] / zsafe * K.fy + K.cy
-    values, in_bounds = bilinear_sample(src, px, py)
-    mask = valid & cheir & in_bounds
-    if values.ndim == 3:
-        values = np.where(mask[..., None], values, 0.0)
-    else:
-        values = np.where(mask, values, 0.0)
+    uv, mask, _ = _moved_grid(depth, T, K)
+    values, in_bounds = bilinear_sample(src, uv[0] * K.fx + K.cx,
+                                        uv[1] * K.fy + K.cy)
+    mask &= in_bounds
+    values[~mask] = 0.0
     return values, mask
 
 
@@ -157,20 +164,9 @@ def flow_from_pose(depth, T, K):
     Returns (flow (H,W,2), validity mask). flow = project(T * backproject)
     minus the original normalised coordinate; invalid pixels hold 0.
     """
-    depth = np.asarray(depth, dtype=float)
-    h, w = depth.shape
-    xs, ys = _pixel_grid(w, h)
-    Y, valid = _transform_grid(depth, T, K)
-    z = Y[..., 2]
-    cheir = z > CHEIRALITY_EPS
-    zsafe = np.where(cheir, z, 1.0)
-    u0 = (xs - K.cx) / K.fx
-    v0 = (ys - K.cy) / K.fy
-    flow = np.stack([Y[..., 0] / zsafe - u0,
-                     Y[..., 1] / zsafe - v0], axis=-1)
-    mask = valid & cheir
-    flow = np.where(mask[..., None], flow, 0.0)
-    return flow, mask
+    uv, mask, (ox, oy) = _moved_grid(depth, T, K)
+    flow = np.stack([uv[0] - ox / K.fx, uv[1] - oy / K.fy], axis=-1)
+    return np.where(mask[..., None], flow, 0.0), mask
 
 
 def flow_normalised_to_pixels(flow, K):

@@ -14,11 +14,25 @@ work alike.
 
 import numpy as np
 
+from .errors import DegenerateGeometryError
+
+# exp() of a raw information parameter above this overflows to inf.
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
 
 def _check_finite(*arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise ValueError("information parameters and residuals must be finite")
+
+
+def _check_exponents(a_hat, g_hat):
+    """Raise DegenerateGeometryError where exp(a_hat) or exp(g_hat) overflows."""
+    worst = max(np.max(a_hat, initial=-np.inf), np.max(g_hat, initial=-np.inf))
+    if worst > LOG_FLOAT_MAX:
+        raise DegenerateGeometryError(
+            f"confidence exp({worst:.6g}) overflows: a_hat and g_hat must "
+            f"stay below log(finfo(float).max) = {LOG_FLOAT_MAX:.6g}")
 
 
 def build(a_hat, b_hat, g_hat):
@@ -27,6 +41,7 @@ def build(a_hat, b_hat, g_hat):
     b_hat = np.asarray(b_hat, dtype=float)
     g_hat = np.asarray(g_hat, dtype=float)
     _check_finite(a_hat, b_hat, g_hat)
+    _check_exponents(a_hat, g_hat)
     c_x = np.exp(a_hat)
     c_y = np.exp(g_hat)
     c_xy = np.exp((a_hat + g_hat) / 2.0) * np.tanh(b_hat)
@@ -104,7 +119,9 @@ def confidences(info):
     """Diagonal confidence maps (C_x, C_y) from raw parameter rasters.
 
     info: (..., 3) raw (a_hat, b_hat, g_hat). The off-diagonal term is used
-    only by the NLL loss, not by the solver's diagonal weights.
+    only by the NLL loss, not by the solver's diagonal weights. Raises
+    DegenerateGeometryError when a confidence would overflow.
     """
     info = np.asarray(info, dtype=float)
+    _check_exponents(info[..., 0], info[..., 2])
     return np.exp(info[..., 0]), np.exp(info[..., 2])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import camera, se3
 from .camera import depth_valid_mask
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, RasterFormatError
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,8 @@ def photometric_lr(img_l, img_r, depth_l, depth_r, baseline, K):
     if baseline < 0:
         raise ValueError("baseline must be nonnegative")
     t_rl, t_lr = stereo_transforms(baseline)
-    total = 0.0
-    for img_a, img_b, depth_a, T in ((img_l, img_r, depth_l, t_rl),
-                                     (img_r, img_l, depth_r, t_lr)):
-        warped, mask = camera.warp_image(img_b, depth_a, T, K)
-        if not np.any(mask):
-            raise InsufficientDataError("no jointly valid pixels")
-        diff = np.abs(np.asarray(img_a, dtype=float) - warped)
-        if diff.ndim == 3:
-            diff = diff.mean(axis=-1)
-        total += float(diff[mask].mean())
-    return total
+    return (_warped_difference(img_l, img_r, depth_l, t_rl, K)
+            + _warped_difference(img_r, img_l, depth_r, t_lr, K))
 
 
 def combined_semisupervised(pred_l, pred_r, gt_l, gt_r, img_l, img_r,
@@ -105,11 +96,25 @@ def combined_semisupervised(pred_l, pred_r, gt_l, gt_r, img_l, img_r,
 def pose_photometric(img_1, img_2, depth_1, xi, K):
     """Mean absolute intensity difference between img_1 and img_2 warped by
     exp(xi) through depth_1."""
-    T = se3.exp(xi)
-    warped, mask = camera.warp_image(img_2, depth_1, T, K)
+    return _warped_difference(img_1, img_2, depth_1, se3.exp(xi), K)
+
+
+def _warped_difference(img_a, img_b, depth_a, T, K):
+    """Mean absolute intensity difference between img_a and img_b warped
+    by T through depth_a, over the pixels valid after warping. Both images
+    must have the depth raster's size."""
+    if np.ndim(depth_a) != 2:
+        raise RasterFormatError("depth raster must have a single channel")
+    dh, dw = np.shape(depth_a)
+    for img in (img_a, img_b):
+        h, w = np.shape(img)[:2]
+        if (h, w) != (dh, dw):
+            raise RasterFormatError(
+                f"image raster is {w}x{h} but depth raster is {dw}x{dh}")
+    warped, mask = camera.warp_image(img_b, depth_a, T, K)
     if not np.any(mask):
         raise InsufficientDataError("no valid pixels after warping")
-    diff = np.abs(np.asarray(img_1, dtype=float) - warped)
+    diff = np.abs(np.asarray(img_a, dtype=float) - warped)
     if diff.ndim == 3:
         diff = diff.mean(axis=-1)
     return float(diff[mask].mean())

@@ -19,6 +19,9 @@ LOG_ANGLE_MARGIN = 1e-6
 # Below this angle the Rodrigues coefficients switch to Taylor series.
 SMALL_ANGLE = 1e-6
 
+# A point is in front of the camera when its depth exceeds this.
+CHEIRALITY_EPS = 1e-12
+
 
 def generators():
     """Return the 6 se(3) generator matrices as a (6, 4, 4) array."""
@@ -137,11 +140,11 @@ def apply(T, p):
     """Act on an inverse-depth point (u, v, 1, q) and renormalise.
 
     Raises CheiralityError when the transformed point lands behind or on
-    the camera plane (third homogeneous component <= 1e-12).
+    the camera plane (third homogeneous component <= CHEIRALITY_EPS).
     """
     p = np.asarray(p, dtype=float)
     y = np.asarray(T, dtype=float) @ p
-    if y[2] <= 1e-12:
+    if y[2] <= CHEIRALITY_EPS:
         raise CheiralityError("point maps behind or onto the camera plane")
     return y / y[2]
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import infomat, se3
-from .camera import CHEIRALITY_EPS, depth_valid_mask
+from .camera import (depth_valid_mask, divide, flow_pixels_to_normalised,
+                     pixel_offsets)
 from .errors import (DegenerateGeometryError, InsufficientDataError,
                      RasterFormatError)
 
@@ -35,9 +36,6 @@ Q_MIN = 1e-4
 Q_MAX = 1e4
 
 CONDITION_LIMIT = 1e12
-
-# exp() of a raw information parameter above this overflows to inf.
-LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass
@@ -123,22 +121,19 @@ def _geometry(depth, flow_field, K):
     if (fh, fw) != (h, w):
         raise RasterFormatError(
             f"depth raster is {w}x{h} but flow raster is {fw}x{fh}")
-    if (K.height, K.width) != (h, w):
-        raise RasterFormatError(
-            f"intrinsics are {K.width}x{K.height} but the rasters are {w}x{h}")
+    ox, oy = pixel_offsets(K, (h, w))
 
     mask = depth_valid_mask(depth) & flow_field.valid
     q = np.zeros_like(depth)
     np.divide(1.0, depth, out=q, where=mask)
     mask &= (q >= Q_MIN) & (q <= Q_MAX)
     index = np.flatnonzero(mask)
-    ys, xs = np.divmod(index, w)
     points = np.empty((4, len(index)))
-    points[0] = (xs - K.cx) / K.fx
-    points[1] = (ys - K.cy) / K.fy
+    points[0] = ox.ravel()[index] / K.fx
+    points[1] = oy.ravel()[index] / K.fy
     points[2] = 1.0
     points[3] = q.ravel()[index]
-    meas = flow_field.flow.reshape(-1, 2)[index] / np.array([K.fx, K.fy])
+    meas = flow_pixels_to_normalised(flow_field.flow.reshape(-1, 2)[index], K)
     return Problem(shape=(h, w), index=index, points=points, flow=meas.T.copy())
 
 
@@ -150,14 +145,7 @@ def prepare(depth, flow_field, K, config):
     n = len(problem.index)
     if config.use_confidence:
         info = flow_field.info.reshape(-1, 3)[problem.index]
-        with np.errstate(over='ignore'):
-            c_x, c_y = infomat.confidences(info)
-        if not (np.all(np.isfinite(c_x)) and np.all(np.isfinite(c_y))):
-            worst = float(np.max(info[:, [0, 2]]))
-            raise DegenerateGeometryError(
-                f"confidence exp({worst:.6g}) overflows: a_hat and g_hat must "
-                f"stay below log(finfo(float).max) = {LOG_FLOAT_MAX:.6g}")
-        problem.conf = np.stack([c_x, c_y])
+        problem.conf = np.stack(infomat.confidences(info))
     else:
         problem.conf = np.ones((2, n))
     u, v, _, q = problem.points
@@ -174,14 +162,12 @@ def _residuals(problem, xi):
     """
     T = se3.exp(xi)
     # T acting on (u, v, 1, q): rows 0..2 give R (u,v,1)^T + t q
-    y = T[:3] @ problem.points              # (3, N)
-    keep = y[2] > CHEIRALITY_EPS
-    uv, meas = problem.points[:2], problem.flow
+    r, keep = divide(T[:3] @ problem.points)
+    r -= problem.points[:2]     # in place: no fresh (2, N) per iteration
+    r -= problem.flow
     if keep.all():
-        keep = None
-    else:
-        y, uv, meas = y[:, keep], uv[:, keep], meas[:, keep]
-    return y[:2] / y[2] - uv - meas, keep
+        return r, None
+    return r[:, keep], keep
 
 
 def _residual_report(r, min_valid_pixels):

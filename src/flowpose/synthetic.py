@@ -150,57 +150,44 @@ class SceneRender:
     outlier_mask: np.ndarray
 
 
-def _second_view_scene_coords(spec, T):
+def _second_view_scene_coords(spec, T, a, b):
     """Camera-1 normalised coordinates of the surface point seen by every
-    pixel of the second camera.
+    pixel of the second camera, whose normalised coordinates are (a, b).
 
     Solves lambda * ray2 = T X1 with X1 on the depth surface; closed form
     for constant/plane depths, fixed-point iteration otherwise.
     Returns (a1, b1, valid).
     """
-    K = spec.intrinsics
-    xs, ys = np.meshgrid(np.arange(spec.width, dtype=float),
-                         np.arange(spec.height, dtype=float))
-    r2 = np.stack([(xs - K.cx) / K.fx, (ys - K.cy) / K.fy,
-                   np.ones_like(xs)], axis=-1)
     R = T[:3, :3]
     t = T[:3, 3]
-    ray1 = r2 @ R                       # R^T r2
+    rows = np.stack([a, b, np.ones_like(a)], axis=-1) @ R    # R^T ray2
+    ray1 = np.ascontiguousarray(np.moveaxis(rows, -1, 0))    # (3, H, W)
     t1 = R.T @ t
 
     model = spec.depth_model
     if isinstance(model, ConstantDepth):
-        lam = (model.value + t1[2]) / ray1[..., 2]
+        lam = (model.value + t1[2]) / ray1[2]
     elif isinstance(model, PlaneDepth):
         n = np.asarray(model.normal, dtype=float)
-        lam = (model.offset + n @ t1) / (ray1 @ n)
+        lam = (model.offset + n @ t1) / (rows @ n)
     else:
         # X1 = lam * ray1 - t1; iterate lam so X1_z matches the depth model
         # evaluated at the projected coordinates.
-        a0 = (xs - K.cx) / K.fx
-        b0 = (ys - K.cy) / K.fy
-        lam = np.asarray(model(a0, b0), dtype=float)
+        lam = np.asarray(model(a, b), dtype=float)
         for _ in range(50):
-            X1 = lam[..., None] * ray1 - t1
-            z = np.where(X1[..., 2] > 1e-12, X1[..., 2], 1.0)
-            a = X1[..., 0] / z
-            b = X1[..., 1] / z
-            lam = (np.asarray(model(a, b), dtype=float) + t1[2]) / ray1[..., 2]
-    X1 = lam[..., None] * ray1 - t1
-    z = X1[..., 2]
-    valid = (lam > 0) & (z > 1e-12)
-    zsafe = np.where(valid, z, 1.0)
-    return X1[..., 0] / zsafe, X1[..., 1] / zsafe, valid
+            (a1, b1), _ = camera.divide(lam * ray1 - t1[:, None, None])
+            lam = (np.asarray(model(a1, b1), dtype=float) + t1[2]) / ray1[2]
+    (a1, b1), front = camera.divide(lam * ray1 - t1[:, None, None])
+    return a1, b1, (lam > 0) & front
 
 
 def render(spec):
     """Render a scene: depth, flow field with information parameters,
     an analytic image pair and the ground-truth transform."""
     K = spec.intrinsics
-    xs, ys = np.meshgrid(np.arange(spec.width, dtype=float),
-                         np.arange(spec.height, dtype=float))
-    a = (xs - K.cx) / K.fx
-    b = (ys - K.cy) / K.fy
+    ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
+    a = ox / K.fx
+    b = oy / K.fy
 
     depth = np.asarray(spec.depth_model(a, b), dtype=float)
     if np.any(~np.isfinite(depth)) or np.any(depth <= 0):
@@ -211,7 +198,7 @@ def render(spec):
     flow_px = camera.flow_normalised_to_pixels(norm_flow, K)
 
     image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
-    a2, b2, valid2 = _second_view_scene_coords(spec, T)
+    a2, b2, valid2 = _second_view_scene_coords(spec, T, a, b)
     image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K), dtype=float)
     image_2 = np.where(valid2, image_2, 0.0)
 
@@ -270,8 +257,8 @@ def write_scene(spec, directory):
     manifest of `filename sha256` lines. Byte-identical across runs for
     the same spec.
     """
-    os.makedirs(directory, exist_ok=True)
     scene = render(spec)
+    os.makedirs(directory, exist_ok=True)
     K = spec.intrinsics
 
     artifacts = []

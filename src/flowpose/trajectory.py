@@ -266,6 +266,9 @@ def rotation_from_quaternion(qx, qy, qz, qw):
     ])
 
 
+_TUM_FIELDS = ('timestamp', 'tx', 'ty', 'tz', 'qx', 'qy', 'qz', 'qw')
+
+
 def read_tum(path):
     """Read a TUM-format trajectory: `timestamp tx ty tz qx qy qz qw` per
     line, '#' comments ignored."""
@@ -284,10 +287,11 @@ def read_tum(path):
                 vals = [float(p) for p in parts]
             except ValueError as exc:
                 raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
+            for name, value, text in zip(_TUM_FIELDS, vals, parts):
+                if not math.isfinite(value):
+                    raise RasterFormatError(
+                        f"{path}:{lineno}: {name} {text} is not finite")
             ts, tx, ty, tz, qx, qy, qz, qw = vals
-            if not math.isfinite(ts):
-                raise RasterFormatError(
-                    f"{path}:{lineno}: timestamp {parts[0]} is not finite")
             T = np.eye(4)
             T[:3, :3] = rotation_from_quaternion(qx, qy, qz, qw)
             T[:3, 3] = (tx, ty, tz)

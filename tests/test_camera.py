@@ -3,7 +3,7 @@ import pytest
 
 from flowpose import camera, se3
 from flowpose.camera import Intrinsics
-from flowpose.errors import CheiralityError
+from flowpose.errors import CheiralityError, RasterFormatError
 
 
 @pytest.fixture
@@ -182,3 +182,120 @@ class TestFlowFromPose:
         joint = fmask & wmask & ok
         assert joint.any()
         assert np.max(np.abs(sampled[joint] - warped[joint])) < 1e-9
+
+
+class TestKernels:
+    def test_pixel_offsets(self, K):
+        ox, oy = camera.pixel_offsets(K, (K.height, K.width))
+        assert ox.shape == oy.shape == (K.height, K.width)
+        assert ox[5, 7] == 7 - K.cx and oy[5, 7] == 5 - K.cy
+
+    @pytest.mark.parametrize("shape", [(48, 60), (40, 64), (64, 48)])
+    def test_pixel_offsets_rejects_other_raster_size(self, K, shape):
+        with pytest.raises(RasterFormatError, match="64x48"):
+            camera.pixel_offsets(K, shape)
+
+    def test_divide(self):
+        Y = np.array([[2.0, 1.0, 3.0, 5.0],
+                      [4.0, 1.0, 3.0, 7.0],
+                      [2.0, 0.0, -1.0, 1e-12]])
+        uv, front = camera.divide(Y)
+        assert list(front) == [True, False, False, False]
+        assert np.array_equal(uv[:, 0], [1.0, 2.0])
+        assert np.all(np.isfinite(uv))
+
+
+# The parent's project-transform-divide, kept verbatim as the reference the
+# shared kernels must reproduce bit for bit (the synth manifests hash these
+# rasters).
+def reference_transform_grid(depth, T, K):
+    depth = np.asarray(depth, dtype=float)
+    h, w = depth.shape
+    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    valid = camera.depth_valid_mask(depth)
+    d = np.where(valid, depth, 1.0)
+    X = np.stack([d * (xs - K.cx) / K.fx,
+                  d * (ys - K.cy) / K.fy,
+                  d], axis=-1)
+    R = T[:3, :3]
+    t = T[:3, 3]
+    Y = X @ R.T + t
+    return Y, valid
+
+
+def reference_warp_image(src, depth, T, K):
+    Y, valid = reference_transform_grid(depth, T, K)
+    z = Y[..., 2]
+    cheir = z > 1e-12
+    zsafe = np.where(cheir, z, 1.0)
+    px = Y[..., 0] / zsafe * K.fx + K.cx
+    py = Y[..., 1] / zsafe * K.fy + K.cy
+    values, in_bounds = camera.bilinear_sample(src, px, py)
+    mask = valid & cheir & in_bounds
+    if values.ndim == 3:
+        values = np.where(mask[..., None], values, 0.0)
+    else:
+        values = np.where(mask, values, 0.0)
+    return values, mask
+
+
+def reference_flow_from_pose(depth, T, K):
+    depth = np.asarray(depth, dtype=float)
+    h, w = depth.shape
+    xs, ys = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    Y, valid = reference_transform_grid(depth, T, K)
+    z = Y[..., 2]
+    cheir = z > 1e-12
+    zsafe = np.where(cheir, z, 1.0)
+    u0 = (xs - K.cx) / K.fx
+    v0 = (ys - K.cy) / K.fy
+    flow = np.stack([Y[..., 0] / zsafe - u0,
+                     Y[..., 1] / zsafe - v0], axis=-1)
+    mask = valid & cheir
+    flow = np.where(mask[..., None], flow, 0.0)
+    return flow, mask
+
+
+def identity_depths(K):
+    """Constant, plane and smooth-random depth, and the smooth one with
+    invalid pixels."""
+    ox, oy = np.meshgrid(np.arange(K.width) - K.cx, np.arange(K.height) - K.cy)
+    a, b = ox / K.fx, oy / K.fy
+    rng = np.random.default_rng(30)
+    smooth = 2.0 + 0.6 * np.sin(3.0 * a) * np.cos(2.0 * b) \
+        + 0.05 * rng.uniform(-1, 1, a.shape)
+    holes = smooth.copy()
+    holes.ravel()[rng.choice(holes.size, 200, replace=False)] = np.nan
+    holes[0, :4] = (0.0, -1.0, np.inf, -np.inf)
+    return {"constant": np.full(a.shape, 2.0),
+            "plane": 2.0 / (0.1 * a - 0.05 * b + 1.0),
+            "smooth": smooth, "invalid": holes}
+
+
+# the second motion steps 2 m back, so the nearer points land behind the
+# camera
+IDENTITY_MOTIONS = {"small": [0.03, -0.02, 0.01, 0.01, -0.02, 0.015],
+                    "behind": [0.1, 0.05, -2.0, 0.05, -0.1, 0.2]}
+
+
+class TestMatchesParentKernel:
+    @pytest.mark.parametrize("depth_name", ["constant", "plane", "smooth",
+                                            "invalid"])
+    @pytest.mark.parametrize("motion", list(IDENTITY_MOTIONS))
+    def test_flow_and_warp_bit_identical(self, K, depth_name, motion):
+        depth = identity_depths(K)[depth_name]
+        T = se3.exp(IDENTITY_MOTIONS[motion])
+        flow, mask = camera.flow_from_pose(depth, T, K)
+        ref_flow, ref_mask = reference_flow_from_pose(depth, T, K)
+        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(flow, ref_flow)
+        if motion == "behind":
+            assert mask.any()
+            assert not mask[camera.depth_valid_mask(depth)].all()
+        rng = np.random.default_rng(31)
+        for src in (rng.uniform(0, 1, depth.shape),
+                    rng.uniform(0, 1, depth.shape + (2,))):
+            warped, wmask = camera.warp_image(src, depth, T, K)
+            ref_warped, ref_wmask = reference_warp_image(src, depth, T, K)
+            assert np.array_equal(wmask, ref_wmask)
+            assert np.array_equal(warped, ref_warped)

@@ -210,6 +210,96 @@ class TestSolve:
         assert all(word in err for word in words)
 
 
+@pytest.fixture
+def loss_rasters(tmp_path):
+    """A 96x72 scene's depth and images as loss inputs, its intrinsics, and
+    intrinsics for a 160x120 raster."""
+    spec = synthetic.SceneSpec(
+        width=96, height=72,
+        motion=[0.02, -0.01, 0.015, 0.003, -0.005, 0.008], seed=63)
+    scene = synthetic.render(spec)
+    paths = {name: tmp_path / f"{name}.engr"
+             for name in ("depth", "image-1", "image-2")}
+    rasters.write_raster(paths["depth"], scene.depth)
+    rasters.write_raster(paths["image-1"], scene.image_1)
+    rasters.write_raster(paths["image-2"], scene.image_2)
+    paths["intrinsics"] = tmp_path / "intrinsics.txt"
+    rasters.write_intrinsics(paths["intrinsics"], spec.intrinsics)
+    paths["wide"] = tmp_path / "wide.txt"
+    rasters.write_intrinsics(paths["wide"], Intrinsics(
+        fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120))
+    paths["motion"] = ",".join(repr(float(x)) for x in spec.motion)
+    return paths
+
+
+def loss_args(name, paths, **override):
+    """`flowpose loss` argv for the photometric losses."""
+    paths = {**paths, **override}
+    argv = ["loss", name, "--depth", str(paths["depth"]),
+            "--image-1", str(paths["image-1"]),
+            "--image-2", str(paths["image-2"]),
+            "--intrinsics", str(paths["intrinsics"])]
+    if name == "pose-photometric":
+        return argv + ["--motion=" + paths["motion"]]
+    return argv + ["--gt", str(paths["depth"])]
+
+
+class TestRasterSizes:
+    @pytest.mark.parametrize("name", ["pose-photometric", "photometric-lr"])
+    def test_loss_accepts_matching_sizes(self, capsys, loss_rasters, name):
+        code, out, err = run_strict(capsys, *loss_args(name, loss_rasters))
+        assert code == 0 and err == ""
+        # the images are an exact pair for the scene's motion, not a stereo
+        # pair
+        assert float(out) < (1e-5 if name == "pose-photometric" else 1.0)
+
+    @pytest.mark.parametrize("name", ["pose-photometric", "photometric-lr"])
+    def test_loss_intrinsics_size_mismatch_is_format_error(
+            self, capsys, loss_rasters, name):
+        code, out, err = run_strict(capsys, *loss_args(
+            name, loss_rasters, intrinsics=loss_rasters["wide"]))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "160x120" in err and "96x72" in err
+
+    @pytest.mark.parametrize("image", ["image-1", "image-2"])
+    def test_loss_image_size_mismatch_is_format_error(
+            self, capsys, loss_rasters, tmp_path, image):
+        short = tmp_path / "short.engr"
+        rasters.write_raster(short, rasters.read_raster(loss_rasters[image])[:70])
+        code, out, err = run_strict(capsys, *loss_args(
+            "pose-photometric", loss_rasters, **{image: short}))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "96x70" in err and "96x72" in err
+
+    def test_loss_multichannel_depth_is_format_error(
+            self, capsys, loss_rasters, tmp_path):
+        depth2 = tmp_path / "depth2.engr"
+        depth = rasters.read_raster(loss_rasters["depth"])
+        rasters.write_raster(depth2, np.stack([depth, depth], axis=-1))
+        code, out, err = run_strict(capsys, *loss_args(
+            "pose-photometric", loss_rasters, depth=depth2))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "single channel" in err
+
+    def test_synth_intrinsics_size_mismatch_is_format_error(
+            self, capsys, loss_rasters, tmp_path):
+        out_dir = tmp_path / "scene"
+        code, out, err = run_strict(
+            capsys, "synth", "--width", "96", "--height", "72",
+            "--depth", "constant:2.0", "--motion", "0.05,0,0,0,0,0",
+            "--intrinsics", str(loss_rasters["wide"]), "--out", str(out_dir))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "160x120" in err and "96x72" in err
+        assert not out_dir.exists()
+
+
 class TestEvalTraj:
     def make_files(self, tmp_path, scale=1.0):
         rng = np.random.default_rng(62)
@@ -293,6 +383,22 @@ class TestLoss:
                            "--gt-flow", str(gt_path))
         assert code == 0
         assert float(out) == pytest.approx(expected, rel=1e-10)
+
+    def test_flownll_huge_confidences_are_degenerate(self, capsys, tmp_path,
+                                                     scene_dir):
+        directory, _ = scene_dir
+        flow = rasters.read_raster(directory / "flow.engr")
+        flow[..., 2] = 800.0    # a_hat
+        flow[..., 4] = 800.0    # g_hat
+        huge = tmp_path / "huge.engr"
+        rasters.write_raster(huge, flow)
+        code, out, err = run_strict(capsys, "loss", "flownll",
+                                    "--flow", str(huge),
+                                    "--gt-flow", str(directory / "flow.engr"))
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "800" in err and "709.78" in err
 
     def test_unknown_loss_rejected(self, capsys):
         code, _, _ = run(capsys, "loss", "nope")

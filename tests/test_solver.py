@@ -304,6 +304,56 @@ class TestPreparedStep:
         assert len(calls) == 1
 
 
+# The parent's residual kernel, kept verbatim as the reference for the
+# shared divide kernel.
+def reference_residuals(problem, xi):
+    T = se3.exp(xi)
+    y = T[:3] @ problem.points
+    keep = y[2] > 1e-12
+    uv, meas = problem.points[:2], problem.flow
+    if keep.all():
+        keep = None
+    else:
+        y, uv, meas = y[:, keep], uv[:, keep], meas[:, keep]
+    return y[:2] / y[2] - uv - meas, keep
+
+
+class TestResidualsMatchParent:
+    @pytest.mark.parametrize("depth_name", ["constant", "plane", "random",
+                                            "invalid"])
+    # the last motion steps 1 m back: points nearer than that drop out
+    @pytest.mark.parametrize("xi", [
+        [0.0] * 6,
+        [0.03, -0.02, 0.01, 0.01, -0.02, 0.015],
+        [0.01, -0.02, -1.0, 0.01, 0.02, -0.01],
+    ], ids=["zero", "small", "behind"])
+    def test_bit_identical(self, K, depth_name, xi):
+        rng = np.random.default_rng(32)
+        ox, oy = camera.pixel_offsets(K, (K.height, K.width))
+        a, b = ox / K.fx, oy / K.fy
+        random = rng.uniform(0.5, 5.0, a.shape)
+        holes = random.copy()
+        holes.ravel()[rng.choice(holes.size, 300, replace=False)] = np.nan
+        holes[0, :3] = (0.0, -1.0, np.inf)
+        depth = {"constant": np.full(a.shape, 2.0),
+                 "plane": 2.0 / (0.1 * a - 0.05 * b + 1.0),
+                 "random": random, "invalid": holes}[depth_name]
+        ff = FlowField(flow=rng.normal(0.0, 2.0, a.shape + (2,)),
+                       info=np.zeros(a.shape + (3,)))
+        problem = solver.prepare(depth, ff, K, SolverConfig())
+        ys, xs = np.divmod(problem.index, K.width)
+        assert np.array_equal(problem.points[0], (xs - K.cx) / K.fx)
+        assert np.array_equal(problem.points[1], (ys - K.cy) / K.fy)
+        r, keep = solver._residuals(problem, np.array(xi))
+        ref_r, ref_keep = reference_residuals(problem, np.array(xi))
+        assert np.array_equal(r, ref_r)
+        assert (keep is None) == (ref_keep is None)
+        if keep is not None:
+            assert np.array_equal(keep, ref_keep)
+        if depth_name in ("random", "invalid") and xi[2] < -0.5:
+            assert keep is not None and keep.any()
+
+
 class TestSolve:
     def test_exact_recovery_general_motion(self, K):
         rng = np.random.default_rng(23)

@@ -87,6 +87,72 @@ class TestRender:
         assert scene.image_1.min() >= 0.0 and scene.image_1.max() <= 1.0
 
 
+# The parent's second-view solver, kept verbatim as the reference for the
+# shared divide kernel.
+def reference_second_view_scene_coords(spec, T):
+    K = spec.intrinsics
+    xs, ys = np.meshgrid(np.arange(spec.width, dtype=float),
+                         np.arange(spec.height, dtype=float))
+    r2 = np.stack([(xs - K.cx) / K.fx, (ys - K.cy) / K.fy,
+                   np.ones_like(xs)], axis=-1)
+    R = T[:3, :3]
+    t = T[:3, 3]
+    ray1 = r2 @ R
+    t1 = R.T @ t
+
+    model = spec.depth_model
+    if isinstance(model, ConstantDepth):
+        lam = (model.value + t1[2]) / ray1[..., 2]
+    elif isinstance(model, PlaneDepth):
+        n = np.asarray(model.normal, dtype=float)
+        lam = (model.offset + n @ t1) / (ray1 @ n)
+    else:
+        a0 = (xs - K.cx) / K.fx
+        b0 = (ys - K.cy) / K.fy
+        lam = np.asarray(model(a0, b0), dtype=float)
+        for _ in range(50):
+            X1 = lam[..., None] * ray1 - t1
+            z = np.where(X1[..., 2] > 1e-12, X1[..., 2], 1.0)
+            a = X1[..., 0] / z
+            b = X1[..., 1] / z
+            lam = (np.asarray(model(a, b), dtype=float) + t1[2]) / ray1[..., 2]
+    X1 = lam[..., None] * ray1 - t1
+    z = X1[..., 2]
+    valid = (lam > 0) & (z > 1e-12)
+    zsafe = np.where(valid, z, 1.0)
+    return X1[..., 0] / zsafe, X1[..., 1] / zsafe, valid
+
+
+class TestSecondViewMatchesParent:
+    # a normal with n_z != 1, which a reordered plane product would round
+    # differently
+    @pytest.mark.parametrize("depth_model", [
+        ConstantDepth(2.0),
+        PlaneDepth(normal=(0.13, -0.07, 0.9), offset=1.8),
+        SmoothRandomDepth(seed=3, amplitude=0.4),
+    ], ids=["constant", "plane", "smooth"])
+    # the second motion turns the camera by 86 degrees, so part of its view
+    # looks away from the surface
+    @pytest.mark.parametrize("motion", [
+        [0.02, -0.01, 0.01, 0.004, -0.003, 0.006],
+        [0.1, 0.0, 0.1, 0.05, 1.5, 0.0],
+    ], ids=["small", "behind"])
+    def test_bit_identical_on_valid_pixels(self, depth_model, motion):
+        spec = basic_spec(depth_model=depth_model, motion=motion)
+        K = spec.intrinsics
+        T = se3.exp(spec.motion)
+        ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
+        a1, b1, valid = synthetic._second_view_scene_coords(
+            spec, T, ox / K.fx, oy / K.fy)
+        ref_a, ref_b, ref_valid = reference_second_view_scene_coords(spec, T)
+        assert np.array_equal(valid, ref_valid)
+        # render zeroes the invalid pixels, whose coordinates may differ
+        assert np.array_equal(a1[valid], ref_a[valid])
+        assert np.array_equal(b1[valid], ref_b[valid])
+        if motion[4] > 1:
+            assert valid.any() and not valid.all()
+
+
 class TestWriteScene:
     def test_manifest_identical_across_runs(self, tmp_path):
         spec = basic_spec(noise_sigma=0.3, outlier_fraction=0.05,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,23 +246,38 @@ class TestTumIO:
         with pytest.raises(RasterFormatError):
             trajectory.read_tum(path)
 
-    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
-    def test_non_finite_timestamp_rejected_with_line(self, tmp_path, stamp):
+    # every field must be finite, not only the timestamp
+    @pytest.mark.parametrize("line, field", [
+        ("nan 1 0 0 0 0 0 1", "timestamp"),
+        ("inf 1 0 0 0 0 0 1", "timestamp"),
+        ("-inf 1 0 0 0 0 0 1", "timestamp"),
+        ("1.0 nan 0 0 0 0 0 1", "tx"),
+        ("1.0 1 0 0 inf 0 0 1", "qx"),
+        ("1.0 1 0 0 0 0 0 -inf", "qw"),
+    ], ids=["nan", "inf", "-inf", "tx-nan", "qx-inf", "qw-inf"])
+    def test_non_finite_timestamp_rejected_with_line(self, tmp_path, line,
+                                                     field):
         path = tmp_path / "traj.txt"
         path.write_text("# header\n0.0 0 0 0 0 0 0 1\n"
-                        f"{stamp} 1 0 0 0 0 0 1\n2.0 2 0 0 0 0 0 1\n")
-        with pytest.raises(RasterFormatError, match=":3: timestamp"):
+                        f"{line}\n2.0 2 0 0 0 0 0 1\n")
+        with pytest.raises(RasterFormatError, match=f":3: {field} "):
             trajectory.read_tum(path)
 
     def test_non_finite_timestamp_exits_3(self, tmp_path, capsys):
         from flowpose import cli
         path = tmp_path / "traj.txt"
-        path.write_text("0.0 0 0 0 0 0 0 1\nnan 1 0 0 0 0 0 1\n"
-                        "2.0 2 0 0 0 0 0 1\n3.0 3 0 0 0 0 0 1\n")
-        code = cli.main(["eval-traj", "--est", str(path), "--gt", str(path)])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert len(err.splitlines()) == 1 and ":2:" in err
+        for line in ("nan 1 0 0 0 0 0 1", "1.0 nan 0 0 0 0 0 1",
+                     "1.0 1 0 0 inf 0 0 1"):
+            path.write_text(f"0.0 0 0 0 0 0 0 1\n{line}\n"
+                            "2.0 2 0 0 0 0 0 1\n3.0 3 0 0 0 0 0 1\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["eval-traj", "--est", str(path),
+                                 "--gt", str(path)])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and ":2:" in captured.err
 
     def test_quaternion_roundtrip(self):
         rng = np.random.default_rng(45)

@@ -31,8 +31,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the raster")
 
@@ -86,6 +86,15 @@ def pixel_offsets(K, shape):
             f"intrinsics are {K.width}x{K.height} but the raster is {w}x{h}")
     return np.meshgrid(np.arange(w, dtype=float) - K.cx,
                        np.arange(h, dtype=float) - K.cy)
+
+
+def check_same_size(first, second, names):
+    """Raise RasterFormatError, naming both sizes, unless two rasters agree
+    in height and width; names are the two rasters' names."""
+    (h1, w1), (h2, w2) = np.shape(first)[:2], np.shape(second)[:2]
+    if (h1, w1) != (h2, w2):
+        raise RasterFormatError(f"{names[0]} raster is {w1}x{h1} but "
+                                f"{names[1]} raster is {w2}x{h2}")
 
 
 def divide(Y):

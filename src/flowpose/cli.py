@@ -11,18 +11,12 @@ import sys
 import numpy as np
 
 from . import infomat, losses, rasters, se3, solver, synthetic, trajectory
-from .errors import (DegenerateGeometryError, InsufficientDataError,
-                     RasterFormatError)
+from .camera import check_same_size
+from .errors import FlowPoseError, RasterFormatError, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_DEGENERATE = 4
-EXIT_INSUFFICIENT = 5
-
-
-class UsageError(ValueError):
-    """Bad flag or config value; argparse-compatible for type= converters."""
 
 
 def _parse_motion(text):
@@ -104,7 +98,7 @@ def _apply_config(args, command, argv_flags):
     values = _read_config(args.config)
     for key, raw in values.items():
         if key not in allowed:
-            raise UsageError(f"unknown config key '{key}'")
+            raise UsageError(f"unknown config key {key!r}")
         # flags given on the command line win over config-file values
         flag = '--' + key.replace('_', '-')
         if flag in argv_flags:
@@ -220,11 +214,12 @@ def cmd_loss(args):
     elif name == 'flownll':
         _require(args, ['flow', 'gt-flow'])
         pred = _flow_field_from_raster(rasters.read_raster(args.flow))
-        gt = np.atleast_3d(rasters.read_raster(args.gt_flow))[..., :2]
-        if gt.shape[:2] != pred.flow.shape[:2]:
-            raise UsageError("flow raster shapes differ")
-        residual = pred.flow - gt
-        value = infomat.flow_nll_map(residual, pred.info, pred.valid)
+        gt = _flow_field_from_raster(rasters.read_raster(args.gt_flow))
+        check_same_size(pred.flow, gt.flow, ("flow", "gt-flow"))
+        valid = pred.valid & gt.valid
+        residual = np.subtract(pred.flow, gt.flow, where=valid[..., None],
+                               out=np.zeros_like(pred.flow))
+        value = infomat.flow_nll_map(residual, pred.info, valid)
     elif name == 'photometric-lr':
         _require(args, ['image-1', 'image-2', 'depth', 'gt', 'intrinsics'])
         K = rasters.read_intrinsics(args.intrinsics)
@@ -324,21 +319,15 @@ def main(argv=None):
             flags = {a for a in argv if a.startswith('--')}
             _apply_config(args, args.command, flags)
         return args.func(args)
-    except ValueError as exc:   # UsageError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RasterFormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except FlowPoseError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except DegenerateGeometryError as exc:
-        print(f"degenerate geometry: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+    except ValueError as exc:   # a library argument check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == '__main__':

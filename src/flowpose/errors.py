@@ -1,21 +1,31 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library. Each carries the exit code
+and the stderr label with which the `flowpose` command reports it."""
 
 
 class FlowPoseError(Exception):
     """Base class for library errors."""
+    exit_code, label = 2, "error"
 
 
-class CheiralityError(FlowPoseError):
-    """A point mapped behind or onto the camera plane."""
+class UsageError(FlowPoseError, ValueError):
+    """Bad flag, config value or argument (exit 2); a ValueError, so that
+    argparse reports it when a `type=` converter raises it."""
 
 
 class InsufficientDataError(FlowPoseError):
-    """Too few valid pixels / matched samples to proceed."""
+    """Too few valid pixels / matched samples to proceed (exit 5)."""
+    exit_code, label = 5, "insufficient data"
 
 
 class DegenerateGeometryError(FlowPoseError):
-    """Normal equations are singular or too ill-conditioned to solve."""
+    """Singular, ill-conditioned or overflowing numerics (exit 4)."""
+    exit_code, label = 4, "degenerate geometry"
+
+
+class CheiralityError(DegenerateGeometryError):
+    """A point mapped behind or onto the camera plane (exit 4)."""
 
 
 class RasterFormatError(FlowPoseError):
-    """Malformed raster or trajectory file."""
+    """Malformed input file, or rasters of different sizes (exit 3)."""
+    exit_code, label = 3, "format error"

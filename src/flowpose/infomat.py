@@ -14,7 +14,7 @@ work alike.
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, InsufficientDataError
 
 # exp() of a raw information parameter above this overflows to inf.
 LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
@@ -78,18 +78,19 @@ def flow_nll(rx, ry, a_hat, b_hat, g_hat):
 
 
 def flow_nll_map(residuals, info, valid=None):
-    """Mean NLL over the valid pixels of a residual map.
+    """Mean NLL over the valid pixels of a residual map; pixels outside
+    valid are not evaluated, so they may hold non-finite values.
 
     residuals: (..., 2); info: (..., 3) raw parameters.
     """
     residuals = np.asarray(residuals, dtype=float)
     info = np.asarray(info, dtype=float)
-    nll = flow_nll(residuals[..., 0], residuals[..., 1],
-                   info[..., 0], info[..., 1], info[..., 2])
     if valid is not None:
         if not np.any(valid):
-            raise ValueError("no valid pixels")
-        return float(np.mean(nll[valid]))
+            raise InsufficientDataError("no valid pixels")
+        residuals, info = residuals[valid], info[valid]
+    nll = flow_nll(residuals[..., 0], residuals[..., 1],
+                   info[..., 0], info[..., 1], info[..., 2])
     return float(np.mean(nll))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import camera, se3
-from .camera import depth_valid_mask
+from .camera import check_same_size, depth_valid_mask
 from .errors import InsufficientDataError, RasterFormatError
 
 
@@ -35,8 +35,10 @@ def berhu(pred, gt, valid=None):
     """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
+    check_same_size(pred, gt, ("pred", "gt"))
     if pred.shape != gt.shape:
-        raise ValueError("depth map shapes differ")
+        raise RasterFormatError(f"pred raster has shape {pred.shape} but "
+                                f"gt raster has shape {gt.shape}")
     if valid is None:
         valid = depth_valid_mask(gt)
     if not np.any(valid):
@@ -52,9 +54,12 @@ def berhu(pred, gt, valid=None):
 def smoothness(depth):
     """Mean |forward x-gradient| + |forward y-gradient| over the interior."""
     depth = np.asarray(depth, dtype=float)
+    if depth.ndim != 2:
+        raise RasterFormatError("depth raster must have a single channel")
     h, w = depth.shape
     if h < 2 or w < 2:
-        raise ValueError("depth map must be at least 2x2")
+        raise InsufficientDataError(
+            f"depth raster is {w}x{h}; smoothness needs at least 2x2")
     gx = np.abs(depth[:, 1:] - depth[:, :-1])[: h - 1, :]
     gy = np.abs(depth[1:, :] - depth[:-1, :])[:, : w - 1]
     return float(np.mean(gx + gy))
@@ -105,12 +110,8 @@ def _warped_difference(img_a, img_b, depth_a, T, K):
     must have the depth raster's size."""
     if np.ndim(depth_a) != 2:
         raise RasterFormatError("depth raster must have a single channel")
-    dh, dw = np.shape(depth_a)
     for img in (img_a, img_b):
-        h, w = np.shape(img)[:2]
-        if (h, w) != (dh, dw):
-            raise RasterFormatError(
-                f"image raster is {w}x{h} but depth raster is {dw}x{dh}")
+        check_same_size(img, depth_a, ("image", "depth"))
     warped, mask = camera.warp_image(img_b, depth_a, T, K)
     if not np.any(mask):
         raise InsufficientDataError("no valid pixels after warping")

@@ -47,7 +47,8 @@ def read_raster(path):
     if len(payload) != expected:
         raise RasterFormatError(
             f"{path}: expected {expected} data bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype='<f4').reshape(h, w, c).astype(float)
+    with np.errstate(invalid='ignore'):     # a signalling NaN stays a NaN
+        data = np.frombuffer(payload, dtype='<f4').reshape(h, w, c).astype(float)
     if c == 1:
         return data[:, :, 0]
     return data
@@ -60,16 +61,27 @@ def write_intrinsics(path, K):
                  % (K.fx, K.fy, K.cx, K.cy, K.width, K.height))
 
 
+def read_text(path):
+    """The contents of a UTF-8 text file; RasterFormatError if it is not
+    UTF-8."""
+    with open(path, 'r', encoding='utf-8') as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise RasterFormatError(f"{path}: {exc}") from exc
+
+
 def read_intrinsics(path):
-    with open(path, 'r') as fh:
-        text = fh.read()
-    parts = text.split()
+    """Read an intrinsics file; a file whose values Intrinsics rejects is a
+    RasterFormatError naming the file."""
+    parts = read_text(path).split()
     if len(parts) != 6:
         raise RasterFormatError(
             f"{path}: expected 6 intrinsics fields, got {len(parts)}")
     try:
         fx, fy, cx, cy = (float(p) for p in parts[:4])
         width, height = int(parts[4]), int(parts[5])
+        return Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width,
+                          height=height)
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from exc
-    return Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import infomat, se3
-from .camera import (depth_valid_mask, divide, flow_pixels_to_normalised,
-                     pixel_offsets)
-from .errors import (DegenerateGeometryError, InsufficientDataError,
-                     RasterFormatError)
+from .camera import (check_same_size, depth_valid_mask, divide,
+                     flow_pixels_to_normalised, pixel_offsets)
+from .errors import DegenerateGeometryError, InsufficientDataError
 
 # Inverse depths outside this band destabilise the Jacobian and are masked.
 Q_MIN = 1e-4
@@ -116,11 +115,8 @@ def _geometry(depth, flow_field, K):
     """The valid pixels' points and measured flow; checks that depth, flow
     and intrinsics describe the same raster size."""
     depth = np.asarray(depth, dtype=float)
+    check_same_size(depth, flow_field.flow, ("depth", "flow"))
     h, w = depth.shape
-    fh, fw = flow_field.flow.shape[:2]
-    if (fh, fw) != (h, w):
-        raise RasterFormatError(
-            f"depth raster is {w}x{h} but flow raster is {fw}x{fh}")
     ox, oy = pixel_offsets(K, (h, w))
 
     mask = depth_valid_mask(depth) & flow_field.valid
@@ -137,6 +133,12 @@ def _geometry(depth, flow_field, K):
     return Problem(shape=(h, w), index=index, points=points, flow=meas.T.copy())
 
 
+# Overflow from extreme inputs (absurd focal lengths, huge flow times huge
+# confidences) ends in A or b, which gauss_newton_step checks for finiteness.
+_OVERFLOW_CHECKED = np.errstate(over='ignore', invalid='ignore')
+
+
+@_OVERFLOW_CHECKED
 def prepare(depth, flow_field, K, config):
     """Everything constant over a solve: the valid pixels, their points and
     measured flow, their confidences (ones with use_confidence off) and the
@@ -242,6 +244,7 @@ def build_weight(c_x, c_y, rx, ry, m):
     return c_x * m2 / (m2 + rx * rx), c_y * m2 / (m2 + ry * ry)
 
 
+@_OVERFLOW_CHECKED
 def gauss_newton_step(problem, xi, config):
     """One weighted Gauss-Newton update on a prepared problem.
 
@@ -258,9 +261,8 @@ def gauss_newton_step(problem, xi, config):
     r = r.reshape(-1)
 
     JwT = JT * w
-    with np.errstate(over='ignore', invalid='ignore'):  # checked below
-        A = JwT @ JT.T
-        b = JwT @ r
+    A = JwT @ JT.T
+    b = JwT @ r
     if config.damping > 0:
         A = A + config.damping * np.eye(6)
 

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import se3
-from .errors import InsufficientDataError, RasterFormatError
+from .errors import (DegenerateGeometryError, InsufficientDataError,
+                     RasterFormatError)
+from .rasters import read_text
 
 
 @dataclass
@@ -127,10 +129,20 @@ def align_and_scale(est, gt, pairs):
         raise InsufficientDataError("need at least 2 pairs to align")
     pe = est.positions()[[i for i, _ in pairs]]
     pg = gt.positions()[[j for _, j in pairs]]
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        mu_e = pe.mean(axis=0)
+        mu_g = pg.mean(axis=0)
+        ce = pe - mu_e
+        cg = pg - mu_g
+        H = ce.T @ cg
+    # the SVD would fail to converge on the inf or nan left by overflow
+    if not np.all(np.isfinite(H)):
+        raise DegenerateGeometryError(
+            "matched positions overflow the alignment's centroids or "
+            "cross-covariance")
     if np.array_equal(pe, pg):
         # identical inputs align exactly; skipping the SVD keeps the
         # aligned estimate bitwise equal to the ground truth
-        cg = pg - pg.mean(axis=0)
         sv = np.linalg.svd(cg, compute_uv=False)
         low_rank = sv[1] <= 1e-12 * max(sv[0], 1e-300)
         result = AlignmentResult(rotation=np.eye(3), translation=np.zeros(3),
@@ -139,12 +151,7 @@ def align_and_scale(est, gt, pairs):
                                  low_rank=bool(low_rank))
         aligned = Trajectory(est.timestamps.copy(), est.poses.copy())
         return aligned, result
-    mu_e = pe.mean(axis=0)
-    mu_g = pg.mean(axis=0)
-    ce = pe - mu_e
-    cg = pg - mu_g
 
-    H = ce.T @ cg
     U, S, Vt = np.linalg.svd(H)
     D = np.eye(3)
     if np.linalg.det(Vt.T @ U.T) < 0:
@@ -271,35 +278,38 @@ _TUM_FIELDS = ('timestamp', 'tx', 'ty', 'tz', 'qx', 'qy', 'qz', 'qw')
 
 def read_tum(path):
     """Read a TUM-format trajectory: `timestamp tx ty tz qx qy qz qw` per
-    line, '#' comments ignored."""
+    line, '#' comments ignored. A file that is not UTF-8 text, or whose
+    samples Trajectory rejects, is a RasterFormatError naming the file."""
     timestamps = []
     poses = []
-    with open(path, 'r') as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith('#'):
-                continue
-            parts = line.split()
-            if len(parts) != 8:
+    for lineno, line in enumerate(read_text(path).split('\n'), 1):
+        line = line.strip()
+        if not line or line.startswith('#'):
+            continue
+        parts = line.split()
+        if len(parts) != 8:
+            raise RasterFormatError(
+                f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
+        for name, value, text in zip(_TUM_FIELDS, vals, parts):
+            if not math.isfinite(value):
                 raise RasterFormatError(
-                    f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
-            for name, value, text in zip(_TUM_FIELDS, vals, parts):
-                if not math.isfinite(value):
-                    raise RasterFormatError(
-                        f"{path}:{lineno}: {name} {text} is not finite")
-            ts, tx, ty, tz, qx, qy, qz, qw = vals
-            T = np.eye(4)
-            T[:3, :3] = rotation_from_quaternion(qx, qy, qz, qw)
-            T[:3, 3] = (tx, ty, tz)
-            timestamps.append(ts)
-            poses.append(T)
+                    f"{path}:{lineno}: {name} {text} is not finite")
+        ts, tx, ty, tz, qx, qy, qz, qw = vals
+        T = np.eye(4)
+        T[:3, :3] = rotation_from_quaternion(qx, qy, qz, qw)
+        T[:3, 3] = (tx, ty, tz)
+        timestamps.append(ts)
+        poses.append(T)
     if not timestamps:
         raise RasterFormatError(f"{path}: no trajectory samples")
-    return Trajectory(np.array(timestamps), np.array(poses))
+    try:
+        return Trajectory(np.array(timestamps), np.array(poses))
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from exc
 
 
 def write_tum(traj, path):

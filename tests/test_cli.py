@@ -1,10 +1,14 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flowpose import cli, rasters, se3, synthetic, trajectory
+from flowpose import cli, infomat, rasters, se3, synthetic, trajectory
 from flowpose.camera import Intrinsics
+from flowpose.errors import CheiralityError
 from flowpose.trajectory import Trajectory
 
 
@@ -368,7 +372,6 @@ class TestLoss:
         assert float(out) == 0.0
 
     def test_flownll_matches_library(self, capsys, tmp_path, scene_dir):
-        from flowpose import infomat
         directory, _ = scene_dir
         flow5 = rasters.read_raster(directory / "flow.engr")
         gt_flow = flow5[..., :2] + 0.25
@@ -407,3 +410,263 @@ class TestLoss:
     def test_missing_required_raster_rejected(self, capsys):
         code, _, _ = run(capsys, "loss", "berhu")
         assert code == 2
+
+    def test_flownll_skips_pixels_invalid_in_either_raster(
+            self, capsys, tmp_path, scene_dir):
+        directory, _ = scene_dir
+        flow5 = rasters.read_raster(directory / "flow.engr")
+        gt_flow = flow5[..., :2] + 0.25
+        gt_flow[3, 4, 0] = np.nan       # invalid in the gt raster
+        flow5[5, 6, 0] = np.nan         # invalid in the estimate, which
+        flow5[5, 6, 3] = np.nan         # also has a NaN b_hat there
+        paths = {"flow": tmp_path / "flow.engr", "gt": tmp_path / "gt.engr"}
+        rasters.write_raster(paths["flow"], flow5)
+        rasters.write_raster(paths["gt"], gt_flow)
+        valid = np.ones(flow5.shape[:2], dtype=bool)
+        valid[3, 4] = valid[5, 6] = False
+        expected = infomat.flow_nll_map(
+            flow5[valid][:, :2] - rasters.read_raster(paths["gt"])[valid],
+            flow5[valid][:, 2:])
+        code, out, err = run_strict(capsys, "loss", "flownll",
+                                    "--flow", str(paths["flow"]),
+                                    "--gt-flow", str(paths["gt"]))
+        assert code == 0 and err == ""
+        assert float(out) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.fixture
+def fault_files(scene_dir, tmp_path):
+    """The 64x48 scene's files plus one malformed or inconsistent file per
+    fault, keyed by name."""
+    directory, _ = scene_dir
+    paths = {name: str(directory / f"{name}.engr")
+             for name in ("depth", "flow")}
+    paths["intrinsics"] = str(directory / "intrinsics.txt")
+    paths["out"] = str(tmp_path / "out")
+    depth = rasters.read_raster(paths["depth"])
+    flow = rasters.read_raster(paths["flow"])
+    pose = "0 0 0 0 0 0 1\n"
+    files = {
+        "fx_zero.txt": "0 100 32 24 64 48\n",
+        "fx_nan.txt": "nan 100 32 24 64 48\n",
+        "fx_tiny.txt": "1e-300 1e-300 32 24 64 48\n",
+        "pp_outside.txt": "100 100 70 24 64 48\n",
+        "intrinsics_latin1.txt": b"100 100 32 24 64 48 \xe9\n",
+        "tum_latin1.txt": b"0.0 0 0 0 0 0 0 1\n# caf\xe9\n",
+        "tum_decreasing.txt": f"1.0 {pose}0.5 {pose}2.0 {pose}",
+        "tum_duplicate.txt": f"1.0 {pose}1.0 {pose}2.0 {pose}",
+        "tum_good.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
+        "tum_huge.txt": "".join(f"{t}.0 1e308 1e308 1e308 0 0 0 1\n"
+                                for t in range(3)),
+    }
+    for name, content in files.items():
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        paths[name.split(".")[0]] = str(path)
+    nan_gt = np.full(flow.shape[:2] + (2,), np.nan)
+    flow_huge = flow.copy()
+    flow_huge[3, 4] = [3e38, 3e38, 600.0, 0.0, 600.0]   # flow px, a, b, g
+    for name, raster in [("depth_short", depth[:46]), ("flow_short", flow[:46]),
+                         ("nan_gt", nan_gt), ("tiny", np.ones((1, 5))),
+                         ("flow_huge", flow_huge)]:
+        paths[name] = str(tmp_path / f"{name}.engr")
+        rasters.write_raster(paths[name], raster)
+    return paths
+
+
+SOLVE = ["solve", "--depth", "{depth}", "--flow", "{flow}"]
+SYNTH = ["synth", "--width", "64", "--height", "48", "--depth", "constant:2.0",
+         "--motion", "0.05,0,0,0,0,0", "--out", "{out}"]
+EVAL = ["eval-traj", "--gt", "{tum_good}", "--est"]
+
+# (argv with {file} placeholders, exit code, words the one stderr line holds)
+FAULTS = {
+    "intrinsics-fx-zero": (SOLVE + ["--intrinsics", "{fx_zero}"], 3,
+                           ["format error", "fx_zero.txt", "focal"]),
+    "intrinsics-fx-nan": (SOLVE + ["--intrinsics", "{fx_nan}"], 3,
+                          ["format error", "fx_nan.txt", "finite"]),
+    # u = (x - cx) / fx overflows the Jacobian and the residuals
+    "intrinsics-tiny-focal": (SOLVE + ["--intrinsics", "{fx_tiny}"], 4,
+                              ["degenerate geometry", "not finite"]),
+    # a finite confidence times a huge residual overflows the weight
+    "flow-huge-residual-and-confidence": (
+        ["solve", "--depth", "{depth}", "--flow", "{flow_huge}",
+         "--intrinsics", "{intrinsics}"], 4,
+        ["degenerate geometry", "not finite"]),
+    "intrinsics-pp-outside-solve": (
+        SOLVE + ["--intrinsics", "{pp_outside}"], 3,
+        ["format error", "pp_outside.txt", "principal point"]),
+    "intrinsics-pp-outside-synth": (
+        SYNTH + ["--intrinsics", "{pp_outside}"], 3,
+        ["format error", "pp_outside.txt", "principal point"]),
+    "intrinsics-not-utf8": (SOLVE + ["--intrinsics", "{intrinsics_latin1}"],
+                            3, ["format error", "utf-8"]),
+    "tum-not-utf8": (EVAL + ["{tum_latin1}"], 3, ["format error", "utf-8"]),
+    "tum-decreasing": (EVAL + ["{tum_decreasing}"], 3,
+                       ["format error", "tum_decreasing.txt", "increasing"]),
+    "tum-duplicate": (EVAL + ["{tum_duplicate}"], 3,
+                      ["format error", "tum_duplicate.txt", "increasing"]),
+    # the centroid of the positions overflows; the SVD used to raise
+    # LinAlgError, reported as a usage error
+    "tum-positions-overflow": (EVAL + ["{tum_huge}"], 4,
+                               ["degenerate geometry", "overflow"]),
+    "berhu-size": (["loss", "berhu", "--pred", "{depth_short}",
+                    "--gt", "{depth}"], 3, ["format error", "64x46", "64x48"]),
+    "berhu-channels": (["loss", "berhu", "--pred", "{depth}",
+                        "--gt", "{flow}"], 3, ["format error", "shape"]),
+    "flownll-size": (["loss", "flownll", "--flow", "{flow}",
+                      "--gt-flow", "{flow_short}"], 3,
+                     ["format error", "64x46", "64x48"]),
+    "flownll-one-channel-gt": (["loss", "flownll", "--flow", "{flow}",
+                                "--gt-flow", "{depth}"], 3,
+                               ["format error", "2 or 5 channels"]),
+    "flownll-no-valid-pixels": (["loss", "flownll", "--flow", "{flow}",
+                                 "--gt-flow", "{nan_gt}"], 5,
+                                ["insufficient data", "no valid pixels"]),
+    "smoothness-channels": (["loss", "smoothness", "--depth", "{flow}"], 3,
+                            ["format error", "single channel"]),
+    "smoothness-under-2x2": (["loss", "smoothness", "--depth", "{tiny}"], 5,
+                             ["insufficient data", "5x1", "2x2"]),
+}
+
+
+class TestExitCodes:
+    """Each fault exits with its documented code and one stderr line."""
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_exit_code(self, capsys, fault_files, fault):
+        argv, expected, words = FAULTS[fault]
+        code, out, err = run_strict(
+            capsys, *(arg.format(**fault_files) for arg in argv))
+        assert code == expected
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert all(word in err for word in words), err
+
+    def test_cheirality_error_is_degenerate(self, capsys, monkeypatch,
+                                            fault_files):
+        def behind(args):
+            raise CheiralityError("point not in front of the camera")
+        monkeypatch.setattr(cli, "cmd_solve", behind)
+        code, out, err = run_strict(capsys, *(
+            arg.format(**fault_files)
+            for arg in SOLVE + ["--intrinsics", "{intrinsics}"]))
+        assert code == 4
+        assert out == ""
+        assert err == "degenerate geometry: point not in front of the camera\n"
+
+
+# Property: any byte string as an input file gets a documented exit code and
+# at most one stderr line, never a traceback. The rasters and intrinsics are
+# fed to `solve` on a 16x12 scene, the TUM file to `eval-traj` as the
+# estimate. Strategies: arbitrary bytes, plus inputs close to valid ones (a
+# valid header with an arbitrary payload, a valid raster with a few values
+# replaced, a valid file with one token or a tail replaced).
+
+@pytest.fixture(scope="module")
+def fuzz_scene(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    spec = synthetic.SceneSpec(
+        width=16, height=12,
+        motion=[0.02, -0.01, 0.015, 0.003, -0.005, 0.008], seed=64)
+    synthetic.write_scene(spec, directory / "scene")
+    gt = directory / "gt.txt"
+    trajectory.write_tum(Trajectory(np.arange(4) * 0.1, np.array(
+        [se3.exp([0.1 * k, 0, 0, 0, 0.05 * k, 0]) for k in range(4)])), gt)
+    return directory
+
+
+def _raster_bytes(raster):
+    """Strategy: byte strings that an ENGR reader might meet in place of the
+    given raster."""
+    h, w = raster.shape[:2]
+    c = raster.shape[2] if raster.ndim == 3 else 1
+    body = raster.astype("<f4").tobytes()
+    header = struct.pack("<4sIIII", b"ENGR", 1, w, h, c)
+
+    def replace(edits):
+        values = np.frombuffer(body, dtype="<f4").copy()
+        for index, value in edits:
+            values[index % values.size] = value
+        return header + values.tobytes()
+
+    return st.one_of(
+        st.binary(max_size=64),
+        st.binary(min_size=len(body), max_size=len(body)).map(
+            lambda payload: header + payload),
+        st.lists(st.tuples(st.integers(0, 10 ** 6), st.floats(width=32)),
+                 min_size=1, max_size=8).map(replace))
+
+
+def _text_bytes(text):
+    """Strategy: byte strings in place of a valid text file: arbitrary bytes,
+    the file with one token replaced, or its head followed by any bytes."""
+    tokens = text.split(" ")
+    return st.one_of(
+        st.binary(max_size=200),
+        st.tuples(st.integers(0, len(tokens) - 1), st.text(max_size=12)).map(
+            lambda edit: " ".join(tokens[:edit[0]] + [edit[1]]
+                                  + tokens[edit[0] + 1:]).encode("utf-8")),
+        st.tuples(st.integers(0, len(text)), st.binary(max_size=40)).map(
+            lambda cut: text.encode("utf-8")[:cut[0]] + cut[1]))
+
+
+def _fuzz_inputs(kind, scene):
+    if kind in ("depth", "flow"):
+        return _raster_bytes(rasters.read_raster(scene / "scene" / f"{kind}.engr"))
+    if kind == "intrinsics":
+        return _text_bytes((scene / "scene" / "intrinsics.txt").read_text())
+    return _text_bytes((scene / "gt.txt").read_text())
+
+
+def _fuzz_argv(kind, scene, path):
+    if kind == "tum":
+        return ["eval-traj", "--est", str(path), "--gt", str(scene / "gt.txt")]
+    files = {name: scene / "scene" / f"{name}.engr" for name in ("depth", "flow")}
+    files["intrinsics"] = scene / "scene" / "intrinsics.txt"
+    files[kind] = path
+    return ["solve", "--depth", str(files["depth"]), "--flow", str(files["flow"]),
+            "--intrinsics", str(files["intrinsics"])]
+
+
+class TestAnyInputFile:
+    @pytest.mark.parametrize("kind", ["depth", "flow", "intrinsics", "tum"])
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_documented_exit_code(self, capsys, fuzz_scene, kind, data):
+        path = fuzz_scene / f"input.{kind}"
+        path.write_bytes(data.draw(_fuzz_inputs(kind, fuzz_scene)))
+        code, out, err = run_strict(capsys, *_fuzz_argv(kind, fuzz_scene, path))
+        assert code in (0, 3, 4, 5)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""
+
+    # Every solver flag is given on the command line, where it wins over the
+    # config file: a well-formed config then changes nothing, so only the
+    # config reader's own faults (exit 2) can make the solve fail.
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.binary(max_size=200), _text_bytes(
+        "max_iterations = 20\nconvergence_tol = 1e-9\nmin_valid_pixels = 64\n"
+        "damping = 0\nuse_confidence = true\nsingle_iteration = false\n"
+        "seed_xi = 0,0,0,0,0,0\n")))
+    def test_config_file_exit_code(self, capsys, fuzz_scene, content):
+        path = fuzz_scene / "input.cfg"
+        path.write_bytes(content)
+        code, out, err = run_strict(capsys, *_fuzz_argv(
+            "depth", fuzz_scene, fuzz_scene / "scene" / "depth.engr"),
+            "--config", str(path), "--max-iterations", "20",
+            "--convergence-tol", "1e-9", "--min-valid-pixels", "64",
+            "--damping", "0", "--single-iteration", "--seed-xi",
+            "0,0,0,0,0,0")
+        assert code in (0, 2)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""

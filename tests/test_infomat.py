@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpose import infomat
+from flowpose.errors import InsufficientDataError
 
 # frozen high-precision oracle values (30-digit scalar evaluation)
 DET_111 = 3.10321397029750370684441982617
@@ -92,7 +93,7 @@ class TestFlowNll:
         assert infomat.flow_nll_map(residuals, info, valid) == pytest.approx(0.5 / 16)
 
     def test_map_empty_mask(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientDataError):
             infomat.flow_nll_map(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)),
                                  np.zeros((2, 2), dtype=bool))
 

@@ -3,7 +3,7 @@ import pytest
 
 from flowpose import losses, se3, synthetic
 from flowpose.camera import Intrinsics
-from flowpose.errors import InsufficientDataError
+from flowpose.errors import InsufficientDataError, RasterFormatError
 from flowpose.losses import LossWeights
 
 
@@ -43,7 +43,7 @@ class TestBerhu:
             losses.berhu(bad, bad)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RasterFormatError):
             losses.berhu(np.zeros((2, 2)), np.zeros((3, 3)))
 
 

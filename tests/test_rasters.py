@@ -46,6 +46,15 @@ class TestRasterRoundtrip:
             rasters.read_raster(path)
 
 
+    def test_signalling_nan_reads_as_nan(self, tmp_path):
+        path = tmp_path / "snan.engr"
+        import struct
+        path.write_bytes(struct.pack("<4sIIII", b"ENGR", 1, 2, 1, 1)
+                         + b"\x00\x00\x81\x7f" + b"\x00\x00\x80\x3f")
+        back = rasters.read_raster(path)    # warnings are errors in tests
+        assert np.isnan(back[0, 0]) and back[0, 1] == 1.0
+
+
 class TestIntrinsicsFile:
     def test_roundtrip(self, tmp_path):
         K = Intrinsics(fx=101.5, fy=99.25, cx=32.125, cy=24.5,

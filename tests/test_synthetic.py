@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,11 +161,11 @@ class TestWriteScene:
                           outlier_magnitude=10.0)
         m1 = synthetic.write_scene(spec, tmp_path / "a")
         m2 = synthetic.write_scene(spec, tmp_path / "b")
-        assert open(m1).read() == open(m2).read()
+        assert Path(m1).read_text() == Path(m2).read_text()
 
     def test_manifest_lists_five_artifacts(self, tmp_path):
         manifest = synthetic.write_scene(basic_spec(), tmp_path / "scene")
-        lines = [l for l in open(manifest).read().splitlines() if l]
+        lines = [l for l in Path(manifest).read_text().splitlines() if l]
         assert len(lines) == 5
         names = [l.split()[0] for l in lines]
         assert names == ["depth.engr", "flow.engr", "images.engr",
@@ -184,7 +186,7 @@ class TestWriteScene:
         spec = basic_spec()
         synthetic.write_scene(spec, tmp_path / "scene")
         xi = np.array([float(x) for x in
-                       open(tmp_path / "scene" / "pose_gt.txt").read().split()])
+                       (tmp_path / "scene" / "pose_gt.txt").read_text().split()])
         assert np.array_equal(xi, spec.motion)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flowpose import se3, trajectory
-from flowpose.errors import InsufficientDataError, RasterFormatError
+from flowpose.errors import (DegenerateGeometryError, InsufficientDataError,
+                             RasterFormatError)
 from flowpose.trajectory import Trajectory
 
 
@@ -149,6 +150,19 @@ class TestAlignAndScale:
         pairs = [(i, i) for i in range(5)]
         _, result = trajectory.align_and_scale(t, t, pairs)
         assert result.low_rank
+
+    # finite positions whose sum overflows; the SVD used to raise LinAlgError
+    @pytest.mark.parametrize("identical", [False, True])
+    def test_overflowing_positions_are_degenerate(self, identical):
+        gt = random_trajectory(np.random.default_rng(38))
+        poses = gt.poses.copy()
+        poses[:, :3, 3] = 1e308
+        est = Trajectory(gt.timestamps, poses)
+        pairs = [(i, i) for i in range(len(gt))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometryError, match="overflow"):
+                trajectory.align_and_scale(est, est if identical else gt, pairs)
 
 
 class TestAteRpe:

@@ -166,8 +166,6 @@ def cmd_solve(args):
 
 
 def _quantiles(values):
-    if len(values) == 0:
-        return [float('nan')] * 5
     return [float(np.min(values)),
             float(np.percentile(values, 25)),
             float(np.median(values)),

@@ -41,6 +41,7 @@ def berhu(pred, gt, valid=None):
                                 f"gt raster has shape {gt.shape}")
     if valid is None:
         valid = depth_valid_mask(gt)
+    valid = valid & np.isfinite(pred) & np.isfinite(gt)
     if not np.any(valid):
         raise InsufficientDataError("empty validity mask")
     d = np.abs(pred[valid] - gt[valid])
@@ -52,7 +53,8 @@ def berhu(pred, gt, valid=None):
 
 
 def smoothness(depth):
-    """Mean |forward x-gradient| + |forward y-gradient| over the interior."""
+    """Mean |forward x-gradient| + |forward y-gradient| over the interior,
+    skipping the gradients that touch a non-finite depth."""
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise RasterFormatError("depth raster must have a single channel")
@@ -60,9 +62,16 @@ def smoothness(depth):
     if h < 2 or w < 2:
         raise InsufficientDataError(
             f"depth raster is {w}x{h}; smoothness needs at least 2x2")
-    gx = np.abs(depth[:, 1:] - depth[:, :-1])[: h - 1, :]
-    gy = np.abs(depth[1:, :] - depth[:-1, :])[:, : w - 1]
-    return float(np.mean(gx + gy))
+    finite = np.isfinite(depth)
+    valid = finite[:-1, :-1] & finite[:-1, 1:] & finite[1:, :-1]
+    if not np.any(valid):
+        raise InsufficientDataError(
+            "no valid pixels: every smoothness gradient touches a "
+            "non-finite depth")
+    with np.errstate(invalid='ignore'):     # inf - inf, masked out
+        g = (np.abs(depth[:-1, 1:] - depth[:-1, :-1])
+             + np.abs(depth[1:, :-1] - depth[:-1, :-1]))
+    return float(np.mean(g[valid]))
 
 
 def stereo_transforms(baseline):

@@ -50,8 +50,11 @@ def hat(w):
 
 
 def _rodrigues_coefficients(theta):
-    """Return (A, B, C) with A = sin(t)/t, B = (1-cos(t))/t^2, C = (t-sin(t))/t^3."""
-    if theta < SMALL_ANGLE:
+    """Return (A, B, C) with A = sin(t)/t, B = (1-cos(t))/t^2, C = (t-sin(t))/t^3.
+
+    theta may be an array whose angles all lie on one side of SMALL_ANGLE.
+    """
+    if np.all(theta < SMALL_ANGLE):
         t2 = theta * theta
         A = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
         B = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
@@ -60,21 +63,24 @@ def _rodrigues_coefficients(theta):
         return A, B, C
     A = np.sin(theta) / theta
     B = (1.0 - np.cos(theta)) / (theta * theta)
-    C = (theta - np.sin(theta)) / (theta ** 3)
+    C = (theta - np.sin(theta)) / np.float_power(theta, 3)
     return A, B, C
 
 
 def exp(xi):
-    """Exponential map se(3) -> SE(3), returning a 4x4 transform matrix.
+    """Exponential map se(3) -> SE(3), returning a 4x4 transform matrix,
+    or an (N, 4, 4) stack for an (N, 6) stack of motion vectors.
 
     Uses the closed-form Rodrigues formula with a series fallback for
     rotation magnitude below 1e-6.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (6,):
+    if xi.shape != (6,) and (xi.ndim != 2 or xi.shape[1] != 6):
         raise ValueError("motion vector must have 6 components")
     if not np.all(np.isfinite(xi)):
         raise ValueError("motion vector must be finite")
+    if xi.ndim == 2:
+        return _exp_stack(xi)
     v = xi[:3]
     w = xi[3:]
     theta = np.linalg.norm(w)
@@ -86,6 +92,37 @@ def exp(xi):
     T = np.eye(4)
     T[:3, :3] = R
     T[:3, 3] = V @ v
+    return T
+
+
+def row_norms(x):
+    """Euclidean norms of the rows of an (N, k) array. Each row goes through
+    the same BLAS dot product as np.linalg.norm of that row alone, so the
+    result equals the per-row norms bit for bit."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _exp_stack(xi):
+    """exp over an (N, 6) stack, with the scalar path's formulas per row."""
+    n = len(xi)
+    v = xi[:, :3]
+    w = xi[:, 3:]
+    theta = row_norms(w)
+    K = np.zeros((n, 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
+    K2 = K @ K
+    # the coefficients branch on the angle, so each branch gets its rows
+    small = theta < SMALL_ANGLE
+    A, B, C = np.empty((3, n))
+    A[small], B[small], C[small] = _rodrigues_coefficients(theta[small])
+    A[~small], B[~small], C[~small] = _rodrigues_coefficients(theta[~small])
+    A, B, C = A[:, None, None], B[:, None, None], C[:, None, None]
+    T = np.zeros((n, 4, 4))
+    T[:, :3, :3] = np.eye(3) + A * K + B * K2
+    V = np.eye(3) + B * K + C * K2
+    T[:, :3, 3] = (V @ v[:, :, None])[:, :, 0]
+    T[:, 3, 3] = 1.0
     return T
 
 
@@ -126,8 +163,16 @@ def compose(A, B):
 
 
 def inverse(T):
-    """Inverse transform, exploiting the [R t; 0 1] block structure."""
+    """Inverse transform, exploiting the [R t; 0 1] block structure; an
+    (N, 4, 4) stack gives the stack of inverses."""
     T = np.asarray(T, dtype=float)
+    if T.ndim == 3:
+        Rt = np.swapaxes(T[:, :3, :3], 1, 2)
+        out = np.zeros_like(T)
+        out[:, :3, :3] = Rt
+        out[:, :3, 3] = (-Rt @ T[:, :3, 3, None])[:, :, 0]
+        out[:, 3, 3] = 1.0
+        return out
     R = T[:3, :3]
     t = T[:3, 3]
     out = np.eye(4)

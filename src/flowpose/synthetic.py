@@ -157,6 +157,14 @@ def _second_view_scene_coords(spec, T, a, b):
     Solves lambda * ray2 = T X1 with X1 on the depth surface; closed form
     for constant/plane depths, fixed-point iteration otherwise.
     Returns (a1, b1, valid).
+
+    The iteration runs at most 50 steps. A pixel's next lambda depends on
+    its own lambda alone, which holds for every depth model here because
+    each is elementwise in (a, b). So once lambda_k equals lambda_{k-2}
+    bit for bit (a NaN included) at an even step k, the pixel cycles with
+    period 2 and its value at step 50 is lambda_k: the pixel may stop
+    there, and the result is bit-identical to running all 50 steps. A
+    depth model that mixed pixels would break this rule.
     """
     R = T[:3, :3]
     t = T[:3, 3]
@@ -173,10 +181,27 @@ def _second_view_scene_coords(spec, T, a, b):
     else:
         # X1 = lam * ray1 - t1; iterate lam so X1_z matches the depth model
         # evaluated at the projected coordinates.
-        lam = np.asarray(model(a, b), dtype=float)
-        for _ in range(50):
-            (a1, b1), _ = camera.divide(lam * ray1 - t1[:, None, None])
-            lam = (np.asarray(model(a1, b1), dtype=float) + t1[2]) / ray1[2]
+        lam = np.array(model(a, b), dtype=float)
+        # flat holds each pixel's lambda at the last even step, which is
+        # final once the pixel stops; idx selects the pixels still in cur
+        flat = lam.reshape(-1)
+        idx = slice(None)
+        rays = ray1.reshape(3, -1)
+        cur = flat
+        for k in range(1, 51):
+            (a1, b1), _ = camera.divide(cur * rays - t1[:, None])
+            cur = (np.asarray(model(a1, b1), dtype=float) + t1[2]) / rays[2]
+            if k % 2:
+                continue
+            keep = cur.view(np.int64) != flat[idx].view(np.int64)
+            flat[idx] = cur
+            # Stopped pixels leave the arrays once they are the majority;
+            # until then they iterate on, which changes none of their bits.
+            if 2 * np.count_nonzero(keep) <= keep.size:
+                idx = np.arange(flat.size)[idx][keep]
+                cur, rays = cur[keep], rays[:, keep]
+                if not idx.size:
+                    break
     (a1, b1), front = camera.divide(lam * ray1 - t1[:, None, None])
     return a1, b1, (lam > 0) & front
 

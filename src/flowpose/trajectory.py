@@ -5,7 +5,7 @@ Trajectories are ordered lists of (timestamp, 4x4 world-from-camera pose)
 with strictly increasing timestamps.
 """
 
-import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,9 @@ class Trajectory:
             raise ValueError("timestamp/pose count mismatch")
         if not np.all(np.isfinite(self.timestamps)):
             raise ValueError("timestamps must be finite")
-        if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0):
+        # compared, not subtracted: the difference of huge timestamps
+        # would overflow
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
             raise ValueError("timestamps must be strictly increasing")
 
     def __len__(self):
@@ -63,40 +65,69 @@ def chain(relatives):
     frame's points into the current frame. Pose_k = Pose_{k-1} *
     inverse(exp(xi_k)) starting from the identity.
     """
-    timestamps = []
-    poses = []
+    timestamps = np.array([float(ts) for ts, _ in relatives])
+    xis = np.array([xi for _, xi in relatives], dtype=float)
+    steps = se3.inverse(se3.exp(xis.reshape(len(relatives), 6)))
+    poses = np.empty_like(steps)
     current = np.eye(4)
-    for ts, xi in relatives:
-        current = current @ se3.inverse(se3.exp(xi))
-        timestamps.append(float(ts))
-        poses.append(current)
-    return Trajectory(np.array(timestamps), np.array(poses))
+    for k, step in enumerate(steps):
+        current = current @ step
+        poses[k] = current
+    return Trajectory(timestamps, poses)
+
+
+def _indices(pairs):
+    """(estimate indices, ground-truth indices) of a sequence of pairs."""
+    idx = np.array(list(pairs), dtype=int).reshape(-1, 2)
+    return idx[:, 0], idx[:, 1]
+
+
+def _finite(name, values):
+    """values, unless one of them is inf or nan: then a
+    DegenerateGeometryError whose message names the quantity."""
+    if not np.all(np.isfinite(values)):
+        raise DegenerateGeometryError(
+            f"{name} is not finite: the trajectory's numbers overflow")
+    return values
 
 
 def associate(est, gt, max_dt=0.02):
     """Greedy nearest-timestamp matching, each sample used at most once.
 
-    Returns a list of (est_index, gt_index) pairs sorted by time. Raises
-    when fewer than 2 matches are found.
+    Candidates are the pairs with abs(te - tg) <= max_dt, taken in (dt,
+    est index, gt index) order. They come from a window around each
+    estimate timestamp, so the cost grows with the number of candidates,
+    not with the product of the trajectory lengths. Returns a list of
+    (est_index, gt_index) pairs sorted by time. Raises when fewer than 2
+    matches are found.
     """
     if max_dt <= 0:
         raise ValueError("max_dt must be positive")
-    candidates = []
-    for i, te in enumerate(est.timestamps):
-        for j, tg in enumerate(gt.timestamps):
-            dt = abs(te - tg)
-            if dt <= max_dt:
-                candidates.append((dt, i, j))
-    candidates.sort()
-    used_e, used_g = set(), set()
+    te, tg = est.timestamps, gt.timestamps
+    # The window is wider than max_dt by 1e-9 of it plus 4 ulps of the
+    # largest timestamp, more than the rounding of its bounds and of
+    # abs(te - tg), so it holds every candidate; the exact test decides.
+    scale = max(np.abs(te).max(initial=0.0), np.abs(tg).max(initial=0.0))
+    pad = max_dt + 1e-9 * max_dt + scale * 2.0 ** -50
+    with np.errstate(over='ignore'):    # far-apart samples are no candidates
+        lo = np.searchsorted(tg, te - pad, side='left')
+        hi = np.searchsorted(tg, te + pad, side='right')
+        counts = hi - lo
+        i = np.repeat(np.arange(len(te)), counts)
+        j = np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts,
+                                          counts)
+        dt = np.abs(te[i] - tg[j])
+    keep = dt <= max_dt
+    i, j, dt = i[keep], j[keep], dt[keep]
+    order = np.lexsort((j, i, dt))
+    used_e, used_g = bytearray(len(te)), bytearray(len(tg))
     pairs = []
-    for _, i, j in candidates:
-        if i in used_e or j in used_g:
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if used_e[a] or used_g[b]:
             continue
-        used_e.add(i)
-        used_g.add(j)
-        pairs.append((i, j))
-    pairs.sort(key=lambda p: est.timestamps[p[0]])
+        used_e[a] = used_g[b] = 1
+        pairs.append((a, b))
+    pairs.sort()    # estimate timestamps increase with the index
     if len(pairs) < 2:
         raise InsufficientDataError("fewer than 2 associated samples")
     return pairs
@@ -105,16 +136,14 @@ def associate(est, gt, max_dt=0.02):
 def _per_pose_scales(est, gt, pairs):
     """Ground-truth over estimated step-length ratios for adjacent matched
     pairs; steps shorter than 1e-9 m in the estimate are skipped."""
-    pe = est.positions()
-    pg = gt.positions()
-    scales = []
-    for (i0, j0), (i1, j1) in zip(pairs[:-1], pairs[1:]):
-        de = np.linalg.norm(pe[i1] - pe[i0])
-        dg = np.linalg.norm(pg[j1] - pg[j0])
-        if de < 1e-9:
-            continue
-        scales.append(dg / de)
-    return np.array(scales)
+    ie, ig = _indices(pairs)
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        de = se3.row_norms(np.diff(est.positions()[ie], axis=0))
+        dg = se3.row_norms(np.diff(gt.positions()[ig], axis=0))
+    # an overflowing step length would turn its ratio into 0 or inf
+    _finite("per-pose scale", [de, dg])
+    moving = ~(de < 1e-9)
+    return dg[moving] / de[moving]
 
 
 def align_and_scale(est, gt, pairs):
@@ -124,11 +153,11 @@ def align_and_scale(est, gt, pairs):
     positions, scale from the least-squares ratio, translation matching
     the centroids. Returns (aligned estimate, AlignmentResult).
     """
-    pairs = list(pairs)
-    if len(pairs) < 2:
+    ie, ig = _indices(pairs)
+    if len(ie) < 2:
         raise InsufficientDataError("need at least 2 pairs to align")
-    pe = est.positions()[[i for i, _ in pairs]]
-    pg = gt.positions()[[j for _, j in pairs]]
+    pe = est.positions()[ie]
+    pg = gt.positions()[ig]
     with np.errstate(over='ignore', invalid='ignore'):  # checked below
         mu_e = pe.mean(axis=0)
         mu_g = pg.mean(axis=0)
@@ -159,13 +188,15 @@ def align_and_scale(est, gt, pairs):
     R = Vt.T @ D @ U.T
     low_rank = S[1] <= 1e-12 * max(S[0], 1e-300)
 
-    denom = float(np.sum(ce * ce))
-    scale = float(np.sum(cg * (ce @ R.T)) / denom) if denom > 0 else 1.0
-    t = mu_g - scale * R @ mu_e
-
     aligned_poses = est.poses.copy()
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        denom = np.sum(ce * ce)
+        scale = float(np.sum(cg * (ce @ R.T)) / denom) if denom > 0 else 1.0
+        t = mu_g - scale * R @ mu_e
+        aligned_poses[:, :3, 3] = scale * est.poses[:, :3, 3] @ R.T + t
+    # an overflowing denominator would turn the scale into 0
+    _finite("alignment scale", [denom, scale])
     aligned_poses[:, :3, :3] = R @ est.poses[:, :3, :3]
-    aligned_poses[:, :3, 3] = scale * est.poses[:, :3, 3] @ R.T + t
     aligned = Trajectory(est.timestamps.copy(), aligned_poses)
     result = AlignmentResult(rotation=R, translation=t, scale=scale,
                              per_pose_scales=_per_pose_scales(est, gt, pairs),
@@ -175,15 +206,11 @@ def align_and_scale(est, gt, pairs):
 
 def ate(aligned_est, gt, pairs):
     """RMSE of matched position differences (metres)."""
-    pe = aligned_est.positions()[[i for i, _ in pairs]]
-    pg = gt.positions()[[j for _, j in pairs]]
-    err = np.linalg.norm(pe - pg, axis=1)
-    return float(np.sqrt(np.mean(err ** 2)))
-
-
-def _rotation_angle_deg(R):
-    c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.degrees(np.arccos(c)))
+    ie, ig = _indices(pairs)
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        err = np.linalg.norm(aligned_est.positions()[ie]
+                             - gt.positions()[ig], axis=1)
+        return _finite("ATE", float(np.sqrt(np.mean(err ** 2))))
 
 
 def rpe(est, gt, pairs, delta=1):
@@ -193,31 +220,39 @@ def rpe(est, gt, pairs, delta=1):
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    pairs = list(pairs)
-    if len(pairs) <= delta:
+    ie, ig = _indices(pairs)
+    if len(ie) <= delta:
         raise InsufficientDataError("not enough pairs for the chosen delta")
-    terrs = []
-    rerrs = []
-    for (i0, j0), (i1, j1) in zip(pairs[:-delta], pairs[delta:]):
-        rel_gt = se3.inverse(gt.poses[j0]) @ gt.poses[j1]
-        rel_est = se3.inverse(est.poses[i0]) @ est.poses[i1]
-        if np.array_equal(rel_gt, rel_est):
-            # identical relative motions score exactly zero
-            terrs.append(0.0)
-            rerrs.append(0.0)
-            continue
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        rel_gt = se3.inverse(gt.poses[ig[:-delta]]) @ gt.poses[ig[delta:]]
+        rel_est = se3.inverse(est.poses[ie[:-delta]]) @ est.poses[ie[delta:]]
         E = se3.inverse(rel_gt) @ rel_est
-        terrs.append(np.linalg.norm(E[:3, 3]))
-        rerrs.append(_rotation_angle_deg(E[:3, :3]))
-    return (float(np.sqrt(np.mean(np.array(terrs) ** 2))),
-            float(np.sqrt(np.mean(np.array(rerrs) ** 2))))
+        terr = se3.row_norms(E[:, :3, 3])
+        c = np.clip((np.trace(E[:, :3, :3], axis1=1, axis2=2) - 1.0) / 2.0,
+                    -1.0, 1.0)
+        rerr = np.degrees(np.arccos(c))
+        # identical relative motions score exactly zero
+        same = np.all(rel_gt == rel_est, axis=(1, 2))
+        terr[same] = 0.0
+        rerr[same] = 0.0
+        errors = (float(np.sqrt(np.mean(terr ** 2))),
+                  float(np.sqrt(np.mean(rerr ** 2))))
+    return _finite("RPE", errors)
 
 
 def evaluate(est, gt, max_dt=0.02, rpe_delta=1):
-    """Full evaluation: associate, align with scale, score ATE and RPE."""
+    """Full evaluation: associate, align with scale, score ATE and RPE.
+
+    Raises DegenerateGeometryError when no estimated step is long enough
+    to give a per-pose scale.
+    """
     pairs = associate(est, gt, max_dt)
     aligned, alignment = align_and_scale(est, gt, pairs)
     rpe_t, rpe_r = rpe(est, gt, pairs, rpe_delta)
+    if len(alignment.per_pose_scales) == 0:
+        raise DegenerateGeometryError(
+            "per-pose scale is undefined: no estimated step is 1e-9 m or "
+            "longer")
     return EvalReport(ate_rmse=ate(aligned, gt, pairs),
                       rpe_trans=rpe_t, rpe_rot_deg=rpe_r,
                       per_pose_scales=alignment.per_pose_scales,
@@ -262,15 +297,27 @@ def quaternion_from_rotation(R):
 
 
 def rotation_from_quaternion(qx, qy, qz, qw):
+    """Rotation matrix of a quaternion of any nonzero length; arrays of N
+    components give an (N, 3, 3) stack.
+
+    Each quaternion is first scaled by the power of two that brings its
+    largest component into [0.5, 1). That scaling is exact, so unit
+    quaternions keep every bit of the matrix, and huge or tiny components
+    neither overflow nor vanish when squared.
+    """
+    q = np.stack(np.broadcast_arrays(qx, qy, qz, qw), axis=-1).astype(float)
+    _, e = np.frexp(np.max(np.abs(q), axis=-1, keepdims=True))
+    qx, qy, qz, qw = np.moveaxis(np.ldexp(q, -e), -1, 0)
     n = qx * qx + qy * qy + qz * qz + qw * qw
-    if n == 0:
+    if np.any(n == 0):
         raise RasterFormatError("zero quaternion in trajectory file")
     s = 2.0 / n
-    return np.array([
+    R = np.array([
         [1 - s * (qy * qy + qz * qz), s * (qx * qy - qz * qw), s * (qx * qz + qy * qw)],
         [s * (qx * qy + qz * qw), 1 - s * (qx * qx + qz * qz), s * (qy * qz - qx * qw)],
         [s * (qx * qz - qy * qw), s * (qy * qz + qx * qw), 1 - s * (qx * qx + qy * qy)],
     ])
+    return np.moveaxis(R, (0, 1), (-2, -1))
 
 
 _TUM_FIELDS = ('timestamp', 'tx', 'ty', 'tz', 'qx', 'qy', 'qz', 'qw')
@@ -279,35 +326,42 @@ _TUM_FIELDS = ('timestamp', 'tx', 'ty', 'tz', 'qx', 'qy', 'qz', 'qw')
 def read_tum(path):
     """Read a TUM-format trajectory: `timestamp tx ty tz qx qy qz qw` per
     line, '#' comments ignored. A file that is not UTF-8 text, or whose
-    samples Trajectory rejects, is a RasterFormatError naming the file."""
-    timestamps = []
-    poses = []
-    for lineno, line in enumerate(read_text(path).split('\n'), 1):
-        line = line.strip()
-        if not line or line.startswith('#'):
-            continue
+    samples Trajectory rejects, is a RasterFormatError naming the file; a
+    malformed line is one naming the first such line."""
+    lines = read_text(path).split('\n')
+    numbers, linenos, fault = array('d'), [], None
+    for lineno, line in enumerate(lines, 1):
         parts = line.split()
+        if not parts or parts[0].startswith('#'):
+            continue
         if len(parts) != 8:
-            raise RasterFormatError(
+            fault = RasterFormatError(
                 f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+            break
         try:
-            vals = [float(p) for p in parts]
+            numbers.extend([float(p) for p in parts])
         except ValueError as exc:
-            raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
-        for name, value, text in zip(_TUM_FIELDS, vals, parts):
-            if not math.isfinite(value):
-                raise RasterFormatError(
-                    f"{path}:{lineno}: {name} {text} is not finite")
-        ts, tx, ty, tz, qx, qy, qz, qw = vals
-        T = np.eye(4)
-        T[:3, :3] = rotation_from_quaternion(qx, qy, qz, qw)
-        T[:3, 3] = (tx, ty, tz)
-        timestamps.append(ts)
-        poses.append(T)
-    if not timestamps:
+            fault = RasterFormatError(f"{path}:{lineno}: {exc}")
+            break
+        linenos.append(lineno)
+    values = np.frombuffer(numbers).reshape(-1, 8)
+    # a non-finite field on a line above the fault is the first fault
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row, col = divmod(int(bad[0]), 8)
+        text = lines[linenos[row] - 1].split()[col]
+        raise RasterFormatError(f"{path}:{linenos[row]}: {_TUM_FIELDS[col]} "
+                                f"{text} is not finite")
+    if fault is not None:
+        raise fault
+    if not linenos:
         raise RasterFormatError(f"{path}: no trajectory samples")
+    poses = np.zeros((len(values), 4, 4))
+    poses[:, :3, :3] = rotation_from_quaternion(*values[:, 4:].T)
+    poses[:, :3, 3] = values[:, 1:4]
+    poses[:, 3, 3] = 1.0
     try:
-        return Trajectory(np.array(timestamps), np.array(poses))
+        return Trajectory(values[:, 0], poses)
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from exc
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowpose import cli, infomat, rasters, se3, synthetic, trajectory
+from flowpose import (cli, infomat, losses, rasters, se3, synthetic,
+                      trajectory)
 from flowpose.camera import Intrinsics
 from flowpose.errors import CheiralityError
 from flowpose.trajectory import Trajectory
@@ -343,6 +344,27 @@ class TestEvalTraj:
         median = float(lines[1].split()[3])
         assert abs(median - 2.0) < 1e-5
 
+    # the quaternion's length overflowed or vanished when squared: NaN
+    # scores, or a zero-quaternion error
+    @pytest.mark.parametrize("factor", [1e200, 1e-200, 1e300])
+    def test_scaled_quaternions_score_as_unit_ones(self, capsys, tmp_path,
+                                                   factor):
+        est, gt = self.make_files(tmp_path, scale=0.5)
+        rows = [line.split() for line in est.read_text().splitlines()[1:]]
+        for row in rows:
+            row[4:] = [repr(float(q) * factor) for q in row[4:]]
+        scaled = tmp_path / "scaled.txt"
+        scaled.write_text("".join(" ".join(row) + "\n" for row in rows))
+        _, want, _ = run_strict(capsys, "eval-traj", "--est", str(est),
+                                "--gt", str(gt))
+        code, out, err = run_strict(capsys, "eval-traj", "--est", str(scaled),
+                                    "--gt", str(gt))
+        assert code == 0 and err == ""
+        got = [float(w) for w in out.split() if w not in ("matched", "scales")]
+        expected = [float(w) for w in want.split()
+                    if w not in ("matched", "scales")]
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
     def test_disjoint_timestamps_exit_code(self, capsys, tmp_path):
         est, gt = self.make_files(tmp_path)
         shifted = trajectory.read_tum(est)
@@ -403,6 +425,26 @@ class TestLoss:
         assert len(err.splitlines()) == 1
         assert "800" in err and "709.78" in err
 
+    def test_non_finite_pixel_is_skipped(self, capsys, tmp_path):
+        rng = np.random.default_rng(65)
+        gt = rng.uniform(1, 3, (12, 16)).astype(np.float32).astype(float)
+        pred = (gt + rng.normal(0, 0.1, gt.shape)).astype(np.float32)
+        pred = pred.astype(float)
+        valid = np.ones(gt.shape, dtype=bool)
+        valid[4, 5] = False
+        want = {"berhu": losses.berhu(pred, gt, valid),
+                "smoothness": losses.smoothness(np.where(valid, pred, np.nan))}
+        pred[4, 5] = np.nan
+        paths = {"pred": tmp_path / "pred.engr", "gt": tmp_path / "gt.engr"}
+        rasters.write_raster(paths["pred"], pred)
+        rasters.write_raster(paths["gt"], gt)
+        for name, argv in [
+                ("berhu", ["--pred", str(paths["pred"]), "--gt", str(paths["gt"])]),
+                ("smoothness", ["--depth", str(paths["pred"])])]:
+            code, out, err = run_strict(capsys, "loss", name, *argv)
+            assert code == 0 and err == ""
+            assert out == "%.12g\n" % want[name]
+
     def test_unknown_loss_rejected(self, capsys):
         code, _, _ = run(capsys, "loss", "nope")
         assert code == 2
@@ -458,6 +500,10 @@ def fault_files(scene_dir, tmp_path):
         "tum_good.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
         "tum_huge.txt": "".join(f"{t}.0 1e308 1e308 1e308 0 0 0 1\n"
                                 for t in range(3)),
+        # one far position: the alignment's sum of squares overflows
+        "tum_far.txt": f"0.0 1e200 0 0 0 0 0 1\n1.0 {pose}2.0 1 0 0 0 0 0 1\n",
+        # the estimate never moves, so no step gives a per-pose scale
+        "tum_still.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
     }
     for name, content in files.items():
         path = tmp_path / name
@@ -467,10 +513,12 @@ def fault_files(scene_dir, tmp_path):
             path.write_text(content)
         paths[name.split(".")[0]] = str(path)
     nan_gt = np.full(flow.shape[:2] + (2,), np.nan)
+    nan_depth = np.full(depth.shape, np.nan)
     flow_huge = flow.copy()
     flow_huge[3, 4] = [3e38, 3e38, 600.0, 0.0, 600.0]   # flow px, a, b, g
     for name, raster in [("depth_short", depth[:46]), ("flow_short", flow[:46]),
                          ("nan_gt", nan_gt), ("tiny", np.ones((1, 5))),
+                         ("nan_depth", nan_depth),
                          ("flow_huge", flow_huge)]:
         paths[name] = str(tmp_path / f"{name}.engr")
         rasters.write_raster(paths[name], raster)
@@ -513,6 +561,12 @@ FAULTS = {
     # LinAlgError, reported as a usage error
     "tum-positions-overflow": (EVAL + ["{tum_huge}"], 4,
                                ["degenerate geometry", "overflow"]),
+    "tum-position-overflows-scale": (
+        EVAL + ["{tum_far}"], 4,
+        ["degenerate geometry", "alignment scale", "not finite"]),
+    "tum-estimate-never-moves": (
+        EVAL + ["{tum_still}"], 4,
+        ["degenerate geometry", "per-pose scale", "1e-9 m"]),
     "berhu-size": (["loss", "berhu", "--pred", "{depth_short}",
                     "--gt", "{depth}"], 3, ["format error", "64x46", "64x48"]),
     "berhu-channels": (["loss", "berhu", "--pred", "{depth}",
@@ -526,6 +580,11 @@ FAULTS = {
     "flownll-no-valid-pixels": (["loss", "flownll", "--flow", "{flow}",
                                  "--gt-flow", "{nan_gt}"], 5,
                                 ["insufficient data", "no valid pixels"]),
+    "berhu-prediction-all-nan": (["loss", "berhu", "--pred", "{nan_depth}",
+                                  "--gt", "{depth}"], 5,
+                                 ["insufficient data", "empty"]),
+    "smoothness-all-nan": (["loss", "smoothness", "--depth", "{nan_depth}"],
+                           5, ["insufficient data", "no valid pixels"]),
     "smoothness-channels": (["loss", "smoothness", "--depth", "{flow}"], 3,
                             ["format error", "single channel"]),
     "smoothness-under-2x2": (["loss", "smoothness", "--depth", "{tiny}"], 5,
@@ -670,3 +729,55 @@ class TestAnyInputFile:
             assert out == "" and len(err.splitlines()) == 1, err
         else:
             assert err == ""
+
+
+# Property: extreme but finite numbers in well-formed TUM lines. The byte
+# strings above rarely parse as such lines; these always do, so they reach
+# the association, alignment and scoring arithmetic. Any field of the
+# estimate's lines may be replaced, timestamps included.
+EXTREME_FLOATS = st.one_of(
+    st.floats(min_value=1e100, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1.7976931348623157e308, max_value=-1e100),
+    st.floats(min_value=-1e-290, max_value=1e-290),
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308,
+                     5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,
+                     1e200, -1e200, 1e-200]))
+
+
+def _extreme_tum(text):
+    """Strategy: the TUM file `text` with some fields replaced by extreme
+    finite floats; a replacement may repeat in every line."""
+    rows = [line.split() for line in text.splitlines()
+            if line and not line.startswith("#")]
+
+    def build(edits):
+        new = [list(row) for row in rows]
+        for line, field, value, everywhere in edits:
+            for k in (range(len(new)) if everywhere else [line % len(new)]):
+                new[k][field] = repr(value)
+        return "".join(" ".join(row) + "\n" for row in new).encode()
+
+    return st.lists(st.tuples(st.integers(0, 100), st.integers(0, 7),
+                              EXTREME_FLOATS, st.booleans()),
+                    min_size=1, max_size=6).map(build)
+
+
+class TestExtremeTumNumbers:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_documented_exit_code_and_finite_output(self, capsys, fuzz_scene,
+                                                    data):
+        path = fuzz_scene / "extreme.txt"
+        path.write_bytes(data.draw(_extreme_tum(
+            (fuzz_scene / "gt.txt").read_text())))
+        code, out, err = run_strict(capsys, *_fuzz_argv("tum", fuzz_scene,
+                                                        path))
+        assert code in (0, 3, 4, 5)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""
+            numbers = [float(word) for word in out.split()
+                       if word not in ("matched", "scales")]
+            assert np.all(np.isfinite(numbers)), out

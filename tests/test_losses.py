@@ -46,6 +46,36 @@ class TestBerhu:
         with pytest.raises(RasterFormatError):
             losses.berhu(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_skipped(self, bad):
+        rng = np.random.default_rng(15)
+        gt = rng.uniform(1, 3, (5, 6))
+        pred = gt + rng.normal(0, 0.1, gt.shape)
+        keep = np.ones(gt.shape, dtype=bool)
+        keep[2, 3] = False
+        expected = losses.berhu(pred, gt, keep)
+        pred[2, 3] = bad
+        assert losses.berhu(pred, gt) == expected
+        # an explicit mask does not bring the pixel back
+        assert losses.berhu(pred, gt, np.ones(gt.shape, dtype=bool)) == expected
+
+    def test_all_predictions_non_finite_rejected(self):
+        with pytest.raises(InsufficientDataError):
+            losses.berhu(np.full((3, 3), np.nan), np.ones((3, 3)))
+
+
+def finite_smoothness_loop(d):
+    """Mean of |d[y, x+1] - d[y, x]| + |d[y+1, x] - d[y, x]| over the
+    interior positions whose three depths are finite."""
+    h, w = d.shape
+    terms = []
+    for y in range(h - 1):
+        for x in range(w - 1):
+            if np.isfinite([d[y, x], d[y, x + 1], d[y + 1, x]]).all():
+                terms.append(abs(d[y, x + 1] - d[y, x])
+                             + abs(d[y + 1, x] - d[y, x]))
+    return sum(terms) / len(terms)
+
 
 class TestSmoothness:
     def test_constant(self):
@@ -65,6 +95,23 @@ class TestSmoothness:
                 total += abs(d[y, x + 1] - d[y, x]) + abs(d[y + 1, x] - d[y, x])
         expected = total / ((h - 1) * (w - 1))
         assert losses.smoothness(d) == pytest.approx(expected, abs=1e-12)
+
+    # a gradient touching a non-finite depth is skipped; the bottom-right
+    # pixel starts no gradient and ends none of the mean's terms
+    @pytest.mark.parametrize("y, x, bad", [(2, 3, np.nan), (0, 0, np.inf),
+                                           (6, 8, np.nan), (6, 0, -np.inf)])
+    def test_non_finite_pixel_matches_loop_oracle(self, y, x, bad):
+        rng = np.random.default_rng(10)
+        d = rng.uniform(0, 5, (7, 9))
+        d[y, x] = bad
+        assert losses.smoothness(d) == pytest.approx(
+            finite_smoothness_loop(d), abs=1e-12)
+
+    def test_all_gradients_non_finite_rejected(self):
+        d = np.full((3, 4), np.nan)
+        d[:, 0] = 2.0       # no pixel has finite right and lower neighbours
+        with pytest.raises(InsufficientDataError, match="no valid pixels"):
+            losses.smoothness(d)
 
 
 class TestPhotometricLR:

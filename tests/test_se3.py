@@ -93,6 +93,32 @@ class TestExp:
         with pytest.raises(ValueError):
             se3.exp([np.nan, 0, 0, 0, 0, 0])
 
+    def test_stack_matches_rows(self):
+        # both branches of the coefficients, zero and pure-translation rows
+        rng = np.random.default_rng(8)
+        xi = np.concatenate([rng.normal(0, 0.05, (300, 6)),
+                             rng.normal(0, 1.0, (100, 6)),
+                             rng.normal(0, 1e-8, (50, 6)), np.zeros((2, 6)),
+                             [[0.1, -0.2, 0.3, 0.0, 0.0, 0.0]]])
+        rng.shuffle(xi)
+        stack = se3.exp(xi)
+        assert stack.shape == (len(xi), 4, 4)
+        assert np.array_equal(stack, np.array([se3.exp(x) for x in xi]))
+        assert se3.exp(np.zeros((0, 6))).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("bad", [np.zeros((3, 5)), np.zeros((2, 6, 1)),
+                                     [[0, 0, 0, 0, np.inf, 0]]])
+    def test_bad_stack_rejected(self, bad):
+        with pytest.raises(ValueError):
+            se3.exp(bad)
+
+    def test_row_norms_match_rows(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(500, 4, 4)) * rng.uniform(0, 10, (500, 1, 1))
+        for rows in (x[:, 0, :3], x[:, :3, 3], np.diff(x[:, :3, 3], axis=0)):
+            assert np.array_equal(se3.row_norms(rows),
+                                  [np.linalg.norm(r) for r in rows])
+
     def test_maps_into_se3(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
@@ -158,6 +184,12 @@ class TestApplyComposeInverse:
 
     def test_inverse_identity(self):
         assert np.array_equal(se3.inverse(np.eye(4)), np.eye(4))
+
+    def test_inverse_of_stack_matches_rows(self):
+        rng = np.random.default_rng(10)
+        T = se3.exp(rng.normal(0, 1, (200, 6)))
+        stack = se3.inverse(T)
+        assert np.array_equal(stack, np.array([se3.inverse(t) for t in T]))
 
     def test_compose_inverse_roundtrip(self):
         rng = np.random.default_rng(11)

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowpose import se3, trajectory
 from flowpose.errors import (DegenerateGeometryError, InsufficientDataError,
@@ -26,6 +29,13 @@ class TestTrajectory:
             Trajectory(np.array([0.0, bad, 2.0]), np.tile(np.eye(4), (3, 1, 1)))
 
 
+    def test_huge_timestamps_compare_without_overflow(self):
+        poses = np.tile(np.eye(4), (2, 1, 1))
+        assert len(Trajectory(np.array([-1.7e308, 1.7e308]), poses)) == 2
+        with pytest.raises(ValueError, match="increasing"):
+            Trajectory(np.array([1.7e308, -1.7e308]), poses)
+
+
 class TestChain:
     def test_all_zero(self):
         traj = trajectory.chain([(float(i), np.zeros(6)) for i in range(5)])
@@ -48,6 +58,14 @@ class TestChain:
         for k, (_, xi) in enumerate(rels):
             current = current @ np.linalg.inv(se3.exp(xi))
             assert np.max(np.abs(traj.poses[k] - current)) < 1e-10
+
+    def test_matches_step_loop(self):
+        rng = np.random.default_rng(29)
+        rels = [(0.1 * k, rng.normal(0, 0.3, 6)) for k in range(300)]
+        current = np.eye(4)
+        for (_, xi), T in zip(rels, trajectory.chain(rels).poses):
+            current = current @ se3.inverse(se3.exp(xi))
+            assert np.array_equal(T, current)
 
     def test_chain_of_ground_truth_logs_reproduces_trajectory(self):
         rng = np.random.default_rng(31)
@@ -236,6 +254,35 @@ class TestAteRpe:
             trajectory.rpe(t, t, pairs, delta=5)
 
 
+class TestOverflowingScores:
+    """A score whose arithmetic overflows is a DegenerateGeometryError that
+    names it, not an inf, nan or 0 returned as a number."""
+
+    @pytest.mark.parametrize("score", ["ATE", "RPE", "per-pose scale",
+                                       "alignment scale"])
+    def test_named_in_error(self, score):
+        gt = random_trajectory(np.random.default_rng(47))
+        far = gt.poses.copy()
+        far[:, 0, 3] += 1e200 * np.arange(len(gt))
+        far = Trajectory(gt.timestamps, far)
+        pairs = [(i, i) for i in range(len(gt))]
+        call = {"ATE": lambda: trajectory.ate(far, gt, pairs),
+                "RPE": lambda: trajectory.rpe(gt, far, pairs),
+                "per-pose scale": lambda: trajectory._per_pose_scales(
+                    gt, far, pairs),
+                "alignment scale": lambda: trajectory.align_and_scale(
+                    far, gt, pairs)}[score]
+        with pytest.raises(DegenerateGeometryError,
+                           match=f"^{score} is not finite"):
+            call()
+
+    def test_estimate_that_never_moves(self):
+        gt = random_trajectory(np.random.default_rng(48))
+        still = Trajectory(gt.timestamps, np.tile(np.eye(4), (len(gt), 1, 1)))
+        with pytest.raises(DegenerateGeometryError, match="per-pose scale"):
+            trajectory.evaluate(still, gt)
+
+
 class TestTumIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(44)
@@ -301,3 +348,261 @@ class TestTumIO:
             q = trajectory.quaternion_from_rotation(R)
             back = trajectory.rotation_from_quaternion(*q)
             assert np.max(np.abs(back - R)) < 1e-12
+
+
+# The per-pose loops that the batched trajectory code replaced, kept as the
+# reference it must reproduce: the same pairs, and scores within 1e-12.
+
+def reference_associate(est, gt, max_dt=0.02):
+    candidates = []
+    for i, te in enumerate(est.timestamps):
+        for j, tg in enumerate(gt.timestamps):
+            dt = abs(te - tg)
+            if dt <= max_dt:
+                candidates.append((dt, i, j))
+    candidates.sort()
+    used_e, used_g = set(), set()
+    pairs = []
+    for _, i, j in candidates:
+        if i in used_e or j in used_g:
+            continue
+        used_e.add(i)
+        used_g.add(j)
+        pairs.append((i, j))
+    pairs.sort(key=lambda p: est.timestamps[p[0]])
+    if len(pairs) < 2:
+        raise InsufficientDataError("fewer than 2 associated samples")
+    return pairs
+
+
+def reference_per_pose_scales(est, gt, pairs):
+    pe = est.positions()
+    pg = gt.positions()
+    scales = []
+    for (i0, j0), (i1, j1) in zip(pairs[:-1], pairs[1:]):
+        de = np.linalg.norm(pe[i1] - pe[i0])
+        dg = np.linalg.norm(pg[j1] - pg[j0])
+        if de < 1e-9:
+            continue
+        scales.append(dg / de)
+    return np.array(scales)
+
+
+def reference_rpe(est, gt, pairs, delta=1):
+    terrs = []
+    rerrs = []
+    for (i0, j0), (i1, j1) in zip(pairs[:-delta], pairs[delta:]):
+        rel_gt = se3.inverse(gt.poses[j0]) @ gt.poses[j1]
+        rel_est = se3.inverse(est.poses[i0]) @ est.poses[i1]
+        if np.array_equal(rel_gt, rel_est):
+            terrs.append(0.0)
+            rerrs.append(0.0)
+            continue
+        E = se3.inverse(rel_gt) @ rel_est
+        terrs.append(np.linalg.norm(E[:3, 3]))
+        c = np.clip((np.trace(E[:3, :3]) - 1.0) / 2.0, -1.0, 1.0)
+        rerrs.append(float(np.degrees(np.arccos(c))))
+    return (float(np.sqrt(np.mean(np.array(terrs) ** 2))),
+            float(np.sqrt(np.mean(np.array(rerrs) ** 2))))
+
+
+def reference_read_tum(path):
+    timestamps = []
+    poses = []
+    for lineno, line in enumerate(path.read_text().split('\n'), 1):
+        line = line.strip()
+        if not line or line.startswith('#'):
+            continue
+        parts = line.split()
+        if len(parts) != 8:
+            raise RasterFormatError(
+                f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
+        for name, value, text in zip(trajectory._TUM_FIELDS, vals, parts):
+            if not math.isfinite(value):
+                raise RasterFormatError(
+                    f"{path}:{lineno}: {name} {text} is not finite")
+        ts, tx, ty, tz, qx, qy, qz, qw = vals
+        n = qx * qx + qy * qy + qz * qz + qw * qw
+        if n == 0:
+            raise RasterFormatError("zero quaternion in trajectory file")
+        s = 2.0 / n
+        T = np.eye(4)
+        T[:3, :3] = [
+            [1 - s * (qy * qy + qz * qz), s * (qx * qy - qz * qw), s * (qx * qz + qy * qw)],
+            [s * (qx * qy + qz * qw), 1 - s * (qx * qx + qz * qz), s * (qy * qz - qx * qw)],
+            [s * (qx * qz - qy * qw), s * (qy * qz + qx * qw), 1 - s * (qx * qx + qy * qy)],
+        ]
+        T[:3, 3] = (tx, ty, tz)
+        timestamps.append(ts)
+        poses.append(T)
+    if not timestamps:
+        raise RasterFormatError(f"{path}: no trajectory samples")
+    try:
+        return Trajectory(np.array(timestamps), np.array(poses))
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: {exc}") from exc
+
+
+def assert_same_associate(est, gt, max_dt):
+    try:
+        want = reference_associate(est, gt, max_dt)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            trajectory.associate(est, gt, max_dt)
+        return None
+    got = trajectory.associate(est, gt, max_dt)
+    assert got == want
+    return got
+
+
+def assert_same_scores(est, gt, pairs, delta=1):
+    assert trajectory.rpe(est, gt, pairs, delta) == pytest.approx(
+        reference_rpe(est, gt, pairs, delta), rel=1e-12, abs=0.0)
+    want = reference_per_pose_scales(est, gt, pairs)
+    got = trajectory._per_pose_scales(est, gt, pairs)
+    assert got.shape == want.shape
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def at_times(timestamps):
+    poses = np.tile(np.eye(4), (len(timestamps), 1, 1))
+    poses[:, 0, 3] = np.arange(len(timestamps))
+    return Trajectory(np.asarray(timestamps, dtype=float), poses)
+
+
+def gappy_pair(seed, base=0.0, n=200):
+    """100 Hz ground truth with two gaps and a 30 Hz jittered, noisy and
+    rescaled estimate, with samples dropped."""
+    rng = np.random.default_rng(seed)
+    gt = trajectory.chain([(base + 0.01 * k, rng.normal(0.0, 0.02, 6))
+                           for k in range(n)])
+    keep = np.ones(n, dtype=bool)
+    keep[40:55] = keep[120:124] = False
+    gt = Trajectory(gt.timestamps[keep], gt.poses[keep])
+    t_est = base + 0.004 + np.arange(n // 3) / 30.0
+    t_est += rng.uniform(-0.004, 0.004, len(t_est))
+    t_est = np.delete(t_est, [5, 17])
+    nearest = np.clip(np.rint((t_est - base) / 0.01).astype(int), 0, n - 1)
+    all_poses = trajectory.chain([(0.01 * k, x) for k, x in
+                                  enumerate(rng.normal(0.0, 0.02, (n, 6)))]).poses
+    poses = all_poses[nearest] @ se3.exp(rng.normal(0.0, 0.003, (len(t_est), 6)))
+    poses[:, :3, 3] *= 0.8
+    return Trajectory(t_est, poses), gt
+
+
+class TestMatchesPerPoseLoops:
+    # dyadic timestamps make exact dt ties, which the (dt, i, j) order breaks
+    def test_associate_dyadic_ties(self):
+        gt = at_times(np.arange(16) * 0.25)
+        est = at_times(np.arange(15) * 0.25 + 0.125)
+        for max_dt in (0.125, 0.25, 0.375, 1.0):
+            pairs = assert_same_associate(est, gt, max_dt)
+            assert pairs is not None
+
+    @pytest.mark.parametrize("base", [0.0, 3.0, 1.3e9])
+    def test_associate_at_max_dt(self, base):
+        max_dt = 0.02
+        te = base + 0.5
+        tg = te - max_dt
+        d = abs(te - tg)
+        gt = at_times([tg - 1.0, tg, te + 1.0])
+        est = at_times([tg - 1.0, te, te + 1.0])
+        for limit in (d, np.nextafter(d, 0.0), np.nextafter(d, 1.0)):
+            pairs = assert_same_associate(est, gt, limit)
+            assert ((1, 1) in pairs) == (d <= limit)
+        # the ground-truth sample one ulp inside and one ulp outside
+        for shifted in (np.nextafter(tg, np.inf), np.nextafter(tg, -np.inf)):
+            gt_shifted = at_times([tg - 1.0, shifted, te + 1.0])
+            pairs = assert_same_associate(est, gt_shifted, d)
+            assert ((1, 1) in pairs) == (abs(te - shifted) <= d)
+
+    # tg - te rounds down to max_dt while te + max_dt rounds below tg: a
+    # search window of exactly max_dt would miss the pair
+    def test_associate_window_covers_its_rounding(self):
+        te, tg, max_dt = 0.02390086056587607, 0.12390086056587608, 0.1
+        assert tg > te + max_dt and tg - te <= max_dt
+        pairs = assert_same_associate(at_times([te - 1.0, te]),
+                                      at_times([te - 1.0, tg]), max_dt)
+        assert pairs == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("base", [0.0, 1.3e9])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gaps_and_rpe_delta(self, base, seed):
+        est, gt = gappy_pair(seed, base)
+        for max_dt in (0.003, 0.005, 0.02):
+            pairs = assert_same_associate(est, gt, max_dt)
+            for delta in (1, 2, 5):
+                assert_same_scores(est, gt, pairs, delta)
+        report = trajectory.evaluate(est, gt, rpe_delta=3)
+        pairs = reference_associate(est, gt)
+        assert report.matched_count == len(pairs)
+        assert (report.rpe_trans, report.rpe_rot_deg) == pytest.approx(
+            reference_rpe(est, gt, pairs, 3), rel=1e-12, abs=0.0)
+
+    def test_identical_relative_motions_score_exactly_zero(self):
+        est, gt = gappy_pair(2)
+        pairs = trajectory.associate(est, gt)
+        assert trajectory.rpe(gt, gt, [(j, j) for _, j in pairs]) == (0.0, 0.0)
+        # the estimate copies the ground truth's matched poses from the
+        # tenth pair on, so only the steps before it score
+        poses = est.poses.copy()
+        for i, j in pairs[10:]:
+            poses[i] = gt.poses[j]
+        copied = Trajectory(est.timestamps, poses)
+        assert_same_scores(copied, gt, pairs)
+        ie = [i for i, _ in pairs]
+        assert trajectory.rpe(copied, gt, pairs[10:]) == (0.0, 0.0)
+        assert trajectory.rpe(copied, gt, pairs) != (0.0, 0.0)
+        assert len(ie) > 12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 400), min_size=1, max_size=40, unique=True),
+           st.lists(st.integers(0, 400), min_size=1, max_size=40, unique=True),
+           st.sampled_from([0.0, 1.3e9]),
+           st.sampled_from([1, 3, 4, 7, 16]))
+    def test_associate_property(self, est_ticks, gt_ticks, base, window):
+        # ticks of 1/64 s: exact, tie-prone distances at any base
+        est = at_times(base + np.sort(est_ticks) / 64.0)
+        gt = at_times(base + np.sort(gt_ticks) / 64.0)
+        assert_same_associate(est, gt, window / 64.0)
+
+    def test_read_tum_matches_line_loop(self, tmp_path):
+        rng = np.random.default_rng(46)
+        path = tmp_path / "traj.txt"
+        lines = ["# timestamp tx ty tz qx qy qz qw", ""]
+        for k in range(50):
+            q = rng.normal(size=4) * rng.choice([1.0, 3.7, 1e-3, 250.0])
+            t = rng.normal(size=3)
+            lines.append(" ".join(repr(float(v)) for v in
+                                  [1.3e9 + 0.01 * k, *t, *q]))
+        path.write_text("\n".join(lines) + "\n")
+        got = trajectory.read_tum(path)
+        want = reference_read_tum(path)
+        assert np.array_equal(got.timestamps, want.timestamps)
+        assert np.array_equal(got.poses, want.poses)
+
+    @pytest.mark.parametrize("lines", [
+        ["0 0 0 0 0 0 0 1", "1 0 0 0 0 0 1", "2 0 0 nan 0 0 0 1"],
+        ["0 0 0 0 0 0 0 1", "1 0 0 nan 0 0 0 1", "2 0 0 0 0 0 1"],
+        ["0 0 0 0 0 0 0 1", "1 0 x 0 0 0 0 1", "2 0 0 inf 0 0 0 1"],
+        ["0 0 0 0 0 0 0 1", "1 0 0 inf 0 0 0 1", "2 0 x 0 0 0 0 1"],
+        ["0 0 0 0 0 0 0 1", "1 0 0 0 0 nan inf 1", "2 0 0 0 0 0 0 1"],
+        ["0 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 1 9"],
+        ["# nothing", ""],
+        ["1 0 0 0 0 0 0 1", "0 0 0 0 0 0 0 1"],
+        ["0 0 0 0 0 0 0 1", "1 0 0 0 0 0 0 0"],
+    ], ids=["count-after-nan", "nan-before-count", "parse-before-inf",
+            "inf-before-parse", "first-field-of-line", "nine-fields",
+            "no-samples", "decreasing", "zero-quaternion"])
+    def test_read_tum_faults_match_line_loop(self, tmp_path, lines):
+        path = tmp_path / "traj.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RasterFormatError) as want:
+            reference_read_tum(path)
+        with pytest.raises(RasterFormatError) as got:
+            trajectory.read_tum(path)
+        assert str(got.value) == str(want.value)

@@ -19,6 +19,10 @@ Conventions:
     with m the mean residual magnitude of the image, recomputed each
     iteration from the residuals at the current estimate;
   * update solves (J^T W J) beta = -J^T W r and applies xi <- xi + beta.
+    The residuals and m take one pass over all pixels; J^T W J, J^T W r
+    and the weighted cost are then summed over blocks of _BLOCK pixels, so
+    a block's Jacobians, weights and residuals stay in cache and no
+    weighted copy of the Jacobians is made.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +39,11 @@ Q_MIN = 1e-4
 Q_MAX = 1e4
 
 CONDITION_LIMIT = 1e12
+
+# Pixels per block of the normal-equation sums. A block's Jacobians (6, 2, B),
+# weights and residuals take about 0.5 MB and stay in L2 cache; with blocks of
+# 32768 a QVGA or VGA step took about 1.4 times as long.
+_BLOCK = 4096
 
 
 @dataclass
@@ -53,8 +62,12 @@ class FlowField:
         self.info = np.asarray(self.info, dtype=float)
         if self.flow.shape[:2] != self.info.shape[:2]:
             raise ValueError("flow and info shapes differ")
-        finite = np.all(np.isfinite(self.flow), axis=-1) \
-            & np.all(np.isfinite(self.info), axis=-1)
+        # one elementwise pass per channel: np.all over the short channel
+        # axis is several times slower
+        finite = np.ones(self.flow.shape[:-1], dtype=bool)
+        for raster in (self.flow, self.info):
+            for c in range(raster.shape[-1]):
+                finite &= np.isfinite(raster[..., c])
         if self.valid is None:
             self.valid = finite
         else:
@@ -107,8 +120,9 @@ class Problem:
     points: np.ndarray          # (4, N) inverse-depth points, rows u, v, 1, q
     flow: np.ndarray            # (2, N) measured flow, normalised units
     conf: np.ndarray = None     # (2, N) confidences, rows C_x, C_y
-    JT: np.ndarray = None       # (6, 2N) transposed Jacobians: the columns
-                                # hold all x rows, then all y rows
+    JT: np.ndarray = None       # (6, 2, N) transposed Jacobians, as built by
+                                # _jacobians: JT[:, 0] holds the x rows and
+                                # JT[:, 1] the y rows
 
 
 def _geometry(depth, flow_field, K):
@@ -151,7 +165,7 @@ def prepare(depth, flow_field, K, config):
     else:
         problem.conf = np.ones((2, n))
     u, v, _, q = problem.points
-    problem.JT = _jacobians(u, v, q).reshape(6, 2 * n)
+    problem.JT = _jacobians(u, v, q)
     return problem
 
 
@@ -254,15 +268,22 @@ def gauss_newton_step(problem, xi, config):
     report = _residual_report(r, config.min_valid_pixels)
     JT, conf = problem.JT, problem.conf
     if keep is not None:
-        JT = JT.reshape(6, 2, -1)[:, :, keep].reshape(6, -1)
+        JT = JT[:, :, keep]
         conf = conf[:, keep]
     wx, wy = build_weight(conf[0], conf[1], r[0], r[1], report.m)
-    w = np.concatenate([wx, wy])            # (2M,), the columns of JT
-    r = r.reshape(-1)
 
-    JwT = JT * w
-    A = JwT @ JT.T
-    b = JwT @ r
+    A = np.zeros((6, 6))
+    b = np.zeros(6)
+    cost = 0.0
+    for start in range(0, r.shape[1], _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        # one flow component at a time: J is a (6, B) view of JT
+        for J, wc, rc in zip(JT[:, :, blk].transpose(1, 0, 2),
+                             (wx[blk], wy[blk]), r[:, blk]):
+            wr = wc * rc
+            A += (J * wc) @ J.T
+            b += J @ wr
+            cost += wr @ rc
     if config.damping > 0:
         A = A + config.damping * np.eye(6)
 
@@ -274,7 +295,7 @@ def gauss_newton_step(problem, xi, config):
             "normal equations singular or ill-conditioned")
     beta = np.linalg.solve(A, -b)
 
-    report.weighted_cost = float(np.sum(w * r * r))
+    report.weighted_cost = float(cost)
     return beta, report
 
 

@@ -262,38 +262,55 @@ def evaluate(est, gt, max_dt=0.02, rpe_delta=1):
 # --- TUM trajectory text format -------------------------------------------
 
 def quaternion_from_rotation(R):
-    """Rotation matrix -> quaternion (qx, qy, qz, qw), qw >= 0."""
+    """Rotation matrix -> quaternion (qx, qy, qz, qw), qw >= 0; an
+    (N, 3, 3) stack gives (N, 4).
+
+    Each matrix takes the branch its trace and diagonal select, and the
+    same arithmetic, as it would alone: the stack gives the quaternions of
+    its matrices bit for bit.
+    """
     R = np.asarray(R, dtype=float)
-    tr = np.trace(R)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        qw = 0.25 * s
-        qx = (R[2, 1] - R[1, 2]) / s
-        qy = (R[0, 2] - R[2, 0]) / s
-        qz = (R[1, 0] - R[0, 1]) / s
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        qw = (R[2, 1] - R[1, 2]) / s
-        qx = 0.25 * s
-        qy = (R[0, 1] + R[1, 0]) / s
-        qz = (R[0, 2] + R[2, 0]) / s
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        qw = (R[0, 2] - R[2, 0]) / s
-        qx = (R[0, 1] + R[1, 0]) / s
-        qy = 0.25 * s
-        qz = (R[1, 2] + R[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        qw = (R[1, 0] - R[0, 1]) / s
-        qx = (R[0, 2] + R[2, 0]) / s
-        qy = (R[1, 2] + R[2, 1]) / s
-        qz = 0.25 * s
-    q = np.array([qx, qy, qz, qw])
-    q /= np.linalg.norm(q)
-    if q[3] < 0:
-        q = -q
-    return q
+    stack = R.reshape(-1, 3, 3)
+    d0, d1, d2 = stack[:, 0, 0], stack[:, 1, 1], stack[:, 2, 2]
+    tr = d0 + d1 + d2
+    w_big = tr > 0
+    x_big = ~w_big & (d0 > d1) & (d0 > d2)
+    y_big = ~w_big & ~x_big & (d1 > d2)
+    z_big = ~(w_big | x_big | y_big)
+    q = np.empty((len(stack), 4))
+
+    M = stack[w_big]
+    s = np.sqrt(tr[w_big] + 1.0) * 2.0
+    q[w_big, 3] = 0.25 * s
+    q[w_big, 0] = (M[:, 2, 1] - M[:, 1, 2]) / s
+    q[w_big, 1] = (M[:, 0, 2] - M[:, 2, 0]) / s
+    q[w_big, 2] = (M[:, 1, 0] - M[:, 0, 1]) / s
+
+    M = stack[x_big]
+    s = np.sqrt(1.0 + M[:, 0, 0] - M[:, 1, 1] - M[:, 2, 2]) * 2.0
+    q[x_big, 3] = (M[:, 2, 1] - M[:, 1, 2]) / s
+    q[x_big, 0] = 0.25 * s
+    q[x_big, 1] = (M[:, 0, 1] + M[:, 1, 0]) / s
+    q[x_big, 2] = (M[:, 0, 2] + M[:, 2, 0]) / s
+
+    M = stack[y_big]
+    s = np.sqrt(1.0 + M[:, 1, 1] - M[:, 0, 0] - M[:, 2, 2]) * 2.0
+    q[y_big, 3] = (M[:, 0, 2] - M[:, 2, 0]) / s
+    q[y_big, 0] = (M[:, 0, 1] + M[:, 1, 0]) / s
+    q[y_big, 1] = 0.25 * s
+    q[y_big, 2] = (M[:, 1, 2] + M[:, 2, 1]) / s
+
+    M = stack[z_big]
+    s = np.sqrt(1.0 + M[:, 2, 2] - M[:, 0, 0] - M[:, 1, 1]) * 2.0
+    q[z_big, 3] = (M[:, 1, 0] - M[:, 0, 1]) / s
+    q[z_big, 0] = (M[:, 0, 2] + M[:, 2, 0]) / s
+    q[z_big, 1] = (M[:, 1, 2] + M[:, 2, 1]) / s
+    q[z_big, 2] = 0.25 * s
+
+    q /= se3.row_norms(q)[:, None]
+    flip = q[:, 3] < 0
+    q[flip] = -q[flip]
+    return q.reshape(R.shape[:-2] + (4,))
 
 
 def rotation_from_quaternion(qx, qy, qz, qw):
@@ -368,10 +385,10 @@ def read_tum(path):
 
 def write_tum(traj, path):
     """Write a trajectory in TUM format with 6-decimal timestamps."""
+    poses = traj.poses.reshape(-1, 4, 4)
+    rows = np.column_stack([traj.timestamps, poses[:, :3, 3],
+                            quaternion_from_rotation(poses[:, :3, :3])])
     with open(path, 'w') as fh:
         fh.write("# timestamp tx ty tz qx qy qz qw\n")
-        for ts, T in zip(traj.timestamps, traj.poses):
-            q = quaternion_from_rotation(T[:3, :3])
-            t = T[:3, 3]
-            fh.write("%.6f %.9f %.9f %.9f %.9f %.9f %.9f %.9f\n"
-                     % (ts, t[0], t[1], t[2], q[0], q[1], q[2], q[3]))
+        fh.writelines("%.6f %.9f %.9f %.9f %.9f %.9f %.9f %.9f\n" % tuple(row)
+                      for row in rows.tolist())

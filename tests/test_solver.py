@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,27 @@ def exact_flow_field(depth, xi, K):
     flow, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
     pix = camera.flow_normalised_to_pixels(flow, K)
     return FlowField(flow=pix, info=np.zeros(depth.shape + (3,)), valid=mask)
+
+
+class TestFlowField:
+    @pytest.mark.parametrize("explicit_valid", [False, True])
+    def test_valid_mask_matches_channel_reduction(self, explicit_valid):
+        rng = np.random.default_rng(34)
+        flow = rng.normal(size=(12, 16, 2))
+        info = rng.normal(size=(12, 16, 3))
+        for raster in (flow, info):
+            for c in range(raster.shape[-1]):
+                for bad in (np.nan, np.inf, -np.inf):
+                    raster[rng.integers(12), rng.integers(16), c] = bad
+        valid = rng.random((12, 16)) < 0.8 if explicit_valid else None
+        ff = FlowField(flow=flow, info=info, valid=valid)
+        want = np.all(np.isfinite(flow), axis=-1) \
+            & np.all(np.isfinite(info), axis=-1)
+        if explicit_valid:
+            want &= valid
+        assert ff.valid.dtype == bool
+        assert np.array_equal(ff.valid, want)
+        assert 0 < want.sum() < want.size - 9
 
 
 class TestComputeResiduals:
@@ -149,6 +172,25 @@ class TestGaussNewtonStep:
             solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
                                      np.zeros(6), config)
 
+    def test_no_full_width_temporary(self):
+        # a 320x240 problem: JT takes 7.4 MB, and one weighted copy of it,
+        # or of its x or y half, would break the bound
+        K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
+                       width=320, height=240)
+        rng = np.random.default_rng(33)
+        depth = rng.uniform(1.5, 5.0, (K.height, K.width))
+        ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
+                       info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
+        tracemalloc.start()
+        try:
+            solver.gauss_newton_step(problem, np.zeros(6), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.JT.nbytes / 2
+
 
 def reference_step(depth, flow_field, xi, K, config):
     """Reference Gauss-Newton step: rebuilds the mask, points, Jacobians and
@@ -230,8 +272,12 @@ def assert_agrees_with_reference(beta, ref, exact):
         <= 1e-12 * np.linalg.norm(ref) + 2 * err_ref
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="needs a long double wider than double")
+needs_extended_precision = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="needs a long double wider than double")
+
+
+@needs_extended_precision
 class TestPreparedStep:
     @pytest.fixture
     def outlier_scene(self, K):
@@ -302,6 +348,72 @@ class TestPreparedStep:
         res = solver.solve(outlier_scene.depth, outlier_scene.flow_field, K)
         assert res.iterations > 1
         assert len(calls) == 1
+
+
+def block_scene(valid, seed):
+    """Random depth, flow and information on a raster 96 pixels wide whose
+    first `valid` pixels in raster order are usable; the rest of the last
+    row has no depth."""
+    width = 96
+    height = -(-valid // width)
+    K = Intrinsics(fx=100.0, fy=100.0, cx=47.5, cy=(height - 1) / 2,
+                   width=width, height=height)
+    rng = np.random.default_rng(seed)
+    depth = rng.uniform(1.5, 5.0, (height, width))
+    depth.ravel()[valid:] = np.nan
+    ff = FlowField(flow=rng.normal(0.0, 2.0, (height, width, 2)),
+                   info=rng.uniform(-1.0, 1.0, (height, width, 3)))
+    return depth, ff, K
+
+
+@needs_extended_precision
+class TestBlockBoundaries:
+    """The normal equations are summed over blocks of solver._BLOCK pixels;
+    valid counts on and around the block edges, and a ragged tail after
+    several whole blocks, give the reference step's result."""
+    BLOCK = solver._BLOCK
+
+    @pytest.mark.parametrize("valid", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                       3 * BLOCK + 517])
+    @pytest.mark.parametrize("config", [
+        SolverConfig(),
+        SolverConfig(use_confidence=False),
+        SolverConfig(damping=0.5),
+    ], ids=["confidence", "no-confidence", "damping"])
+    def test_matches_reference_step(self, valid, config):
+        depth, ff, K = block_scene(valid, seed=valid)
+        problem = solver.prepare(depth, ff, K, config)
+        assert len(problem.index) == valid
+        for xi in (np.zeros(6), np.array([0.02, 0.0, -0.01, 0.003, 0.004, -0.008])):
+            beta, report = solver.gauss_newton_step(problem, xi, config)
+            ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
+            assert report.valid_count == count == valid
+            assert_agrees_with_reference(beta, ref, exact)
+            assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_cheirality_drop_across_block_edges(self, use_confidence):
+        B = self.BLOCK
+        depth, ff, K = block_scene(2 * B + 300, seed=30)
+        # a backward step of 1 m puts points nearer than 1 m behind the
+        # camera: runs of them straddle the block edges of the N prepared
+        # pixels, and a tenth of the rest drop at random, so the M kept
+        # pixels fill one block and a ragged tail
+        near = np.zeros(depth.size, dtype=bool)
+        near[B - 40:B + 60] = near[2 * B - 7:2 * B + 5] = True
+        near |= np.random.default_rng(31).random(depth.size) < 0.1
+        depth.ravel()[near & np.isfinite(depth.ravel())] = 0.5
+        xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
+        config = SolverConfig(use_confidence=use_confidence)
+        problem = solver.prepare(depth, ff, K, config)
+        _, keep = solver._residuals(problem, xi)
+        assert np.array_equal(keep, ~near[problem.index])
+        assert B < keep.sum() < 2 * B
+        beta, report = solver.gauss_newton_step(problem, xi, config)
+        ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
+        assert report.valid_count == count
+        assert_agrees_with_reference(beta, ref, exact)
+        assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
 
 
 # The parent's residual kernel, kept verbatim as the reference for the

@@ -447,6 +447,70 @@ def reference_read_tum(path):
         raise RasterFormatError(f"{path}: {exc}") from exc
 
 
+def reference_quaternion_from_rotation(R):
+    tr = np.trace(R)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        qw = 0.25 * s
+        qx = (R[2, 1] - R[1, 2]) / s
+        qy = (R[0, 2] - R[2, 0]) / s
+        qz = (R[1, 0] - R[0, 1]) / s
+    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        qw = (R[2, 1] - R[1, 2]) / s
+        qx = 0.25 * s
+        qy = (R[0, 1] + R[1, 0]) / s
+        qz = (R[0, 2] + R[2, 0]) / s
+    elif R[1, 1] > R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        qw = (R[0, 2] - R[2, 0]) / s
+        qx = (R[0, 1] + R[1, 0]) / s
+        qy = 0.25 * s
+        qz = (R[1, 2] + R[2, 1]) / s
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        qw = (R[1, 0] - R[0, 1]) / s
+        qx = (R[0, 2] + R[2, 0]) / s
+        qy = (R[1, 2] + R[2, 1]) / s
+        qz = 0.25 * s
+    q = np.array([qx, qy, qz, qw])
+    q /= np.linalg.norm(q)
+    if q[3] < 0:
+        q = -q
+    return q
+
+
+def reference_write_tum(traj, path):
+    with open(path, 'w') as fh:
+        fh.write("# timestamp tx ty tz qx qy qz qw\n")
+        for ts, T in zip(traj.timestamps, traj.poses):
+            q = reference_quaternion_from_rotation(T[:3, :3])
+            t = T[:3, 3]
+            fh.write("%.6f %.9f %.9f %.9f %.9f %.9f %.9f %.9f\n"
+                     % (ts, t[0], t[1], t[2], q[0], q[1], q[2], q[3]))
+
+
+def rotations_on_every_branch(rng):
+    """Rotations of any angle up to pi (about a third have trace <= 0),
+    half turns and near half turns about the axes and diagonals (those
+    about negative axes flip to qw >= 0 with exact zeros in q), and
+    unstructured 3x3 matrices, which reach each branch with any signs."""
+    axes = rng.normal(size=(600, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    twists = axes * rng.uniform(0.0, np.pi, (600, 1))
+    for axis in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0],
+                 [0, 0, -1], [1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1],
+                 [1, -1, 1]):
+        axis = np.array(axis, dtype=float) / np.linalg.norm(axis)
+        for angle in (np.pi, np.pi - 1e-9, np.pi - 1e-4, 2 * np.pi / 3):
+            twists = np.vstack([twists, axis * angle])
+    rotations = se3.exp(np.hstack([np.zeros_like(twists), twists]))[:, :3, :3]
+    return np.concatenate([rotations, [np.eye(3), np.diag([1.0, -1, -1]),
+                                       np.diag([-1.0, 1, -1]),
+                                       np.diag([-1.0, -1, 1])],
+                           rng.normal(size=(300, 3, 3))])
+
+
 def assert_same_associate(est, gt, max_dt):
     try:
         want = reference_associate(est, gt, max_dt)
@@ -569,6 +633,34 @@ class TestMatchesPerPoseLoops:
         est = at_times(base + np.sort(est_ticks) / 64.0)
         gt = at_times(base + np.sort(gt_ticks) / 64.0)
         assert_same_associate(est, gt, window / 64.0)
+
+    def test_quaternion_stack_matches_per_matrix(self):
+        R = rotations_on_every_branch(np.random.default_rng(49))
+        d0, d1, d2 = R[:, 0, 0], R[:, 1, 1], R[:, 2, 2]
+        trace = d0 + d1 + d2
+        x_big = (trace <= 0) & (d0 > d1) & (d0 > d2)
+        y_big = (trace <= 0) & ~x_big & (d1 > d2)
+        z_big = (trace <= 0) & ~x_big & ~y_big
+        assert min(x_big.sum(), y_big.sum(), z_big.sum()) > 50
+        got = trajectory.quaternion_from_rotation(R)
+        want = np.array([reference_quaternion_from_rotation(M) for M in R])
+        # bit for bit, signed zeros too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        one = trajectory.quaternion_from_rotation(R[0])
+        assert one.shape == (4,)
+        assert np.array_equal(one.view(np.uint64), want[0].view(np.uint64))
+
+    def test_write_tum_matches_pose_loop(self, tmp_path):
+        rng = np.random.default_rng(50)
+        R = rotations_on_every_branch(rng)
+        poses = np.tile(np.eye(4), (len(R), 1, 1))
+        poses[:, :3, :3] = R
+        poses[:, :3, 3] = rng.normal(size=(len(R), 3)) * 10.0
+        traj = Trajectory(1.3e9 + 0.01 * np.arange(len(R)), poses)
+        trajectory.write_tum(traj, tmp_path / "got.txt")
+        reference_write_tum(traj, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() \
+            == (tmp_path / "want.txt").read_bytes()
 
     def test_read_tum_matches_line_loop(self, tmp_path):
         rng = np.random.default_rng(46)

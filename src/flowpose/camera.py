@@ -10,15 +10,17 @@ cheirality test.
 
 Flow rasters are stored in pixel units; the solver converts to normalised
 camera coordinates by dividing by (fx, fy). flow_from_pose returns
-normalised flow, with a pixel-unit variant alongside.
+normalised flow.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import se3
 from .errors import CheiralityError, RasterFormatError
+
+# A point is in front of the camera when its depth exceeds this.
+CHEIRALITY_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,10 @@ class Intrinsics:
 
 def project(x):
     """Perspective division: 3-vector camera point -> normalised 2-vector."""
-    x = np.asarray(x, dtype=float)
-    if x[2] <= se3.CHEIRALITY_EPS:
+    uv, front = divide(np.asarray(x, dtype=float))
+    if not front:
         raise CheiralityError("point not in front of the camera")
-    return x[:2] / x[2]
+    return uv
 
 
 def backproject(depth, u, K):
@@ -99,10 +101,11 @@ def check_same_size(first, second, names):
 
 def divide(Y):
     """Perspective divide of channel-first camera points Y (3, ...): returns
-    (Y[:2] / z, front) with front = z > se3.CHEIRALITY_EPS, and z replaced by
-    1 where front is False."""
+    (Y[:2] / z, front), where front marks the points whose z exceeds
+    CHEIRALITY_EPS and z is replaced by 1 elsewhere. A NaN z is not in
+    front."""
     z = Y[2]
-    front = z > se3.CHEIRALITY_EPS
+    front = z > CHEIRALITY_EPS
     if not front.all():
         z = np.where(front, z, 1.0)
     return Y[:2] / z, front

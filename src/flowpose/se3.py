@@ -10,6 +10,7 @@ Transforms act on inverse-depth homogeneous points (u, v, 1, q) where
 
 import numpy as np
 
+from .camera import divide
 from .errors import CheiralityError
 
 # Rotation angles at or beyond pi - LOG_ANGLE_MARGIN are rejected by log();
@@ -18,9 +19,6 @@ LOG_ANGLE_MARGIN = 1e-6
 
 # Below this angle the Rodrigues coefficients switch to Taylor series.
 SMALL_ANGLE = 1e-6
-
-# A point is in front of the camera when its depth exceeds this.
-CHEIRALITY_EPS = 1e-12
 
 
 def generators():
@@ -42,11 +40,12 @@ def generators():
 
 
 def hat(w):
-    """3-vector -> 3x3 skew-symmetric matrix."""
-    wx, wy, wz = w
-    return np.array([[0.0, -wz, wy],
-                     [wz, 0.0, -wx],
-                     [-wy, wx, 0.0]])
+    """(..., 3) vectors -> (..., 3, 3) skew-symmetric matrices."""
+    w = np.asarray(w, dtype=float)
+    K = np.zeros(w.shape[:-1] + (3, 3))
+    K[..., 0, 1], K[..., 0, 2], K[..., 1, 2] = -w[..., 2], w[..., 1], -w[..., 0]
+    K[..., 1, 0], K[..., 2, 0], K[..., 2, 1] = w[..., 2], -w[..., 1], w[..., 0]
+    return K
 
 
 def _rodrigues_coefficients(theta):
@@ -79,19 +78,24 @@ def exp(xi):
         raise ValueError("motion vector must have 6 components")
     if not np.all(np.isfinite(xi)):
         raise ValueError("motion vector must be finite")
-    if xi.ndim == 2:
-        return _exp_stack(xi)
-    v = xi[:3]
-    w = xi[3:]
-    theta = np.linalg.norm(w)
+    v, w = xi[..., :3], xi[..., 3:]
+    if xi.ndim == 1:
+        A, B, C = _rodrigues_coefficients(np.linalg.norm(w))
+    else:
+        theta = row_norms(w)
+        # the coefficients branch on the angle, so each branch gets its rows
+        small = theta < SMALL_ANGLE
+        A, B, C = np.empty((3, len(xi)))
+        A[small], B[small], C[small] = _rodrigues_coefficients(theta[small])
+        A[~small], B[~small], C[~small] = _rodrigues_coefficients(theta[~small])
+        A, B, C = A[:, None, None], B[:, None, None], C[:, None, None]
     K = hat(w)
     K2 = K @ K
-    A, B, C = _rodrigues_coefficients(theta)
-    R = np.eye(3) + A * K + B * K2
+    T = np.zeros(xi.shape[:-1] + (4, 4))
+    T[..., :3, :3] = np.eye(3) + A * K + B * K2
     V = np.eye(3) + B * K + C * K2
-    T = np.eye(4)
-    T[:3, :3] = R
-    T[:3, 3] = V @ v
+    T[..., :3, 3:] = V @ v[..., None]
+    T[..., 3, 3] = 1.0
     return T
 
 
@@ -100,30 +104,6 @@ def row_norms(x):
     the same BLAS dot product as np.linalg.norm of that row alone, so the
     result equals the per-row norms bit for bit."""
     return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
-def _exp_stack(xi):
-    """exp over an (N, 6) stack, with the scalar path's formulas per row."""
-    n = len(xi)
-    v = xi[:, :3]
-    w = xi[:, 3:]
-    theta = row_norms(w)
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
-    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
-    K2 = K @ K
-    # the coefficients branch on the angle, so each branch gets its rows
-    small = theta < SMALL_ANGLE
-    A, B, C = np.empty((3, n))
-    A[small], B[small], C[small] = _rodrigues_coefficients(theta[small])
-    A[~small], B[~small], C[~small] = _rodrigues_coefficients(theta[~small])
-    A, B, C = A[:, None, None], B[:, None, None], C[:, None, None]
-    T = np.zeros((n, 4, 4))
-    T[:, :3, :3] = np.eye(3) + A * K + B * K2
-    V = np.eye(3) + B * K + C * K2
-    T[:, :3, 3] = (V @ v[:, :, None])[:, :, 0]
-    T[:, 3, 3] = 1.0
-    return T
 
 
 def log(T):
@@ -166,32 +146,26 @@ def inverse(T):
     """Inverse transform, exploiting the [R t; 0 1] block structure; an
     (N, 4, 4) stack gives the stack of inverses."""
     T = np.asarray(T, dtype=float)
-    if T.ndim == 3:
-        Rt = np.swapaxes(T[:, :3, :3], 1, 2)
-        out = np.zeros_like(T)
-        out[:, :3, :3] = Rt
-        out[:, :3, 3] = (-Rt @ T[:, :3, 3, None])[:, :, 0]
-        out[:, 3, 3] = 1.0
-        return out
-    R = T[:3, :3]
-    t = T[:3, 3]
-    out = np.eye(4)
-    out[:3, :3] = R.T
-    out[:3, 3] = -R.T @ t
+    Rt = np.swapaxes(T[..., :3, :3], -1, -2)
+    out = np.zeros_like(T)
+    out[..., :3, :3] = Rt
+    out[..., :3, 3:] = -Rt @ T[..., :3, 3:]
+    out[..., 3, 3] = 1.0
     return out
 
 
 def apply(T, p):
     """Act on an inverse-depth point (u, v, 1, q) and renormalise.
 
-    Raises CheiralityError when the transformed point lands behind or on
-    the camera plane (third homogeneous component <= CHEIRALITY_EPS).
+    Raises CheiralityError when the transformed point fails camera.divide's
+    cheirality test: its third homogeneous component is not above
+    camera.CHEIRALITY_EPS.
     """
-    p = np.asarray(p, dtype=float)
-    y = np.asarray(T, dtype=float) @ p
-    if y[2] <= CHEIRALITY_EPS:
+    y = np.asarray(T, dtype=float) @ np.asarray(p, dtype=float)
+    uv, front = divide(y[:3])
+    if not front:
         raise CheiralityError("point maps behind or onto the camera plane")
-    return y / y[2]
+    return np.concatenate([uv, y[2:] / y[2]])
 
 
 def is_rigid(T, tol=1e-9):

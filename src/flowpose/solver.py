@@ -98,7 +98,8 @@ class ResidualReport:
                                 # None from gauss_newton_step, which does not
                                 # scatter them back into the raster
     m: float                    # mean residual magnitude over valid pixels
-    weighted_cost: float
+    weighted_cost: float        # sum of w * r^2 from gauss_newton_step; the
+                                # unweighted sum of r^2 from compute_residuals
     valid_count: int
 
 
@@ -268,8 +269,10 @@ def gauss_newton_step(problem, xi, config):
     report = _residual_report(r, config.min_valid_pixels)
     JT, conf = problem.JT, problem.conf
     if keep is not None:
-        JT = JT[:, :, keep]
-        conf = conf[:, keep]
+        # the blocks take their kept columns from JT one block at a time;
+        # JT[:, :, keep] would copy all of it
+        cols = np.flatnonzero(keep)
+        conf = conf[:, cols]
     wx, wy = build_weight(conf[0], conf[1], r[0], r[1], report.m)
 
     A = np.zeros((6, 6))
@@ -277,8 +280,9 @@ def gauss_newton_step(problem, xi, config):
     cost = 0.0
     for start in range(0, r.shape[1], _BLOCK):
         blk = slice(start, start + _BLOCK)
-        # one flow component at a time: J is a (6, B) view of JT
-        for J, wc, rc in zip(JT[:, :, blk].transpose(1, 0, 2),
+        JTb = JT[:, :, blk] if keep is None else JT[:, :, cols[blk]]
+        # one flow component at a time: J is a (6, B) view of JTb
+        for J, wc, rc in zip(JTb.transpose(1, 0, 2),
                              (wx[blk], wy[blk]), r[:, blk]):
             wr = wc * rc
             A += (J * wc) @ J.T

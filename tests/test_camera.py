@@ -6,6 +6,15 @@ from flowpose.camera import Intrinsics
 from flowpose.errors import CheiralityError, RasterFormatError
 
 
+def ref_project(x):
+    """camera.project as it was written before it called divide; the
+    program must match it byte for byte except on a NaN depth."""
+    x = np.asarray(x, dtype=float)
+    if x[2] <= camera.CHEIRALITY_EPS:
+        raise CheiralityError("point not in front of the camera")
+    return x[:2] / x[2]
+
+
 @pytest.fixture
 def K():
     return Intrinsics(fx=100.0, fy=120.0, cx=32.0, cy=24.0, width=64, height=48)
@@ -33,6 +42,29 @@ class TestProjectBackproject:
     def test_project_cheirality(self):
         with pytest.raises(CheiralityError):
             camera.project([1, 1, 0])
+
+    def test_project_matches_reference_bytes(self):
+        rng = np.random.default_rng(45)
+        X = rng.normal(0, 1, (2000, 3))
+        X[::7, 2] = np.abs(X[::7, 2])
+        X[::11, :2] = -0.0
+        X[::31, 2] = -0.0
+        # on the cheirality bound exactly and just above it
+        X[::37, 2] = camera.CHEIRALITY_EPS
+        X[::41, 2] = np.nextafter(camera.CHEIRALITY_EPS, 1)
+        for x in X:
+            try:
+                want = ref_project(x).tobytes()
+            except CheiralityError:
+                with pytest.raises(CheiralityError):
+                    camera.project(x)
+            else:
+                assert camera.project(x).tobytes() == want, x
+
+    def test_project_nan_depth_is_behind(self):
+        # the reference returned [nan, nan] here; divide calls it behind
+        with pytest.raises(CheiralityError):
+            camera.project([1, 1, np.nan])
 
     def test_backproject_principal_ray(self, K):
         assert np.allclose(camera.backproject(2.0, (K.cx, K.cy), K),

@@ -781,3 +781,57 @@ class TestExtremeTumNumbers:
             numbers = [float(word) for word in out.split()
                        if word not in ("matched", "scales")]
             assert np.all(np.isfinite(numbers)), out
+
+
+# Property: extreme float32 values in the depth raster and in the flow
+# raster's a_hat, b_hat and g_hat channels, on one pixel or on every pixel.
+# Well-formed rasters reach the confidences, the normal equations and their
+# checks. An exit 0 here may still carry a wrong pose: a_hat = g_hat = -709
+# everywhere gives a finite twist of about 1e16 (see CHANGES.md).
+EXTREME_FLOAT32 = st.sampled_from([
+    3.4028235e38, -3.4028235e38, 1e-45, -1e-45, 1.1754944e-38, 0.0, -0.0,
+    709.0, -709.0, 710.0, -710.0, 1e30, -1e30])
+
+
+def _extreme_solve_rasters(scene):
+    """Strategy: (depth, flow) rasters of `scene` with some values of the
+    depth (channel 0) or of a_hat, b_hat, g_hat (channels 1-3) replaced;
+    a replacement may cover every pixel."""
+    depth = rasters.read_raster(scene / "depth.engr")
+    flow = rasters.read_raster(scene / "flow.engr")
+    h, w = depth.shape
+
+    def build(edits):
+        d, f = depth.copy(), flow.copy()
+        for channel, pixel, value, everywhere in edits:
+            target = d if channel == 0 else f[..., 1 + channel]
+            if everywhere:
+                target[...] = value
+            else:
+                target[divmod(pixel % (h * w), w)] = value
+        return d, f
+
+    return st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10 ** 4),
+                              EXTREME_FLOAT32, st.booleans()),
+                    min_size=1, max_size=4).map(build)
+
+
+class TestExtremeSolveNumbers:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_documented_exit_code_and_finite_output(self, capsys, fuzz_scene,
+                                                    data):
+        depth, flow = data.draw(_extreme_solve_rasters(fuzz_scene / "scene"))
+        rasters.write_raster(fuzz_scene / "extreme-depth.engr", depth)
+        rasters.write_raster(fuzz_scene / "extreme-flow.engr", flow)
+        code, out, err = run_strict(
+            capsys, "solve", "--depth", str(fuzz_scene / "extreme-depth.engr"),
+            "--flow", str(fuzz_scene / "extreme-flow.engr"),
+            "--intrinsics", str(fuzz_scene / "scene" / "intrinsics.txt"))
+        assert code in (0, 3, 4, 5)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""
+            assert np.all(np.isfinite([float(x) for x in out.split()])), out

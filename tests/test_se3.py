@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowpose import se3
+from flowpose import camera, se3
 from flowpose.errors import CheiralityError
 
 
@@ -211,3 +211,169 @@ class TestApplyComposeInverse:
         p2 = np.array([-0.3, 0.1, 1.0, 1.5])
         assert np.allclose(T @ (2 * p1 + 3 * p2), 2 * (T @ p1) + 3 * (T @ p2),
                            rtol=0, atol=1e-12)
+
+
+# Reference copies of the scalar exp, the stacked exp, both inverse bodies,
+# hat and apply as they were written before exp and inverse became one body
+# over `...` indexing. The program must match them byte for byte, signed
+# zeros included; only apply on a NaN depth differs (it now raises).
+
+def ref_hat(w):
+    """3-vector -> 3x3 skew-symmetric matrix."""
+    wx, wy, wz = w
+    return np.array([[0.0, -wz, wy],
+                     [wz, 0.0, -wx],
+                     [-wy, wx, 0.0]])
+
+
+def ref_exp(xi):
+    v = xi[:3]
+    w = xi[3:]
+    theta = np.linalg.norm(w)
+    K = ref_hat(w)
+    K2 = K @ K
+    A, B, C = se3._rodrigues_coefficients(theta)
+    R = np.eye(3) + A * K + B * K2
+    V = np.eye(3) + B * K + C * K2
+    T = np.eye(4)
+    T[:3, :3] = R
+    T[:3, 3] = V @ v
+    return T
+
+
+def ref_exp_stack(xi):
+    """exp over an (N, 6) stack, with the scalar path's formulas per row."""
+    n = len(xi)
+    v = xi[:, :3]
+    w = xi[:, 3:]
+    theta = se3.row_norms(w)
+    K = np.zeros((n, 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
+    K2 = K @ K
+    # the coefficients branch on the angle, so each branch gets its rows
+    small = theta < se3.SMALL_ANGLE
+    A, B, C = np.empty((3, n))
+    A[small], B[small], C[small] = se3._rodrigues_coefficients(theta[small])
+    A[~small], B[~small], C[~small] = se3._rodrigues_coefficients(theta[~small])
+    A, B, C = A[:, None, None], B[:, None, None], C[:, None, None]
+    T = np.zeros((n, 4, 4))
+    T[:, :3, :3] = np.eye(3) + A * K + B * K2
+    V = np.eye(3) + B * K + C * K2
+    T[:, :3, 3] = (V @ v[:, :, None])[:, :, 0]
+    T[:, 3, 3] = 1.0
+    return T
+
+
+def ref_inverse(T):
+    T = np.asarray(T, dtype=float)
+    if T.ndim == 3:
+        Rt = np.swapaxes(T[:, :3, :3], 1, 2)
+        out = np.zeros_like(T)
+        out[:, :3, :3] = Rt
+        out[:, :3, 3] = (-Rt @ T[:, :3, 3, None])[:, :, 0]
+        out[:, 3, 3] = 1.0
+        return out
+    R = T[:3, :3]
+    t = T[:3, 3]
+    out = np.eye(4)
+    out[:3, :3] = R.T
+    out[:3, 3] = -R.T @ t
+    return out
+
+
+def ref_apply(T, p):
+    p = np.asarray(p, dtype=float)
+    y = np.asarray(T, dtype=float) @ p
+    if y[2] <= camera.CHEIRALITY_EPS:
+        raise CheiralityError("point maps behind or onto the camera plane")
+    return y / y[2]
+
+
+def edge_twists(seed):
+    """Twists that reach every branch: both coefficient branches and their
+    boundary, zero rows, pure translations, -0.0 components, angles near pi
+    and twists of norm up to about 10, shuffled together."""
+    rng = np.random.default_rng(seed)
+    translation = rng.normal(0, 1, (60, 6))
+    translation[:30, 3:] = 0.0
+    translation[30:, 3:] = -0.0
+    signed = rng.normal(0, 0.3, (200, 6))
+    signed[rng.random((200, 6)) < 0.3] = -0.0
+    axis = rng.normal(size=(100, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    near_pi = np.hstack([rng.normal(size=(100, 3)),
+                         axis * (np.pi - 10.0 ** rng.uniform(-12, -1, (100, 1)))])
+    large = rng.normal(size=(100, 6))
+    large *= rng.uniform(0, 10, (100, 1)) / np.linalg.norm(large, axis=1,
+                                                           keepdims=True)
+    boundary = np.zeros((4, 6))
+    boundary[:, 3] = [se3.SMALL_ANGLE, -se3.SMALL_ANGLE,
+                      np.nextafter(se3.SMALL_ANGLE, 0), 2 * se3.SMALL_ANGLE]
+    xi = np.concatenate([rng.normal(0, 0.05, (300, 6)),
+                         rng.normal(0, 1.0, (200, 6)),
+                         rng.normal(0, 1e-8, (100, 6)), np.zeros((2, 6)),
+                         -np.zeros((2, 6)), translation, signed, near_pi,
+                         large, boundary])
+    rng.shuffle(xi)
+    return xi
+
+
+class TestMatchesReferenceBytes:
+    def test_exp_one_row(self):
+        for x in edge_twists(40):
+            assert se3.exp(x).tobytes() == ref_exp(x).tobytes(), x
+
+    def test_exp_stack(self):
+        xi = edge_twists(41)
+        assert se3.exp(xi).tobytes() == ref_exp_stack(xi).tobytes()
+        # stacks of one branch only, of one row and of none
+        for part in (xi[:1], xi[:5], np.zeros((3, 6)),
+                     np.full((3, 6), 1e-9), np.zeros((0, 6))):
+            assert se3.exp(part).tobytes() == ref_exp_stack(part).tobytes()
+
+    def test_inverse_both_forms(self):
+        T = ref_exp_stack(edge_twists(42))
+        assert se3.inverse(T).tobytes() == ref_inverse(T).tobytes()
+        for t in T:
+            assert se3.inverse(t).tobytes() == ref_inverse(t).tobytes()
+
+    def test_hat_one_vector_and_stack(self):
+        w = edge_twists(43)[:, 3:]
+        for row in w:
+            assert se3.hat(row).tobytes() == ref_hat(row).tobytes()
+        assert se3.hat(w).tobytes() == np.array(
+            [ref_hat(row) for row in w]).tobytes()
+
+    def test_apply(self):
+        rng = np.random.default_rng(44)
+        T = ref_exp_stack(edge_twists(44))
+        points = np.column_stack([rng.uniform(-1, 1, len(T)),
+                                  rng.uniform(-1, 1, len(T)),
+                                  np.ones(len(T)),
+                                  rng.uniform(0.01, 3.0, len(T))])
+        points[::40, 3] = -0.0
+        # on the cheirality bound exactly, just above it, and behind
+        cases = list(zip(T, points)) + [
+            (np.eye(4), [0.1, 0.2, camera.CHEIRALITY_EPS, 1.0]),
+            (np.eye(4), [0.1, 0.2, np.nextafter(camera.CHEIRALITY_EPS, 1), 1.0]),
+            (np.eye(4), [0.1, 0.2, -0.0, 1.0]),
+            (np.eye(4), [0.1, 0.2, -1.0, 1.0])]
+        behind = 0
+        for t, p in cases:
+            try:
+                want = ref_apply(t, p).tobytes()
+            except CheiralityError:
+                behind += 1
+                with pytest.raises(CheiralityError):
+                    se3.apply(t, p)
+            else:
+                assert se3.apply(t, p).tobytes() == want
+        assert 3 <= behind < len(cases) / 2
+
+    def test_apply_nan_depth_is_behind(self):
+        # the reference returned NaN here; divide calls a NaN depth behind
+        with pytest.raises(CheiralityError):
+            se3.apply(np.eye(4), [0.1, 0.2, 1.0, np.nan])
+        with pytest.raises(CheiralityError):
+            se3.apply(se3.exp([0, 0, 0, 0, 0, 0.1]), [0.1, 0.2, np.nan, 1.0])

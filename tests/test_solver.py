@@ -174,7 +174,7 @@ class TestGaussNewtonStep:
 
     def test_no_full_width_temporary(self):
         # a 320x240 problem: JT takes 7.4 MB, and one weighted copy of it,
-        # or of its x or y half, would break the bound
+        # or of its x or y half, would break the bound at the identity
         K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
                        width=320, height=240)
         rng = np.random.default_rng(33)
@@ -183,13 +183,19 @@ class TestGaussNewtonStep:
                        info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
         config = SolverConfig()
         problem = solver.prepare(depth, ff, K, config)
-        tracemalloc.start()
-        try:
-            solver.gauss_newton_step(problem, np.zeros(6), config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < problem.JT.nbytes / 2
+        # at the identity every pixel is kept; 2 m backwards the pixels
+        # nearer than 2 m fail the cheirality test, and a copy of JT's kept
+        # columns would break the bound
+        for tz, share in ((0.0, 0.5), (-2.0, 1.0)):
+            tracemalloc.start()
+            try:
+                _, report = solver.gauss_newton_step(
+                    problem, np.array([0.0, 0.0, tz, 0.0, 0.0, 0.0]), config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (report.valid_count < len(problem.index)) == (tz < 0)
+            assert peak < problem.JT.nbytes * share, tz
 
 
 def reference_step(depth, flow_field, xi, K, config):

@@ -1,6 +1,12 @@
 """Command-line surface: synthesize scenes, solve poses, evaluate
 trajectories and evaluate losses.
 
+`solve` and `eval-traj` settings are flags with no default of their own:
+the library's defaults apply. `--config FILE` holds `key = value` lines
+keyed by the flags' dest names. It only supplies the flags' defaults, so a
+flag on the command line wins in any form argparse accepts. A bad value
+exits 2; an on/off value is true for 1/true/yes/on.
+
 Exit codes: 0 success, 2 usage, 3 I/O or format error, 4 numerical
 degeneracy, 5 insufficient data.
 """
@@ -58,9 +64,12 @@ def _parse_texture_model(text):
     raise UsageError(f"unknown texture model '{kind}'")
 
 
-def _read_config(path):
-    """Line-oriented `key = value` configuration file."""
-    values = {}
+def _read_config(path, settings):
+    """Line-oriented `key = value` configuration file of a command whose
+    setting flags are `settings`, {dest: action}. Returns {dest: value},
+    each value converted as its flag converts it; an on/off setting is
+    true for 1/true/yes/on."""
+    raw = {}
     with open(path, 'r') as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -69,41 +78,22 @@ def _read_config(path):
             if '=' not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition('=')
-            values[key.strip()] = value.strip()
+            raw[key.strip()] = value.strip()
+    values = {}
+    for key, value in raw.items():
+        if key not in settings:
+            raise UsageError(f"unknown config key {key!r}")
+        convert = settings[key].type
+        values[key] = (convert(value) if convert
+                       else value.lower() in ('1', 'true', 'yes', 'on'))
     return values
 
 
-# Config-file keys accepted per command, with conversions.
-_CONFIG_KEYS = {
-    'solve': {
-        'max_iterations': int,
-        'convergence_tol': float,
-        'min_valid_pixels': int,
-        'damping': float,
-        'use_confidence': lambda s: s.lower() in ('1', 'true', 'yes', 'on'),
-        'single_iteration': lambda s: s.lower() in ('1', 'true', 'yes', 'on'),
-        'seed_xi': _parse_motion,
-    },
-    'eval-traj': {
-        'rpe_delta': int,
-        'max_dt': float,
-    },
-}
-
-
-def _apply_config(args, command, argv_flags):
-    if not args.config:
-        return
-    allowed = _CONFIG_KEYS.get(command, {})
-    values = _read_config(args.config)
-    for key, raw in values.items():
-        if key not in allowed:
-            raise UsageError(f"unknown config key {key!r}")
-        # flags given on the command line win over config-file values
-        flag = '--' + key.replace('_', '-')
-        if flag in argv_flags:
-            continue
-        setattr(args, key, allowed[key](raw))
+def _given_settings(args):
+    """The command's settings given on the command line or in its config
+    file; the library supplies the rest."""
+    return {dest: getattr(args, dest) for dest in args.settings
+            if hasattr(args, dest)}
 
 
 def _flow_field_from_raster(data):
@@ -140,14 +130,7 @@ def cmd_solve(args):
         raise RasterFormatError("depth raster must have a single channel")
     flow = _flow_field_from_raster(rasters.read_raster(args.flow))
     K = rasters.read_intrinsics(args.intrinsics)
-    config = solver.SolverConfig(
-        max_iterations=args.max_iterations,
-        convergence_tol=args.convergence_tol,
-        min_valid_pixels=args.min_valid_pixels,
-        use_confidence=args.use_confidence,
-        single_iteration=args.single_iteration,
-        damping=args.damping,
-        seed_xi=args.seed_xi if args.seed_xi is not None else np.zeros(6))
+    config = solver.SolverConfig(**_given_settings(args))
     result = solver.solve(depth, flow, K, config)
     if args.residuals:
         report = solver.compute_residuals(depth, flow, result.xi, K,
@@ -176,8 +159,7 @@ def _quantiles(values):
 def cmd_eval_traj(args):
     est = trajectory.read_tum(args.est)
     gt = trajectory.read_tum(args.gt)
-    report = trajectory.evaluate(est, gt, max_dt=args.max_dt,
-                                 rpe_delta=args.rpe_delta)
+    report = trajectory.evaluate(est, gt, **_given_settings(args))
     q = _quantiles(report.per_pose_scales)
     if args.pretty:
         print("ATE (m):    %.12g" % report.ate_rmse)
@@ -266,26 +248,30 @@ def build_parser():
     p.add_argument('--flow', required=True)
     p.add_argument('--intrinsics', required=True)
     p.add_argument('--config', help='key = value configuration file')
-    p.add_argument('--max-iterations', type=int, default=20)
-    p.add_argument('--convergence-tol', type=float, default=1e-9)
-    p.add_argument('--min-valid-pixels', type=int, default=64)
-    p.add_argument('--no-confidence', dest='use_confidence',
-                   action='store_false')
-    p.add_argument('--single-iteration', action='store_true')
-    p.add_argument('--damping', type=float, default=0.0)
-    p.add_argument('--seed-xi', type=_parse_motion, default=None)
     p.add_argument('--residuals', help='optional residual raster output')
     p.add_argument('--pretty', action='store_true')
-    p.set_defaults(func=cmd_solve)
+    g = p.add_argument_group('settings (defaults: solver.SolverConfig)',
+                             argument_default=argparse.SUPPRESS)
+    settings = [g.add_argument('--max-iterations', type=int),
+                g.add_argument('--convergence-tol', type=float),
+                g.add_argument('--min-valid-pixels', type=int),
+                g.add_argument('--no-confidence', dest='use_confidence',
+                               action='store_false'),
+                g.add_argument('--single-iteration', action='store_true'),
+                g.add_argument('--damping', type=float),
+                g.add_argument('--seed-xi', type=_parse_motion)]
+    p.set_defaults(func=cmd_solve, settings={a.dest: a for a in settings})
 
     p = sub.add_parser('eval-traj', help='score ATE/RPE of TUM trajectories')
     p.add_argument('--est', required=True)
     p.add_argument('--gt', required=True)
     p.add_argument('--config', help='key = value configuration file')
-    p.add_argument('--rpe-delta', type=int, default=1)
-    p.add_argument('--max-dt', type=float, default=0.02)
     p.add_argument('--pretty', action='store_true')
-    p.set_defaults(func=cmd_eval_traj)
+    g = p.add_argument_group('settings (defaults: trajectory.evaluate)',
+                             argument_default=argparse.SUPPRESS)
+    settings = [g.add_argument('--rpe-delta', type=int),
+                g.add_argument('--max-dt', type=float)]
+    p.set_defaults(func=cmd_eval_traj, settings={a.dest: a for a in settings})
 
     p = sub.add_parser('loss', help='evaluate a loss from raster files')
     p.add_argument('name', help='berhu | smoothness | flownll | '
@@ -314,8 +300,11 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if getattr(args, 'config', None):
-            flags = {a for a in argv if a.startswith('--')}
-            _apply_config(args, args.command, flags)
+            # config values become the flags' defaults, so a flag given in
+            # any form argparse accepts wins when argv is parsed again
+            for dest, value in _read_config(args.config, args.settings).items():
+                args.settings[dest].default = value
+            args = parser.parse_args(argv)
         return args.func(args)
     except FlowPoseError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

@@ -87,8 +87,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
+        if not (self.convergence_tol > 0):
             raise ValueError("convergence_tol must be positive")
+        if not (self.damping >= 0 and np.isfinite(self.damping)):
+            raise ValueError("damping must be finite and >= 0")
         self.seed_xi = np.asarray(self.seed_xi, dtype=float)
 
 

@@ -101,7 +101,7 @@ def associate(est, gt, max_dt=0.02):
     (est_index, gt_index) pairs sorted by time. Raises when fewer than 2
     matches are found.
     """
-    if max_dt <= 0:
+    if not (max_dt > 0):
         raise ValueError("max_dt must be positive")
     te, tg = est.timestamps, gt.timestamps
     # The window is wider than max_dt by 1e-9 of it plus 4 ulps of the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowpose import (cli, infomat, losses, rasters, se3, synthetic,
+from flowpose import (cli, infomat, losses, rasters, se3, solver, synthetic,
                       trajectory)
 from flowpose.camera import Intrinsics
 from flowpose.errors import CheiralityError
@@ -137,20 +137,60 @@ class TestSolve:
                                                    "--single-iteration"))
         assert out_cfg == out_single
 
-    def test_config_flag_override(self, capsys, scene_dir, tmp_path):
+    def test_config_flag_override(self, capsys, scene_dir, outlier_scene_dir,
+                                  tmp_path):
         directory, _ = scene_dir
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("max_iterations = 1\n")
         _, out, _ = run(capsys, *solve_args(directory, "--config", str(cfg),
                                             "--max-iterations", "20"))
         assert out.split()[7] == "1"  # converged despite config's 1 iteration
+        # any form of a flag that argparse accepts wins over the config file
+        noisy, _ = outlier_scene_dir
+        for scene, config, flags in [
+                (directory, "max_iterations = 1", ["--max-iterations=20"]),
+                (directory, "max_iterations = 1", ["--max-it", "20"]),
+                (noisy, "use_confidence = true", ["--no-confidence"])]:
+            cfg.write_text(config + "\n")
+            want = run(capsys, *solve_args(scene, *flags))
+            assert run(capsys, *solve_args(scene, "--config", str(cfg),
+                                           *flags)) == want, flags
 
     def test_unknown_config_key_rejected(self, capsys, scene_dir, tmp_path):
         directory, _ = scene_dir
         cfg = tmp_path / "solver.cfg"
-        cfg.write_text("speed = 11\n")
-        code, _, _ = run(capsys, *solve_args(directory, "--config", str(cfg)))
-        assert code == 2
+        # only setting flags have config keys
+        for line in ["speed = 11", "depth = x", "pretty = true",
+                     "config = other.cfg", "residuals = r.engr"]:
+            cfg.write_text(line + "\n")
+            code, out, err = run(capsys, *solve_args(directory, "--config",
+                                                     str(cfg)))
+            assert (code, out) == (2, "")
+            assert err == f"error: unknown config key {line.split()[0]!r}\n"
+
+    def test_bad_config_value_rejected_even_when_overridden(
+            self, capsys, scene_dir, tmp_path):
+        directory, _ = scene_dir
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("max_iterations = abc\n")
+        code, out, err = run(capsys, *solve_args(directory, "--config", str(cfg),
+                                                 "--max-iterations", "20"))
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid literal for int() with base 10: "
+                       "'abc'\n")
+
+    def test_defaults_are_the_library_defaults(self, capsys, outlier_scene_dir):
+        directory, _ = outlier_scene_dir
+        flow = rasters.read_raster(directory / "flow.engr")
+        result = solver.solve(
+            rasters.read_raster(directory / "depth.engr"),
+            solver.FlowField(flow=flow[..., :2], info=flow[..., 2:]),
+            rasters.read_intrinsics(directory / "intrinsics.txt"),
+            solver.SolverConfig())
+        want = (" ".join("%.17g" % x for x in result.xi)
+                + " %d %d %.17g\n" % (result.iterations, result.converged,
+                                      result.final_cost))
+        assert run(capsys, *solve_args(directory)) == (0, want, "")
 
     def test_insufficient_pixels_exit_code(self, capsys, scene_dir, tmp_path):
         directory, _ = scene_dir
@@ -364,6 +404,32 @@ class TestEvalTraj:
         expected = [float(w) for w in want.split()
                     if w not in ("matched", "scales")]
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_config_flag_override(self, capsys, tmp_path):
+        est, gt = self.make_files(tmp_path)
+        late = trajectory.read_tum(est)
+        late = Trajectory(late.timestamps + 0.005, late.poses)
+        trajectory.write_tum(late, est)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("max_dt = 0.001\n")    # no sample within 1 ms
+        argv = ["eval-traj", "--est", str(est), "--gt", str(gt)]
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        assert run(capsys, *argv, "--config", str(cfg)) == (
+            5, "", "insufficient data: fewer than 2 associated samples\n")
+        assert run(capsys, *argv, "--config", str(cfg), "--max-dt=0.02") == want
+
+    def test_defaults_are_the_library_defaults(self, capsys, tmp_path):
+        est, gt = self.make_files(tmp_path, scale=0.5)
+        report = trajectory.evaluate(trajectory.read_tum(est),
+                                     trajectory.read_tum(gt))
+        q = np.percentile(report.per_pose_scales, [0, 25, 50, 75, 100])
+        want = ("%.12g %.12g %.12g matched %d\n" % (
+                    report.ate_rmse, report.rpe_trans, report.rpe_rot_deg,
+                    report.matched_count)
+                + "scales " + " ".join("%.12g" % v for v in q) + "\n")
+        assert run(capsys, "eval-traj", "--est", str(est),
+                   "--gt", str(gt)) == (0, want, "")
 
     def test_disjoint_timestamps_exit_code(self, capsys, tmp_path):
         est, gt = self.make_files(tmp_path)
@@ -589,6 +655,18 @@ FAULTS = {
                             ["format error", "single channel"]),
     "smoothness-under-2x2": (["loss", "smoothness", "--depth", "{tiny}"], 5,
                              ["insufficient data", "5x1", "2x2"]),
+    # NaN fails every comparison, so each check is written to reject it
+    "max-dt-nan": (EVAL + ["{tum_good}", "--max-dt", "nan"], 2,
+                   ["error", "max_dt must be positive"]),
+    "damping-negative": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                  "--damping", "-1"], 2,
+                         ["error", "damping must be finite and >= 0"]),
+    "damping-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
+                             "--damping", "nan"], 2,
+                    ["error", "damping must be finite and >= 0"]),
+    "convergence-tol-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                     "--convergence-tol", "nan"], 2,
+                            ["error", "convergence_tol must be positive"]),
 }
 
 

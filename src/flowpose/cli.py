@@ -5,7 +5,8 @@ trajectories and evaluate losses.
 the library's defaults apply. `--config FILE` holds `key = value` lines
 keyed by the flags' dest names. It only supplies the flags' defaults, so a
 flag on the command line wins in any form argparse accepts. A bad value
-exits 2; an on/off value is true for 1/true/yes/on.
+exits 2; an on/off value is one of 1/true/yes/on or 0/false/no/off, in
+any case.
 
 Exit codes: 0 success, 2 usage, 3 I/O or format error, 4 numerical
 degeneracy, 5 insufficient data.
@@ -64,11 +65,15 @@ def _parse_texture_model(text):
     raise UsageError(f"unknown texture model '{kind}'")
 
 
+_ON_OFF = {'1': True, 'true': True, 'yes': True, 'on': True,
+           '0': False, 'false': False, 'no': False, 'off': False}
+
+
 def _read_config(path, settings):
     """Line-oriented `key = value` configuration file of a command whose
     setting flags are `settings`, {dest: action}. Returns {dest: value},
-    each value converted as its flag converts it; an on/off setting is
-    true for 1/true/yes/on."""
+    each value converted as its flag converts it; an on/off setting takes
+    a key of _ON_OFF in any case, and any other value is a UsageError."""
     raw = {}
     with open(path, 'r') as fh:
         for lineno, line in enumerate(fh, 1):
@@ -84,8 +89,13 @@ def _read_config(path, settings):
         if key not in settings:
             raise UsageError(f"unknown config key {key!r}")
         convert = settings[key].type
-        values[key] = (convert(value) if convert
-                       else value.lower() in ('1', 'true', 'yes', 'on'))
+        if convert:
+            values[key] = convert(value)
+        elif value.lower() in _ON_OFF:
+            values[key] = _ON_OFF[value.lower()]
+        else:
+            raise UsageError(f"{key} = {value!r} is not an on/off value: "
+                             "use 1/true/yes/on or 0/false/no/off")
     return values
 
 

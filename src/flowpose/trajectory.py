@@ -5,6 +5,7 @@ Trajectories are ordered lists of (timestamp, 4x4 world-from-camera pose)
 with strictly increasing timestamps.
 """
 
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -77,8 +78,9 @@ def chain(relatives):
 
 
 def _indices(pairs):
-    """(estimate indices, ground-truth indices) of a sequence of pairs."""
-    idx = np.array(list(pairs), dtype=int).reshape(-1, 2)
+    """(estimate indices, ground-truth indices) of a sequence of pairs or
+    of a (K, 2) integer array, which is not copied."""
+    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
     return idx[:, 0], idx[:, 1]
 
 
@@ -246,7 +248,8 @@ def evaluate(est, gt, max_dt=0.02, rpe_delta=1):
     Raises DegenerateGeometryError when no estimated step is long enough
     to give a per-pose scale.
     """
-    pairs = associate(est, gt, max_dt)
+    # one (K, 2) index array for every stage, not a list per stage
+    pairs = np.array(associate(est, gt, max_dt))
     aligned, alignment = align_and_scale(est, gt, pairs)
     rpe_t, rpe_r = rpe(est, gt, pairs, rpe_delta)
     if len(alignment.per_pose_scales) == 0:
@@ -340,12 +343,34 @@ def rotation_from_quaternion(qx, qy, qz, qw):
 _TUM_FIELDS = ('timestamp', 'tx', 'ty', 'tz', 'qx', 'qy', 'qz', 'qw')
 
 
-def read_tum(path):
-    """Read a TUM-format trajectory: `timestamp tx ty tz qx qy qz qw` per
-    line, '#' comments ignored. A file that is not UTF-8 text, or whose
-    samples Trajectory rejects, is a RasterFormatError naming the file; a
-    malformed line is one naming the first such line."""
-    lines = read_text(path).split('\n')
+def _tum_values(lines):
+    """The fields of a well-formed TUM file from one np.loadtxt call: an
+    (N, 8) array of finite floats with N > 0, or None for any other file.
+
+    The samples are the lines the line loop parses. A line whose first
+    field starts with '#' is a comment, as `lstrip` and `split` strip the
+    same whitespace; loadtxt skips blank lines itself. loadtxt and float()
+    round alike, but loadtxt rejects some fields float() reads (`1_0`,
+    non-ASCII digits), so whatever it rejects or warns about is left to
+    _tum_lines, which names the fault.
+    """
+    # the `in` test only saves the lstrip of lines without '#'
+    samples = [line for line in lines
+               if '#' not in line or not line.lstrip().startswith('#')]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            values = np.loadtxt(samples, comments=None, ndmin=2)
+    except (ValueError, Warning):   # the line loop decides
+        return None
+    if values.shape[1] == 8 and len(values) and np.all(np.isfinite(values)):
+        return values
+    return None
+
+
+def _tum_lines(path, lines):
+    """The (N, 8) fields of a TUM file parsed line by line with float();
+    a RasterFormatError names the first malformed line."""
     numbers, linenos, fault = array('d'), [], None
     for lineno, line in enumerate(lines, 1):
         parts = line.split()
@@ -373,6 +398,18 @@ def read_tum(path):
         raise fault
     if not linenos:
         raise RasterFormatError(f"{path}: no trajectory samples")
+    return values
+
+
+def read_tum(path):
+    """Read a TUM-format trajectory: `timestamp tx ty tz qx qy qz qw` per
+    line, '#' comments ignored. A file that is not UTF-8 text, or whose
+    samples Trajectory rejects, is a RasterFormatError naming the file; a
+    malformed line is one naming the first such line."""
+    lines = read_text(path).split('\n')
+    values = _tum_values(lines)
+    if values is None:
+        values = _tum_lines(path, lines)
     poses = np.zeros((len(values), 4, 4))
     poses[:, :3, :3] = rotation_from_quaternion(*values[:, 4:].T)
     poses[:, :3, 3] = values[:, 1:4]

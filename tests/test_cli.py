@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,11 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flowpose
 from flowpose import (cli, infomat, losses, rasters, se3, solver, synthetic,
                       trajectory)
 from flowpose.camera import Intrinsics
-from flowpose.errors import CheiralityError
+from flowpose.errors import CheiralityError, UsageError
 from flowpose.trajectory import Trajectory
+
+# the directory holding the flowpose package the tests import
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(flowpose.__file__)))
 
 
 def run(capsys, *argv):
@@ -178,6 +185,26 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == ("error: invalid literal for int() with base 10: "
                        "'abc'\n")
+
+    def test_on_off_words(self, tmp_path):
+        settings = cli.build_parser().parse_args(
+            ["solve", "--depth", "d", "--flow", "f", "--intrinsics", "k"]
+        ).settings
+        cfg = tmp_path / "solver.cfg"
+        for value, want in [("1", True), ("TRUE", True), ("Yes", True),
+                            ("on", True), ("0", False), ("False", False),
+                            ("NO", False), ("oFF", False)]:
+            cfg.write_text(f"use_confidence = {value}\nsingle_iteration = "
+                           f"{value}\n")
+            assert cli._read_config(cfg, settings) == {
+                "use_confidence": want, "single_iteration": want}
+        for value in ["ture", "", "2", "y", "offf", "true!"]:
+            cfg.write_text(f"single_iteration = {value}\n")
+            with pytest.raises(UsageError) as exc:
+                cli._read_config(cfg, settings)
+            assert str(exc.value) == (
+                f"single_iteration = {value!r} is not an on/off value: "
+                "use 1/true/yes/on or 0/false/no/off")
 
     def test_defaults_are_the_library_defaults(self, capsys, outlier_scene_dir):
         directory, _ = outlier_scene_dir
@@ -441,6 +468,26 @@ class TestEvalTraj:
                          "--gt", str(gt))
         assert code == 5
 
+    # np.loadtxt warns "input contained no data" on a file without samples.
+    # Warnings are errors only under pytest, so the command runs in its own
+    # process with the default warning filters.
+    @pytest.mark.parametrize("content", ["# header only\n", "\n  \n\n",
+                                         "# a\n\n #b\n"],
+                             ids=["comment", "blank", "both"])
+    def test_sampleless_file_one_stderr_line(self, tmp_path, content):
+        path = tmp_path / "empty.txt"
+        path.write_text(content)
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowpose.cli", "eval-traj",
+             "--est", str(path), "--gt", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"format error: {path}: no trajectory samples\n"
+
 
 class TestLoss:
     def test_berhu_self_is_zero(self, capsys, tmp_path):
@@ -570,6 +617,7 @@ def fault_files(scene_dir, tmp_path):
         "tum_far.txt": f"0.0 1e200 0 0 0 0 0 1\n1.0 {pose}2.0 1 0 0 0 0 0 1\n",
         # the estimate never moves, so no step gives a per-pose scale
         "tum_still.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
+        "onoff_typo.cfg": "use_confidence = ture\n",
     }
     for name, content in files.items():
         path = tmp_path / name
@@ -667,6 +715,11 @@ FAULTS = {
     "convergence-tol-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
                                      "--convergence-tol", "nan"], 2,
                             ["error", "convergence_tol must be positive"]),
+    # a misspelt on/off value used to read as false
+    "config-on-off-misspelt": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                        "--config", "{onoff_typo}"], 2,
+                               ["error", "use_confidence", "'ture'",
+                                "on/off"]),
 }
 
 

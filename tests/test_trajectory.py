@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowpose import se3, trajectory
@@ -253,6 +253,15 @@ class TestAteRpe:
         with pytest.raises(InsufficientDataError):
             trajectory.rpe(t, t, pairs, delta=5)
 
+    # evaluate converts its pairs once; each stage then takes views
+    def test_index_array_is_not_copied(self):
+        pairs = [(0, 1), (2, 3), (4, 6)]
+        idx = np.array(pairs)
+        ie, ig = trajectory._indices(idx)
+        assert np.shares_memory(ie, idx) and np.shares_memory(ig, idx)
+        for got in (trajectory._indices(idx), trajectory._indices(pairs)):
+            assert [a.tolist() for a in got] == [[0, 2, 4], [1, 3, 6]]
+
 
 class TestOverflowingScores:
     """A score whose arithmetic overflows is a DegenerateGeometryError that
@@ -409,7 +418,8 @@ def reference_rpe(est, gt, pairs, delta=1):
 def reference_read_tum(path):
     timestamps = []
     poses = []
-    for lineno, line in enumerate(path.read_text().split('\n'), 1):
+    for lineno, line in enumerate(path.read_text(encoding='utf-8')
+                                  .split('\n'), 1):
         line = line.strip()
         if not line or line.startswith('#'):
             continue
@@ -558,6 +568,77 @@ def gappy_pair(seed, base=0.0, n=200):
     return Trajectory(t_est, poses), gt
 
 
+# Line soups for read_tum against the line loop. Fields are repr floats
+# whose squares neither overflow nor go subnormal, so no quaternion is zero
+# and scaling one by a power of two keeps its rotation's bits, or tokens
+# that float() and np.loadtxt treat differently or that no parser takes.
+# The separators are whitespace to both, whitespace to neither, or a line
+# break once the file is read. Timestamps mostly increase.
+SOUP_TOKENS = ["1_0", "\u0668", "0x10", "nan", "-Infinity", "8#x", "#"]
+SOUP_SEPARATORS = [" ", "\t", "\xa0", "\x0b", "\x1c", "\x00", "\r"]
+
+
+@st.composite
+def tum_soups(draw):
+    # Each soup draws its own separators, tokens, token rate, field counts
+    # and trailing-comment rate, so that many soups are well formed and
+    # many are not. The fields come from one seeded Random per soup:
+    # drawing each of them costs more than the reads it tests.
+    separators = draw(st.lists(st.sampled_from(SOUP_SEPARATORS), min_size=1,
+                               max_size=3, unique=True))
+    tokens = draw(st.lists(st.sampled_from(SOUP_TOKENS), min_size=1,
+                           max_size=3, unique=True))
+    token_rate = draw(st.sampled_from([0, 4, 20]))
+    counts = draw(st.sampled_from([[8], [7, 8, 8, 9]]))
+    trailing = draw(st.sampled_from([0, 0, 4]))
+    kinds = draw(st.lists(st.sampled_from(["data"] * 4 + ["blank", "comment"]),
+                          max_size=12))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def separator():
+        return rnd.choice(separators)
+
+    def field(text):
+        if token_rate and rnd.randrange(token_rate) == 0:
+            return rnd.choice(tokens)
+        return text
+
+    def number():
+        return repr(rnd.choice([-1.0, 1.0]) * 10.0 ** rnd.uniform(-6.0, 6.0))
+
+    lines = []
+    for k, kind in enumerate(kinds):
+        if kind == "blank":
+            lines.append("".join(separator()
+                                 for _ in range(rnd.randrange(3))))
+        elif kind == "comment":
+            lead = separator() if rnd.random() < 0.5 else ""
+            lines.append(lead + "#" + rnd.choice(
+                ["", " timestamp tx ty tz qx qy qz qw", "1"]))
+        else:
+            fields = [field(repr(k + 0.25))]
+            fields += [field(number())
+                       for _ in range(rnd.choice(counts) - 1)]
+            text = separator().join(fields)
+            if rnd.random() < 0.5:
+                text = separator() + text + separator()
+            if trailing and rnd.randrange(trailing) == 0:
+                # a trailing comment is a field to the line loop
+                text += " #" + rnd.choice(["", "x", " note"])
+            lines.append(text)
+    return "\n".join(lines) + rnd.choice(["", "\n"])
+
+
+def read_outcome(read, path):
+    """A read's trajectory as raw bits, or its RasterFormatError message."""
+    try:
+        traj = read(path)
+    except RasterFormatError as exc:
+        return str(exc)
+    return (traj.timestamps.view(np.uint64).tolist(),
+            traj.poses.view(np.uint64).tolist())
+
+
 class TestMatchesPerPoseLoops:
     # dyadic timestamps make exact dt ties, which the (dt, i, j) order breaks
     def test_associate_dyadic_ties(self):
@@ -698,3 +779,28 @@ class TestMatchesPerPoseLoops:
         with pytest.raises(RasterFormatError) as got:
             trajectory.read_tum(path)
         assert str(got.value) == str(want.value)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tum_soups())
+    @example("0.25 1_0 2 3 0 0 0 1\n1.25 1 2 3 0 0 \u0668 1\n")
+    @example("0.25 1 2 3 0 0 0\x001\n1.25 1 2 3 0 0 0\r1\n")
+    @example("0.25 1 2 3 0 0 0 8#x\n1.25 1 2 3 0 0 0 1\n")
+    @example("0.25 1 2 3 0 0 0 1 #\n1.25 1 2 3 0 0 0 1 # note\n")
+    def test_read_tum_line_soups(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("soup") / "traj.txt"
+        path.write_text(text, encoding="utf-8")
+        assert read_outcome(trajectory.read_tum, path) \
+            == read_outcome(reference_read_tum, path)
+
+    def test_well_formed_file_skips_line_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(51)
+        traj = trajectory.chain([(1.3e9 + 0.01 * k, rng.normal(0.0, 0.02, 6))
+                                 for k in range(3000)])
+        path = tmp_path / "traj.txt"
+        trajectory.write_tum(traj, path)
+        want = read_outcome(reference_read_tum, path)
+
+        def line_loop(path, lines):
+            raise AssertionError("a well-formed file reached the line loop")
+        monkeypatch.setattr(trajectory, "_tum_lines", line_loop)
+        assert read_outcome(trajectory.read_tum, path) == want

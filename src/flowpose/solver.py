@@ -18,11 +18,23 @@ Conventions:
         diag(C_x m^2 / (m^2 + r_x^2), C_y m^2 / (m^2 + r_y^2))
     with m the mean residual magnitude of the image, recomputed each
     iteration from the residuals at the current estimate;
-  * update solves (J^T W J) beta = -J^T W r and applies xi <- xi + beta.
-    The residuals and m take one pass over all pixels; J^T W J, J^T W r
-    and the weighted cost are then summed over blocks of _BLOCK pixels, so
-    a block's Jacobians, weights and residuals stay in cache and no
-    weighted copy of the Jacobians is made.
+  * a Gauss-Newton step solves (J^T W J) beta = -J^T W r. The residuals
+    and m take one pass over all pixels; J^T W J, J^T W r and the weighted
+    cost are then summed over blocks of _BLOCK pixels, so a block's
+    Jacobians, weights and residuals stay in cache and no weighted copy of
+    the Jacobians is made;
+  * update: the first step is plain, xi <- xi + beta. Later steps are
+    depth-1 Anderson mixes of the fixed-point map xi <- xi + beta(xi)
+    (Walker & Ni, SIAM J. Numer. Anal. 2011), which remove the slow,
+    steady contraction that the moving m gives noisy frames:
+        theta = <beta_k, d_beta> / ||d_beta||^2,
+        xi <- xi + beta_k - theta (d_xi + d_beta)
+    with d_xi = xi_k - xi_{k-1} and d_beta = beta_k - beta_{k-1}. Guards:
+    the step is plain when ||d_beta|| = 0 and when it is the last one the
+    iteration budget allows; if the ||beta|| evaluated at a mixed point is
+    larger than the one before it, the loop restarts from the plain point
+    xi_k + beta_k with no history. The limit is unchanged: the loop stops
+    when ||beta|| < convergence_tol and returns xi + beta.
 """
 
 from dataclasses import dataclass, field
@@ -112,6 +124,8 @@ class SolveResult:
     converged: bool
     final_cost: float
     per_iteration_costs: list
+    per_iteration_steps: list   # 'plain' or 'mixed' per gauss_newton_step
+                                # call; a fall-back counts as 'plain'
 
 
 @dataclass
@@ -311,25 +325,46 @@ def solve(depth, flow_field, K, config=None):
 
     The Jacobians, the valid pixels and the confidences are built once, by
     `prepare`; residuals, m and the weights are recomputed every iteration
-    (true IRLS). With single_iteration set, stops after one step.
+    (true IRLS). Steps after the first are depth-1 Anderson mixes of the
+    last two updates, guarded as the module docstring says. With
+    single_iteration set, stops after one plain step.
     """
     if config is None:
         config = SolverConfig()
     problem = prepare(depth, flow_field, K, config)
     xi = np.array(config.seed_xi, dtype=float)
-    costs = []
+    costs, steps = [], []
     converged = False
-    iterations = 0
-    final_cost = float('nan')
     max_iter = 1 if config.single_iteration else config.max_iterations
-    for _ in range(max_iter):
+    last = None         # (xi, beta) of the previous step; None after a restart
+    plain = None        # the plain point the previous, mixed step replaced
+    for k in range(max_iter):
         beta, report = gauss_newton_step(problem, xi, config)
-        xi = xi + beta
-        iterations += 1
         costs.append(report.weighted_cost)
-        final_cost = report.weighted_cost
-        if np.linalg.norm(beta) < config.convergence_tol:
+        norm = np.linalg.norm(beta)
+        if norm < config.convergence_tol:
             converged = True
+            xi = xi + beta
+            steps.append('plain')
             break
-    return SolveResult(xi=xi, iterations=iterations, converged=converged,
-                       final_cost=final_cost, per_iteration_costs=costs)
+        if plain is not None and norm > np.linalg.norm(last[1]):
+            # the mixed step did worse: restart from the plain point
+            xi, last, plain = plain, None, None
+            steps.append('plain')
+            continue
+        step = beta
+        plain = None
+        if last is not None and k + 1 < max_iter:
+            dx = xi - last[0]
+            dbeta = beta - last[1]
+            denom = dbeta @ dbeta
+            if denom > 0:
+                theta = (beta @ dbeta) / denom
+                step = beta - theta * (dx + dbeta)
+                plain = xi + beta
+        steps.append('plain' if plain is None else 'mixed')
+        last = (xi, beta)
+        xi = xi + step
+    return SolveResult(xi=xi, iterations=len(costs), converged=converged,
+                       final_cost=costs[-1], per_iteration_costs=costs,
+                       per_iteration_steps=steps)

@@ -7,7 +7,7 @@ with strictly increasing timestamps.
 
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

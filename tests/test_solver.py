@@ -558,6 +558,209 @@ class TestSolve:
         assert err_single > err_full
 
 
+def plain_reference_solve(depth, flow_field, K, config=None):
+    """The plain IRLS loop, xi <- xi + beta, that `solve` ran before it mixed
+    its steps; verbatim but for the step kinds in its result."""
+    if config is None:
+        config = SolverConfig()
+    problem = solver.prepare(depth, flow_field, K, config)
+    xi = np.array(config.seed_xi, dtype=float)
+    costs = []
+    converged = False
+    iterations = 0
+    final_cost = float('nan')
+    max_iter = 1 if config.single_iteration else config.max_iterations
+    for _ in range(max_iter):
+        beta, report = solver.gauss_newton_step(problem, xi, config)
+        xi = xi + beta
+        iterations += 1
+        costs.append(report.weighted_cost)
+        final_cost = report.weighted_cost
+        if np.linalg.norm(beta) < config.convergence_tol:
+            converged = True
+            break
+    return solver.SolveResult(xi=xi, iterations=iterations,
+                              converged=converged, final_cost=final_cost,
+                              per_iteration_costs=costs,
+                              per_iteration_steps=['plain'] * iterations)
+
+
+def small_scene(seed, outliers):
+    """A seeded 64x48 scene with 0.5 px noise and, with outliers set, 20% of
+    its flow replaced by 50 px outliers."""
+    rng = np.random.default_rng(seed)
+    motion = rng.normal(size=6)
+    motion *= rng.uniform(0.02, 0.08) / np.linalg.norm(motion)
+    spec = synthetic.SceneSpec(
+        width=64, height=48, motion=motion, noise_sigma=0.5,
+        outlier_fraction=0.2 if outliers else 0.0, outlier_magnitude=50.0,
+        seed=seed)
+    return synthetic.render(spec), spec
+
+
+class TestMixedSteps:
+    """`solve` mixes the last two Gauss-Newton updates (depth-1 Anderson
+    acceleration); the plain loop above is its reference."""
+
+    @pytest.mark.parametrize("outliers", [False, True],
+                             ids=["noisy", "outliers"])
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_same_limit_in_no_more_steps(self, outliers, use_confidence):
+        # at 0.5 px and fx 100 the plain loop contracts by about 0.5 per
+        # step and takes up to 24 steps, so both loops get a budget of 100
+        config = SolverConfig(use_confidence=use_confidence,
+                              max_iterations=100)
+        tight = SolverConfig(use_confidence=use_confidence,
+                             max_iterations=100, convergence_tol=1e-12)
+        for seed in range(40, 48):
+            scene, spec = small_scene(seed, outliers)
+            args = (scene.depth, scene.flow_field, spec.intrinsics)
+            limit = plain_reference_solve(*args, tight).xi
+            assert np.max(np.abs(solver.solve(*args, tight).xi - limit)) \
+                < 1e-11
+            ref = plain_reference_solve(*args, config)
+            res = solver.solve(*args, config)
+            assert ref.converged and res.converged
+            # each stops within convergence_tol of the limit, so the two
+            # answers may differ by up to twice that
+            assert np.max(np.abs(ref.xi - limit)) < 1e-9
+            assert np.max(np.abs(res.xi - limit)) < 1e-9
+            assert np.max(np.abs(res.xi - ref.xi)) < 2e-9
+            assert res.iterations <= ref.iterations + 1
+            assert len(res.per_iteration_costs) == res.iterations
+            assert res.per_iteration_steps[0] == 'plain'
+            assert set(res.per_iteration_steps) <= {'plain', 'mixed'}
+
+    def test_noisy_qvga_frame_takes_fewer_steps(self):
+        # 320x240 frame as in the odometry benchmark: TUM-like intrinsics,
+        # depth 2 +- 0.5 m, a 0.02 twist and 0.5 px noise
+        K = camera.Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
+                              width=320, height=240)
+        direction = np.random.default_rng(2).normal(size=6)
+        spec = synthetic.SceneSpec(
+            width=320, height=240, intrinsics=K,
+            motion=direction / np.linalg.norm(direction) * 0.02,
+            depth_model=synthetic.SmoothRandomDepth(seed=2, amplitude=0.5),
+            noise_sigma=0.5, seed=2)
+        scene = synthetic.render(spec)
+        ref = plain_reference_solve(scene.depth, scene.flow_field, K)
+        res = solver.solve(scene.depth, scene.flow_field, K)
+        assert ref.converged and ref.iterations >= 16
+        assert res.converged and res.iterations <= 13
+        assert np.max(np.abs(res.xi - ref.xi)) < 1e-9
+
+    @pytest.mark.parametrize("outliers", [False, True],
+                             ids=["noisy", "outliers"])
+    def test_single_iteration_is_the_plain_first_step(self, outliers):
+        scene, spec = small_scene(49, outliers)
+        args = (scene.depth, scene.flow_field, spec.intrinsics)
+        ref = plain_reference_solve(*args, SolverConfig(max_iterations=1))
+        res = solver.solve(*args, SolverConfig(single_iteration=True))
+        assert res.xi.tobytes() == ref.xi.tobytes()
+        assert res.per_iteration_costs == ref.per_iteration_costs
+        assert res.iterations == 1 and res.per_iteration_steps == ['plain']
+
+
+class StubStep:
+    """Stands in for gauss_newton_step: records the points it is called at
+    and returns beta_of(call index, xi)."""
+
+    def __init__(self, beta_of):
+        self.beta_of = beta_of
+        self.points = []
+
+    def __call__(self, problem, xi, config):
+        self.points.append(np.array(xi))
+        beta = np.asarray(self.beta_of(len(self.points) - 1, xi), dtype=float)
+        return beta, solver.ResidualReport(
+            residuals=None, m=0.0, weighted_cost=float(len(self.points)),
+            valid_count=64)
+
+
+E0, E1 = np.eye(6)[:2]
+
+
+class TestMixedStepsOnStub:
+    """The loop of `solve` on known maps xi -> beta, with prepare and
+    gauss_newton_step stubbed out."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        monkeypatch.setattr(solver, 'prepare', lambda *args: None)
+
+        def run(beta_of, **settings):
+            stub = StubStep(beta_of)
+            monkeypatch.setattr(solver, 'gauss_newton_step', stub)
+            return solver.solve(None, None, None, SolverConfig(**settings)), \
+                stub.points
+        return run
+
+    def test_theta_formula(self, run):
+        # a linear contraction with a different rate per component
+        target = np.array([0.3, -0.2, 0.1, 0.05, -0.04, 0.02])
+        rates = np.array([0.9, 0.7, 0.5, 0.4, 0.3, 0.2])
+        res, points = run(lambda k, xi: rates * (target - xi),
+                          max_iterations=3)
+        x0, x1 = points[:2]
+        f0, f1 = rates * (target - x0), rates * (target - x1)
+        theta = f1 @ (f1 - f0) / ((f1 - f0) @ (f1 - f0))
+        np.testing.assert_allclose(
+            points[2], x1 + f1 - theta * ((x1 - x0) + (f1 - f0)),
+            rtol=0, atol=1e-16)
+        assert res.per_iteration_steps == ['plain', 'mixed', 'plain']
+        assert len(points) == res.iterations == 3
+
+    def test_one_dimensional_linear_map_converges_in_three_calls(self, run):
+        # the secant step lands on the fixed point of xi -> xi + beta(xi),
+        # which the plain loop approaches by halves
+        res, points = run(lambda k, xi: 0.5 * (2.0 * E0 - xi))
+        np.testing.assert_allclose(points[2], 2.0 * E0, rtol=0, atol=1e-15)
+        assert res.converged and res.iterations == 3
+        assert res.per_iteration_steps == ['plain', 'mixed', 'plain']
+        assert res.per_iteration_costs == [1.0, 2.0, 3.0]
+        assert res.final_cost == 3.0
+
+    def test_zero_denominator_takes_plain_steps(self, run):
+        # beta never changes, so ||beta_k - beta_{k-1}||^2 = 0 at every step
+        step = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
+        res, points = run(lambda k, xi: step, max_iterations=7)
+        assert res.per_iteration_steps == ['plain'] * 7
+        assert not res.converged and len(points) == res.iterations == 7
+        for k, point in enumerate(points + [res.xi]):
+            np.testing.assert_allclose(point, k * step, rtol=0, atol=1e-15)
+
+    SCRIPT = [                  # (point called at, beta returned there)
+        (0.0 * E0, E0),         # first step: plain
+        (1.0 * E0, 0.5 * E0),   # mixed: theta = -1 lands on 2 E0
+        (2.0 * E0, 0.6 * E1),   # ||beta|| grew: fall back to 1.5 E0
+        (1.5 * E0, 0.25 * E0),  # history dropped: plain
+        (1.75 * E0, 0.125 * E0),  # mixed again, to 2 E0
+        (2.0 * E0, 0.0 * E0),   # converged
+    ]
+
+    def scripted(self, k, xi):
+        point, beta = self.SCRIPT[k]
+        np.testing.assert_allclose(xi, point, rtol=0, atol=1e-15)
+        return beta
+
+    def test_falls_back_when_beta_grows(self, run):
+        res, points = run(self.scripted)
+        assert len(points) == res.iterations == 6 and res.converged
+        assert res.per_iteration_steps == ['plain', 'mixed', 'plain',
+                                           'plain', 'mixed', 'plain']
+        np.testing.assert_allclose(res.xi, 2.0 * E0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("calls, xi", [(1, 1.0 * E0), (2, 1.5 * E0),
+                                           (3, 1.5 * E0), (5, 1.875 * E0)])
+    def test_max_iterations_counts_every_call(self, run, calls, xi):
+        # the fall-back's call counts, and the last step is always plain
+        res, points = run(self.scripted, max_iterations=calls)
+        assert len(points) == res.iterations == calls
+        assert not res.converged
+        assert res.per_iteration_steps[-1] == 'plain'
+        np.testing.assert_allclose(res.xi, xi, rtol=0, atol=1e-15)
+
+
 class TestConfig:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheiralityError, RasterFormatError
+from .errors import RasterFormatError
 
 # A point is in front of the camera when its depth exceeds this.
 CHEIRALITY_EPS = 1e-12
@@ -37,39 +37,6 @@ class Intrinsics:
             raise ValueError("focal lengths must be positive and finite")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the raster")
-
-    def matrix(self):
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
-
-
-def project(x):
-    """Perspective division: 3-vector camera point -> normalised 2-vector."""
-    uv, front = divide(np.asarray(x, dtype=float))
-    if not front:
-        raise CheiralityError("point not in front of the camera")
-    return uv
-
-
-def backproject(depth, u, K):
-    """Lift pixel u with metric depth into the camera frame: D * K^-1 * (u, 1)."""
-    if not (np.isfinite(depth) and depth > 0):
-        raise ValueError("depth must be positive and finite")
-    ux, uy = u
-    return depth * np.array([(ux - K.cx) / K.fx, (uy - K.cy) / K.fy, 1.0])
-
-
-def pixel_to_normalised(u, K):
-    u = np.asarray(u, dtype=float)
-    return np.stack([(u[..., 0] - K.cx) / K.fx,
-                     (u[..., 1] - K.cy) / K.fy], axis=-1)
-
-
-def normalised_to_pixel(n, K):
-    n = np.asarray(n, dtype=float)
-    return np.stack([n[..., 0] * K.fx + K.cx,
-                     n[..., 1] * K.fy + K.cy], axis=-1)
 
 
 def depth_valid_mask(depth):
@@ -173,8 +140,9 @@ def warp_image(src, depth, T, K):
 def flow_from_pose(depth, T, K):
     """Pose-induced dense flow in normalised camera coordinates.
 
-    Returns (flow (H,W,2), validity mask). flow = project(T * backproject)
-    minus the original normalised coordinate; invalid pixels hold 0.
+    Returns (flow (H,W,2), validity mask). flow is divide(T X), X the pixel
+    lifted to its depth, minus the pixel's normalised coordinate; invalid
+    pixels hold 0.
     """
     uv, mask, (ox, oy) = _moved_grid(depth, T, K)
     flow = np.stack([uv[0] - ox / K.fx, uv[1] - oy / K.fy], axis=-1)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import infomat, losses, rasters, se3, solver, synthetic, trajectory
+from . import infomat, losses, rasters, solver, synthetic, trajectory
 from .camera import check_same_size
 from .errors import FlowPoseError, RasterFormatError, UsageError
 
@@ -143,9 +143,9 @@ def cmd_solve(args):
     config = solver.SolverConfig(**_given_settings(args))
     result = solver.solve(depth, flow, K, config)
     if args.residuals:
-        report = solver.compute_residuals(depth, flow, result.xi, K,
-                                          config.min_valid_pixels)
-        rasters.write_raster(args.residuals, report.residuals)
+        residuals = solver.compute_residuals(depth, flow, result.xi, K,
+                                             config.min_valid_pixels)
+        rasters.write_raster(args.residuals, residuals)
     if args.pretty:
         print("xi:         " + " ".join("%.12g" % x for x in result.xi))
         print("iterations: %d" % result.iterations)

@@ -48,12 +48,6 @@ def build(a_hat, b_hat, g_hat):
     return c_x, c_y, c_xy
 
 
-def matrix(a_hat, b_hat, g_hat):
-    """The assembled 2x2 information matrix (scalar parameters only)."""
-    c_x, c_y, c_xy = build(a_hat, b_hat, g_hat)
-    return np.array([[c_x, c_xy], [c_xy, c_y]])
-
-
 def log_det(a_hat, b_hat, g_hat):
     """log det of the information matrix.
 

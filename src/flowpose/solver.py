@@ -99,6 +99,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not (self.min_valid_pixels >= 1):
+            raise ValueError("min_valid_pixels must be >= 1")
         if not (self.convergence_tol > 0):
             raise ValueError("convergence_tol must be positive")
         if not (self.damping >= 0 and np.isfinite(self.damping)):
@@ -108,12 +110,9 @@ class SolverConfig:
 
 @dataclass
 class ResidualReport:
-    residuals: np.ndarray       # (H, W, 2), normalised units; 0 where invalid.
-                                # None from gauss_newton_step, which does not
-                                # scatter them back into the raster
+    """Residual statistics of one gauss_newton_step, at the xi it was given."""
     m: float                    # mean residual magnitude over valid pixels
-    weighted_cost: float        # sum of w * r^2 from gauss_newton_step; the
-                                # unweighted sum of r^2 from compute_residuals
+    weighted_cost: float        # sum of w * r^2 over valid pixels
     valid_count: int
 
 
@@ -203,34 +202,28 @@ def _residuals(problem, xi):
     return r[:, keep], keep
 
 
-def _residual_report(r, min_valid_pixels):
-    """m and the unweighted cost of (2, M) residuals; raises when M is below
-    min_valid_pixels."""
-    valid_count = r.shape[1]
-    if valid_count < min_valid_pixels:
+def _check_valid_count(r, min_valid_pixels):
+    """Raise InsufficientDataError when the (2, M) residuals have fewer than
+    min_valid_pixels columns."""
+    if r.shape[1] < min_valid_pixels:
         raise InsufficientDataError(
-            f"{valid_count} valid pixels < required {min_valid_pixels}")
-    squares = r[0] * r[0] + r[1] * r[1]
-    m = float(np.sqrt(squares).mean()) if valid_count else 0.0
-    return ResidualReport(residuals=None, m=m,
-                          weighted_cost=float(squares.sum()),
-                          valid_count=valid_count)
+            f"{r.shape[1]} valid pixels < required {min_valid_pixels}")
 
 
 def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
-    """Residual flow r = F+ - F in normalised camera coordinates.
+    """Residual flow r = F+ - F in normalised camera coordinates, as an
+    (H, W, 2) raster that holds 0 at invalid pixels.
 
     F+ is the flow induced by exp(xi) on the inverse-depth points of the
     depth map; F is the measured flow converted from pixel units.
     """
     problem = _geometry(depth, flow_field, K)
     r, keep = _residuals(problem, xi)
-    report = _residual_report(r, min_valid_pixels)
+    _check_valid_count(r, min_valid_pixels)
     h, w = problem.shape
     residuals = np.zeros((h * w, 2))
     residuals[problem.index if keep is None else problem.index[keep]] = r.T
-    report.residuals = residuals.reshape(h, w, 2)
-    return report
+    return residuals.reshape(h, w, 2)
 
 
 def jacobian_row(u, v, q):
@@ -282,14 +275,15 @@ def gauss_newton_step(problem, xi, config):
     Returns (beta, report); the caller applies xi <- xi + beta.
     """
     r, keep = _residuals(problem, xi)
-    report = _residual_report(r, config.min_valid_pixels)
+    _check_valid_count(r, config.min_valid_pixels)
+    m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
     JT, conf = problem.JT, problem.conf
     if keep is not None:
         # the blocks take their kept columns from JT one block at a time;
         # JT[:, :, keep] would copy all of it
         cols = np.flatnonzero(keep)
         conf = conf[:, cols]
-    wx, wy = build_weight(conf[0], conf[1], r[0], r[1], report.m)
+    wx, wy = build_weight(conf[0], conf[1], r[0], r[1], m)
 
     A = np.zeros((6, 6))
     b = np.zeros(6)
@@ -314,9 +308,8 @@ def gauss_newton_step(problem, xi, config):
         raise DegenerateGeometryError(
             "normal equations singular or ill-conditioned")
     beta = np.linalg.solve(A, -b)
-
-    report.weighted_cost = float(cost)
-    return beta, report
+    return beta, ResidualReport(m=m, weighted_cost=float(cost),
+                                valid_count=r.shape[1])
 
 
 def solve(depth, flow_field, K, config=None):

@@ -7,7 +7,7 @@ given SceneSpec renders bitwise identically across runs and platforms.
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,6 +137,8 @@ class SceneSpec:
             self.intrinsics = default_intrinsics(self.width, self.height)
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ValueError("outlier_fraction must be in [0, 1)")
+        if not (0.0 <= self.noise_sigma < np.inf):
+            raise ValueError("noise_sigma must be finite and >= 0")
 
 
 @dataclass

@@ -7,8 +7,9 @@ from flowpose.errors import CheiralityError, RasterFormatError
 
 
 def ref_project(x):
-    """camera.project as it was written before it called divide; the
-    program must match it byte for byte except on a NaN depth."""
+    """The perspective divide of one camera point as it was written before
+    the divide kernel. divide must match it byte for byte, and call a point
+    behind exactly where this raises, except on a NaN depth."""
     x = np.asarray(x, dtype=float)
     if x[2] <= camera.CHEIRALITY_EPS:
         raise CheiralityError("point not in front of the camera")
@@ -31,17 +32,24 @@ class TestIntrinsics:
 
 
 class TestProjectBackproject:
+    """Projection is camera.divide; backprojection is depth times the
+    pixel_offsets over the focal lengths, at depths depth_valid_mask
+    accepts."""
+
     def test_project_unit(self):
-        assert np.array_equal(camera.project([0, 0, 1]), [0, 0])
+        uv, front = camera.divide(np.array([0.0, 0.0, 1.0]))
+        assert front and np.array_equal(uv, [0, 0])
 
     def test_project_division(self):
-        assert np.array_equal(camera.project([2, 4, 2]), [1, 2])
-        assert np.allclose(camera.project([0.3, -0.6, 3.0]), [0.1, -0.2],
-                           rtol=0, atol=1e-15)
+        uv, front = camera.divide(np.array([[2.0, 0.3], [4.0, -0.6],
+                                            [2.0, 3.0]]))
+        assert front.all()
+        assert np.array_equal(uv[:, 0], [1, 2])
+        assert np.allclose(uv[:, 1], [0.1, -0.2], rtol=0, atol=1e-15)
 
     def test_project_cheirality(self):
-        with pytest.raises(CheiralityError):
-            camera.project([1, 1, 0])
+        _, front = camera.divide(np.array([1.0, 1.0, 0.0]))
+        assert not front
 
     def test_project_matches_reference_bytes(self):
         rng = np.random.default_rng(45)
@@ -52,57 +60,70 @@ class TestProjectBackproject:
         # on the cheirality bound exactly and just above it
         X[::37, 2] = camera.CHEIRALITY_EPS
         X[::41, 2] = np.nextafter(camera.CHEIRALITY_EPS, 1)
-        for x in X:
+        # one point at a time and all of them in one call
+        uv, front = camera.divide(X.T)
+        for x, uv_x, front_x in zip(X, uv.T, front):
+            one_uv, one_front = camera.divide(x)
             try:
                 want = ref_project(x).tobytes()
             except CheiralityError:
-                with pytest.raises(CheiralityError):
-                    camera.project(x)
+                assert not one_front and not front_x, x
             else:
-                assert camera.project(x).tobytes() == want, x
+                assert one_front and front_x, x
+                assert one_uv.tobytes() == uv_x.tobytes() == want, x
 
     def test_project_nan_depth_is_behind(self):
         # the reference returned [nan, nan] here; divide calls it behind
-        with pytest.raises(CheiralityError):
-            camera.project([1, 1, np.nan])
+        _, front = camera.divide(np.array([1.0, 1.0, np.nan]))
+        assert not front
 
     def test_backproject_principal_ray(self, K):
-        assert np.allclose(camera.backproject(2.0, (K.cx, K.cy), K),
-                           [0, 0, 2], atol=0)
+        ox, oy = camera.pixel_offsets(K, (K.height, K.width))
+        x, y = int(K.cx), int(K.cy)
+        assert ox[y, x] == 0 and oy[y, x] == 0
 
     def test_backproject_unit_offset(self):
+        # a principal point between pixels: offsets are exact half-integers
         K = Intrinsics(fx=100, fy=100, cx=0.5, cy=0.5, width=200, height=200)
-        p = camera.backproject(1.0, (100.5, 0.5), K)
-        assert np.allclose(p, [1, 0, 1], atol=1e-15)
+        ox, oy = camera.pixel_offsets(K, (200, 200))
+        assert np.array_equal(ox[0], np.arange(200) - 0.5)
+        assert np.array_equal(oy[:, 0], np.arange(200) - 0.5)
 
-    def test_backproject_invalid_depth(self, K):
-        with pytest.raises(ValueError):
-            camera.backproject(0.0, (1, 1), K)
+    def test_backproject_invalid_depth(self):
+        depth = np.array([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 2.0])
+        assert list(camera.depth_valid_mask(depth)) == [False] * 6 + [True]
 
     def test_roundtrip(self, K):
+        # lift every pixel at a random depth, divide, scale back to pixels
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            u = np.array([rng.uniform(0, K.width - 1), rng.uniform(0, K.height - 1)])
-            d = rng.uniform(0.3, 5.0)
-            p = camera.backproject(d, u, K)
-            back = camera.normalised_to_pixel(camera.project(p), K)
-            assert np.linalg.norm(back - u) < 1e-9
+        ox, oy = camera.pixel_offsets(K, (K.height, K.width))
+        d = rng.uniform(0.3, 5.0, ox.shape)
+        uv, front = camera.divide(np.stack([d * ox / K.fx, d * oy / K.fy, d]))
+        back = camera.flow_normalised_to_pixels(np.moveaxis(uv, 0, -1), K)
+        assert front.all()
+        assert np.max(np.abs(back - np.stack([ox, oy], axis=-1))) < 1e-9
 
 
 class TestPixelNormalised:
+    """Pixel offsets to normalised coordinates and back, by the flow
+    scalings."""
+
     def test_principal_point(self, K):
-        assert np.array_equal(camera.pixel_to_normalised(np.array([K.cx, K.cy]), K),
-                              [0, 0])
+        ox, oy = camera.pixel_offsets(K, (K.height, K.width))
+        n = camera.flow_pixels_to_normalised(np.stack([ox, oy], axis=-1), K)
+        assert np.array_equal(n[int(K.cy), int(K.cx)], [0, 0])
 
     def test_focal_offset(self):
         K = Intrinsics(fx=200, fy=200, cx=100, cy=100, width=400, height=400)
-        n = camera.pixel_to_normalised(np.array([300.0, 100.0]), K)
-        assert np.allclose(n, [1, 0], atol=0)
+        ox, oy = camera.pixel_offsets(K, (400, 400))
+        n = camera.flow_pixels_to_normalised(np.stack([ox, oy], axis=-1), K)
+        assert np.array_equal(n[100, 300], [1, 0])
 
     def test_roundtrip(self, K):
         rng = np.random.default_rng(1)
         u = rng.uniform(-100, 100, (50, 2))
-        back = camera.normalised_to_pixel(camera.pixel_to_normalised(u, K), K)
+        back = camera.flow_normalised_to_pixels(
+            camera.flow_pixels_to_normalised(u, K), K)
         assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -190,10 +211,9 @@ class TestFlowFromPose:
             x = rng.integers(0, K.width)
             if not mask[y, x]:
                 continue
-            p = camera.backproject(depth[y, x], (x, y), K)
-            moved = T[:3, :3] @ p + T[:3, 3]
-            expected = camera.project(moved) - camera.pixel_to_normalised(
-                np.array([float(x), float(y)]), K)
+            n = np.array([(x - K.cx) / K.fx, (y - K.cy) / K.fy])
+            moved = T[:3, :3] @ (depth[y, x] * np.append(n, 1.0)) + T[:3, 3]
+            expected = moved[:2] / moved[2] - n
             assert np.max(np.abs(flow[y, x] - expected)) < 1e-10
 
     def test_consistency_with_warp(self, K):

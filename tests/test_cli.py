@@ -56,6 +56,16 @@ class TestSynth:
                          "--out", str(tmp_path / "s"))
         assert code == 2
 
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
+    def test_bad_noise_sigma_is_usage_error(self, capsys, tmp_path, sigma):
+        # these rendered a noiseless scene, or a non-finite one, with exit 0
+        out = tmp_path / "scene"
+        code, stdout, err = run(capsys, *SYNTH_ARGS, "--noise-sigma", sigma,
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: noise_sigma must be finite and >= 0\n"
+        assert not out.exists()
+
     def test_deterministic_manifests(self, capsys, tmp_path):
         run(capsys, *SYNTH_ARGS, "--out", str(tmp_path / "a"))
         run(capsys, *SYNTH_ARGS, "--out", str(tmp_path / "b"))
@@ -129,11 +139,27 @@ class TestSolve:
 
     def test_residual_raster_written(self, capsys, scene_dir, tmp_path):
         directory, _ = scene_dir
+        depth = rasters.read_raster(directory / "depth.engr")
+        depth[:, :5] = np.nan
+        holes = tmp_path / "holes.engr"
+        rasters.write_raster(holes, depth)
         out = tmp_path / "resid.engr"
-        code, _, _ = run(capsys, *solve_args(directory, "--residuals", str(out)))
+        code, stdout, _ = run(capsys, "solve", "--depth", str(holes),
+                              "--flow", str(directory / "flow.engr"),
+                              "--intrinsics", str(directory / "intrinsics.txt"),
+                              "--residuals", str(out))
         assert code == 0
         resid = rasters.read_raster(out)
         assert resid.shape == (48, 64, 2)
+        # the raster is compute_residuals at the printed pose, as float32
+        xi = np.array([float(x) for x in stdout.split()[:6]])
+        flow = cli._flow_field_from_raster(
+            rasters.read_raster(directory / "flow.engr"))
+        K = rasters.read_intrinsics(directory / "intrinsics.txt")
+        want = solver.compute_residuals(depth, flow, xi, K)
+        assert np.array_equal(resid, want.astype(np.float32))
+        assert np.count_nonzero(resid[:, :5]) == 0
+        assert np.all(resid[:, 5:].any(axis=-1))
 
     def test_config_file_merging(self, capsys, scene_dir, tmp_path):
         directory, _ = scene_dir
@@ -230,6 +256,23 @@ class TestSolve:
                          "--flow", str(directory / "flow.engr"),
                          "--intrinsics", str(directory / "intrinsics.txt"))
         assert code == 5
+
+    @pytest.mark.parametrize("floor", ["0", "-5"])
+    def test_min_valid_pixels_below_one_is_usage_error(self, capsys, scene_dir,
+                                                       tmp_path, floor):
+        # with no valid pixel, a floor below 1 let the all-zero normal
+        # equations through, and the solve exited 4
+        directory, _ = scene_dir
+        depth = rasters.read_raster(directory / "depth.engr")
+        depth[:] = np.nan
+        bad = tmp_path / "empty.engr"
+        rasters.write_raster(bad, depth)
+        code, out, err = run(capsys, "solve", "--depth", str(bad),
+                             "--flow", str(directory / "flow.engr"),
+                             "--intrinsics", str(directory / "intrinsics.txt"),
+                             "--min-valid-pixels", floor)
+        assert (code, out) == (2, "")
+        assert err == "error: min_valid_pixels must be >= 1\n"
 
     def test_intrinsics_size_mismatch_is_format_error(self, capsys, scene_dir,
                                                       tmp_path):

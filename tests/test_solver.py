@@ -46,24 +46,28 @@ class TestComputeResiduals:
         depth = np.full((K.height, K.width), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        rep = solver.compute_residuals(depth, ff, np.zeros(6), K)
-        assert np.count_nonzero(rep.residuals) == 0
-        assert rep.m == 0.0
+        residuals = solver.compute_residuals(depth, ff, np.zeros(6), K)
+        assert residuals.shape == (K.height, K.width, 2)
+        assert np.count_nonzero(residuals) == 0
+        config = SolverConfig()
+        _, report = solver.gauss_newton_step(
+            solver.prepare(depth, ff, K, config), np.zeros(6), config)
+        assert report.m == 0.0
 
     def test_zero_at_ground_truth(self, K):
         xi = np.array([0.03, -0.02, 0.01, 0.004, 0.006, -0.008])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi, K)
-        rep = solver.compute_residuals(depth, ff, xi, K)
-        assert np.max(np.abs(rep.residuals)) < 1e-12
+        residuals = solver.compute_residuals(depth, ff, xi, K)
+        assert np.max(np.abs(residuals)) < 1e-12
 
     def test_at_zero_equals_negative_flow(self, K):
         xi = np.array([0.02, 0.01, -0.01, 0.003, -0.002, 0.005])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi, K)
-        rep = solver.compute_residuals(depth, ff, np.zeros(6), K)
+        residuals = solver.compute_residuals(depth, ff, np.zeros(6), K)
         expected, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
-        assert np.max(np.abs(rep.residuals[mask] + expected[mask])) < 1e-12
+        assert np.max(np.abs(residuals[mask] + expected[mask])) < 1e-12
 
     def test_insufficient_pixels(self, K):
         depth = np.full((K.height, K.width), np.nan)
@@ -337,9 +341,12 @@ class TestPreparedStep:
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
         xi = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-        rep = solver.compute_residuals(depth, ff, xi, K)
-        assert rep.valid_count == K.height * (K.width - 10)
-        assert np.count_nonzero(rep.residuals[:, :10]) == 0
+        residuals = solver.compute_residuals(depth, ff, xi, K)
+        assert np.count_nonzero(residuals[:, :10]) == 0
+        config = SolverConfig()
+        _, report = solver.gauss_newton_step(
+            solver.prepare(depth, ff, K, config), xi, config)
+        assert report.valid_count == K.height * (K.width - 10)
 
     def test_confidences_computed_once_per_solve(self, K, monkeypatch,
                                                  outlier_scene):
@@ -673,8 +680,7 @@ class StubStep:
         self.points.append(np.array(xi))
         beta = np.asarray(self.beta_of(len(self.points) - 1, xi), dtype=float)
         return beta, solver.ResidualReport(
-            residuals=None, m=0.0, weighted_cost=float(len(self.points)),
-            valid_count=64)
+            m=0.0, weighted_cost=float(len(self.points)), valid_count=64)
 
 
 E0, E1 = np.eye(6)[:2]
@@ -765,6 +771,11 @@ class TestConfig:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("floor", [0, -5, np.nan])
+    def test_rejects_min_valid_pixels_below_one(self, floor):
+        with pytest.raises(ValueError, match="min_valid_pixels"):
+            SolverConfig(min_valid_pixels=floor)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):

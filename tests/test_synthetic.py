@@ -50,6 +50,11 @@ class TestRender:
         with pytest.raises(ValueError):
             synthetic.render(spec)
 
+    @pytest.mark.parametrize("sigma", [-0.5, np.nan, np.inf])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            basic_spec(noise_sigma=sigma)
+
     def test_determinism(self):
         a = synthetic.render(basic_spec(noise_sigma=0.5, outlier_fraction=0.1,
                                         outlier_magnitude=20.0))

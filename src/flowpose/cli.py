@@ -8,11 +8,17 @@ flag on the command line wins in any form argparse accepts. A bad value
 exits 2; an on/off value is one of 1/true/yes/on or 0/false/no/off, in
 any case.
 
+`main` makes glibc keep freed memory in the process heap, so the solver's
+raster-sized temporaries stop page-faulting in afresh; it is not done at
+import, so a program that imports the library keeps its own allocator.
+
 Exit codes: 0 success, 2 usage, 3 I/O or format error, 4 numerical
 degeneracy, 5 insufficient data.
 """
 
 import argparse
+import ctypes
+import functools
 import sys
 
 import numpy as np
@@ -24,6 +30,37 @@ from .errors import FlowPoseError, RasterFormatError, UsageError
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Make glibc keep freed memory in this process's heap, once per process.
+
+    By default glibc maps each buffer above its dynamic mmap threshold,
+    unmaps it when it is freed and trims the heap top, so the next
+    raster-sized numpy temporary (0.6-1.8 MB at 320x240) page-faults in
+    afresh: a repeated QVGA `solve` took 2,300-4,000 minor faults, and 0-12
+    with both settings below. Does nothing where libc has no `mallopt` or
+    rejects the setting (not glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # 32 MiB, glibc's largest on 64-bit: every buffer up to the 29.5 MB VGA
+    # Jacobian stack comes from the heap. Alone it still left 2,594 faults
+    # per QVGA solve, as freed memory at the heap top went back to the kernel.
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        # 1 GiB: the heap top is kept. Alone this setting turns off the
+        # dynamic mmap threshold, so every buffer over 128 KB is mapped and
+        # faulted (14,637 faults per solve); so it is set only where the
+        # mmap threshold was accepted.
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _parse_motion(text):
@@ -302,6 +339,7 @@ def build_parser():
 
 
 def main(argv=None):
+    _keep_freed_memory()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

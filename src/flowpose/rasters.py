@@ -18,8 +18,14 @@ _HEADER = struct.Struct("<4sIIII")
 
 
 def write_raster(path, data):
-    """Write a (H, W) or (H, W, C) float array as an ENGR raster."""
-    data = np.asarray(data, dtype=np.float32)
+    """Write a (H, W) or (H, W, C) float array as an ENGR raster. NaN and
+    infinite values are written as they are; a finite value beyond the
+    float32 range is a ValueError, and no file is written."""
+    try:
+        with np.errstate(over='raise'):
+            data = np.ascontiguousarray(data, dtype='<f4')
+    except FloatingPointError:
+        raise ValueError(f"{path}: a finite value overflows float32") from None
     if data.ndim == 2:
         data = data[:, :, None]
     if data.ndim != 3:
@@ -27,7 +33,7 @@ def write_raster(path, data):
     h, w, c = data.shape
     with open(path, 'wb') as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, w, h, c))
-        fh.write(np.ascontiguousarray(data).astype('<f4').tobytes())
+        fh.write(data)
 
 
 def read_raster(path):

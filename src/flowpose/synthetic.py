@@ -137,6 +137,8 @@ class SceneSpec:
             self.intrinsics = default_intrinsics(self.width, self.height)
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ValueError("outlier_fraction must be in [0, 1)")
+        if not np.isfinite(self.outlier_magnitude):
+            raise ValueError("outlier_magnitude must be finite")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be finite and >= 0")
 

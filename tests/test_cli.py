@@ -1,3 +1,4 @@
+import ctypes
 import os
 import struct
 import subprocess
@@ -18,6 +19,14 @@ from flowpose.trajectory import Trajectory
 
 # the directory holding the flowpose package the tests import
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(flowpose.__file__)))
+
+
+def child_env():
+    """os.environ for a child interpreter that imports this flowpose."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def run(capsys, *argv):
@@ -65,6 +74,29 @@ class TestSynth:
         assert (code, stdout) == (2, "")
         assert err == "error: noise_sigma must be finite and >= 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
+    def test_non_finite_outlier_magnitude_is_usage_error(self, capsys,
+                                                         tmp_path, magnitude):
+        # these wrote a flow raster with non-finite outlier pixels, exit 0
+        out = tmp_path / "scene"
+        code, stdout, err = run(capsys, *SYNTH_ARGS, "--outlier-fraction",
+                                "0.1", f"--outlier-magnitude={magnitude}",
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: outlier_magnitude must be finite\n"
+        assert not out.exists()
+
+    def test_float32_overflow_is_usage_error(self, capsys, tmp_path):
+        # this wrote non-finite outlier flow after an overflow warning, exit 0
+        out = tmp_path / "scene"
+        code, stdout, err = run_strict(
+            capsys, *SYNTH_ARGS, "--outlier-fraction", "0.1",
+            "--outlier-magnitude", "1e39", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        flow = out / "flow.engr"
+        assert err == f"error: {flow}: a finite value overflows float32\n"
+        assert not flow.exists() and not (out / "manifest.txt").exists()
 
     def test_deterministic_manifests(self, capsys, tmp_path):
         run(capsys, *SYNTH_ARGS, "--out", str(tmp_path / "a"))
@@ -520,10 +552,8 @@ class TestEvalTraj:
     def test_sampleless_file_one_stderr_line(self, tmp_path, content):
         path = tmp_path / "empty.txt"
         path.write_text(content)
-        env = dict(os.environ)
+        env = child_env()
         env.pop("PYTHONWARNINGS", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run(
             [sys.executable, "-m", "flowpose.cli", "eval-traj",
              "--est", str(path), "--gt", str(path)],
@@ -1009,3 +1039,82 @@ class TestExtremeSolveNumbers:
         else:
             assert err == ""
             assert np.all(np.isfinite([float(x) for x in out.split()])), out
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+def run_python(source, *argv):
+    return subprocess.run([sys.executable, "-c", source, *argv],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
+
+
+# Each call's minor page faults, as one stdout line.
+_FAULTS_PER_CALL = """
+import contextlib, io, resource, sys
+from flowpose import cli
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+# mallopt calls made by importing flowpose.cli and by two main() calls,
+# with a stub libc whose mallopt returns sys.argv[1].
+_MALLOPT_CALLS = """
+import ctypes, sys
+calls = []
+def mallopt(param, value):
+    calls.append((param, value))
+    return int(sys.argv[1])
+class CDLL:
+    def __init__(self, name):
+        self.mallopt = mallopt
+ctypes.CDLL = CDLL
+from flowpose import cli
+on_import = list(calls)
+cli.main([])
+cli.main([])
+print(on_import, calls)
+"""
+
+
+class TestProcessHeap:
+    """`main` keeps freed memory in the process heap, so raster-sized
+    temporaries are not page-faulted in afresh on every call."""
+
+    @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+    def test_repeated_solve_takes_no_page_faults(self, tmp_path):
+        K = Intrinsics(fx=262.5, fy=262.5, cx=160.0, cy=120.0,
+                       width=320, height=240)
+        spec = synthetic.SceneSpec(
+            width=320, height=240, intrinsics=K,
+            motion=[0.01, -0.005, 0.008, 0.004, -0.003, 0.006],
+            depth_model=synthetic.SmoothRandomDepth(seed=3, amplitude=0.5),
+            noise_sigma=0.5, seed=5)
+        synthetic.write_scene(spec, tmp_path / "scene")
+        proc = run_python(_FAULTS_PER_CALL, *solve_args(tmp_path / "scene"))
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(n) for n in proc.stdout.split()]
+        # glibc's default returned each freed temporary to the kernel: calls
+        # 3 and 4 took 1,744-4,054 faults each; the first two grow the heap
+        assert max(faults[2:]) < 100, faults
+
+    @pytest.mark.parametrize("returns, expected", [
+        (1, "[] [(-3, 33554432), (-1, 1073741824)]"),
+        # a libc that rejects the mmap threshold gets no trim threshold,
+        # which alone would map every buffer over 128 KB
+        (0, "[] [(-3, 33554432)]"),
+    ], ids=["glibc", "rejected"])
+    def test_main_sets_both_thresholds_once(self, returns, expected):
+        proc = run_python(_MALLOPT_CALLS, str(returns))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected + "\n"

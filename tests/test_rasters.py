@@ -23,6 +23,29 @@ class TestRasterRoundtrip:
         assert back.shape == (4, 5, 5)
         assert np.array_equal(back.astype(np.float32), data)
 
+    @pytest.mark.parametrize("data", [
+        np.linspace(-3.0, 3.0, 24).reshape(4, 6),
+        np.linspace(-3.0, 3.0, 60).reshape(4, 5, 3).transpose(1, 0, 2),
+        np.float32([[1.5, np.nan], [np.inf, -np.inf]]),
+        np.float64([[1e-50, -0.0], [3e38, np.nan]]),
+    ], ids=["float64", "strided", "float32", "extremes"])
+    def test_bytes_match_three_pass_conversion(self, tmp_path, data):
+        path = tmp_path / "r.engr"
+        rasters.write_raster(path, data)
+        ref = np.asarray(data, dtype=np.float32)
+        h, w = ref.shape[:2]
+        c = ref.shape[2] if ref.ndim == 3 else 1
+        assert path.read_bytes() == (
+            rasters._HEADER.pack(b"ENGR", 1, w, h, c)
+            + np.ascontiguousarray(ref).astype('<f4').tobytes())
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_float32_overflow_is_value_error(self, tmp_path, value):
+        path = tmp_path / "big.engr"
+        with pytest.raises(ValueError, match="overflows float32"):
+            rasters.write_raster(path, np.float64([[1.0, value]]))
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.engr"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

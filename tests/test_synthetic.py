@@ -55,6 +55,11 @@ class TestRender:
         with pytest.raises(ValueError, match="noise_sigma"):
             basic_spec(noise_sigma=sigma)
 
+    @pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outlier_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match="outlier_magnitude"):
+            basic_spec(outlier_fraction=0.1, outlier_magnitude=magnitude)
+
     def test_determinism(self):
         a = synthetic.render(basic_spec(noise_sigma=0.5, outlier_fraction=0.1,
                                         outlier_magnitude=20.0))

@@ -29,4 +29,4 @@ print("error:", np.linalg.norm(result.xi - true_xi))
 print("converged in", result.iterations, "iterations")
 
 # residuals at the solution are numerically zero on noiseless data
-print("final weighted cost:", result.final_cost)
+print("final weighted cost:", result.reports[-1].weighted_cost)

@@ -187,11 +187,11 @@ def cmd_solve(args):
         print("xi:         " + " ".join("%.12g" % x for x in result.xi))
         print("iterations: %d" % result.iterations)
         print("converged:  %s" % result.converged)
-        print("final_cost: %.12g" % result.final_cost)
+        print("final_cost: %.12g" % result.reports[-1].weighted_cost)
     else:
         print(" ".join("%.17g" % x for x in result.xi)
               + " %d %d %.17g" % (result.iterations, int(result.converged),
-                                  result.final_cost))
+                                  result.reports[-1].weighted_cost))
     return EXIT_OK
 
 

@@ -17,10 +17,10 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 
 
-def write_raster(path, data):
-    """Write a (H, W) or (H, W, C) float array as an ENGR raster. NaN and
-    infinite values are written as they are; a finite value beyond the
-    float32 range is a ValueError, and no file is written."""
+def encode_raster(path, data):
+    """The ENGR bytes of a (H, W) or (H, W, C) float array. NaN and infinite
+    values are encoded as they are; a finite value beyond the float32 range
+    is a ValueError that names `path`, the file the bytes are meant for."""
     try:
         with np.errstate(over='raise'):
             data = np.ascontiguousarray(data, dtype='<f4')
@@ -31,9 +31,15 @@ def write_raster(path, data):
     if data.ndim != 3:
         raise ValueError("raster must be 2-D or 3-D")
     h, w, c = data.shape
+    return b"".join((_HEADER.pack(MAGIC, VERSION, w, h, c), data))
+
+
+def write_raster(path, data):
+    """Write a (H, W) or (H, W, C) float array as an ENGR raster, encoded by
+    encode_raster; when it cannot be encoded, no file is written."""
+    encoded = encode_raster(path, data)
     with open(path, 'wb') as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, w, h, c))
-        fh.write(data)
+        fh.write(encoded)
 
 
 def read_raster(path):
@@ -60,11 +66,16 @@ def read_raster(path):
     return data
 
 
+def intrinsics_line(K):
+    """The intrinsics file's single line: fx fy cx cy width height."""
+    return ("%.17g %.17g %.17g %.17g %d %d\n"
+            % (K.fx, K.fy, K.cx, K.cy, K.width, K.height))
+
+
 def write_intrinsics(path, K):
-    """Write intrinsics as a single line: fx fy cx cy width height."""
+    """Write an intrinsics file, the one line of intrinsics_line."""
     with open(path, 'w') as fh:
-        fh.write("%.17g %.17g %.17g %.17g %d %d\n"
-                 % (K.fx, K.fy, K.cx, K.cy, K.width, K.height))
+        fh.write(intrinsics_line(K))
 
 
 def read_text(path):

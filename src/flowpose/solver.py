@@ -110,21 +110,25 @@ class SolverConfig:
 
 @dataclass
 class ResidualReport:
-    """Residual statistics of one gauss_newton_step, at the xi it was given."""
+    """Residual statistics of one gauss_newton_step, at the xi it was given,
+    and the kind of update `solve` made from it."""
     m: float                    # mean residual magnitude over valid pixels
     weighted_cost: float        # sum of w * r^2 over valid pixels
     valid_count: int
+    update: str = 'plain'       # 'plain' or 'mixed', set by solve; a
+                                # fall-back counts as 'plain'
 
 
 @dataclass
 class SolveResult:
     xi: np.ndarray
-    iterations: int
     converged: bool
-    final_cost: float
-    per_iteration_costs: list
-    per_iteration_steps: list   # 'plain' or 'mixed' per gauss_newton_step
-                                # call; a fall-back counts as 'plain'
+    reports: list               # the ResidualReport of each
+                                # gauss_newton_step call, in order
+
+    @property
+    def iterations(self):
+        return len(self.reports)
 
 
 @dataclass
@@ -326,24 +330,22 @@ def solve(depth, flow_field, K, config=None):
         config = SolverConfig()
     problem = prepare(depth, flow_field, K, config)
     xi = np.array(config.seed_xi, dtype=float)
-    costs, steps = [], []
+    reports = []
     converged = False
     max_iter = 1 if config.single_iteration else config.max_iterations
     last = None         # (xi, beta) of the previous step; None after a restart
     plain = None        # the plain point the previous, mixed step replaced
     for k in range(max_iter):
         beta, report = gauss_newton_step(problem, xi, config)
-        costs.append(report.weighted_cost)
+        reports.append(report)
         norm = np.linalg.norm(beta)
         if norm < config.convergence_tol:
             converged = True
             xi = xi + beta
-            steps.append('plain')
             break
         if plain is not None and norm > np.linalg.norm(last[1]):
             # the mixed step did worse: restart from the plain point
             xi, last, plain = plain, None, None
-            steps.append('plain')
             continue
         step = beta
         plain = None
@@ -355,9 +357,7 @@ def solve(depth, flow_field, K, config=None):
                 theta = (beta @ dbeta) / denom
                 step = beta - theta * (dx + dbeta)
                 plain = xi + beta
-        steps.append('plain' if plain is None else 'mixed')
+                report.update = 'mixed'
         last = (xi, beta)
         xi = xi + step
-    return SolveResult(xi=xi, iterations=len(costs), converged=converged,
-                       final_cost=costs[-1], per_iteration_costs=costs,
-                       per_iteration_steps=steps)
+    return SolveResult(xi=xi, converged=converged, reports=reports)

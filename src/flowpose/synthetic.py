@@ -150,7 +150,6 @@ class SceneRender:
     image_1: np.ndarray
     image_2: np.ndarray
     transform: np.ndarray
-    xi: np.ndarray
     outlier_mask: np.ndarray
 
 
@@ -159,7 +158,7 @@ def _second_view_scene_coords(spec, T, a, b):
     pixel of the second camera, whose normalised coordinates are (a, b).
 
     Solves lambda * ray2 = T X1 with X1 on the depth surface; closed form
-    for constant/plane depths, fixed-point iteration otherwise.
+    for plane depths, fixed-point iteration otherwise.
     Returns (a1, b1, valid).
 
     The iteration runs at most 50 steps. A pixel's next lambda depends on
@@ -177,9 +176,7 @@ def _second_view_scene_coords(spec, T, a, b):
     t1 = R.T @ t
 
     model = spec.depth_model
-    if isinstance(model, ConstantDepth):
-        lam = (model.value + t1[2]) / ray1[2]
-    elif isinstance(model, PlaneDepth):
+    if isinstance(model, PlaneDepth):
         n = np.asarray(model.normal, dtype=float)
         lam = (model.offset + n @ t1) / (rows @ n)
     else:
@@ -225,6 +222,8 @@ def render(spec):
     T = se3.exp(spec.motion)
     norm_flow, valid = camera.flow_from_pose(depth, T, K)
     flow_px = camera.flow_normalised_to_pixels(norm_flow, K)
+    # a pixel without a measurement holds NaN flow, which a scene file keeps
+    flow_px[~valid] = np.nan
 
     image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
     a2, b2, valid2 = _second_view_scene_coords(spec, T, a, b)
@@ -256,27 +255,15 @@ def render(spec):
         ).reshape(n_outliers, 2)
         flow_flat = flow_px.reshape(-1, 2)
         flow_flat[chosen] = flow_flat[chosen] + signs * spec.outlier_magnitude
-        flow_px = flow_flat.reshape(spec.height, spec.width, 2)
-        info_flat = info.reshape(-1, 3)
-        info_flat[chosen] = (-6.0, 0.0, -6.0)
-        info = info_flat.reshape(spec.height, spec.width, 3)
+        info.reshape(-1, 3)[chosen] = (-6.0, 0.0, -6.0)
 
-    flow_field = FlowField(flow=flow_px, info=info, valid=valid)
+    flow_field = FlowField(flow=flow_px, info=info)
     return SceneRender(depth=depth, flow_field=flow_field,
                        image_1=image_1, image_2=image_2,
-                       transform=T, xi=spec.motion.copy(),
-                       outlier_mask=outlier_mask)
+                       transform=T, outlier_mask=outlier_mask)
 
 
 # --- scene directories ----------------------------------------------------
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, 'rb') as fh:
-        for block in iter(lambda: fh.read(65536), b''):
-            h.update(block)
-    return h.hexdigest()
-
 
 def write_scene(spec, directory):
     """Write a rendered scene to `directory` and return the manifest path.
@@ -284,34 +271,30 @@ def write_scene(spec, directory):
     Artifacts: depth raster, 5-channel flow+info raster, 2-channel image
     pair raster, intrinsics file, ground-truth motion file, plus a
     manifest of `filename sha256` lines. Byte-identical across runs for
-    the same spec.
+    the same spec. Every artifact is encoded before the directory is made,
+    so a scene that cannot be encoded leaves nothing behind.
     """
     scene = render(spec)
-    os.makedirs(directory, exist_ok=True)
     K = spec.intrinsics
-
-    artifacts = []
-
-    def emit(name, writer):
-        path = os.path.join(directory, name)
-        writer(path)
-        artifacts.append(name)
-
-    emit("depth.engr", lambda p: rasters.write_raster(p, scene.depth))
     flow5 = np.concatenate([scene.flow_field.flow, scene.flow_field.info],
                            axis=-1)
-    emit("flow.engr", lambda p: rasters.write_raster(p, flow5))
     pair = np.stack([scene.image_1, scene.image_2], axis=-1)
-    emit("images.engr", lambda p: rasters.write_raster(p, pair))
-    emit("intrinsics.txt", lambda p: rasters.write_intrinsics(p, K))
+    artifacts = {}
+    for name, data in (("depth.engr", scene.depth), ("flow.engr", flow5),
+                       ("images.engr", pair)):
+        path = os.path.join(directory, name)
+        artifacts[name] = rasters.encode_raster(path, data)
+    artifacts["intrinsics.txt"] = rasters.intrinsics_line(K).encode()
+    motion = " ".join("%.17g" % x for x in spec.motion) + "\n"
+    artifacts["pose_gt.txt"] = motion.encode()
 
-    def write_xi(path):
-        with open(path, 'w') as fh:
-            fh.write(" ".join("%.17g" % x for x in scene.xi) + "\n")
-    emit("pose_gt.txt", write_xi)
-
+    os.makedirs(directory, exist_ok=True)
+    manifest = []
+    for name, data in artifacts.items():
+        with open(os.path.join(directory, name), 'wb') as fh:
+            fh.write(data)
+        manifest.append("%s %s\n" % (name, hashlib.sha256(data).hexdigest()))
     manifest_path = os.path.join(directory, "manifest.txt")
     with open(manifest_path, 'w') as fh:
-        for name in artifacts:
-            fh.write("%s %s\n" % (name, _sha256(os.path.join(directory, name))))
+        fh.write("".join(manifest))
     return manifest_path

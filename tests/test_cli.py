@@ -96,7 +96,8 @@ class TestSynth:
         assert (code, stdout) == (2, "")
         flow = out / "flow.engr"
         assert err == f"error: {flow}: a finite value overflows float32\n"
-        assert not flow.exists() and not (out / "manifest.txt").exists()
+        # every artifact is encoded first: not even depth.engr is left
+        assert not out.exists()
 
     def test_deterministic_manifests(self, capsys, tmp_path):
         run(capsys, *SYNTH_ARGS, "--out", str(tmp_path / "a"))
@@ -274,7 +275,7 @@ class TestSolve:
             solver.SolverConfig())
         want = (" ".join("%.17g" % x for x in result.xi)
                 + " %d %d %.17g\n" % (result.iterations, result.converged,
-                                      result.final_cost))
+                                      result.reports[-1].weighted_cost))
         assert run(capsys, *solve_args(directory)) == (0, want, "")
 
     def test_insufficient_pixels_exit_code(self, capsys, scene_dir, tmp_path):
@@ -288,6 +289,19 @@ class TestSolve:
                          "--flow", str(directory / "flow.engr"),
                          "--intrinsics", str(directory / "intrinsics.txt"))
         assert code == 5
+
+    def test_scene_without_measurements_is_insufficient_data(self, capsys,
+                                                             tmp_path):
+        # every point lands behind the second camera; its scene file held
+        # zero flow there, which solved to the identity with exit 0
+        out = tmp_path / "scene"
+        code, _, _ = run(capsys, "synth", "--width", "64", "--height", "48",
+                         "--depth", "constant:2",
+                         "--motion=0.1,0.05,-2.5,0.05,-0.1,0.2",
+                         "--out", str(out))
+        assert code == 0
+        assert run(capsys, *solve_args(out)) == (
+            5, "", "insufficient data: 0 valid pixels < required 64\n")
 
     @pytest.mark.parametrize("floor", ["0", "-5"])
     def test_min_valid_pixels_below_one_is_usage_error(self, capsys, scene_dir,

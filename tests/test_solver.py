@@ -567,29 +567,27 @@ class TestSolve:
 
 def plain_reference_solve(depth, flow_field, K, config=None):
     """The plain IRLS loop, xi <- xi + beta, that `solve` ran before it mixed
-    its steps; verbatim but for the step kinds in its result."""
+    its steps; verbatim but for how it builds its result."""
     if config is None:
         config = SolverConfig()
     problem = solver.prepare(depth, flow_field, K, config)
     xi = np.array(config.seed_xi, dtype=float)
-    costs = []
+    reports = []
     converged = False
-    iterations = 0
-    final_cost = float('nan')
     max_iter = 1 if config.single_iteration else config.max_iterations
     for _ in range(max_iter):
         beta, report = solver.gauss_newton_step(problem, xi, config)
         xi = xi + beta
-        iterations += 1
-        costs.append(report.weighted_cost)
-        final_cost = report.weighted_cost
+        reports.append(report)
         if np.linalg.norm(beta) < config.convergence_tol:
             converged = True
             break
-    return solver.SolveResult(xi=xi, iterations=iterations,
-                              converged=converged, final_cost=final_cost,
-                              per_iteration_costs=costs,
-                              per_iteration_steps=['plain'] * iterations)
+    return solver.SolveResult(xi=xi, converged=converged, reports=reports)
+
+
+def updates(result):
+    """The update kind of each step of a SolveResult."""
+    return [report.update for report in result.reports]
 
 
 def small_scene(seed, outliers):
@@ -634,9 +632,10 @@ class TestMixedSteps:
             assert np.max(np.abs(res.xi - limit)) < 1e-9
             assert np.max(np.abs(res.xi - ref.xi)) < 2e-9
             assert res.iterations <= ref.iterations + 1
-            assert len(res.per_iteration_costs) == res.iterations
-            assert res.per_iteration_steps[0] == 'plain'
-            assert set(res.per_iteration_steps) <= {'plain', 'mixed'}
+            # both first steps are plain steps from the seed
+            assert res.reports[0] == ref.reports[0]
+            assert updates(res)[0] == 'plain'
+            assert set(updates(res)) <= {'plain', 'mixed'}
 
     def test_noisy_qvga_frame_takes_fewer_steps(self):
         # 320x240 frame as in the odometry benchmark: TUM-like intrinsics,
@@ -664,8 +663,8 @@ class TestMixedSteps:
         ref = plain_reference_solve(*args, SolverConfig(max_iterations=1))
         res = solver.solve(*args, SolverConfig(single_iteration=True))
         assert res.xi.tobytes() == ref.xi.tobytes()
-        assert res.per_iteration_costs == ref.per_iteration_costs
-        assert res.iterations == 1 and res.per_iteration_steps == ['plain']
+        assert res.reports == ref.reports
+        assert res.iterations == 1 and updates(res) == ['plain']
 
 
 class StubStep:
@@ -713,7 +712,7 @@ class TestMixedStepsOnStub:
         np.testing.assert_allclose(
             points[2], x1 + f1 - theta * ((x1 - x0) + (f1 - f0)),
             rtol=0, atol=1e-16)
-        assert res.per_iteration_steps == ['plain', 'mixed', 'plain']
+        assert updates(res) == ['plain', 'mixed', 'plain']
         assert len(points) == res.iterations == 3
 
     def test_one_dimensional_linear_map_converges_in_three_calls(self, run):
@@ -722,15 +721,15 @@ class TestMixedStepsOnStub:
         res, points = run(lambda k, xi: 0.5 * (2.0 * E0 - xi))
         np.testing.assert_allclose(points[2], 2.0 * E0, rtol=0, atol=1e-15)
         assert res.converged and res.iterations == 3
-        assert res.per_iteration_steps == ['plain', 'mixed', 'plain']
-        assert res.per_iteration_costs == [1.0, 2.0, 3.0]
-        assert res.final_cost == 3.0
+        assert updates(res) == ['plain', 'mixed', 'plain']
+        # the stub's cost counts its calls: the reports are its own, in order
+        assert [r.weighted_cost for r in res.reports] == [1.0, 2.0, 3.0]
 
     def test_zero_denominator_takes_plain_steps(self, run):
         # beta never changes, so ||beta_k - beta_{k-1}||^2 = 0 at every step
         step = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
         res, points = run(lambda k, xi: step, max_iterations=7)
-        assert res.per_iteration_steps == ['plain'] * 7
+        assert updates(res) == ['plain'] * 7
         assert not res.converged and len(points) == res.iterations == 7
         for k, point in enumerate(points + [res.xi]):
             np.testing.assert_allclose(point, k * step, rtol=0, atol=1e-15)
@@ -752,8 +751,8 @@ class TestMixedStepsOnStub:
     def test_falls_back_when_beta_grows(self, run):
         res, points = run(self.scripted)
         assert len(points) == res.iterations == 6 and res.converged
-        assert res.per_iteration_steps == ['plain', 'mixed', 'plain',
-                                           'plain', 'mixed', 'plain']
+        assert updates(res) == ['plain', 'mixed', 'plain',
+                                'plain', 'mixed', 'plain']
         np.testing.assert_allclose(res.xi, 2.0 * E0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("calls, xi", [(1, 1.0 * E0), (2, 1.5 * E0),
@@ -763,7 +762,7 @@ class TestMixedStepsOnStub:
         res, points = run(self.scripted, max_iterations=calls)
         assert len(points) == res.iterations == calls
         assert not res.converged
-        assert res.per_iteration_steps[-1] == 'plain'
+        assert updates(res)[-1] == 'plain'
         np.testing.assert_allclose(res.xi, xi, rtol=0, atol=1e-15)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,22 @@ class TestRender:
         flow, mask = camera.flow_from_pose(scene.depth, scene.transform, K)
         pix = camera.flow_normalised_to_pixels(flow, K)
         assert np.max(np.abs(scene.flow_field.flow[mask] - pix[mask])) < 1e-10
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
+    def test_flow_is_nan_exactly_where_unmeasured(self, noise_sigma):
+        # the camera turns by 86 degrees, so part of the surface lands
+        # behind it; a scene file keeps the NaN, where zero flow read back
+        # as a measurement
+        spec = basic_spec(motion=[0.1, 0.0, 0.1, 0.05, 1.5, 0.0],
+                          noise_sigma=noise_sigma, outlier_fraction=0.1,
+                          outlier_magnitude=10.0)
+        scene = synthetic.render(spec)
+        _, mask = camera.flow_from_pose(scene.depth, scene.transform,
+                                        spec.intrinsics)
+        assert mask.any() and not mask.all()
+        nan = np.isnan(scene.flow_field.flow)
+        assert np.array_equal(nan, np.stack([~mask, ~mask], axis=-1))
+        assert np.array_equal(scene.flow_field.valid, mask)
 
     def test_nonpositive_depth_rejected(self):
         spec = basic_spec(depth_model=ConstantDepth(-1.0))
@@ -167,6 +184,46 @@ class TestSecondViewMatchesParent:
             assert valid.any() and not valid.all()
 
 
+def constant_depth_closed_form(spec, T, a, b):
+    """The closed form _second_view_scene_coords once took for a constant
+    depth, kept as the reference for the fixed-point loop that replaced it."""
+    R = T[:3, :3]
+    t = T[:3, 3]
+    rows = np.stack([a, b, np.ones_like(a)], axis=-1) @ R
+    ray1 = np.ascontiguousarray(np.moveaxis(rows, -1, 0))
+    t1 = R.T @ t
+    lam = (spec.depth_model.value + t1[2]) / ray1[2]
+    (a1, b1), front = camera.divide(lam * ray1 - t1[:, None, None])
+    return a1, b1, (lam > 0) & front
+
+
+class TestConstantDepthLoopMatchesClosedForm:
+    # the loop's lambda is the closed form from its first step on, so it
+    # stops at step 4 with the closed form's bits, at every pixel: those
+    # behind either camera too, which the last three motions make
+    @pytest.mark.parametrize("size", [(320, 240), (64, 48), (33, 17)],
+                             ids=["320x240", "64x48", "33x17"])
+    @pytest.mark.parametrize("depth, motion", [
+        (2.0, [0.02, -0.01, 0.01, 0.004, -0.003, 0.006]),
+        (0.7, [0.3, -0.2, 0.5, 0.2, -0.1, 0.4]),
+        (2.0, [0.1, 0.0, 0.1, 0.05, 1.5, 0.0]),
+        (2.0, [0.1, 0.05, -2.5, 0.05, -0.1, 0.2]),
+        (3.3, [-1.2, 0.8, 1.1, 1.6, -0.9, 1.3]),
+    ], ids=["small", "large", "turned", "behind", "norm3"])
+    def test_bit_identical(self, size, depth, motion):
+        width, height = size
+        spec = basic_spec(width=width, height=height, motion=motion,
+                          depth_model=ConstantDepth(depth))
+        K = spec.intrinsics
+        T = se3.exp(spec.motion)
+        ox, oy = camera.pixel_offsets(K, (height, width))
+        got = synthetic._second_view_scene_coords(spec, T, ox / K.fx,
+                                                  oy / K.fy)
+        want = constant_depth_closed_form(spec, T, ox / K.fx, oy / K.fy)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 class TestWriteScene:
     def test_manifest_identical_across_runs(self, tmp_path):
         spec = basic_spec(noise_sigma=0.3, outlier_fraction=0.05,
@@ -182,6 +239,16 @@ class TestWriteScene:
         names = [l.split()[0] for l in lines]
         assert names == ["depth.engr", "flow.engr", "images.engr",
                          "intrinsics.txt", "pose_gt.txt"]
+
+    def test_manifest_hashes_the_files_written(self, tmp_path):
+        # write_scene hashes the bytes it encoded, not the files read back
+        spec = basic_spec(noise_sigma=0.3, outlier_fraction=0.05,
+                          outlier_magnitude=10.0)
+        manifest = Path(synthetic.write_scene(spec, tmp_path / "scene"))
+        for line in manifest.read_text().splitlines():
+            name, digest = line.split()
+            data = (tmp_path / "scene" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
 
     def test_reread_rasters_bitwise_equal(self, tmp_path):
         spec = basic_spec()

@@ -115,9 +115,15 @@ def _moved_grid(depth, T, K):
     depth = np.asarray(depth, dtype=float)
     ox, oy = pixel_offsets(K, depth.shape)
     valid = depth_valid_mask(depth)
-    d = np.where(valid, depth, 1.0)
-    X = np.stack([d * ox / K.fx, d * oy / K.fy, d], axis=-1)
-    Y = X @ T[:3, :3].T + T[:3, 3]
+    X = np.empty(depth.shape + (3,))
+    d = X[..., 2]
+    d[...] = 1.0
+    np.copyto(d, depth, where=valid)
+    for c, (o, f) in enumerate(((ox, K.fx), (oy, K.fy))):
+        np.multiply(d, o, out=X[..., c])
+        X[..., c] /= f
+    Y = np.matmul(X, T[:3, :3].T)
+    Y += T[:3, 3]
     uv, front = divide(np.moveaxis(Y, -1, 0))
     return uv, valid & front, (ox, oy)
 
@@ -144,9 +150,13 @@ def flow_from_pose(depth, T, K):
     lifted to its depth, minus the pixel's normalised coordinate; invalid
     pixels hold 0.
     """
-    uv, mask, (ox, oy) = _moved_grid(depth, T, K)
-    flow = np.stack([uv[0] - ox / K.fx, uv[1] - oy / K.fy], axis=-1)
-    return np.where(mask[..., None], flow, 0.0), mask
+    uv, mask, offsets = _moved_grid(depth, T, K)
+    flow = np.empty(mask.shape + (2,))
+    for c, (o, f) in enumerate(zip(offsets, (K.fx, K.fy))):
+        np.divide(o, f, out=flow[..., c])
+        np.subtract(uv[c], flow[..., c], out=flow[..., c])
+    flow[~mask] = 0.0
+    return flow, mask
 
 
 def flow_normalised_to_pixels(flow, K):

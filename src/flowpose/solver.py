@@ -101,8 +101,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (self.min_valid_pixels >= 1):
             raise ValueError("min_valid_pixels must be >= 1")
-        if not (self.convergence_tol > 0):
-            raise ValueError("convergence_tol must be positive")
+        if not (0 < self.convergence_tol < np.inf):
+            raise ValueError("convergence_tol must be positive and finite")
         if not (self.damping >= 0 and np.isfinite(self.damping)):
             raise ValueError("damping must be finite and >= 0")
         self.seed_xi = np.asarray(self.seed_xi, dtype=float)

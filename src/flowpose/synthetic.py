@@ -2,7 +2,10 @@
 pose-induced flow, analytic image pairs, and optional noise/outliers.
 
 All randomness comes from a counter-based SplitMix64-style stream, so a
-given SceneSpec renders bitwise identically across runs and platforms.
+given SceneSpec renders to the same bytes on every run with the same numpy
+build and CPU. The noise may differ in the last bit across them: numpy's
+SIMD float64 log, which stream_normal calls, can round differently from
+libm's.
 """
 
 import hashlib
@@ -93,6 +96,10 @@ class SmoothRandomDepth:
 class CheckerTexture:
     period: float = 8.0
 
+    def __post_init__(self):
+        if not (0 < self.period < np.inf):
+            raise ValueError("checker period must be positive and finite")
+
     def intensity(self, a, b, K):
         px = a * K.fx + K.cx
         py = b * K.fy + K.cy
@@ -167,7 +174,8 @@ def _second_view_scene_coords(spec, T, a, b):
     bit for bit (a NaN included) at an even step k, the pixel cycles with
     period 2 and its value at step 50 is lambda_k: the pixel may stop
     there, and the result is bit-identical to running all 50 steps. A
-    depth model that mixed pixels would break this rule.
+    depth model that mixed pixels would break this rule. Each step updates
+    the model's result in place, so a model must return a new array.
     """
     R = T[:3, :3]
     t = T[:3, 3]
@@ -180,6 +188,7 @@ def _second_view_scene_coords(spec, T, a, b):
         n = np.asarray(model.normal, dtype=float)
         lam = (model.offset + n @ t1) / (rows @ n)
     else:
+        del rows
         # X1 = lam * ray1 - t1; iterate lam so X1_z matches the depth model
         # evaluated at the projected coordinates.
         lam = np.array(model(a, b), dtype=float)
@@ -189,9 +198,15 @@ def _second_view_scene_coords(spec, T, a, b):
         idx = slice(None)
         rays = ray1.reshape(3, -1)
         cur = flat
+        # X1 of the pixels still in cur; it shrinks with them
+        points = np.empty_like(rays)
         for k in range(1, 51):
-            (a1, b1), _ = camera.divide(cur * rays - t1[:, None])
-            cur = (np.asarray(model(a1, b1), dtype=float) + t1[2]) / rays[2]
+            np.multiply(cur, rays, out=points)
+            points -= t1[:, None]
+            (a1, b1), _ = camera.divide(points)
+            cur = np.asarray(model(a1, b1), dtype=float)
+            cur += t1[2]
+            cur /= rays[2]
             if k % 2:
                 continue
             keep = cur.view(np.int64) != flat[idx].view(np.int64)
@@ -201,10 +216,25 @@ def _second_view_scene_coords(spec, T, a, b):
             if 2 * np.count_nonzero(keep) <= keep.size:
                 idx = np.arange(flat.size)[idx][keep]
                 cur, rays = cur[keep], rays[:, keep]
+                points = points[:, :idx.size]
                 if not idx.size:
                     break
-    (a1, b1), front = camera.divide(lam * ray1 - t1[:, None, None])
+    ray1 *= lam
+    ray1 -= t1[:, None, None]
+    (a1, b1), front = camera.divide(ray1)
     return a1, b1, (lam > 0) & front
+
+
+def _outlier_pixels(seed, valid, count):
+    """Flat raster indices of the `count` valid pixels of smallest rank, in
+    rank order; a pixel's rank is the SplitMix64 finaliser of its index in
+    substream 31 of `seed`. No two ranks tie: the finaliser is a bijection
+    and its inputs are distinct."""
+    flat_valid = np.flatnonzero(valid.ravel())
+    ranks = _mix64(_stream_base(seed, 31)
+                   + (flat_valid.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
+    picked = np.argpartition(ranks, count - 1)[:count]
+    return flat_valid[picked[np.argsort(ranks[picked])]]
 
 
 def render(spec):
@@ -212,32 +242,31 @@ def render(spec):
     an analytic image pair and the ground-truth transform."""
     K = spec.intrinsics
     ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
-    a = ox / K.fx
-    b = oy / K.fy
+    a = np.divide(ox, K.fx, out=ox)
+    b = np.divide(oy, K.fy, out=oy)
 
     depth = np.asarray(spec.depth_model(a, b), dtype=float)
     if np.any(~np.isfinite(depth)) or np.any(depth <= 0):
         raise ValueError("depth model produced nonpositive depth")
 
     T = se3.exp(spec.motion)
-    norm_flow, valid = camera.flow_from_pose(depth, T, K)
-    flow_px = camera.flow_normalised_to_pixels(norm_flow, K)
+    flow_px, valid = camera.flow_from_pose(depth, T, K)
+    flow_px = camera.flow_normalised_to_pixels(flow_px, K)
     # a pixel without a measurement holds NaN flow, which a scene file keeps
     flow_px[~valid] = np.nan
 
     image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
     a2, b2, valid2 = _second_view_scene_coords(spec, T, a, b)
     image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K), dtype=float)
-    image_2 = np.where(valid2, image_2, 0.0)
+    image_2[~valid2] = 0.0
 
     info = np.zeros((spec.height, spec.width, 3))
     if spec.noise_sigma > 0:
         n = spec.height * spec.width
-        noise = np.stack([
-            stream_normal(spec.seed, 21, n).reshape(spec.height, spec.width),
-            stream_normal(spec.seed, 22, n).reshape(spec.height, spec.width),
-        ], axis=-1) * spec.noise_sigma
-        flow_px = flow_px + noise
+        for c, tag in enumerate((21, 22)):
+            noise = stream_normal(spec.seed, tag, n)
+            noise *= spec.noise_sigma
+            flow_px[..., c] += noise.reshape(spec.height, spec.width)
         conf = -2.0 * np.log(spec.noise_sigma)
         info[..., 0] = conf
         info[..., 2] = conf
@@ -245,10 +274,7 @@ def render(spec):
     outlier_mask = np.zeros((spec.height, spec.width), dtype=bool)
     n_outliers = int(round(spec.outlier_fraction * int(valid.sum())))
     if n_outliers > 0:
-        flat_valid = np.flatnonzero(valid.ravel())
-        ranks = _mix64(_stream_base(spec.seed, 31)
-                       + (flat_valid.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
-        chosen = flat_valid[np.argsort(ranks, kind='stable')[:n_outliers]]
+        chosen = _outlier_pixels(spec.seed, valid, n_outliers)
         outlier_mask.ravel()[chosen] = True
         signs = np.where(
             stream_uniform(spec.seed, 33, 2 * n_outliers) < 0.5, -1.0, 1.0

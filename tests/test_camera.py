@@ -257,9 +257,9 @@ class TestKernels:
         assert np.all(np.isfinite(uv))
 
 
-# The parent's project-transform-divide, kept verbatim as the reference the
-# shared kernels must reproduce bit for bit (the synth manifests hash these
-# rasters).
+# The project-transform-divide as written before the shared kernels and the
+# in-place grid and flow, kept verbatim as the reference they must reproduce
+# byte for byte (the synth manifests hash these rasters).
 def reference_transform_grid(depth, T, K):
     depth = np.asarray(depth, dtype=float)
     h, w = depth.shape
@@ -330,6 +330,11 @@ IDENTITY_MOTIONS = {"small": [0.03, -0.02, 0.01, 0.01, -0.02, 0.015],
                     "behind": [0.1, 0.05, -2.0, 0.05, -0.1, 0.2]}
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestMatchesParentKernel:
     @pytest.mark.parametrize("depth_name", ["constant", "plane", "smooth",
                                             "invalid"])
@@ -339,8 +344,8 @@ class TestMatchesParentKernel:
         T = se3.exp(IDENTITY_MOTIONS[motion])
         flow, mask = camera.flow_from_pose(depth, T, K)
         ref_flow, ref_mask = reference_flow_from_pose(depth, T, K)
-        assert np.array_equal(mask, ref_mask)
-        assert np.array_equal(flow, ref_flow)
+        assert_same_bytes(mask, ref_mask)
+        assert_same_bytes(flow, ref_flow)
         if motion == "behind":
             assert mask.any()
             assert not mask[camera.depth_valid_mask(depth)].all()
@@ -349,5 +354,5 @@ class TestMatchesParentKernel:
                     rng.uniform(0, 1, depth.shape + (2,))):
             warped, wmask = camera.warp_image(src, depth, T, K)
             ref_warped, ref_wmask = reference_warp_image(src, depth, T, K)
-            assert np.array_equal(wmask, ref_wmask)
-            assert np.array_equal(warped, ref_warped)
+            assert_same_bytes(wmask, ref_wmask)
+            assert_same_bytes(warped, ref_warped)

@@ -87,6 +87,19 @@ class TestSynth:
         assert err == "error: outlier_magnitude must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("period", ["0", "-8", "nan", "inf"])
+    def test_bad_checker_period_is_usage_error(self, capsys, tmp_path,
+                                               period):
+        # these wrote a uniform second image with exit 0, a zero period
+        # after RuntimeWarnings
+        out = tmp_path / "scene"
+        code, stdout, err = run_strict(capsys, *SYNTH_ARGS, "--texture",
+                                       f"checker:{period}", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: bad texture model 'checker:{period}': "
+                       "checker period must be positive and finite\n")
+        assert not out.exists()
+
     def test_float32_overflow_is_usage_error(self, capsys, tmp_path):
         # this wrote non-finite outlier flow after an overflow warning, exit 0
         out = tmp_path / "scene"
@@ -705,6 +718,7 @@ def fault_files(scene_dir, tmp_path):
         # the estimate never moves, so no step gives a per-pose scale
         "tum_still.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
         "onoff_typo.cfg": "use_confidence = ture\n",
+        "tol_inf.cfg": "convergence_tol = inf\n",
     }
     for name, content in files.items():
         path = tmp_path / name
@@ -802,6 +816,13 @@ FAULTS = {
     "convergence-tol-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
                                      "--convergence-tol", "nan"], 2,
                             ["error", "convergence_tol must be positive"]),
+    # an infinite tolerance reported convergence after one step
+    "convergence-tol-inf": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                     "--convergence-tol", "inf"], 2,
+                            ["error", "convergence_tol", "finite"]),
+    "convergence-tol-inf-config": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                            "--config", "{tol_inf}"], 2,
+                                   ["error", "convergence_tol", "finite"]),
     # a misspelt on/off value used to read as false
     "config-on-off-misspelt": (SOLVE + ["--intrinsics", "{intrinsics}",
                                         "--config", "{onoff_typo}"], 2,

@@ -779,3 +779,10 @@ class TestConfig:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             SolverConfig(convergence_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        # an infinite tolerance took any first update as converged
+        with pytest.raises(ValueError, match="convergence_tol must be "
+                                             "positive and finite"):
+            SolverConfig(convergence_tol=tol)

@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowpose import camera, rasters, se3, synthetic
+from flowpose.camera import Intrinsics
 from flowpose.synthetic import (CheckerTexture, ConstantDepth, PlaneDepth,
                                 SceneSpec, SmoothRandomDepth,
                                 SmoothRandomTexture)
@@ -104,6 +106,12 @@ class TestRender:
         expected = -2.0 * np.log(sigma)
         assert np.allclose(scene.flow_field.info[..., 0], expected, atol=0)
         assert np.allclose(scene.flow_field.info[..., 2], expected, atol=0)
+
+    @pytest.mark.parametrize("period", [0.0, -8.0, np.nan, np.inf])
+    def test_bad_checker_period_rejected(self, period):
+        # a zero period divided by zero, NaN and inf gave a uniform image
+        with pytest.raises(ValueError, match="checker period"):
+            CheckerTexture(period=period)
 
     def test_checker_texture_binary_levels(self):
         spec = basic_spec(texture_model=CheckerTexture(period=8.0))
@@ -222,6 +230,167 @@ class TestConstantDepthLoopMatchesClosedForm:
         want = constant_depth_closed_form(spec, T, ox / K.fx, oy / K.fy)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def reference_outlier_pixels(seed, valid, count):
+    """The outlier choice as render once made it, by a full stable sort of
+    the ranks, kept as the reference for the selection that replaced it."""
+    flat_valid = np.flatnonzero(valid.ravel())
+    ranks = synthetic._mix64(
+        synthetic._stream_base(seed, 31)
+        + (flat_valid.astype(np.uint64) + np.uint64(1)) * synthetic._GOLDEN)
+    return flat_valid[np.argsort(ranks, kind='stable')[:count]]
+
+
+class TestOutlierPixelsMatchFullSort:
+    @pytest.mark.parametrize("size", [(320, 240), (64, 48), (33, 17), (5, 3)],
+                             ids=["320x240", "64x48", "33x17", "5x3"])
+    @pytest.mark.parametrize("holes", [False, True], ids=["full", "holes"])
+    @pytest.mark.parametrize("fraction", [0.1, 0.37, "one", "all"])
+    def test_same_indices(self, size, holes, fraction):
+        width, height = size
+        rng = np.random.default_rng(width * height)
+        valid = (rng.uniform(size=(height, width)) < 0.7 if holes
+                 else np.ones((height, width), dtype=bool))
+        n_valid = int(valid.sum())
+        # fractions that round to a single pixel and to every valid pixel
+        fraction = {"one": 0.6 / n_valid,
+                    "all": (n_valid - 0.4) / n_valid}.get(fraction, fraction)
+        count = int(round(fraction * n_valid))
+        assert count >= 1 and fraction < 1.0
+        for seed in (0, 11, 2 ** 40 + 3):
+            got = synthetic._outlier_pixels(seed, valid, count)
+            want = reference_outlier_pixels(seed, valid, count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def reference_render(spec):
+    """render as it was written before it selected its outliers and reused
+    its buffers, kept as the byte-for-byte reference: the stacked flow
+    expressions, the stacked noise, the full sort of the outlier ranks and
+    the 50-step second view. Returns depth, flow, info, both images and the
+    outlier mask."""
+    K = spec.intrinsics
+    h, w = spec.height, spec.width
+    ox, oy = camera.pixel_offsets(K, (h, w))
+    a, b = ox / K.fx, oy / K.fy
+    depth = np.asarray(spec.depth_model(a, b), dtype=float)
+    T = se3.exp(spec.motion)
+    X = np.stack([depth * ox / K.fx, depth * oy / K.fy, depth], axis=-1)
+    Y = X @ T[:3, :3].T + T[:3, 3]
+    valid = Y[..., 2] > camera.CHEIRALITY_EPS
+    z = np.where(valid, Y[..., 2], 1.0)
+    flow = np.stack([Y[..., 0] / z - ox / K.fx, Y[..., 1] / z - oy / K.fy],
+                    axis=-1)
+    flow = np.where(valid[..., None], flow, 0.0)
+    flow_px = flow * np.array([K.fx, K.fy])
+    flow_px[~valid] = np.nan
+
+    image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
+    a2, b2, valid2 = reference_second_view_scene_coords(spec, T)
+    with np.errstate(all='ignore'):     # pixels that the mask zeroes
+        image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K),
+                             dtype=float)
+    image_2 = np.where(valid2, image_2, 0.0)
+
+    info = np.zeros((h, w, 3))
+    if spec.noise_sigma > 0:
+        n = h * w
+        noise = np.stack([
+            synthetic.stream_normal(spec.seed, 21, n).reshape(h, w),
+            synthetic.stream_normal(spec.seed, 22, n).reshape(h, w),
+        ], axis=-1) * spec.noise_sigma
+        flow_px = flow_px + noise
+        conf = -2.0 * np.log(spec.noise_sigma)
+        info[..., 0] = conf
+        info[..., 2] = conf
+
+    outlier_mask = np.zeros((h, w), dtype=bool)
+    n_outliers = int(round(spec.outlier_fraction * int(valid.sum())))
+    if n_outliers > 0:
+        chosen = reference_outlier_pixels(spec.seed, valid, n_outliers)
+        outlier_mask.ravel()[chosen] = True
+        signs = np.where(
+            synthetic.stream_uniform(spec.seed, 33, 2 * n_outliers) < 0.5,
+            -1.0, 1.0).reshape(n_outliers, 2)
+        flow_flat = flow_px.reshape(-1, 2)
+        flow_flat[chosen] = flow_flat[chosen] + signs * spec.outlier_magnitude
+        info.reshape(-1, 3)[chosen] = (-6.0, 0.0, -6.0)
+    return depth, flow_px, info, image_1, image_2, outlier_mask
+
+
+QVGA = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5, width=320,
+                  height=240)
+
+
+class TestRenderMatchesReference:
+    # the second motion turns the camera by 86 degrees, so points of the
+    # first view land behind the second camera and pixels of the second
+    # view see the surface behind the first; the third steps 1.9 m back,
+    # so the nearer points land behind the second camera
+    @pytest.mark.parametrize("motion", [
+        [0.02, -0.01, 0.01, 0.004, -0.003, 0.006],
+        [0.1, 0.0, 0.1, 0.05, 1.5, 0.0],
+        [0.1, 0.05, -1.9, 0.3, -0.1, 0.2],
+    ], ids=["small", "turned", "back"])
+    @pytest.mark.parametrize("depth_model", [
+        ConstantDepth(2.0),
+        PlaneDepth(normal=(0.13, -0.07, 0.9), offset=1.8),
+        SmoothRandomDepth(seed=3, amplitude=0.4),
+    ], ids=["constant", "plane", "smooth"])
+    @pytest.mark.parametrize("noise_sigma, outlier_fraction", [
+        (0.0, 0.0), (0.5, 0.1), (0.0, 0.3)], ids=["clean", "noise+outliers",
+                                                   "outliers"])
+    def test_bytes(self, motion, depth_model, noise_sigma, outlier_fraction):
+        spec = basic_spec(motion=motion, depth_model=depth_model,
+                          noise_sigma=noise_sigma,
+                          outlier_fraction=outlier_fraction,
+                          outlier_magnitude=20.0,
+                          texture_model=CheckerTexture(period=5.0))
+        valid = self.check(spec).flow_field.valid
+        assert valid.all() == (motion[2] > 0 and motion[4] < 1)
+        if motion[4] > 1:
+            _, _, valid2 = reference_second_view_scene_coords(
+                spec, se3.exp(motion))
+            assert valid2.any() and not valid2.all()
+
+    def test_bytes_qvga(self):
+        spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
+                         motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
+                         depth_model=SmoothRandomDepth(seed=5, amplitude=0.5),
+                         noise_sigma=0.5, outlier_fraction=0.1,
+                         outlier_magnitude=20.0, seed=9)
+        self.check(spec)
+
+    @staticmethod
+    def check(spec):
+        scene = synthetic.render(spec)
+        got = (scene.depth, scene.flow_field.flow, scene.flow_field.info,
+               scene.image_1, scene.image_2, scene.outlier_mask)
+        for name, g, w in zip(["depth", "flow", "info", "image_1", "image_2",
+                               "outlier_mask"], got, reference_render(spec)):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+        return scene
+
+
+class TestRenderMemory:
+    def test_traced_peak(self):
+        # a 320x240 render with noise and 10% outliers peaked at 16.2e6
+        # bytes while its flow, grids, fixed-point points and noise were
+        # built from raster-sized temporaries
+        spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
+                         motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
+                         depth_model=SmoothRandomDepth(seed=5, amplitude=0.5),
+                         noise_sigma=0.5, outlier_fraction=0.1,
+                         outlier_magnitude=20.0, seed=9)
+        tracemalloc.start()
+        try:
+            synthetic.render(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15.5e6
 
 
 class TestWriteScene:

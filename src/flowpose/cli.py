@@ -3,8 +3,9 @@ trajectories and evaluate losses.
 
 `solve` and `eval-traj` settings are flags with no default of their own:
 the library's defaults apply. `--config FILE` holds `key = value` lines
-keyed by the flags' dest names. It only supplies the flags' defaults, so a
-flag on the command line wins in any form argparse accepts. A bad value
+keyed by the flags' dest names. It only fills in the settings that the
+command line left out, so a flag wins in any form argparse accepts, and it
+never changes the parser, which is built once per process. A bad value
 exits 2; an on/off value is one of 1/true/yes/on or 0/false/no/off, in
 any case.
 
@@ -180,8 +181,9 @@ def cmd_solve(args):
     config = solver.SolverConfig(**_given_settings(args))
     result = solver.solve(depth, flow, K, config)
     if args.residuals:
-        residuals = solver.compute_residuals(depth, flow, result.xi, K,
-                                             config.min_valid_pixels)
+        # the geometry the solve built, not a second one
+        residuals = result.problem.residual_raster(result.xi,
+                                                   config.min_valid_pixels)
         rasters.write_raster(args.residuals, residuals)
     if args.pretty:
         print("xi:         " + " ".join("%.12g" % x for x in result.xi))
@@ -288,7 +290,6 @@ def build_parser():
     p.add_argument('--noise-sigma', type=float, default=0.0)
     p.add_argument('--seed', type=int, default=0)
     p.add_argument('--out', required=True, help='output directory')
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser('solve', help='estimate a pose from depth + flow')
     p.add_argument('--depth', required=True)
@@ -307,7 +308,7 @@ def build_parser():
                 g.add_argument('--single-iteration', action='store_true'),
                 g.add_argument('--damping', type=float),
                 g.add_argument('--seed-xi', type=_parse_motion)]
-    p.set_defaults(func=cmd_solve, settings={a.dest: a for a in settings})
+    p.set_defaults(settings={a.dest: a for a in settings})
 
     p = sub.add_parser('eval-traj', help='score ATE/RPE of TUM trajectories')
     p.add_argument('--est', required=True)
@@ -318,7 +319,7 @@ def build_parser():
                              argument_default=argparse.SUPPRESS)
     settings = [g.add_argument('--rpe-delta', type=int),
                 g.add_argument('--max-dt', type=float)]
-    p.set_defaults(func=cmd_eval_traj, settings={a.dest: a for a in settings})
+    p.set_defaults(settings={a.dest: a for a in settings})
 
     p = sub.add_parser('loss', help='evaluate a loss from raster files')
     p.add_argument('name', help='berhu | smoothness | flownll | '
@@ -333,27 +334,31 @@ def build_parser():
     p.add_argument('--intrinsics')
     p.add_argument('--baseline', type=float, default=0.1)
     p.add_argument('--motion')
-    p.set_defaults(func=cmd_loss)
 
     return parser
+
+
+# build_parser once per process: no call changes the parser's state
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
     _keep_freed_memory()
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if getattr(args, 'config', None):
-            # config values become the flags' defaults, so a flag given in
-            # any form argparse accepts wins when argv is parsed again
+            # the settings' defaults are SUPPRESS, so args holds a setting
+            # only when a flag gave it, in any form argparse accepts; the
+            # config file fills in the others
             for dest, value in _read_config(args.config, args.settings).items():
-                args.settings[dest].default = value
-            args = parser.parse_args(argv)
-        return args.func(args)
+                if not hasattr(args, dest):
+                    setattr(args, dest, value)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()['cmd_' + args.command.replace('-', '_')](args)
     except FlowPoseError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

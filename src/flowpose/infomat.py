@@ -110,13 +110,15 @@ def nll_gradients(rx, ry, a_hat, b_hat, g_hat):
     return d_rx, d_ry, d_a, d_b, d_g
 
 
-def confidences(info):
-    """Diagonal confidence maps (C_x, C_y) from raw parameter rasters.
+def confidences(exponents, out=None):
+    """Diagonal confidences (C_x, C_y) = (exp(a_hat), exp(g_hat)).
 
-    info: (..., 3) raw (a_hat, b_hat, g_hat). The off-diagonal term is used
-    only by the NLL loss, not by the solver's diagonal weights. Raises
+    exponents: (2, ...) raw (a_hat, g_hat) stacked on the first axis; the
+    result has the same shape and goes to `out` when it is given, which may
+    be `exponents` itself. The off-diagonal term is used only by the NLL
+    loss, not by the solver's diagonal weights. Raises
     DegenerateGeometryError when a confidence would overflow.
     """
-    info = np.asarray(info, dtype=float)
-    _check_exponents(info[..., 0], info[..., 2])
-    return np.exp(info[..., 0]), np.exp(info[..., 2])
+    exponents = np.asarray(exponents, dtype=float)
+    _check_exponents(exponents[0], exponents[1])
+    return np.exp(exponents, out=out)

@@ -42,8 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import infomat, se3
-from .camera import (check_same_size, depth_valid_mask, divide,
-                     flow_pixels_to_normalised, pixel_offsets)
+from .camera import check_same_size, depth_valid_mask, divide, pixel_offsets
 from .errors import DegenerateGeometryError, InsufficientDataError
 
 # Inverse depths outside this band destabilise the Jacobian and are masked.
@@ -125,6 +124,7 @@ class SolveResult:
     converged: bool
     reports: list               # the ResidualReport of each
                                 # gauss_newton_step call, in order
+    problem: 'Problem' = None   # what `prepare` built for the solve
 
     @property
     def iterations(self):
@@ -144,6 +144,20 @@ class Problem:
                                 # _jacobians: JT[:, 0] holds the x rows and
                                 # JT[:, 1] the y rows
 
+    def residual_raster(self, xi, min_valid_pixels=64):
+        """Residual flow r = F+ - F at exp(xi), in normalised camera
+        coordinates, as an (H, W, 2) raster that holds 0 at invalid pixels.
+
+        F+ is the flow induced by exp(xi) on the problem's points; F is the
+        measured flow.
+        """
+        r, keep = _residuals(self, xi)
+        _check_valid_count(r, min_valid_pixels)
+        h, w = self.shape
+        residuals = np.zeros((h * w, 2))
+        residuals[self.index if keep is None else self.index[keep]] = r.T
+        return residuals.reshape(h, w, 2)
+
 
 def _geometry(depth, flow_field, K):
     """The valid pixels' points and measured flow; checks that depth, flow
@@ -158,13 +172,20 @@ def _geometry(depth, flow_field, K):
     np.divide(1.0, depth, out=q, where=mask)
     mask &= (q >= Q_MIN) & (q <= Q_MAX)
     index = np.flatnonzero(mask)
+    # every gather goes straight into its row: a gather of (N, 2) flow rows
+    # and its transposed copy took three times as long. The index is in
+    # range, so mode='clip' changes no value; it only spares np.take the
+    # buffered copy of `out` that its default mode makes.
     points = np.empty((4, len(index)))
-    points[0] = ox.ravel()[index] / K.fx
-    points[1] = oy.ravel()[index] / K.fy
+    meas = np.empty((2, len(index)))
+    pixels = flow_field.flow.reshape(-1, 2)
+    for c, (o, f) in enumerate(((ox, K.fx), (oy, K.fy))):
+        np.take(o.ravel(), index, out=points[c], mode='clip')
+        points[c] /= f
+        np.divide(pixels[:, c][index], f, out=meas[c])
     points[2] = 1.0
-    points[3] = q.ravel()[index]
-    meas = flow_pixels_to_normalised(flow_field.flow.reshape(-1, 2)[index], K)
-    return Problem(shape=(h, w), index=index, points=points, flow=meas.T.copy())
+    np.take(q.ravel(), index, out=points[3], mode='clip')
+    return Problem(shape=(h, w), index=index, points=points, flow=meas)
 
 
 # Overflow from extreme inputs (absurd focal lengths, huge flow times huge
@@ -180,8 +201,13 @@ def prepare(depth, flow_field, K, config):
     problem = _geometry(depth, flow_field, K)
     n = len(problem.index)
     if config.use_confidence:
-        info = flow_field.info.reshape(-1, 3)[problem.index]
-        problem.conf = np.stack(infomat.confidences(info))
+        # only the a_hat and g_hat channels, each gathered into its row; the
+        # exponentials overwrite them
+        info = flow_field.info.reshape(-1, 3)
+        conf = np.empty((2, n))
+        for row, c in enumerate((0, 2)):
+            conf[row] = info[:, c][problem.index]
+        problem.conf = infomat.confidences(conf, out=conf)
     else:
         problem.conf = np.ones((2, n))
     u, v, _, q = problem.points
@@ -215,19 +241,11 @@ def _check_valid_count(r, min_valid_pixels):
 
 
 def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
-    """Residual flow r = F+ - F in normalised camera coordinates, as an
-    (H, W, 2) raster that holds 0 at invalid pixels.
-
-    F+ is the flow induced by exp(xi) on the inverse-depth points of the
-    depth map; F is the measured flow converted from pixel units.
-    """
-    problem = _geometry(depth, flow_field, K)
-    r, keep = _residuals(problem, xi)
-    _check_valid_count(r, min_valid_pixels)
-    h, w = problem.shape
-    residuals = np.zeros((h * w, 2))
-    residuals[problem.index if keep is None else problem.index[keep]] = r.T
-    return residuals.reshape(h, w, 2)
+    """Problem.residual_raster of the depth map and flow field: the residual
+    raster at exp(xi), 0 at invalid pixels. The measured flow is converted
+    from pixel units."""
+    return _geometry(depth, flow_field, K).residual_raster(xi,
+                                                           min_valid_pixels)
 
 
 def jacobian_row(u, v, q):
@@ -240,12 +258,15 @@ def _jacobians(u, v, q):
     """Transposed Jacobians for (N,) arrays of u, v and q, as a (6, 2, N)
     array: entry [j, i, n] is the derivative of flow component i at point n
     w.r.t. motion component j."""
-    J = np.zeros((6, 2, len(u)))
+    # every entry is written once: np.zeros would clear 96 bytes a pixel
+    J = np.empty((6, 2, len(u)))
     J[0, 0] = q
+    J[1, 0] = 0.0
     J[2, 0] = -u * q
     J[3, 0] = -u * v
     J[4, 0] = u * u + 1.0
     J[5, 0] = -v
+    J[0, 1] = 0.0
     J[1, 1] = q
     J[2, 1] = -v * q
     J[3, 1] = -v * v - 1.0
@@ -324,7 +345,9 @@ def solve(depth, flow_field, K, config=None):
     `prepare`; residuals, m and the weights are recomputed every iteration
     (true IRLS). Steps after the first are depth-1 Anderson mixes of the
     last two updates, guarded as the module docstring says. With
-    single_iteration set, stops after one plain step.
+    single_iteration set, stops after one plain step. The result keeps the
+    prepared Problem, so a caller can evaluate its residual raster without
+    building the geometry again.
     """
     if config is None:
         config = SolverConfig()
@@ -360,4 +383,5 @@ def solve(depth, flow_field, K, config=None):
                 report.update = 'mixed'
         last = (xi, beta)
         xi = xi + step
-    return SolveResult(xi=xi, converged=converged, reports=reports)
+    return SolveResult(xi=xi, converged=converged, reports=reports,
+                       problem=problem)

@@ -148,6 +148,15 @@ class SceneSpec:
             raise ValueError("outlier_magnitude must be finite")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be finite and >= 0")
+        # beyond 2^53, px / period holds no odd integer, so floor() loses
+        # the cell parity and the checker image comes out uniform
+        extent = max(self.width, self.height)
+        if (isinstance(self.texture_model, CheckerTexture)
+                and self.texture_model.period < extent / 2.0 ** 53):
+            raise ValueError(
+                f"checker period {self.texture_model.period:g} is below the "
+                f"raster extent {extent} / 2^53, where floor(px / period) "
+                "loses the cell parity")
 
 
 @dataclass

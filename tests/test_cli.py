@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import os
 import struct
 import subprocess
@@ -98,6 +99,18 @@ class TestSynth:
         assert (code, stdout) == (2, "")
         assert err == (f"error: bad texture model 'checker:{period}': "
                        "checker period must be positive and finite\n")
+        assert not out.exists()
+
+    def test_checker_period_too_small_for_raster_is_usage_error(
+            self, capsys, tmp_path):
+        # this wrote uniform images (every pixel 0.25) with exit 0
+        out = tmp_path / "scene"
+        code, stdout, err = run_strict(capsys, *SYNTH_ARGS, "--texture",
+                                       "checker:1e-300", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == ("error: checker period 1e-300 is below the raster "
+                       "extent 64 / 2^53, where floor(px / period) loses "
+                       "the cell parity\n")
         assert not out.exists()
 
     def test_float32_overflow_is_usage_error(self, capsys, tmp_path):
@@ -382,6 +395,92 @@ class TestSolve:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert all(word in err for word in words)
+
+
+# `solve` stdout and the --residuals raster recorded, as literals, before
+# `prepare` gathered one channel at a time and before the CLI reused the
+# solve's geometry for the raster. They were recorded on x86-64 with numpy
+# 2.x and OpenBLAS; the normal-equation sums go through BLAS, whose kernel
+# depends on the CPU, so another platform may differ in the last digits.
+PINNED_SYNTH = ["synth", "--width", "96", "--height", "72",
+                "--depth", "smooth:3,0.3",
+                "--motion", "0.01,-0.02,0.015,0.01,0.005,-0.01", "--seed", "4"]
+PINNED_KINDS = {
+    "noiseless": [],
+    "noisy": ["--noise-sigma", "0.5"],
+    "outliers": ["--noise-sigma", "0.5", "--outlier-fraction", "0.1",
+                 "--outlier-magnitude", "20"],
+}
+PINNED_STDOUT = {
+    "noiseless": "0.010000000089633544 -0.020000000220378233 "
+                 "0.014999999916323082 0.0099999998917398407 "
+                 "0.0049999999280883091 -0.0099999999513964433 "
+                 "6 1 1.3193986350575761e-15\n",
+    "noisy": "0.0095642046693440608 -0.017654776244726968 "
+             "0.015009985019205861 0.011073118946349939 "
+             "0.0052421658748464601 -0.0099807180678605292 "
+             "14 1 0.59513310335728375\n",
+    "outliers": "0.0087848757406922291 -0.018790126807241035 "
+                "0.015273794386432451 0.010500421172704735 "
+                "0.0056282917269081688 -0.0099649771518811638 "
+                "7 1 1.1720871385725671\n",
+}
+PINNED_RESIDUALS_SHA256 = (  # outliers scene
+    "654886315a297ccb04f59077dc05d5ab90cf5072ffd813584dbb7743339dfa52")
+
+
+@pytest.fixture(scope="module")
+def pinned_scenes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    for kind, extra in PINNED_KINDS.items():
+        assert cli.main([*PINNED_SYNTH, *extra, "--out", str(root / kind)]) == 0
+    return root
+
+
+class TestSolveOutputPinned:
+    @pytest.mark.parametrize("kind", list(PINNED_KINDS))
+    def test_stdout_matches_recorded_bytes(self, capsys, pinned_scenes, kind):
+        capsys.readouterr()
+        assert run(capsys, *solve_args(pinned_scenes / kind)) == (
+            0, PINNED_STDOUT[kind], "")
+
+    def test_residual_raster_matches_recorded_bytes(self, capsys,
+                                                    pinned_scenes, tmp_path):
+        capsys.readouterr()
+        out = tmp_path / "resid.engr"
+        assert run(capsys, *solve_args(pinned_scenes / "outliers",
+                                       "--residuals", str(out))) == (
+            0, PINNED_STDOUT["outliers"], "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            PINNED_RESIDUALS_SHA256)
+
+    def test_residuals_build_the_geometry_once(self, capsys, monkeypatch,
+                                               pinned_scenes, tmp_path):
+        calls = []
+        original = solver._geometry
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_geometry", counting)
+        code, _, _ = run(capsys, *solve_args(pinned_scenes / "outliers",
+                                             "--residuals",
+                                             str(tmp_path / "r.engr")))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_config_does_not_leak_into_the_next_call(self, capsys,
+                                                     pinned_scenes, tmp_path):
+        # the parser is built once per process; a config file must not
+        # change it
+        capsys.readouterr()
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("max_iterations = 1\n")
+        argv = solve_args(pinned_scenes / "noisy")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out.split()[6:8]) == (0, ["1", "0"])
+        assert run(capsys, *argv) == (0, PINNED_STDOUT["noisy"], "")
 
 
 @pytest.fixture

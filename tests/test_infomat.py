@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpose import infomat
-from flowpose.errors import InsufficientDataError
+from flowpose.errors import DegenerateGeometryError, InsufficientDataError
 
 # frozen high-precision oracle values (30-digit scalar evaluation)
 DET_111 = 3.10321397029750370684441982617
@@ -140,9 +140,21 @@ class TestGradients:
 
 
 def test_confidences_are_diagonal_entries():
-    info = np.zeros((2, 2, 3))
-    info[..., 0] = 1.0
-    info[..., 2] = -1.0
-    c_x, c_y = infomat.confidences(info)
+    exponents = np.stack([np.full((2, 2), 1.0), np.full((2, 2), -1.0)])
+    c_x, c_y = infomat.confidences(exponents)
     assert np.allclose(c_x, np.exp(1.0), atol=0)
     assert np.allclose(c_y, np.exp(-1.0), atol=0)
+    # in place: the exponentials overwrite the exponents
+    out = infomat.confidences(exponents, out=exponents)
+    assert out is exponents
+    assert np.array_equal(out, np.stack([np.full((2, 2), np.exp(1.0)),
+                                         np.full((2, 2), np.exp(-1.0))]))
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_confidences_reject_overflow(row):
+    exponents = np.zeros((2, 3))
+    exponents[row, 1] = 710.0
+    with pytest.raises(DegenerateGeometryError, match="overflows"):
+        infomat.confidences(exponents, out=exponents)
+    assert exponents[row, 1] == 710.0   # checked before exp writes

@@ -232,7 +232,8 @@ def reference_step(depth, flow_field, xi, K, config):
         np.stack([zero, qq, -vv * qq, -vv * vv - one, uu * vv, uu], axis=-1),
     ], axis=1)
     if config.use_confidence:
-        c_x, c_y = (c[mask] for c in infomat.confidences(flow_field.info))
+        c_x, c_y = (c[mask] for c in infomat.confidences(
+            np.moveaxis(flow_field.info, -1, 0)[::2]))
     else:
         c_x = c_y = np.ones(len(r))
     m2 = m * m
@@ -353,9 +354,9 @@ class TestPreparedStep:
         calls = []
         original = infomat.confidences
 
-        def counting(info):
-            calls.append(info.shape)
-            return original(info)
+        def counting(exponents, out=None):
+            calls.append(exponents.shape)
+            return original(exponents, out=out)
 
         monkeypatch.setattr(infomat, "confidences", counting)
         res = solver.solve(outlier_scene.depth, outlier_scene.flow_field, K)
@@ -477,6 +478,80 @@ class TestResidualsMatchParent:
             assert np.array_equal(keep, ref_keep)
         if depth_name in ("random", "invalid") and xi[2] < -0.5:
             assert keep is not None and keep.any()
+
+
+# The parent's prepare, verbatim but for its return value and the inlined
+# exp of infomat.confidences: the reference for the per-channel gathers.
+def reference_prepare(depth, flow_field, K, config):
+    depth = np.asarray(depth, dtype=float)
+    h, w = depth.shape
+    ox, oy = camera.pixel_offsets(K, (h, w))
+    mask = camera.depth_valid_mask(depth) & flow_field.valid
+    q = np.zeros_like(depth)
+    np.divide(1.0, depth, out=q, where=mask)
+    mask &= (q >= solver.Q_MIN) & (q <= solver.Q_MAX)
+    index = np.flatnonzero(mask)
+    points = np.empty((4, len(index)))
+    points[0] = ox.ravel()[index] / K.fx
+    points[1] = oy.ravel()[index] / K.fy
+    points[2] = 1.0
+    points[3] = q.ravel()[index]
+    meas = camera.flow_pixels_to_normalised(
+        flow_field.flow.reshape(-1, 2)[index], K)
+    flow = meas.T.copy()
+    if config.use_confidence:
+        info = flow_field.info.reshape(-1, 3)[index]
+        conf = np.stack((np.exp(info[..., 0]), np.exp(info[..., 2])))
+    else:
+        conf = np.ones((2, len(index)))
+    u, v, _, q = points
+    J = np.zeros((6, 2, len(u)))
+    J[0, 0] = q
+    J[2, 0] = -u * q
+    J[3, 0] = -u * v
+    J[4, 0] = u * u + 1.0
+    J[5, 0] = -v
+    J[1, 1] = q
+    J[2, 1] = -v * q
+    J[3, 1] = -v * v - 1.0
+    J[4, 1] = u * v
+    J[5, 1] = u
+    return index, points, flow, conf, J
+
+
+class TestPrepareMatchesParent:
+    @pytest.mark.parametrize("layout", ["raster", "separate"])
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_bit_identical(self, K, layout, use_confidence):
+        spec = synthetic.SceneSpec(
+            width=K.width, height=K.height, intrinsics=K,
+            motion=[0.03, 0.01, -0.02, 0.004, 0.006, -0.01],
+            depth_model=synthetic.SmoothRandomDepth(seed=3, amplitude=0.5),
+            noise_sigma=0.3, outlier_fraction=0.2, outlier_magnitude=50.0,
+            seed=28)
+        scene = synthetic.render(spec)
+        rng = np.random.default_rng(33)
+        depth = scene.depth.copy()
+        depth.ravel()[rng.choice(depth.size, 200, replace=False)] = np.nan
+        # the CLI's flow and info are views of one 5-channel raster
+        data = np.concatenate([scene.flow_field.flow,
+                               rng.uniform(-5.0, 5.0, depth.shape + (3,))],
+                              axis=-1)
+        if layout == "separate":
+            ff = FlowField(flow=data[..., :2].copy(), info=data[..., 2:].copy())
+        else:
+            ff = FlowField(flow=data[..., :2], info=data[..., 2:])
+        ff.valid[rng.random(depth.shape) < 0.1] = False
+        config = SolverConfig(use_confidence=use_confidence)
+        problem = solver.prepare(depth, ff, K, config)
+        index, points, flow, conf, J = reference_prepare(depth, ff, K, config)
+        assert 0 < len(index) < depth.size
+        for got, want in [(problem.index, index), (problem.points, points),
+                          (problem.flow, flow), (problem.conf, conf),
+                          (problem.JT, J)]:
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 class TestSolve:

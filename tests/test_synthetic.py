@@ -113,6 +113,23 @@ class TestRender:
         with pytest.raises(ValueError, match="checker period"):
             CheckerTexture(period=period)
 
+    @pytest.mark.parametrize("width, height", [(64, 48), (48, 64)])
+    def test_checker_period_below_extent_over_2_53_rejected(self, width,
+                                                             height):
+        # px / period passed 2^53, where floats hold no odd integer: the
+        # images came out uniform
+        smallest = 64 / 2.0 ** 53
+        for period in [1e-300, np.nextafter(smallest, 0.0)]:
+            with pytest.raises(ValueError, match="loses the cell parity"):
+                basic_spec(width=width, height=height,
+                           texture_model=CheckerTexture(period=period))
+        # the smallest period accepted still draws both levels in each image
+        scene = synthetic.render(basic_spec(
+            width=width, height=height,
+            texture_model=CheckerTexture(period=smallest)))
+        for image in (scene.image_1, scene.image_2):
+            assert set(np.unique(image)) == {0.25, 0.75}
+
     def test_checker_texture_binary_levels(self):
         spec = basic_spec(texture_model=CheckerTexture(period=8.0))
         scene = synthetic.render(spec)

@@ -162,8 +162,3 @@ def flow_from_pose(depth, T, K):
 def flow_normalised_to_pixels(flow, K):
     """Scale a normalised-coordinate flow field to pixel units."""
     return flow * np.array([K.fx, K.fy])
-
-
-def flow_pixels_to_normalised(flow, K):
-    """Scale a pixel-unit flow field to normalised camera coordinates."""
-    return flow / np.array([K.fx, K.fy])

@@ -20,6 +20,16 @@ LOG_ANGLE_MARGIN = 1e-6
 # Below this angle the Rodrigues coefficients switch to Taylor series.
 SMALL_ANGLE = 1e-6
 
+# Rotation angles above this are rejected by exp(): the cube of the angle in
+# the Rodrigues coefficients overflows beyond cbrt(float max) ~ 5.6e102.
+MAX_ANGLE = 1e100
+_ANGLE_ERROR = f"motion vector's rotation angle exceeds {MAX_ANGLE:g}"
+
+# exp()'s bounds on the magnitude of each motion component: finite for the
+# translation, MAX_ANGLE for the rotation, whose square then cannot
+# overflow the angle
+_COMPONENT_BOUNDS = np.array([np.finfo(float).max] * 3 + [MAX_ANGLE] * 3)
+
 
 def generators():
     """Return the 6 se(3) generator matrices as a (6, 4, 4) array."""
@@ -71,18 +81,23 @@ def exp(xi):
     or an (N, 4, 4) stack for an (N, 6) stack of motion vectors.
 
     Uses the closed-form Rodrigues formula with a series fallback for
-    rotation magnitude below 1e-6.
+    rotation magnitude below 1e-6. Raises ValueError for a non-finite
+    component or a rotation angle above MAX_ANGLE.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (6,) and (xi.ndim != 2 or xi.shape[1] != 6):
         raise ValueError("motion vector must have 6 components")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("motion vector must be finite")
+    if not (np.abs(xi) <= _COMPONENT_BOUNDS).all():
+        if not np.isfinite(xi).all():
+            raise ValueError("motion vector must be finite")
+        raise ValueError(_ANGLE_ERROR)
     v, w = xi[..., :3], xi[..., 3:]
+    theta = np.linalg.norm(w) if xi.ndim == 1 else row_norms(w)
+    if np.count_nonzero(theta > MAX_ANGLE):
+        raise ValueError(_ANGLE_ERROR)
     if xi.ndim == 1:
-        A, B, C = _rodrigues_coefficients(np.linalg.norm(w))
+        A, B, C = _rodrigues_coefficients(theta)
     else:
-        theta = row_norms(w)
         # the coefficients branch on the angle, so each branch gets its rows
         small = theta < SMALL_ANGLE
         A, B, C = np.empty((3, len(xi)))

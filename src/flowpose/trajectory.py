@@ -5,8 +5,8 @@ Trajectories are ordered lists of (timestamp, 4x4 world-from-camera pose)
 with strictly increasing timestamps.
 """
 
+import math
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,22 +172,16 @@ def align_and_scale(est, gt, pairs):
             "matched positions overflow the alignment's centroids or "
             "cross-covariance")
     if np.array_equal(pe, pg):
-        # identical inputs align exactly; skipping the SVD keeps the
-        # aligned estimate bitwise equal to the ground truth
-        sv = np.linalg.svd(cg, compute_uv=False)
-        low_rank = sv[1] <= 1e-12 * max(sv[0], 1e-300)
-        result = AlignmentResult(rotation=np.eye(3), translation=np.zeros(3),
-                                 scale=1.0,
-                                 per_pose_scales=_per_pose_scales(est, gt, pairs),
-                                 low_rank=bool(low_rank))
-        aligned = Trajectory(est.timestamps.copy(), est.poses.copy())
-        return aligned, result
-
-    U, S, Vt = np.linalg.svd(H)
-    D = np.eye(3)
-    if np.linalg.det(Vt.T @ U.T) < 0:
-        D[2, 2] = -1.0
-    R = Vt.T @ D @ U.T
+        # identical matched positions align exactly: with R = I the scale
+        # is 1, the translation 0 and the aligned poses the estimate's
+        R = np.eye(3)
+        S = np.linalg.svd(cg, compute_uv=False)
+    else:
+        U, S, Vt = np.linalg.svd(H)
+        D = np.eye(3)
+        if np.linalg.det(Vt.T @ U.T) < 0:
+            D[2, 2] = -1.0
+        R = Vt.T @ D @ U.T
     low_rank = S[1] <= 1e-12 * max(S[0], 1e-300)
 
     aligned_poses = est.poses.copy()
@@ -289,26 +283,17 @@ def quaternion_from_rotation(R):
     q[w_big, 1] = (M[:, 0, 2] - M[:, 2, 0]) / s
     q[w_big, 2] = (M[:, 1, 0] - M[:, 0, 1]) / s
 
-    M = stack[x_big]
-    s = np.sqrt(1.0 + M[:, 0, 0] - M[:, 1, 1] - M[:, 2, 2]) * 2.0
-    q[x_big, 3] = (M[:, 2, 1] - M[:, 1, 2]) / s
-    q[x_big, 0] = 0.25 * s
-    q[x_big, 1] = (M[:, 0, 1] + M[:, 1, 0]) / s
-    q[x_big, 2] = (M[:, 0, 2] + M[:, 2, 0]) / s
-
-    M = stack[y_big]
-    s = np.sqrt(1.0 + M[:, 1, 1] - M[:, 0, 0] - M[:, 2, 2]) * 2.0
-    q[y_big, 3] = (M[:, 0, 2] - M[:, 2, 0]) / s
-    q[y_big, 0] = (M[:, 0, 1] + M[:, 1, 0]) / s
-    q[y_big, 1] = 0.25 * s
-    q[y_big, 2] = (M[:, 1, 2] + M[:, 2, 1]) / s
-
-    M = stack[z_big]
-    s = np.sqrt(1.0 + M[:, 2, 2] - M[:, 0, 0] - M[:, 1, 1]) * 2.0
-    q[z_big, 3] = (M[:, 1, 0] - M[:, 0, 1]) / s
-    q[z_big, 0] = (M[:, 0, 2] + M[:, 2, 0]) / s
-    q[z_big, 1] = (M[:, 1, 2] + M[:, 2, 1]) / s
-    q[z_big, 2] = 0.25 * s
+    # axis k has the largest diagonal entry; i < j are the other two and
+    # c, d the two after k in cyclic order
+    for k, rows in enumerate((x_big, y_big, z_big)):
+        i, j = [a for a in range(3) if a != k]
+        c, d = (k + 1) % 3, (k + 2) % 3
+        M = stack[rows]
+        s = np.sqrt(1.0 + M[:, k, k] - M[:, i, i] - M[:, j, j]) * 2.0
+        q[rows, 3] = (M[:, d, c] - M[:, c, d]) / s
+        q[rows, k] = 0.25 * s
+        for a in (i, j):
+            q[rows, a] = (M[:, a, k] + M[:, k, a]) / s
 
     q /= se3.row_norms(q)[:, None]
     flip = q[:, 3] < 0
@@ -371,34 +356,26 @@ def _tum_values(lines):
 def _tum_lines(path, lines):
     """The (N, 8) fields of a TUM file parsed line by line with float();
     a RasterFormatError names the first malformed line."""
-    numbers, linenos, fault = array('d'), [], None
+    rows = []
     for lineno, line in enumerate(lines, 1):
         parts = line.split()
         if not parts or parts[0].startswith('#'):
             continue
         if len(parts) != 8:
-            fault = RasterFormatError(
+            raise RasterFormatError(
                 f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            break
         try:
-            numbers.extend([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
-            fault = RasterFormatError(f"{path}:{lineno}: {exc}")
-            break
-        linenos.append(lineno)
-    values = np.frombuffer(numbers).reshape(-1, 8)
-    # a non-finite field on a line above the fault is the first fault
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        row, col = divmod(int(bad[0]), 8)
-        text = lines[linenos[row] - 1].split()[col]
-        raise RasterFormatError(f"{path}:{linenos[row]}: {_TUM_FIELDS[col]} "
-                                f"{text} is not finite")
-    if fault is not None:
-        raise fault
-    if not linenos:
+            raise RasterFormatError(f"{path}:{lineno}: {exc}") from exc
+        for name, value, text in zip(_TUM_FIELDS, row, parts):
+            if not math.isfinite(value):
+                raise RasterFormatError(
+                    f"{path}:{lineno}: {name} {text} is not finite")
+        rows.append(row)
+    if not rows:
         raise RasterFormatError(f"{path}: no trajectory samples")
-    return values
+    return np.array(rows)
 
 
 def read_tum(path):

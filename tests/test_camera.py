@@ -104,29 +104,6 @@ class TestProjectBackproject:
         assert np.max(np.abs(back - np.stack([ox, oy], axis=-1))) < 1e-9
 
 
-class TestPixelNormalised:
-    """Pixel offsets to normalised coordinates and back, by the flow
-    scalings."""
-
-    def test_principal_point(self, K):
-        ox, oy = camera.pixel_offsets(K, (K.height, K.width))
-        n = camera.flow_pixels_to_normalised(np.stack([ox, oy], axis=-1), K)
-        assert np.array_equal(n[int(K.cy), int(K.cx)], [0, 0])
-
-    def test_focal_offset(self):
-        K = Intrinsics(fx=200, fy=200, cx=100, cy=100, width=400, height=400)
-        ox, oy = camera.pixel_offsets(K, (400, 400))
-        n = camera.flow_pixels_to_normalised(np.stack([ox, oy], axis=-1), K)
-        assert np.array_equal(n[100, 300], [1, 0])
-
-    def test_roundtrip(self, K):
-        rng = np.random.default_rng(1)
-        u = rng.uniform(-100, 100, (50, 2))
-        back = camera.flow_normalised_to_pixels(
-            camera.flow_pixels_to_normalised(u, K), K)
-        assert np.max(np.abs(back - u)) < 1e-12
-
-
 class TestBilinear:
     def test_exact_at_integer_coords(self):
         rng = np.random.default_rng(2)

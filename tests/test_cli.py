@@ -688,6 +688,69 @@ class TestEvalTraj:
         assert proc.stderr == f"format error: {path}: no trajectory samples\n"
 
 
+# `eval-traj` stdout recorded, as literals, before `align_and_scale` lost
+# its identical-input branch, `quaternion_from_rotation` its per-axis blocks
+# and `_tum_lines` its deferred non-finite search. The alignment goes
+# through LAPACK and BLAS, so another platform may differ in the last digits.
+PINNED_EVAL_STDOUT = {
+    ("bench", False): "0.006625819799 0.0108403142584 0.29474279257 "
+                      "matched 177\n"
+                      "scales 0.637824888743 1.09611319308 1.22473345089 "
+                      "1.37434321075 2.38167861787\n",
+    ("bench", True): "ATE (m):    0.006625819799\n"
+                     "RPE (m):    0.0108403142584\n"
+                     "RPE (deg):  0.29474279257\n"
+                     "matched:    177\n"
+                     "scales (min q1 median q3 max): 0.637824888743 "
+                     "1.09611319308 1.22473345089 1.37434321075 "
+                     "2.38167861787\n",
+    ("same", False): "0 0 0 matched 588\nscales 1 1 1 1 1\n",
+    ("same", True): "ATE (m):    0\nRPE (m):    0\nRPE (deg):  0\n"
+                    "matched:    588\n"
+                    "scales (min q1 median q3 max): 1 1 1 1 1\n",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_sequence(tmp_path_factory):
+    """Like a bench traj-eval-long pair, 600 ground-truth poses long: ground
+    truth at 100 Hz with a 0.12 s gap; the estimate at 30 Hz with +-4 ms
+    jitter, a dropped frame, a 0.8 scale error and pose noise."""
+    rng = np.random.default_rng(64)
+    t0 = 1305031100.0
+    steps = np.concatenate([rng.normal(0.0, 0.002, (600, 3)) + [0, 0, 0.01],
+                            rng.normal(0.0, 0.003, (600, 3))], axis=1)
+    gt = trajectory.chain([(t0 + k * 0.01, xi) for k, xi in enumerate(steps)])
+    keep = np.ones(600, dtype=bool)
+    keep[300:312] = False
+    t_est = np.delete(t0 + 0.005 + np.arange(180) / 30.0
+                      + rng.uniform(-0.004, 0.004, 180), 90)
+    nearest = np.clip(np.rint((t_est - t0) / 0.01).astype(int), 0, 599)
+    poses = gt.poses[nearest].copy()
+    poses[:, :3, 3] *= 0.8
+    noise = np.concatenate([rng.normal(0.0, 0.003, (len(t_est), 3)),
+                            rng.normal(0.0, 0.002, (len(t_est), 3))], axis=1)
+    root = tmp_path_factory.mktemp("pinned_traj")
+    trajectory.write_tum(Trajectory(gt.timestamps[keep], gt.poses[keep]),
+                         root / "gt.txt")
+    trajectory.write_tum(Trajectory(t_est, poses @ se3.exp(noise)),
+                         root / "est.txt")
+    return root
+
+
+class TestEvalTrajOutputPinned:
+    @pytest.mark.parametrize("pretty", [False, True], ids=["plain", "pretty"])
+    @pytest.mark.parametrize("pair", ["bench", "same"])
+    def test_stdout_matches_recorded_bytes(self, capsys, pinned_sequence,
+                                           pair, pretty):
+        gt = pinned_sequence / "gt.txt"
+        est = pinned_sequence / "est.txt" if pair == "bench" else gt
+        argv = ["eval-traj", "--est", str(est), "--gt", str(gt)]
+        capsys.readouterr()
+        assert run_strict(capsys, *argv, *(["--pretty"] if pretty else [])) \
+            == (0, PINNED_EVAL_STDOUT[pair, pretty], "")
+
+
 class TestLoss:
     def test_berhu_self_is_zero(self, capsys, tmp_path):
         d = np.full((8, 8), 2.0)
@@ -954,6 +1017,33 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "degenerate geometry: point not in front of the camera\n"
+
+
+class TestOversizedRotation:
+    """A rotation angle above se3.MAX_ANGLE exits 2 with one stderr line.
+    Before, its cube or its square overflowed: synth wrote a wrong or NaN
+    scene with exit 0 and the seeded solve found 0 valid pixels (exit 5)."""
+
+    MESSAGE = "error: motion vector's rotation angle exceeds 1e+100\n"
+
+    @pytest.mark.parametrize("angle", ["1e103", "1e155", "1e300"])
+    def test_synth_motion(self, capsys, tmp_path, angle):
+        out = tmp_path / "scene"
+        assert run_strict(capsys, "synth", "--width", "64", "--height", "48",
+                          "--depth", "constant:2",
+                          "--motion", f"0,0,0,0,0,{angle}",
+                          "--out", str(out)) == (2, "", self.MESSAGE)
+        assert not out.exists()
+
+    def test_solve_seed(self, capsys, scene_dir):
+        directory, _ = scene_dir
+        assert run_strict(capsys, *solve_args(
+            directory, "--seed-xi", "0,0,0,0,0,1e300")) == (2, "", self.MESSAGE)
+
+    def test_pose_photometric_motion(self, capsys, loss_rasters):
+        assert run_strict(capsys, *loss_args(
+            "pose-photometric", loss_rasters, motion="0,0,0,0,0,1e150")) == (
+            2, "", self.MESSAGE)
 
 
 # Property: any byte string as an input file gets a documented exit code and

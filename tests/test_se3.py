@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,30 @@ class TestExp:
     def test_bad_stack_rejected(self, bad):
         with pytest.raises(ValueError):
             se3.exp(bad)
+
+    def test_angle_at_bound_is_finite(self):
+        xi = np.array([[1.0, -2.0, 3.0, 0.0, 0.0, 0.0]] * 3)
+        xi[:, 3:] = np.eye(3) * se3.MAX_ANGLE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = se3.exp(xi)
+            one = se3.exp(xi[2])
+        assert np.all(np.isfinite(stack))
+        assert np.array_equal(one, stack[2])
+
+    # beyond the bound the cube of the angle overflowed (from 5.6e102) and
+    # its square (from 1.3e154): a wrong or NaN transform, exit 0 in synth
+    @pytest.mark.parametrize("w", [[0, 0, 1.000001], [0, 0, 1e3], [0, 0, 1e55],
+                                   [0, 0, 1e200], [0.8, 0, -0.8]])
+    def test_angle_beyond_bound_rejected(self, w):
+        one = np.concatenate([[0.1, 0.2, 0.3], np.multiply(w, se3.MAX_ANGLE)])
+        stack = np.zeros((4, 6))
+        stack[2] = one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (one, stack):
+                with pytest.raises(ValueError, match="rotation angle exceeds"):
+                    se3.exp(xi)
 
     def test_row_norms_match_rows(self):
         rng = np.random.default_rng(9)

@@ -496,8 +496,7 @@ def reference_prepare(depth, flow_field, K, config):
     points[1] = oy.ravel()[index] / K.fy
     points[2] = 1.0
     points[3] = q.ravel()[index]
-    meas = camera.flow_pixels_to_normalised(
-        flow_field.flow.reshape(-1, 2)[index], K)
+    meas = flow_field.flow.reshape(-1, 2)[index] / np.array([K.fx, K.fy])
     flow = meas.T.copy()
     if config.use_confidence:
         info = flow_field.info.reshape(-1, 3)[index]

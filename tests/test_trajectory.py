@@ -128,10 +128,11 @@ class TestAlignAndScale:
         t = random_trajectory(rng)
         pairs = trajectory.associate(t, t)
         aligned, result = trajectory.align_and_scale(t, t, pairs)
-        assert abs(result.scale - 1.0) < 1e-12
-        assert np.allclose(result.rotation, np.eye(3), atol=1e-9)
+        assert result.scale == 1.0
+        assert np.array_equal(result.rotation, np.eye(3))
+        assert np.array_equal(result.translation, np.zeros(3))
         assert np.allclose(result.per_pose_scales, 1.0, atol=1e-9)
-        assert np.max(np.abs(aligned.poses - t.poses)) < 1e-9
+        assert np.array_equal(aligned.poses, t.poses)
 
     def test_uniform_half_scale(self):
         rng = np.random.default_rng(36)
@@ -181,6 +182,25 @@ class TestAlignAndScale:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateGeometryError, match="overflow"):
                 trajectory.align_and_scale(est, est if identical else gt, pairs)
+
+    # Identical inputs take the other inputs' scale check: the sum of
+    # squares of positions near 4.9e152 overflows, as it does against a
+    # ground truth scaled by 0.999 (identical inputs scored 0 before)
+    @pytest.mark.parametrize("gt_scale", [1.0, 0.999])
+    def test_overflowing_scale_is_degenerate(self, gt_scale):
+        rng = np.random.default_rng(39)
+        poses = np.tile(np.eye(4), (1000, 1, 1))
+        poses[:, :3, 3] = rng.uniform(-4.9e152, 4.9e152, (1000, 3))
+        est = Trajectory(np.arange(1000) * 0.1, poses)
+        gt_poses = poses.copy()
+        gt_poses[:, :3, 3] *= gt_scale
+        gt = Trajectory(est.timestamps, gt_poses)
+        pairs = [(i, i) for i in range(len(est))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometryError,
+                               match="alignment scale"):
+                trajectory.align_and_scale(est, gt, pairs)
 
 
 class TestAteRpe:

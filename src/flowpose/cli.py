@@ -26,7 +26,7 @@ import numpy as np
 
 from . import infomat, losses, rasters, solver, synthetic, trajectory
 from .camera import check_same_size
-from .errors import FlowPoseError, RasterFormatError, UsageError
+from .errors import FlowPoseError, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -144,17 +144,6 @@ def _given_settings(args):
             if hasattr(args, dest)}
 
 
-def _flow_field_from_raster(data):
-    data = np.atleast_3d(data)
-    if data.shape[2] == 5:
-        return solver.FlowField(flow=data[..., :2], info=data[..., 2:])
-    if data.shape[2] == 2:
-        info = np.zeros(data.shape[:2] + (3,))
-        return solver.FlowField(flow=data, info=info)
-    raise RasterFormatError(
-        f"flow raster must have 2 or 5 channels, got {data.shape[2]}")
-
-
 def cmd_synth(args):
     spec = synthetic.SceneSpec(
         width=args.width, height=args.height,
@@ -174,9 +163,7 @@ def cmd_synth(args):
 
 def cmd_solve(args):
     depth = rasters.read_raster(args.depth)
-    if depth.ndim != 2:
-        raise RasterFormatError("depth raster must have a single channel")
-    flow = _flow_field_from_raster(rasters.read_raster(args.flow))
+    flow = solver.FlowField.from_raster(rasters.read_raster(args.flow))
     K = rasters.read_intrinsics(args.intrinsics)
     config = solver.SolverConfig(**_given_settings(args))
     result = solver.solve(depth, flow, K, config)
@@ -242,8 +229,8 @@ def cmd_loss(args):
         value = losses.smoothness(rasters.read_raster(args.depth))
     elif name == 'flownll':
         _require(args, ['flow', 'gt-flow'])
-        pred = _flow_field_from_raster(rasters.read_raster(args.flow))
-        gt = _flow_field_from_raster(rasters.read_raster(args.gt_flow))
+        pred = solver.FlowField.from_raster(rasters.read_raster(args.flow))
+        gt = solver.FlowField.from_raster(rasters.read_raster(args.gt_flow))
         check_same_size(pred.flow, gt.flow, ("flow", "gt-flow"))
         valid = pred.valid & gt.valid
         residual = np.subtract(pred.flow, gt.flow, where=valid[..., None],

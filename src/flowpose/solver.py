@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import infomat, se3
-from .camera import check_same_size, depth_valid_mask, divide, pixel_offsets
-from .errors import DegenerateGeometryError, InsufficientDataError
+from .camera import check_same_size, divide, pixel_offsets
+from .errors import (DegenerateGeometryError, InsufficientDataError,
+                     RasterFormatError)
 
 # Inverse depths outside this band destabilise the Jacobian and are masked.
 Q_MIN = 1e-4
@@ -71,11 +72,16 @@ class FlowField:
     def __post_init__(self):
         self.flow = np.asarray(self.flow, dtype=float)
         self.info = np.asarray(self.info, dtype=float)
-        if self.flow.shape[:2] != self.info.shape[:2]:
-            raise ValueError("flow and info shapes differ")
+        size = self.flow.shape[:2]
+        valid_shape = None if self.valid is None else np.shape(self.valid)
+        if (self.flow.shape != size + (2,) or self.info.shape != size + (3,)
+                or valid_shape not in (None, size)):
+            raise ValueError("flow, info and valid must be (H, W, 2), "
+                             f"(H, W, 3) and (H, W), got {self.flow.shape}, "
+                             f"{self.info.shape} and {valid_shape}")
         # one elementwise pass per channel: np.all over the short channel
         # axis is several times slower
-        finite = np.ones(self.flow.shape[:-1], dtype=bool)
+        finite = np.ones(size, dtype=bool)
         for raster in (self.flow, self.info):
             for c in range(raster.shape[-1]):
                 finite &= np.isfinite(raster[..., c])
@@ -83,6 +89,21 @@ class FlowField:
             self.valid = finite
         else:
             self.valid = np.asarray(self.valid, dtype=bool) & finite
+
+    @classmethod
+    def from_raster(cls, data):
+        """The flow field of a 5-channel or a 2-channel (zero info) raster."""
+        data = np.atleast_3d(data)
+        if data.shape[2] not in (2, 5):
+            raise RasterFormatError(
+                f"flow raster must have 2 or 5 channels, got {data.shape[2]}")
+        info = (data[..., 2:] if data.shape[2] == 5
+                else np.zeros(data.shape[:2] + (3,)))
+        return cls(flow=data[..., :2], info=info)
+
+    def raster(self):
+        """The 5-channel flow raster: flow, then a_hat, b_hat, g_hat."""
+        return np.concatenate([self.flow, self.info], axis=-1)
 
 
 @dataclass
@@ -139,8 +160,8 @@ class Problem:
     index: np.ndarray           # (N,) flat raster index of each valid pixel
     points: np.ndarray          # (4, N) inverse-depth points, rows u, v, 1, q
     flow: np.ndarray            # (2, N) measured flow, normalised units
-    conf: np.ndarray = None     # (2, N) confidences, rows C_x, C_y
-    JT: np.ndarray = None       # (6, 2, N) transposed Jacobians, as built by
+    conf: np.ndarray            # (2, N) confidences, rows C_x, C_y
+    JT: np.ndarray              # (6, 2, N) transposed Jacobians, as built by
                                 # _jacobians: JT[:, 0] holds the x rows and
                                 # JT[:, 1] the y rows
 
@@ -159,19 +180,26 @@ class Problem:
         return residuals.reshape(h, w, 2)
 
 
-def _geometry(depth, flow_field, K):
-    """The valid pixels' points and measured flow; checks that depth, flow
-    and intrinsics describe the same raster size."""
+# Overflow from extreme inputs (absurd focal lengths, huge flow times huge
+# confidences) ends in A or b, which gauss_newton_step checks for finiteness.
+_OVERFLOW_CHECKED = np.errstate(over='ignore', invalid='ignore')
+
+
+@_OVERFLOW_CHECKED
+def prepare(depth, flow_field, K, config):
+    """Everything constant over a solve: the valid pixels, their points and
+    measured flow, their confidences (ones with use_confidence off) and the
+    Jacobians at the identity."""
     depth = np.asarray(depth, dtype=float)
+    if depth.ndim != 2:
+        raise RasterFormatError("depth raster must have a single channel")
     check_same_size(depth, flow_field.flow, ("depth", "flow"))
     h, w = depth.shape
     ox, oy = pixel_offsets(K, (h, w))
 
-    mask = depth_valid_mask(depth) & flow_field.valid
-    q = np.zeros_like(depth)
-    np.divide(1.0, depth, out=q, where=mask)
-    mask &= (q >= Q_MIN) & (q <= Q_MAX)
-    index = np.flatnonzero(mask)
+    with np.errstate(divide='ignore'):
+        q = 1.0 / depth     # NaN, inf, 0 and < 0 depths: q outside the band
+    index = np.flatnonzero(flow_field.valid & (q >= Q_MIN) & (q <= Q_MAX))
     # every gather goes straight into its row: a gather of (N, 2) flow rows
     # and its transposed copy took three times as long. The index is in
     # range, so mode='clip' changes no value; it only spares np.take the
@@ -185,34 +213,19 @@ def _geometry(depth, flow_field, K):
         np.divide(pixels[:, c][index], f, out=meas[c])
     points[2] = 1.0
     np.take(q.ravel(), index, out=points[3], mode='clip')
-    return Problem(shape=(h, w), index=index, points=points, flow=meas)
-
-
-# Overflow from extreme inputs (absurd focal lengths, huge flow times huge
-# confidences) ends in A or b, which gauss_newton_step checks for finiteness.
-_OVERFLOW_CHECKED = np.errstate(over='ignore', invalid='ignore')
-
-
-@_OVERFLOW_CHECKED
-def prepare(depth, flow_field, K, config):
-    """Everything constant over a solve: the valid pixels, their points and
-    measured flow, their confidences (ones with use_confidence off) and the
-    Jacobians at the identity."""
-    problem = _geometry(depth, flow_field, K)
-    n = len(problem.index)
+    n = len(index)
     if config.use_confidence:
         # only the a_hat and g_hat channels, each gathered into its row; the
         # exponentials overwrite them
         info = flow_field.info.reshape(-1, 3)
         conf = np.empty((2, n))
         for row, c in enumerate((0, 2)):
-            conf[row] = info[:, c][problem.index]
-        problem.conf = infomat.confidences(conf, out=conf)
+            conf[row] = info[:, c][index]
+        conf = infomat.confidences(conf, out=conf)
     else:
-        problem.conf = np.ones((2, n))
-    u, v, _, q = problem.points
-    problem.JT = _jacobians(u, v, q)
-    return problem
+        conf = np.ones((2, n))
+    return Problem(shape=(h, w), index=index, points=points, flow=meas,
+                   conf=conf, JT=_jacobians(points[0], points[1], points[3]))
 
 
 def _residuals(problem, xi):
@@ -244,8 +257,8 @@ def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
     """Problem.residual_raster of the depth map and flow field: the residual
     raster at exp(xi), 0 at invalid pixels. The measured flow is converted
     from pixel units."""
-    return _geometry(depth, flow_field, K).residual_raster(xi,
-                                                           min_valid_pixels)
+    return prepare(depth, flow_field, K, SolverConfig(use_confidence=False)
+                   ).residual_raster(xi, min_valid_pixels)
 
 
 def jacobian_row(u, v, q):

@@ -113,6 +113,8 @@ class SmoothRandomTexture:
     small so bilinear resampling stays accurate."""
     seed: int
 
+    # huge motions overflow at pixels the second camera cannot see: zeroed
+    @np.errstate(over='ignore', invalid='ignore')
     def intensity(self, a, b, K):
         c = stream_uniform(self.seed, 11, 5) * 2.0 - 1.0
         val = (0.5 + 0.25 * (c[0] * a + c[1] * b)
@@ -311,11 +313,10 @@ def write_scene(spec, directory):
     """
     scene = render(spec)
     K = spec.intrinsics
-    flow5 = np.concatenate([scene.flow_field.flow, scene.flow_field.info],
-                           axis=-1)
     pair = np.stack([scene.image_1, scene.image_2], axis=-1)
     artifacts = {}
-    for name, data in (("depth.engr", scene.depth), ("flow.engr", flow5),
+    for name, data in (("depth.engr", scene.depth),
+                       ("flow.engr", scene.flow_field.raster()),
                        ("images.engr", pair)):
         path = os.path.join(directory, name)
         artifacts[name] = rasters.encode_raster(path, data)

@@ -171,13 +171,12 @@ def align_and_scale(est, gt, pairs):
         raise DegenerateGeometryError(
             "matched positions overflow the alignment's centroids or "
             "cross-covariance")
+    U, S, Vt = np.linalg.svd(H)
     if np.array_equal(pe, pg):
         # identical matched positions align exactly: with R = I the scale
         # is 1, the translation 0 and the aligned poses the estimate's
         R = np.eye(3)
-        S = np.linalg.svd(cg, compute_uv=False)
     else:
-        U, S, Vt = np.linalg.svd(H)
         D = np.eye(3)
         if np.linalg.det(Vt.T @ U.T) < 0:
             D[2, 2] = -1.0

@@ -212,7 +212,7 @@ class TestSolve:
         assert resid.shape == (48, 64, 2)
         # the raster is compute_residuals at the printed pose, as float32
         xi = np.array([float(x) for x in stdout.split()[:6]])
-        flow = cli._flow_field_from_raster(
+        flow = solver.FlowField.from_raster(
             rasters.read_raster(directory / "flow.engr"))
         K = rasters.read_intrinsics(directory / "intrinsics.txt")
         want = solver.compute_residuals(depth, flow, xi, K)
@@ -457,13 +457,13 @@ class TestSolveOutputPinned:
     def test_residuals_build_the_geometry_once(self, capsys, monkeypatch,
                                                pinned_scenes, tmp_path):
         calls = []
-        original = solver._geometry
+        original = solver.prepare
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(solver, "_geometry", counting)
+        monkeypatch.setattr(solver, "prepare", counting)
         code, _, _ = run(capsys, *solve_args(pinned_scenes / "outliers",
                                              "--residuals",
                                              str(tmp_path / "r.engr")))
@@ -1044,6 +1044,35 @@ class TestOversizedRotation:
         assert run_strict(capsys, *loss_args(
             "pose-photometric", loss_rasters, motion="0,0,0,0,0,1e150")) == (
             2, "", self.MESSAGE)
+
+
+class TestHugeTranslation:
+    """A translation so large that the smooth texture's polynomial overflows
+    at the pixels the second camera cannot see. Those pixels are zeroed, so
+    no RuntimeWarning may reach stderr (it used to print 2-4 lines)."""
+
+    def synth(self, tmp_path, motion):
+        env = child_env()
+        env.pop("PYTHONWARNINGS", None)
+        out = tmp_path / "scene"
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowpose.cli", "synth", "--width", "64",
+             "--height", "48", "--depth", "constant:2", f"--motion={motion}",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        return proc, out
+
+    def test_along_the_axis_renders_silently(self, tmp_path):
+        proc, out = self.synth(tmp_path, "0,0,1e160,0,0,0")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (out / "manifest.txt").exists()
+
+    def test_sideways_fails_with_one_line(self, tmp_path):
+        proc, out = self.synth(tmp_path, "1e160,0,0,0,0,0")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith(": a finite value overflows float32\n")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
 
 # Property: any byte string as an input file gets a documented exit code and

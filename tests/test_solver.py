@@ -5,7 +5,8 @@ import pytest
 
 from flowpose import camera, infomat, se3, solver, synthetic
 from flowpose.camera import Intrinsics
-from flowpose.errors import DegenerateGeometryError, InsufficientDataError
+from flowpose.errors import (DegenerateGeometryError, InsufficientDataError,
+                             RasterFormatError)
 from flowpose.solver import FlowField, SolverConfig
 
 
@@ -39,6 +40,73 @@ class TestFlowField:
         assert ff.valid.dtype == bool
         assert np.array_equal(ff.valid, want)
         assert 0 < want.sum() < want.size - 9
+
+    @pytest.mark.parametrize("flow_shape, info_shape, valid_shape", [
+        ((12, 16), (12, 16, 3), None),
+        ((12, 16, 1), (12, 16, 3), None),
+        ((12, 16, 3), (12, 16, 3), None),
+        ((12, 16, 2), (12, 16, 2), None),
+        ((12, 16, 2), (12, 16, 5), None),
+        ((12, 16, 2), (12, 16, 3), (16,)),
+    ], ids=["flow-2d", "flow-1ch", "flow-3ch", "info-2ch", "info-5ch",
+            "valid-1d"])
+    def test_rejects_other_shapes(self, flow_shape, info_shape, valid_shape):
+        valid = None if valid_shape is None else np.ones(valid_shape, bool)
+        with pytest.raises(ValueError) as exc:
+            FlowField(flow=np.zeros(flow_shape), info=np.zeros(info_shape),
+                      valid=valid)
+        message = str(exc.value)
+        assert "\n" not in message
+        for shape in (flow_shape, info_shape, valid_shape):
+            assert f"{shape}" in message
+
+    def test_three_channel_flow_cannot_reach_solve(self, K):
+        # the solver used to read the third channel's column as flow and
+        # return converged=True with a twist near 0.0012, -0.0004, ...
+        motion = [0.02, -0.01, 0.01, 0.004, -0.003, 0.006]
+        scene = synthetic.render(synthetic.SceneSpec(
+            width=K.width, height=K.height, intrinsics=K, motion=motion,
+            depth_model=synthetic.PlaneDepth(normal=(0.1, -0.05, 1.0),
+                                             offset=2.0)))
+        ff = scene.flow_field
+        assert np.allclose(solver.solve(scene.depth, ff, K).xi, motion,
+                           atol=1e-9)
+        flow3 = np.concatenate([ff.flow, ff.info[..., :1]], axis=-1)
+        with pytest.raises(ValueError, match=r"\(48, 64, 3\)"):
+            solver.solve(scene.depth, FlowField(flow=flow3, info=ff.info), K)
+
+    def test_raster_round_trip(self):
+        rng = np.random.default_rng(36)
+        flow = rng.normal(size=(12, 16, 2))
+        flow[3, 4] = np.nan
+        info = rng.normal(size=(12, 16, 3))
+        info[5, 6, 1] = np.inf
+        ff = FlowField(flow=flow, info=info)
+        back = FlowField.from_raster(ff.raster())
+        for got, want in [(back.flow, ff.flow), (back.info, ff.info),
+                          (back.valid, ff.valid)]:
+            assert got.tobytes() == want.tobytes()
+        two = FlowField.from_raster(flow)
+        assert two.flow.tobytes() == flow.tobytes()
+        assert two.info.shape == (12, 16, 3) and not two.info.any()
+        assert np.array_equal(two.valid, np.isfinite(flow).all(axis=-1))
+
+
+class TestDepthShape:
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("call", ["prepare", "solve",
+                                      "compute_residuals"])
+    def test_multichannel_depth_is_format_error(self, K, call, channels):
+        depth = np.full((K.height, K.width, channels), 2.0)
+        ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
+                       info=np.zeros((K.height, K.width, 3)))
+        run = {"prepare": lambda: solver.prepare(depth, ff, K, SolverConfig()),
+               "solve": lambda: solver.solve(depth, ff, K),
+               "compute_residuals": lambda: solver.compute_residuals(
+                   depth, ff, np.zeros(6), K)}[call]
+        with pytest.raises(RasterFormatError,
+                           match="^depth raster must have a single channel$"):
+            run()
 
 
 class TestComputeResiduals:
@@ -532,6 +600,12 @@ class TestPrepareMatchesParent:
         rng = np.random.default_rng(33)
         depth = scene.depth.copy()
         depth.ravel()[rng.choice(depth.size, 200, replace=False)] = np.nan
+        # depths at and around the ends of the band and outside (0, inf);
+        # 9.999999999999998e-05 and 10000.000000000002 are the depths
+        # nearest the band's ends whose inverse lies outside [Q_MIN, Q_MAX]
+        edges = [0.0, -0.0, -2.0, np.inf, -np.inf, 5e-324, 1e-4, 1e4,
+                 9.999999999999998e-05, 10000.000000000002]
+        depth[24, 20:30] = edges
         # the CLI's flow and info are views of one 5-channel raster
         data = np.concatenate([scene.flow_field.flow,
                                rng.uniform(-5.0, 5.0, depth.shape + (3,))],
@@ -543,8 +617,14 @@ class TestPrepareMatchesParent:
         ff.valid[rng.random(depth.shape) < 0.1] = False
         config = SolverConfig(use_confidence=use_confidence)
         problem = solver.prepare(depth, ff, K, config)
-        index, points, flow, conf, J = reference_prepare(depth, ff, K, config)
+        with np.errstate(over='ignore'):    # as in the parent's prepare
+            index, points, flow, conf, J = reference_prepare(depth, ff, K,
+                                                             config)
         assert 0 < len(index) < depth.size
+        edge_index = 24 * K.width + np.arange(20, 30)
+        assert ff.valid[24, 20:30].all()
+        assert np.isin(edge_index, index).tolist() == [False] * 6 + [
+            True, True, False, False]
         for got, want in [(problem.index, index), (problem.points, points),
                           (problem.flow, flow), (problem.conf, conf),
                           (problem.JT, J)]:

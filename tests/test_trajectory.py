@@ -170,6 +170,22 @@ class TestAlignAndScale:
         _, result = trajectory.align_and_scale(t, t, pairs)
         assert result.low_rank
 
+    # a line along x with a 1e-8 m wiggle in y: the same singular-value ratio
+    # of H decides low_rank for identical and for scaled inputs (identical
+    # ones used to compare the positions' singular values, not their squares)
+    @pytest.mark.parametrize("gt_scale", [1.0, 1.0000001])
+    def test_near_line_low_rank_on_one_scale(self, gt_scale):
+        poses = np.tile(np.eye(4), (50, 1, 1))
+        poses[:, 0, 3] = np.arange(50, dtype=float)
+        poses[:, 1, 3] = 1e-8 * (-1.0) ** np.arange(50)
+        est = Trajectory(np.arange(50) * 0.1, poses)
+        gt_poses = poses.copy()
+        gt_poses[:, :3, 3] *= gt_scale
+        gt = Trajectory(est.timestamps, gt_poses)
+        pairs = [(i, i) for i in range(50)]
+        _, result = trajectory.align_and_scale(est, gt, pairs)
+        assert result.low_rank
+
     # finite positions whose sum overflows; the SVD used to raise LinAlgError
     @pytest.mark.parametrize("identical", [False, True])
     def test_overflowing_positions_are_degenerate(self, identical):

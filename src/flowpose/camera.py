@@ -66,16 +66,16 @@ def check_same_size(first, second, names):
                                 f"{names[1]} raster is {w2}x{h2}")
 
 
-def divide(Y):
+def divide(Y, out=None):
     """Perspective divide of channel-first camera points Y (3, ...): returns
     (Y[:2] / z, front), where front marks the points whose z exceeds
     CHEIRALITY_EPS and z is replaced by 1 elsewhere. A NaN z is not in
-    front."""
+    front. The quotient goes to `out` when given; Y[:2] itself may be it."""
     z = Y[2]
     front = z > CHEIRALITY_EPS
     if not front.all():
         z = np.where(front, z, 1.0)
-    return Y[:2] / z, front
+    return np.divide(Y[:2], z, out=out), front
 
 
 def bilinear_sample(img, px, py):
@@ -115,16 +115,22 @@ def _moved_grid(depth, T, K):
     depth = np.asarray(depth, dtype=float)
     ox, oy = pixel_offsets(K, depth.shape)
     valid = depth_valid_mask(depth)
-    X = np.empty(depth.shape + (3,))
-    d = X[..., 2]
+    X = np.empty((depth.size, 3))       # one point a row
+    d = X[:, 2]
     d[...] = 1.0
-    np.copyto(d, depth, where=valid)
+    np.copyto(d, depth.ravel(), where=valid.ravel())
     for c, (o, f) in enumerate(((ox, K.fx), (oy, K.fy))):
-        np.multiply(d, o, out=X[..., c])
-        X[..., c] /= f
-    Y = np.matmul(X, T[:3, :3].T)
-    Y += T[:3, 3]
-    uv, front = divide(np.moveaxis(Y, -1, 0))
+        np.multiply(d, o.ravel(), out=X[:, c])
+        X[:, c] /= f
+    # R^T copied C-ordered: on the transposed view BLAS takes another gemm
+    # path, with the same bits, that is slower and adds 0.6 MB to the peak
+    # RSS of a process
+    Y = X @ np.ascontiguousarray(T[:3, :3].T)
+    # X's buffer is free once Y is formed: it takes the moved points
+    # channel first, so that divide reads contiguous rows, and then uv
+    moved = X.reshape((3,) + depth.shape)
+    np.add(Y.T.reshape(moved.shape), T[:3, 3, None, None], out=moved)
+    uv, front = divide(moved, out=moved[:2])
     return uv, valid & front, (ox, oy)
 
 
@@ -160,5 +166,11 @@ def flow_from_pose(depth, T, K):
 
 
 def flow_normalised_to_pixels(flow, K):
-    """Scale a normalised-coordinate flow field to pixel units."""
-    return flow * np.array([K.fx, K.fy])
+    """Scale a normalised-coordinate flow field (..., 2) to pixel units, one
+    component at a time: a product broadcast over the length-2 last axis
+    takes about three times as long."""
+    flow = np.asarray(flow, dtype=float)
+    pixels = np.empty_like(flow)
+    for c, f in enumerate((K.fx, K.fy)):
+        np.multiply(flow[..., c], f, out=pixels[..., c])
+    return pixels

@@ -3,8 +3,14 @@ and the stderr label with which the `flowpose` command reports it."""
 
 
 class FlowPoseError(Exception):
-    """Base class for library errors."""
+    """Base class for library errors. Keyword arguments name the numbers
+    that tripped the error and become its attributes; the message alone is
+    what the command prints."""
     exit_code, label = 2, "error"
+
+    def __init__(self, message, **numbers):
+        super().__init__(message)
+        self.__dict__.update(numbers)
 
 
 class UsageError(FlowPoseError, ValueError):

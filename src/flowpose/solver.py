@@ -131,12 +131,15 @@ class SolverConfig:
 @dataclass
 class ResidualReport:
     """Residual statistics of one gauss_newton_step, at the xi it was given,
-    and the kind of update `solve` made from it."""
+    its step and conditioning, and the kind of update `solve` made from it."""
     m: float                    # mean residual magnitude over valid pixels
     weighted_cost: float        # sum of w * r^2 over valid pixels
     valid_count: int
     update: str = 'plain'       # 'plain' or 'mixed', set by solve; a
                                 # fall-back counts as 'plain'
+    step_norm: float = None     # ||beta||, which solve tests for convergence
+    eig_min: float = None       # extreme eigenvalues of the (damped) normal
+    eig_max: float = None       # matrix A
 
 
 @dataclass
@@ -250,7 +253,8 @@ def _check_valid_count(r, min_valid_pixels):
     min_valid_pixels columns."""
     if r.shape[1] < min_valid_pixels:
         raise InsufficientDataError(
-            f"{r.shape[1]} valid pixels < required {min_valid_pixels}")
+            f"{r.shape[1]} valid pixels < required {min_valid_pixels}",
+            valid_count=r.shape[1], required=min_valid_pixels)
 
 
 def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
@@ -341,13 +345,16 @@ def gauss_newton_step(problem, xi, config):
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise DegenerateGeometryError("normal equations are not finite")
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
+    eig_min, eig_max = (float(e) for e in np.linalg.eigvalsh(A)[[0, -1]])
+    if eig_min <= 0 or eig_max / eig_min > CONDITION_LIMIT:
         raise DegenerateGeometryError(
-            "normal equations singular or ill-conditioned")
+            "normal equations singular or ill-conditioned",
+            eig_min=eig_min, eig_max=eig_max, limit=CONDITION_LIMIT)
     beta = np.linalg.solve(A, -b)
     return beta, ResidualReport(m=m, weighted_cost=float(cost),
-                                valid_count=r.shape[1])
+                                valid_count=r.shape[1],
+                                step_norm=float(np.linalg.norm(beta)),
+                                eig_min=eig_min, eig_max=eig_max)
 
 
 def solve(depth, flow_field, K, config=None):
@@ -374,7 +381,7 @@ def solve(depth, flow_field, K, config=None):
     for k in range(max_iter):
         beta, report = gauss_newton_step(problem, xi, config)
         reports.append(report)
-        norm = np.linalg.norm(beta)
+        norm = report.step_norm
         if norm < config.convergence_tol:
             converged = True
             xi = xi + beta

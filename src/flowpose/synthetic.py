@@ -26,12 +26,19 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(x):
-    """SplitMix64 finaliser over a uint64 array."""
-    z = np.asarray(x, dtype=np.uint64) + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z):
+    """SplitMix64 finaliser, in place over the uint64 array z, which it
+    returns. uint64 arithmetic wraps exactly modulo 2^64, so the in-place
+    steps give the bits of the textbook expression."""
+    z = np.asarray(z, dtype=np.uint64)
+    shifted = np.empty_like(z)
+    z += _GOLDEN
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def _stream_base(seed, tag):
@@ -41,17 +48,29 @@ def _stream_base(seed, tag):
 
 def stream_uniform(seed, tag, count):
     """count floats in [0, 1) from substream `tag` of `seed`."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = _mix64(_stream_base(seed, tag) + idx * _GOLDEN)
-    return (z >> np.uint64(11)).astype(float) * (2.0 ** -53)
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z += _stream_base(seed, tag)
+    z = _mix64(z)
+    z >>= np.uint64(11)
+    u = z.astype(float)
+    u *= 2.0 ** -53
+    return u
 
 
 def stream_normal(seed, tag, count):
-    """count standard-normal samples via Box-Muller."""
-    u1 = stream_uniform(seed, tag * 2 + 101, count)
-    u2 = stream_uniform(seed, tag * 2 + 102, count)
-    r = np.sqrt(-2.0 * np.log(1.0 - u1))
-    return r * np.cos(2.0 * np.pi * u2)
+    """count standard-normal samples via Box-Muller:
+    sqrt(-2 log(1 - u1)) cos(2 pi u2), computed in place."""
+    r = stream_uniform(seed, tag * 2 + 101, count)
+    c = stream_uniform(seed, tag * 2 + 102, count)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, c, out=c)
+    np.cos(c, out=c)
+    r *= c
+    return r
 
 
 # --- depth and texture models ---------------------------------------------
@@ -84,12 +103,19 @@ class SmoothRandomDepth:
     base: float = 2.0
 
     def __call__(self, a, b):
+        """base + amplitude * (c0 a + c1 b + c2 a b + c3 a a + c4 b b), the
+        sum taken left to right; returns a new array."""
         c = stream_uniform(self.seed, 7, 5) * 2.0 - 1.0
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        bump = (c[0] * a + c[1] * b + c[2] * a * b
-                + c[3] * a * a + c[4] * b * b)
-        return self.base + self.amplitude * bump
+        bump = c[0] * a
+        term = np.empty_like(bump)
+        bump += np.multiply(c[1], b, out=term)
+        for ck, x, y in ((c[2], a, b), (c[3], a, a), (c[4], b, b)):
+            bump += np.multiply(np.multiply(ck, x, out=term), y, out=term)
+        bump *= self.amplitude
+        bump += self.base
+        return bump
 
 
 @dataclass(frozen=True)
@@ -116,10 +142,22 @@ class SmoothRandomTexture:
     # huge motions overflow at pixels the second camera cannot see: zeroed
     @np.errstate(over='ignore', invalid='ignore')
     def intensity(self, a, b, K):
+        """0.5 + 0.25 (c0 a + c1 b) + 0.02 (c2 a b + c3 a a + c4 b b),
+        clipped to [0, 1]; each sum is taken left to right."""
         c = stream_uniform(self.seed, 11, 5) * 2.0 - 1.0
-        val = (0.5 + 0.25 * (c[0] * a + c[1] * b)
-               + 0.02 * (c[2] * a * b + c[3] * a * a + c[4] * b * b))
-        return np.clip(val, 0.0, 1.0)
+        val = c[0] * a
+        term = np.empty_like(val)
+        val += np.multiply(c[1], b, out=term)
+        val *= 0.25
+        val += 0.5
+        # the quadratic part is a second running sum, in a buffer of its own
+        quad = c[2] * a
+        quad *= b
+        for ck, x, y in ((c[3], a, a), (c[4], b, b)):
+            quad += np.multiply(np.multiply(ck, x, out=term), y, out=term)
+        quad *= 0.02
+        val += quad
+        return np.clip(val, 0.0, 1.0, out=val)
 
 
 def default_intrinsics(width, height):
@@ -171,40 +209,51 @@ class SceneRender:
     outlier_mask: np.ndarray
 
 
-def _second_view_scene_coords(spec, T, a, b):
+def _second_view_scene_coords(spec, T, a, b, depth):
     """Camera-1 normalised coordinates of the surface point seen by every
-    pixel of the second camera, whose normalised coordinates are (a, b).
+    pixel of the second camera, whose normalised coordinates are (a, b);
+    depth is the depth model at (a, b).
 
     Solves lambda * ray2 = T X1 with X1 on the depth surface; closed form
-    for plane depths, fixed-point iteration otherwise.
+    for plane depths, fixed-point iteration from lambda_0 = depth otherwise.
     Returns (a1, b1, valid).
 
     The iteration runs at most 50 steps. A pixel's next lambda depends on
     its own lambda alone, which holds for every depth model here because
-    each is elementwise in (a, b). So once lambda_k equals lambda_{k-2}
-    bit for bit (a NaN included) at an even step k, the pixel cycles with
-    period 2 and its value at step 50 is lambda_k: the pixel may stop
-    there, and the result is bit-identical to running all 50 steps. A
-    depth model that mixed pixels would break this rule. Each step updates
-    the model's result in place, so a model must return a new array.
+    each is elementwise in (a, b). So a pixel may stop, with the bits that
+    all 50 steps would give it, once
+    - lambda_k equals lambda_{k-1} bit for bit (a NaN included), at any
+      step k: the pixel sits at a fixed point; or
+    - lambda_k equals lambda_{k-2} bit for bit at an even step k: the
+      pixel cycles with period 2, and its value at step 50 is lambda_k.
+    A depth model that mixed pixels would break this rule. Each step
+    updates the model's result in place, so a model must return a new
+    array.
     """
     R = T[:3, :3]
     t = T[:3, 3]
-    rows = np.stack([a, b, np.ones_like(a)], axis=-1) @ R    # R^T ray2
-    ray1 = np.ascontiguousarray(np.moveaxis(rows, -1, 0))    # (3, H, W)
+    rows = np.empty((a.size, 3))
+    rows[:, 0] = a.ravel()
+    rows[:, 1] = b.ravel()
+    rows[:, 2] = 1.0
+    rows = rows @ R                                     # R^T ray2, (N, 3)
+    ray1 = np.ascontiguousarray(rows.T).reshape((3,) + a.shape)
     t1 = R.T @ t
 
     model = spec.depth_model
     if isinstance(model, PlaneDepth):
         n = np.asarray(model.normal, dtype=float)
-        lam = (model.offset + n @ t1) / (rows @ n)
+        lam = (model.offset + n @ t1) / (rows @ n).reshape(a.shape)
     else:
         del rows
         # X1 = lam * ray1 - t1; iterate lam so X1_z matches the depth model
         # evaluated at the projected coordinates.
-        lam = np.array(model(a, b), dtype=float)
+        lam = np.array(depth, dtype=float)
         # flat holds each pixel's lambda at the last even step, which is
-        # final once the pixel stops; idx selects the pixels still in cur
+        # final once the pixel stops: a pixel stopped at an odd step k has
+        # lambda_k = lambda_{k-1}, which flat already holds. idx selects
+        # the pixels still in cur, whose flat entries are all from the same
+        # even step, so the 2-cycle test compares lambda_k with lambda_{k-2}
         flat = lam.reshape(-1)
         idx = slice(None)
         rays = ray1.reshape(3, -1)
@@ -214,25 +263,29 @@ def _second_view_scene_coords(spec, T, a, b):
         for k in range(1, 51):
             np.multiply(cur, rays, out=points)
             points -= t1[:, None]
-            (a1, b1), _ = camera.divide(points)
-            cur = np.asarray(model(a1, b1), dtype=float)
-            cur += t1[2]
-            cur /= rays[2]
-            if k % 2:
-                continue
-            keep = cur.view(np.int64) != flat[idx].view(np.int64)
-            flat[idx] = cur
-            # Stopped pixels leave the arrays once they are the majority;
+            (a1, b1), _ = camera.divide(points, out=points[:2])
+            nxt = np.asarray(model(a1, b1), dtype=float)
+            nxt += t1[2]
+            nxt /= rays[2]
+            bits = nxt.view(np.int64)
+            stop = bits == cur.view(np.int64)
+            if k % 2 == 0:
+                stop |= bits == flat[idx].view(np.int64)
+                flat[idx] = nxt
+            cur = nxt
+            # Stopped pixels leave the arrays, by index (a boolean-mask
+            # gather took ten times as long), once they are the majority;
             # until then they iterate on, which changes none of their bits.
-            if 2 * np.count_nonzero(keep) <= keep.size:
-                idx = np.arange(flat.size)[idx][keep]
-                cur, rays = cur[keep], rays[:, keep]
+            if 2 * np.count_nonzero(stop) >= stop.size:
+                kept = np.flatnonzero(~stop)
+                idx = np.arange(flat.size)[idx].take(kept)
+                cur, rays = cur.take(kept), rays.take(kept, axis=1)
                 points = points[:, :idx.size]
                 if not idx.size:
                     break
     ray1 *= lam
     ray1 -= t1[:, None, None]
-    (a1, b1), front = camera.divide(ray1)
+    (a1, b1), front = camera.divide(ray1, out=ray1[:2])
     return a1, b1, (lam > 0) & front
 
 
@@ -252,24 +305,28 @@ def render(spec):
     """Render a scene: depth, flow field with information parameters,
     an analytic image pair and the ground-truth transform."""
     K = spec.intrinsics
-    ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
-    a = np.divide(ox, K.fx, out=ox)
-    b = np.divide(oy, K.fy, out=oy)
+    a, b = camera.pixel_offsets(K, (spec.height, spec.width))
+    a /= K.fx
+    b /= K.fy
 
     depth = np.asarray(spec.depth_model(a, b), dtype=float)
     if np.any(~np.isfinite(depth)) or np.any(depth <= 0):
         raise ValueError("depth model produced nonpositive depth")
 
     T = se3.exp(spec.motion)
+    # the image pair first, so that the second view's buffers and the grids
+    # are freed before the flow is built
+    image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
+    a2, b2, valid2 = _second_view_scene_coords(spec, T, a, b, depth)
+    del a, b
+    image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K), dtype=float)
+    image_2[~valid2] = 0.0
+    del a2, b2
+
     flow_px, valid = camera.flow_from_pose(depth, T, K)
     flow_px = camera.flow_normalised_to_pixels(flow_px, K)
     # a pixel without a measurement holds NaN flow, which a scene file keeps
     flow_px[~valid] = np.nan
-
-    image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
-    a2, b2, valid2 = _second_view_scene_coords(spec, T, a, b)
-    image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K), dtype=float)
-    image_2[~valid2] = 0.0
 
     info = np.zeros((spec.height, spec.width, 3))
     if spec.noise_sigma > 0:

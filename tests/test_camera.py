@@ -233,6 +233,26 @@ class TestKernels:
         assert np.array_equal(uv[:, 0], [1.0, 2.0])
         assert np.all(np.isfinite(uv))
 
+    def test_divide_in_place(self):
+        # the renderer divides into the points' own first two rows
+        rng = np.random.default_rng(32)
+        Y = rng.normal(0.0, 2.0, (3, 7, 9))
+        Y[2, 0, :5] = (0.0, -1.0, np.nan, 1e-12, np.inf)
+        want, want_front = camera.divide(Y.copy())
+        got, front = camera.divide(Y, out=Y[:2])
+        assert np.shares_memory(got, Y)
+        assert_same_bytes(front, want_front)
+        assert_same_bytes(got, want)
+
+    def test_flow_normalised_to_pixels_matches_broadcast_product(self, K):
+        # one component at a time, with the bits of flow * (fx, fy)
+        rng = np.random.default_rng(34)
+        flow = rng.normal(0.0, 0.05, (K.height, K.width, 2))
+        flow[0, :3] = np.nan
+        got = camera.flow_normalised_to_pixels(flow, K)
+        assert_same_bytes(got, flow * np.array([K.fx, K.fy]))
+        assert not np.shares_memory(got, flow)
+
 
 # The project-transform-divide as written before the shared kernels and the
 # in-place grid and flow, kept verbatim as the reference they must reproduce

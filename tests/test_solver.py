@@ -142,8 +142,11 @@ class TestComputeResiduals:
         depth[0, :8] = 2.0
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError) as info:
             solver.compute_residuals(depth, ff, np.zeros(6), K)
+        # the error carries the numbers that tripped it
+        assert (info.value.valid_count, info.value.required) == (8, 64)
+        assert str(info.value) == "8 valid pixels < required 64"
 
 
 class TestJacobian:
@@ -240,9 +243,14 @@ class TestGaussNewtonStep:
         ff = FlowField(flow=np.full((16, 16, 2), 0.1),
                        info=np.zeros((16, 16, 3)))
         config = SolverConfig()
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError) as info:
             solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
                                      np.zeros(6), config)
+        err = info.value
+        assert str(err) == "normal equations singular or ill-conditioned"
+        assert err.limit == solver.CONDITION_LIMIT
+        assert 0 < err.eig_min < err.eig_max
+        assert err.eig_max / err.eig_min > err.limit
 
     def test_no_full_width_temporary(self):
         # a 320x240 problem: JT takes 7.4 MB, and one weighted copy of it,
@@ -821,6 +829,26 @@ class TestMixedSteps:
         assert res.iterations == 1 and updates(res) == ['plain']
 
 
+class TestStepRecords:
+    def test_step_norm_and_conditioning(self):
+        scene, spec = small_scene(41, outliers=True)
+        config = SolverConfig()
+        res = solver.solve(scene.depth, scene.flow_field, spec.intrinsics,
+                           config)
+        assert res.converged and res.iterations > 2
+        assert res.reports[-1].step_norm < config.convergence_tol
+        assert all(r.step_norm >= config.convergence_tol
+                   for r in res.reports[:-1])
+        for r in res.reports:
+            assert 0 < r.eig_min <= r.eig_max
+            assert r.eig_max / r.eig_min <= solver.CONDITION_LIMIT
+        # the first step, from the seed, is the plain step and its record
+        beta, first = solver.gauss_newton_step(res.problem, config.seed_xi,
+                                               config)
+        assert first == res.reports[0]
+        assert first.step_norm == np.linalg.norm(beta)
+
+
 class StubStep:
     """Stands in for gauss_newton_step: records the points it is called at
     and returns beta_of(call index, xi)."""
@@ -833,7 +861,8 @@ class StubStep:
         self.points.append(np.array(xi))
         beta = np.asarray(self.beta_of(len(self.points) - 1, xi), dtype=float)
         return beta, solver.ResidualReport(
-            m=0.0, weighted_cost=float(len(self.points)), valid_count=64)
+            m=0.0, weighted_cost=float(len(self.points)), valid_count=64,
+            step_norm=float(np.linalg.norm(beta)))
 
 
 E0, E1 = np.eye(6)[:2]

@@ -198,8 +198,9 @@ class TestSecondViewMatchesParent:
         K = spec.intrinsics
         T = se3.exp(spec.motion)
         ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
+        a, b = ox / K.fx, oy / K.fy
         a1, b1, valid = synthetic._second_view_scene_coords(
-            spec, T, ox / K.fx, oy / K.fy)
+            spec, T, a, b, spec.depth_model(a, b))
         ref_a, ref_b, ref_valid = reference_second_view_scene_coords(spec, T)
         assert np.array_equal(valid, ref_valid)
         # render zeroes the invalid pixels, whose coordinates may differ
@@ -207,6 +208,50 @@ class TestSecondViewMatchesParent:
         assert np.array_equal(b1[valid], ref_b[valid])
         if motion[4] > 1:
             assert valid.any() and not valid.all()
+
+
+def lambda_history(spec, T):
+    """lambda_0 .. lambda_50 of the reference's fixed-point iteration, as a
+    (51, H, W) array of their int64 bit patterns."""
+    K = spec.intrinsics
+    ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
+    a0, b0 = ox / K.fx, oy / K.fy
+    R = T[:3, :3]
+    t1 = R.T @ T[:3, 3]
+    ray1 = np.stack([a0, b0, np.ones_like(a0)], axis=-1) @ R
+    lam = np.asarray(spec.depth_model(a0, b0), dtype=float)
+    history = [lam]
+    with np.errstate(all='ignore'):
+        for _ in range(50):
+            X1 = lam[..., None] * ray1 - t1
+            z = np.where(X1[..., 2] > 1e-12, X1[..., 2], 1.0)
+            lam = (np.asarray(spec.depth_model(X1[..., 0] / z, X1[..., 1] / z),
+                              dtype=float) + t1[2]) / ray1[..., 2]
+            history.append(lam)
+    return np.array(history).view(np.int64)
+
+
+class TestSecondViewStopsBothWays:
+    # the loop stops a pixel at its first repeat, lambda_k = lambda_{k-1},
+    # or at a 2-cycle, lambda_k = lambda_{k-2} at an even k; the smooth
+    # cases above compare both kinds with all 50 steps of the reference
+    @pytest.mark.parametrize("motion", [
+        [0.1, 0.0, 0.1, 0.05, 1.5, 0.0],
+        [0.15, -0.1, 0.2, 0.05, -0.1, 0.08],
+    ], ids=["behind", "large"])
+    def test_smooth_cases_hold_both_kinds(self, motion):
+        spec = basic_spec(depth_model=SmoothRandomDepth(seed=3, amplitude=0.4),
+                          motion=motion)
+        h = lambda_history(spec, se3.exp(spec.motion))
+        never = 99
+        repeat = h[1:] == h[:-1]            # row k-1: lambda_k = lambda_{k-1}
+        fixed_at = np.where(repeat.any(0), repeat.argmax(0) + 1, never)
+        cycle = (h[2:] == h[:-2])[::2]      # row j: k = 2j + 2
+        cycle_at = np.where(cycle.any(0), 2 * cycle.argmax(0) + 2, never)
+        # stopped at an odd step, before any 2-cycle test could stop them
+        assert np.any((fixed_at % 2 == 1) & (fixed_at < cycle_at))
+        # stopped by the even rule alone: no step repeats its predecessor
+        assert np.any((cycle_at < never) & (fixed_at == never))
 
 
 def constant_depth_closed_form(spec, T, a, b):
@@ -224,7 +269,7 @@ def constant_depth_closed_form(spec, T, a, b):
 
 class TestConstantDepthLoopMatchesClosedForm:
     # the loop's lambda is the closed form from its first step on, so it
-    # stops at step 4 with the closed form's bits, at every pixel: those
+    # stops at step 2 with the closed form's bits, at every pixel: those
     # behind either camera too, which the last three motions make
     @pytest.mark.parametrize("size", [(320, 240), (64, 48), (33, 17)],
                              ids=["320x240", "64x48", "33x17"])
@@ -242,9 +287,10 @@ class TestConstantDepthLoopMatchesClosedForm:
         K = spec.intrinsics
         T = se3.exp(spec.motion)
         ox, oy = camera.pixel_offsets(K, (height, width))
-        got = synthetic._second_view_scene_coords(spec, T, ox / K.fx,
-                                                  oy / K.fy)
-        want = constant_depth_closed_form(spec, T, ox / K.fx, oy / K.fy)
+        a, b = ox / K.fx, oy / K.fy
+        got = synthetic._second_view_scene_coords(spec, T, a, b,
+                                                  spec.depth_model(a, b))
+        want = constant_depth_closed_form(spec, T, a, b)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -395,7 +441,8 @@ class TestRenderMemory:
     def test_traced_peak(self):
         # a 320x240 render with noise and 10% outliers peaked at 16.2e6
         # bytes while its flow, grids, fixed-point points and noise were
-        # built from raster-sized temporaries
+        # built from raster-sized temporaries, and at 11.4e6 while the
+        # second view ran beside the flow and divided into new arrays
         spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
                          motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
                          depth_model=SmoothRandomDepth(seed=5, amplitude=0.5),
@@ -407,7 +454,40 @@ class TestRenderMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 15.5e6
+        assert peak < 10.0e6
+
+
+class CountingDepth:
+    """An elementwise depth model that records the size of each input."""
+
+    def __init__(self, model):
+        self.model = model
+        self.sizes = []
+
+    def __call__(self, a, b):
+        self.sizes.append(np.size(a))
+        return self.model(a, b)
+
+
+class TestDepthModelCalls:
+    # the fixed-point loop starts from render's depth and stops each pixel
+    # at its first repeat: 10 full-raster calls became 7, and 6 became 3
+    # for a constant depth, which repeats at step 2
+    @pytest.mark.parametrize("model, most", [
+        (SmoothRandomDepth(seed=5, amplitude=0.5), 7),
+        (ConstantDepth(2.0), 3),
+    ], ids=["smooth", "constant"])
+    def test_full_raster_calls(self, model, most):
+        counting = CountingDepth(model)
+        spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
+                         motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
+                         depth_model=counting, noise_sigma=0.5,
+                         outlier_fraction=0.1, outlier_magnitude=20.0, seed=9)
+        synthetic.render(spec)
+        full = counting.sizes.count(320 * 240)
+        assert full <= most
+        if isinstance(model, ConstantDepth):
+            assert counting.sizes == [320 * 240] * 3
 
 
 class TestWriteScene:
@@ -467,3 +547,87 @@ class TestStreams:
         x = synthetic.stream_normal(7, 1, 200000)
         assert abs(x.mean()) < 0.01
         assert abs(x.std() - 1.0) < 0.01
+
+
+# The streams and polynomials as written before they worked in place, kept
+# verbatim as the byte-for-byte reference.
+def reference_mix64(x):
+    z = np.asarray(x, dtype=np.uint64) + synthetic._GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * synthetic._MIX1
+    z = (z ^ (z >> np.uint64(27))) * synthetic._MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_stream_uniform(seed, tag, count):
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    z = reference_mix64(synthetic._stream_base(seed, tag)
+                        + idx * synthetic._GOLDEN)
+    return (z >> np.uint64(11)).astype(float) * (2.0 ** -53)
+
+
+def reference_stream_normal(seed, tag, count):
+    u1 = reference_stream_uniform(seed, tag * 2 + 101, count)
+    u2 = reference_stream_uniform(seed, tag * 2 + 102, count)
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    return r * np.cos(2.0 * np.pi * u2)
+
+
+def reference_depth(model, a, b):
+    c = reference_stream_uniform(model.seed, 7, 5) * 2.0 - 1.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    bump = (c[0] * a + c[1] * b + c[2] * a * b
+            + c[3] * a * a + c[4] * b * b)
+    return model.base + model.amplitude * bump
+
+
+def reference_intensity(texture, a, b, K):
+    c = reference_stream_uniform(texture.seed, 11, 5) * 2.0 - 1.0
+    val = (0.5 + 0.25 * (c[0] * a + c[1] * b)
+           + 0.02 * (c[2] * a * b + c[3] * a * a + c[4] * b * b))
+    return np.clip(val, 0.0, 1.0)
+
+
+def same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def polynomial_inputs():
+    """QVGA normalised grids, and grids that hold NaN, +-inf and +-1e160,
+    whose squares overflow."""
+    ox, oy = camera.pixel_offsets(QVGA, (QVGA.height, QVGA.width))
+    a, b = ox / QVGA.fx, oy / QVGA.fy
+    extremes = np.array([np.nan, np.inf, -np.inf, 1e160, -1e160, 0.0, -0.0,
+                         0.3, 5e-324])
+    ea, eb = np.meshgrid(extremes, extremes)
+    return [(a, b), (ea, eb), (eb, ea)]
+
+
+class TestStreamsAndPolynomialsMatchParent:
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 40 + 3, 2 ** 64 - 1])
+    @pytest.mark.parametrize("tag", [0, 7, 21, 143])
+    @pytest.mark.parametrize("count", [0, 1, 5, 1001, 76800])
+    def test_streams(self, seed, tag, count):
+        assert same_bytes(synthetic.stream_uniform(seed, tag, count),
+                          reference_stream_uniform(seed, tag, count))
+        assert same_bytes(synthetic.stream_normal(seed, tag, count),
+                          reference_stream_normal(seed, tag, count))
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 2 ** 31 - 1])
+    def test_polynomials(self, seed):
+        depth = SmoothRandomDepth(seed=seed, amplitude=0.37, base=1.5)
+        texture = SmoothRandomTexture(seed=seed)
+        with np.errstate(all='ignore'):
+            for a, b in polynomial_inputs():
+                assert same_bytes(depth(a, b), reference_depth(depth, a, b))
+                assert same_bytes(texture.intensity(a, b, QVGA),
+                                  reference_intensity(texture, a, b, QVGA))
+
+    def test_depth_returns_a_new_array(self):
+        # the fixed-point loop updates the model's result in place
+        a, b = polynomial_inputs()[0]
+        depth = SmoothRandomDepth(seed=5, amplitude=0.5)
+        first = depth(a, b)
+        first += 1.0
+        assert same_bytes(depth(a, b), reference_depth(depth, a, b))

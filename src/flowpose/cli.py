@@ -168,10 +168,9 @@ def cmd_solve(args):
     config = solver.SolverConfig(**_given_settings(args))
     result = solver.solve(depth, flow, K, config)
     if args.residuals:
-        # the geometry the solve built, not a second one
-        residuals = result.problem.residual_raster(result.xi,
-                                                   config.min_valid_pixels)
-        rasters.write_raster(args.residuals, residuals)
+        # the problem the solve built, not a second one
+        rasters.write_raster(args.residuals, solver.compute_residuals(
+            result.problem, result.xi, config))
     if args.pretty:
         print("xi:         " + " ".join("%.12g" % x for x in result.xi))
         print("iterations: %d" % result.iterations)

@@ -32,7 +32,8 @@ def _check_exponents(a_hat, g_hat):
     if worst > LOG_FLOAT_MAX:
         raise DegenerateGeometryError(
             f"confidence exp({worst:.6g}) overflows: a_hat and g_hat must "
-            f"stay below log(finfo(float).max) = {LOG_FLOAT_MAX:.6g}")
+            f"stay below log(finfo(float).max) = {LOG_FLOAT_MAX:.6g}",
+            worst=float(worst), limit=LOG_FLOAT_MAX)
 
 
 def build(a_hat, b_hat, g_hat):

@@ -74,26 +74,15 @@ def smoothness(depth):
     return float(np.mean(g[valid]))
 
 
-def stereo_transforms(baseline):
-    """Left->right and right->left frame transforms for a rectified pair.
-
-    Pure x-translations with identity rotation; the right camera sits at
-    +baseline along x, so left-frame points shift by -baseline in the
-    right frame.
-    """
-    t_rl = np.eye(4)
-    t_rl[0, 3] = -baseline
-    t_lr = np.eye(4)
-    t_lr[0, 3] = baseline
-    return t_rl, t_lr
-
-
 def photometric_lr(img_l, img_r, depth_l, depth_r, baseline, K):
     """Left-right photometric consistency: sum of the two directional mean
     absolute intensity differences after depth-based warping."""
-    if baseline < 0:
-        raise ValueError("baseline must be nonnegative")
-    t_rl, t_lr = stereo_transforms(baseline)
+    if not 0 <= baseline < np.inf:
+        raise ValueError("baseline must be finite and nonnegative")
+    # the right camera sits at +baseline along x, so left-frame points shift
+    # by -baseline in the right frame
+    t_rl = se3.exp([-baseline, 0.0, 0.0, 0.0, 0.0, 0.0])
+    t_lr = se3.exp([baseline, 0.0, 0.0, 0.0, 0.0, 0.0])
     return (_warped_difference(img_l, img_r, depth_l, t_rl, K)
             + _warped_difference(img_r, img_l, depth_r, t_lr, K))
 

@@ -168,20 +168,6 @@ class Problem:
                                 # _jacobians: JT[:, 0] holds the x rows and
                                 # JT[:, 1] the y rows
 
-    def residual_raster(self, xi, min_valid_pixels=64):
-        """Residual flow r = F+ - F at exp(xi), in normalised camera
-        coordinates, as an (H, W, 2) raster that holds 0 at invalid pixels.
-
-        F+ is the flow induced by exp(xi) on the problem's points; F is the
-        measured flow.
-        """
-        r, keep = _residuals(self, xi)
-        _check_valid_count(r, min_valid_pixels)
-        h, w = self.shape
-        residuals = np.zeros((h * w, 2))
-        residuals[self.index if keep is None else self.index[keep]] = r.T
-        return residuals.reshape(h, w, 2)
-
 
 # Overflow from extreme inputs (absurd focal lengths, huge flow times huge
 # confidences) ends in A or b, which gauss_newton_step checks for finiteness.
@@ -231,12 +217,13 @@ def prepare(depth, flow_field, K, config):
                    conf=conf, JT=_jacobians(points[0], points[1], points[3]))
 
 
-def _residuals(problem, xi):
+def _residuals(problem, xi, config):
     """Residuals r = F+ - F at exp(xi) over the pixels that stay in front of
     the camera.
 
     Returns (r (2, M), keep) where keep is None when all N pixels pass the
     cheirality test and an (N,) bool mask of the M passing ones otherwise.
+    Raises InsufficientDataError when M is below config.min_valid_pixels.
     """
     T = se3.exp(xi)
     # T acting on (u, v, 1, q): rows 0..2 give R (u,v,1)^T + t q
@@ -244,25 +231,29 @@ def _residuals(problem, xi):
     r -= problem.points[:2]     # in place: no fresh (2, N) per iteration
     r -= problem.flow
     if keep.all():
-        return r, None
-    return r[:, keep], keep
-
-
-def _check_valid_count(r, min_valid_pixels):
-    """Raise InsufficientDataError when the (2, M) residuals have fewer than
-    min_valid_pixels columns."""
-    if r.shape[1] < min_valid_pixels:
+        keep = None
+    else:
+        r = r[:, keep]
+    count, required = r.shape[1], config.min_valid_pixels
+    if count < required:
         raise InsufficientDataError(
-            f"{r.shape[1]} valid pixels < required {min_valid_pixels}",
-            valid_count=r.shape[1], required=min_valid_pixels)
+            f"{count} valid pixels < required {required}",
+            valid_count=count, required=required)
+    return r, keep
 
 
-def compute_residuals(depth, flow_field, xi, K, min_valid_pixels=64):
-    """Problem.residual_raster of the depth map and flow field: the residual
-    raster at exp(xi), 0 at invalid pixels. The measured flow is converted
-    from pixel units."""
-    return prepare(depth, flow_field, K, SolverConfig(use_confidence=False)
-                   ).residual_raster(xi, min_valid_pixels)
+def compute_residuals(problem, xi, config):
+    """Residual flow r = F+ - F at exp(xi), in normalised camera
+    coordinates, as an (H, W, 2) raster that holds 0 at invalid pixels.
+
+    F+ is the flow induced by exp(xi) on the prepared problem's points; F
+    is the measured flow.
+    """
+    r, keep = _residuals(problem, xi, config)
+    h, w = problem.shape
+    residuals = np.zeros((h * w, 2))
+    residuals[problem.index if keep is None else problem.index[keep]] = r.T
+    return residuals.reshape(h, w, 2)
 
 
 def jacobian_row(u, v, q):
@@ -316,8 +307,7 @@ def gauss_newton_step(problem, xi, config):
 
     Returns (beta, report); the caller applies xi <- xi + beta.
     """
-    r, keep = _residuals(problem, xi)
-    _check_valid_count(r, config.min_valid_pixels)
+    r, keep = _residuals(problem, xi, config)
     m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
     JT, conf = problem.JT, problem.conf
     if keep is not None:
@@ -366,7 +356,7 @@ def solve(depth, flow_field, K, config=None):
     (true IRLS). Steps after the first are depth-1 Anderson mixes of the
     last two updates, guarded as the module docstring says. With
     single_iteration set, stops after one plain step. The result keeps the
-    prepared Problem, so a caller can evaluate its residual raster without
+    prepared Problem, so a caller can pass it to compute_residuals without
     building the geometry again.
     """
     if config is None:

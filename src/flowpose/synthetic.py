@@ -310,7 +310,7 @@ def render(spec):
     b /= K.fy
 
     depth = np.asarray(spec.depth_model(a, b), dtype=float)
-    if np.any(~np.isfinite(depth)) or np.any(depth <= 0):
+    if not camera.depth_valid_mask(depth).all():
         raise ValueError("depth model produced nonpositive depth")
 
     T = se3.exp(spec.motion)

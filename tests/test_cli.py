@@ -15,7 +15,8 @@ import flowpose
 from flowpose import (cli, infomat, losses, rasters, se3, solver, synthetic,
                       trajectory)
 from flowpose.camera import Intrinsics
-from flowpose.errors import CheiralityError, UsageError
+from flowpose.errors import (CheiralityError, DegenerateGeometryError,
+                             UsageError)
 from flowpose.trajectory import Trajectory
 
 # the directory holding the flowpose package the tests import
@@ -215,7 +216,9 @@ class TestSolve:
         flow = solver.FlowField.from_raster(
             rasters.read_raster(directory / "flow.engr"))
         K = rasters.read_intrinsics(directory / "intrinsics.txt")
-        want = solver.compute_residuals(depth, flow, xi, K)
+        config = solver.SolverConfig()
+        want = solver.compute_residuals(
+            solver.prepare(depth, flow, K, config), xi, config)
         assert np.array_equal(resid, want.astype(np.float32))
         assert np.count_nonzero(resid[:, :5]) == 0
         assert np.all(resid[:, 5:].any(axis=-1))
@@ -395,6 +398,15 @@ class TestSolve:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert all(word in err for word in words)
+        # the error the command reports carries the numbers in its message
+        with pytest.raises(DegenerateGeometryError) as info:
+            solver.solve(rasters.read_raster(directory / "depth.engr"),
+                         solver.FlowField.from_raster(flow),
+                         rasters.read_intrinsics(directory / "intrinsics.txt"))
+        assert err == f"degenerate geometry: {info.value}\n"
+        if log_conf > infomat.LOG_FLOAT_MAX:
+            assert (info.value.worst, info.value.limit) == (
+                log_conf, infomat.LOG_FLOAT_MAX)
 
 
 # `solve` stdout and the --residuals raster recorded, as literals, before
@@ -464,6 +476,23 @@ class TestSolveOutputPinned:
             return original(*args)
 
         monkeypatch.setattr(solver, "prepare", counting)
+        code, _, _ = run(capsys, *solve_args(pinned_scenes / "outliers",
+                                             "--residuals",
+                                             str(tmp_path / "r.engr")))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_residuals_go_through_compute_residuals(self, capsys, monkeypatch,
+                                                    pinned_scenes, tmp_path):
+        # looked up on the module, so the benchmark's tracer sees the call
+        calls = []
+        original = solver.compute_residuals
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "compute_residuals", counting)
         code, _, _ = run(capsys, *solve_args(pinned_scenes / "outliers",
                                              "--residuals",
                                              str(tmp_path / "r.engr")))
@@ -547,6 +576,14 @@ class TestRasterSizes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "96x70" in err and "96x72" in err
+
+    @pytest.mark.parametrize("baseline", ["-0.1", "nan", "inf"])
+    def test_loss_bad_baseline_is_usage_error(self, capsys, loss_rasters,
+                                              baseline):
+        code, out, err = run_strict(capsys, *loss_args(
+            "photometric-lr", loss_rasters), "--baseline=" + baseline)
+        assert (code, out) == (2, "")
+        assert err == "error: baseline must be finite and nonnegative\n"
 
     def test_loss_multichannel_depth_is_format_error(
             self, capsys, loss_rasters, tmp_path):

@@ -155,6 +155,9 @@ def test_confidences_are_diagonal_entries():
 def test_confidences_reject_overflow(row):
     exponents = np.zeros((2, 3))
     exponents[row, 1] = 710.0
-    with pytest.raises(DegenerateGeometryError, match="overflows"):
+    with pytest.raises(DegenerateGeometryError, match="overflows") as info:
         infomat.confidences(exponents, out=exponents)
     assert exponents[row, 1] == 710.0   # checked before exp writes
+    # the worst exponent and the bound it broke
+    assert (info.value.worst, info.value.limit) == (710.0,
+                                                    infomat.LOG_FLOAT_MAX)

@@ -144,6 +144,32 @@ class TestPhotometricLR:
         assert value < 1e-6
 
 
+    @pytest.mark.parametrize("baseline", [0.0, 5e-324, 0.1, 0.37])
+    def test_matches_pure_x_translations(self, K, baseline):
+        # the transforms the loss took before it built them with se3.exp
+        spec = synthetic.SceneSpec(width=K.width, height=K.height,
+                                   intrinsics=K, motion=[-0.1, 0, 0, 0, 0, 0],
+                                   seed=14)
+        scene = synthetic.render(spec)
+        t_rl, t_lr = np.eye(4), np.eye(4)
+        t_rl[0, 3], t_lr[0, 3] = -baseline, baseline
+        want = (losses._warped_difference(scene.image_1, scene.image_2,
+                                          scene.depth, t_rl, K)
+                + losses._warped_difference(scene.image_2, scene.image_1,
+                                            1.01 * scene.depth, t_lr, K))
+        assert losses.photometric_lr(scene.image_1, scene.image_2,
+                                     scene.depth, 1.01 * scene.depth,
+                                     baseline, K) == want
+
+    @pytest.mark.parametrize("baseline", [-0.1, -np.inf, np.nan, np.inf])
+    def test_rejects_bad_baseline(self, K, baseline):
+        img = np.full((K.height, K.width), 0.3)
+        depth = np.full((K.height, K.width), 2.0)
+        with pytest.raises(ValueError,
+                           match="^baseline must be finite and nonnegative$"):
+            losses.photometric_lr(img, img, depth, depth, baseline, K)
+
+
 class TestCombined:
     def test_weight_selection_reduces_to_smoothness(self, K):
         rng = np.random.default_rng(13)

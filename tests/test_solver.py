@@ -94,16 +94,13 @@ class TestFlowField:
 
 class TestDepthShape:
     @pytest.mark.parametrize("channels", [1, 2])
-    @pytest.mark.parametrize("call", ["prepare", "solve",
-                                      "compute_residuals"])
+    @pytest.mark.parametrize("call", ["prepare", "solve"])
     def test_multichannel_depth_is_format_error(self, K, call, channels):
         depth = np.full((K.height, K.width, channels), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
         run = {"prepare": lambda: solver.prepare(depth, ff, K, SolverConfig()),
-               "solve": lambda: solver.solve(depth, ff, K),
-               "compute_residuals": lambda: solver.compute_residuals(
-                   depth, ff, np.zeros(6), K)}[call]
+               "solve": lambda: solver.solve(depth, ff, K)}[call]
         with pytest.raises(RasterFormatError,
                            match="^depth raster must have a single channel$"):
             run()
@@ -114,26 +111,30 @@ class TestComputeResiduals:
         depth = np.full((K.height, K.width), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        residuals = solver.compute_residuals(depth, ff, np.zeros(6), K)
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
+        residuals = solver.compute_residuals(problem, np.zeros(6), config)
         assert residuals.shape == (K.height, K.width, 2)
         assert np.count_nonzero(residuals) == 0
-        config = SolverConfig()
-        _, report = solver.gauss_newton_step(
-            solver.prepare(depth, ff, K, config), np.zeros(6), config)
+        _, report = solver.gauss_newton_step(problem, np.zeros(6), config)
         assert report.m == 0.0
 
     def test_zero_at_ground_truth(self, K):
         xi = np.array([0.03, -0.02, 0.01, 0.004, 0.006, -0.008])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi, K)
-        residuals = solver.compute_residuals(depth, ff, xi, K)
+        config = SolverConfig()
+        residuals = solver.compute_residuals(
+            solver.prepare(depth, ff, K, config), xi, config)
         assert np.max(np.abs(residuals)) < 1e-12
 
     def test_at_zero_equals_negative_flow(self, K):
         xi = np.array([0.02, 0.01, -0.01, 0.003, -0.002, 0.005])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi, K)
-        residuals = solver.compute_residuals(depth, ff, np.zeros(6), K)
+        config = SolverConfig()
+        residuals = solver.compute_residuals(
+            solver.prepare(depth, ff, K, config), np.zeros(6), config)
         expected, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
         assert np.max(np.abs(residuals[mask] + expected[mask])) < 1e-12
 
@@ -142,8 +143,10 @@ class TestComputeResiduals:
         depth[0, :8] = 2.0
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
         with pytest.raises(InsufficientDataError) as info:
-            solver.compute_residuals(depth, ff, np.zeros(6), K)
+            solver.compute_residuals(problem, np.zeros(6), config)
         # the error carries the numbers that tripped it
         assert (info.value.valid_count, info.value.required) == (8, 64)
         assert str(info.value) == "8 valid pixels < required 64"
@@ -418,11 +421,11 @@ class TestPreparedStep:
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
         xi = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-        residuals = solver.compute_residuals(depth, ff, xi, K)
-        assert np.count_nonzero(residuals[:, :10]) == 0
         config = SolverConfig()
-        _, report = solver.gauss_newton_step(
-            solver.prepare(depth, ff, K, config), xi, config)
+        problem = solver.prepare(depth, ff, K, config)
+        residuals = solver.compute_residuals(problem, xi, config)
+        assert np.count_nonzero(residuals[:, :10]) == 0
+        _, report = solver.gauss_newton_step(problem, xi, config)
         assert report.valid_count == K.height * (K.width - 10)
 
     def test_confidences_computed_once_per_solve(self, K, monkeypatch,
@@ -496,7 +499,7 @@ class TestBlockBoundaries:
         xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
         config = SolverConfig(use_confidence=use_confidence)
         problem = solver.prepare(depth, ff, K, config)
-        _, keep = solver._residuals(problem, xi)
+        _, keep = solver._residuals(problem, xi, config)
         assert np.array_equal(keep, ~near[problem.index])
         assert B < keep.sum() < 2 * B
         beta, report = solver.gauss_newton_step(problem, xi, config)
@@ -542,11 +545,12 @@ class TestResidualsMatchParent:
                  "random": random, "invalid": holes}[depth_name]
         ff = FlowField(flow=rng.normal(0.0, 2.0, a.shape + (2,)),
                        info=np.zeros(a.shape + (3,)))
-        problem = solver.prepare(depth, ff, K, SolverConfig())
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
         ys, xs = np.divmod(problem.index, K.width)
         assert np.array_equal(problem.points[0], (xs - K.cx) / K.fx)
         assert np.array_equal(problem.points[1], (ys - K.cy) / K.fy)
-        r, keep = solver._residuals(problem, np.array(xi))
+        r, keep = solver._residuals(problem, np.array(xi), config)
         ref_r, ref_keep = reference_residuals(problem, np.array(xi))
         assert np.array_equal(r, ref_r)
         assert (keep is None) == (ref_keep is None)

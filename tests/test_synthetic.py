@@ -69,6 +69,17 @@ class TestRender:
         with pytest.raises(ValueError):
             synthetic.render(spec)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf])
+    def test_one_invalid_depth_pixel_rejected(self, bad):
+        def depth_model(a, b):
+            depth = np.full(a.shape, 2.0)
+            depth[3, 5] = bad
+            return depth
+
+        with pytest.raises(ValueError,
+                           match="^depth model produced nonpositive depth$"):
+            synthetic.render(basic_spec(depth_model=depth_model))
+
     @pytest.mark.parametrize("sigma", [-0.5, np.nan, np.inf])
     def test_bad_noise_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):

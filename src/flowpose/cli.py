@@ -67,11 +67,9 @@ def _keep_freed_memory():
 def _parse_motion(text):
     parts = text.split(',')
     if len(parts) != 6:
-        raise UsageError("--motion expects 6 comma-separated numbers")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError("motion vector expects 6 comma-separated numbers, "
+                         f"got {len(parts)}")
+    return np.array([float(p) for p in parts])
 
 
 def _parse_depth_model(text):
@@ -111,7 +109,8 @@ def _read_config(path, settings):
     """Line-oriented `key = value` configuration file of a command whose
     setting flags are `settings`, {dest: action}. Returns {dest: value},
     each value converted as its flag converts it; an on/off setting takes
-    a key of _ON_OFF in any case, and any other value is a UsageError."""
+    a key of _ON_OFF in any case. A bad value is a UsageError; one that
+    its flag's converter rejects names the file, line and key."""
     raw = {}
     with open(path, 'r') as fh:
         for lineno, line in enumerate(fh, 1):
@@ -121,14 +120,18 @@ def _read_config(path, settings):
             if '=' not in line:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition('=')
-            raw[key.strip()] = value.strip()
+            raw[key.strip()] = lineno, value.strip()
     values = {}
-    for key, value in raw.items():
+    for key, (lineno, value) in raw.items():
         if key not in settings:
             raise UsageError(f"unknown config key {key!r}")
         convert = settings[key].type
         if convert:
-            values[key] = convert(value)
+            try:
+                values[key] = convert(value)
+            except ValueError as exc:
+                raise UsageError(
+                    f"{path}:{lineno}: {key} = {value!r}: {exc}") from exc
         elif value.lower() in _ON_OFF:
             values[key] = _ON_OFF[value.lower()]
         else:
@@ -292,7 +295,6 @@ def build_parser():
                 g.add_argument('--no-confidence', dest='use_confidence',
                                action='store_false'),
                 g.add_argument('--single-iteration', action='store_true'),
-                g.add_argument('--damping', type=float),
                 g.add_argument('--seed-xi', type=_parse_motion)]
     p.set_defaults(settings={a.dest: a for a in settings})
 

@@ -113,7 +113,6 @@ class SolverConfig:
     min_valid_pixels: int = 64
     use_confidence: bool = True
     single_iteration: bool = False
-    damping: float = 0.0
     seed_xi: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
@@ -123,8 +122,6 @@ class SolverConfig:
             raise ValueError("min_valid_pixels must be >= 1")
         if not (0 < self.convergence_tol < np.inf):
             raise ValueError("convergence_tol must be positive and finite")
-        if not (self.damping >= 0 and np.isfinite(self.damping)):
-            raise ValueError("damping must be finite and >= 0")
         self.seed_xi = np.asarray(self.seed_xi, dtype=float)
 
 
@@ -138,8 +135,8 @@ class ResidualReport:
     update: str = 'plain'       # 'plain' or 'mixed', set by solve; a
                                 # fall-back counts as 'plain'
     step_norm: float = None     # ||beta||, which solve tests for convergence
-    eig_min: float = None       # extreme eigenvalues of the (damped) normal
-    eig_max: float = None       # matrix A
+    eig_min: float = None       # extreme eigenvalues of the normal matrix A
+    eig_max: float = None
 
 
 @dataclass
@@ -330,8 +327,6 @@ def gauss_newton_step(problem, xi, config):
             A += (J * wc) @ J.T
             b += J @ wr
             cost += wr @ rc
-    if config.damping > 0:
-        A = A + config.damping * np.eye(6)
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise DegenerateGeometryError("normal equations are not finite")

@@ -263,16 +263,30 @@ class TestSolve:
             assert (code, out) == (2, "")
             assert err == f"error: unknown config key {line.split()[0]!r}\n"
 
+    def test_damping_flag_rejected(self, capsys, scene_dir):
+        directory, _ = scene_dir
+        code, out, err = run(capsys, *solve_args(directory, "--damping", "0"))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --damping" in err
+
     def test_bad_config_value_rejected_even_when_overridden(
             self, capsys, scene_dir, tmp_path):
         directory, _ = scene_dir
         cfg = tmp_path / "solver.cfg"
-        cfg.write_text("max_iterations = abc\n")
-        code, out, err = run(capsys, *solve_args(directory, "--config", str(cfg),
-                                                 "--max-iterations", "20"))
-        assert (code, out) == (2, "")
-        assert err == ("error: invalid literal for int() with base 10: "
-                       "'abc'\n")
+        # the message names the file, the line and the key
+        for key, value, flag, reason in [
+                ("max_iterations", "abc", "20",
+                 "invalid literal for int() with base 10: 'abc'"),
+                ("convergence_tol", "abc", "1e-9",
+                 "could not convert string to float: 'abc'"),
+                ("seed_xi", "1,2", "0,0,0,0,0,0",
+                 "motion vector expects 6 comma-separated numbers, got 2")]:
+            cfg.write_text(f"# solver settings\n{key} = {value}\n")
+            code, out, err = run(capsys, *solve_args(
+                directory, "--config", str(cfg),
+                "--" + key.replace("_", "-"), flag))
+            assert (code, out) == (2, "")
+            assert err == f"error: {cfg}:2: {key} = {value!r}: {reason}\n"
 
     def test_on_off_words(self, tmp_path):
         settings = cli.build_parser().parse_args(
@@ -918,6 +932,8 @@ def fault_files(scene_dir, tmp_path):
         "tum_still.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
         "onoff_typo.cfg": "use_confidence = ture\n",
         "tol_inf.cfg": "convergence_tol = inf\n",
+        "damping_negative.cfg": "damping = -1\n",
+        "damping_nan.cfg": "damping = nan\n",
     }
     for name, content in files.items():
         path = tmp_path / name
@@ -1006,12 +1022,14 @@ FAULTS = {
     # NaN fails every comparison, so each check is written to reject it
     "max-dt-nan": (EVAL + ["{tum_good}", "--max-dt", "nan"], 2,
                    ["error", "max_dt must be positive"]),
+    # damping is no setting any more, whatever its value: its damped step
+    # turned the exit 4 of a singular step into a wrong pose with exit 0
     "damping-negative": (SOLVE + ["--intrinsics", "{intrinsics}",
-                                  "--damping", "-1"], 2,
-                         ["error", "damping must be finite and >= 0"]),
+                                  "--config", "{damping_negative}"], 2,
+                         ["error", "unknown config key 'damping'"]),
     "damping-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
-                             "--damping", "nan"], 2,
-                    ["error", "damping must be finite and >= 0"]),
+                             "--config", "{damping_nan}"], 2,
+                    ["error", "unknown config key 'damping'"]),
     "convergence-tol-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
                                      "--convergence-tol", "nan"], 2,
                             ["error", "convergence_tol must be positive"]),
@@ -1207,7 +1225,7 @@ class TestAnyInputFile:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(st.binary(max_size=200), _text_bytes(
         "max_iterations = 20\nconvergence_tol = 1e-9\nmin_valid_pixels = 64\n"
-        "damping = 0\nuse_confidence = true\nsingle_iteration = false\n"
+        "use_confidence = true\nsingle_iteration = false\n"
         "seed_xi = 0,0,0,0,0,0\n")))
     def test_config_file_exit_code(self, capsys, fuzz_scene, content):
         path = fuzz_scene / "input.cfg"
@@ -1216,7 +1234,7 @@ class TestAnyInputFile:
             "depth", fuzz_scene, fuzz_scene / "scene" / "depth.engr"),
             "--config", str(path), "--max-iterations", "20",
             "--convergence-tol", "1e-9", "--min-valid-pixels", "64",
-            "--damping", "0", "--single-iteration", "--seed-xi",
+            "--single-iteration", "--seed-xi",
             "0,0,0,0,0,0")
         assert code in (0, 2)
         if code:

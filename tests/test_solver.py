@@ -321,13 +321,11 @@ def reference_step(depth, flow_field, xi, K, config):
     Jw = J * wgt[:, :, None]
     A = np.einsum('nij,nik->jk', Jw, J)
     b = np.einsum('nij,ni->j', Jw, r)
-    if config.damping > 0:
-        A = A + config.damping * np.eye(6)
-    return (np.linalg.solve(A, -b), extended_beta(J, wgt, r, config),
+    return (np.linalg.solve(A, -b), extended_beta(J, wgt, r),
             float(np.sum(wgt * r * r)), int(mask.sum()))
 
 
-def extended_beta(J, wgt, r, config):
+def extended_beta(J, wgt, r):
     """The same normal equations accumulated in extended precision and
     solved with two steps of iterative refinement: an oracle for the
     rounding error of a double-precision assembly."""
@@ -335,8 +333,6 @@ def extended_beta(J, wgt, r, config):
     Jwl = Jl * wl[:, :, None]
     A = np.einsum('nij,nik->jk', Jwl, Jl)
     b = np.einsum('nij,ni->j', Jwl, rl)
-    if config.damping > 0:
-        A = A + config.damping * np.eye(6, dtype=np.longdouble)
     A64 = A.astype(float)
     beta = np.linalg.solve(A64, -b.astype(float))
     for _ in range(2):
@@ -381,9 +377,7 @@ class TestPreparedStep:
     @pytest.mark.parametrize("config", [
         SolverConfig(),
         SolverConfig(use_confidence=False),
-        SolverConfig(damping=0.5),
-        SolverConfig(use_confidence=False, damping=2.0),
-    ], ids=["confidence", "no-confidence", "damping", "no-confidence-damping"])
+    ], ids=["confidence", "no-confidence"])
     def test_matches_reference_step_on_outliers(self, K, outlier_scene, config):
         scene = outlier_scene
         problem = solver.prepare(scene.depth, scene.flow_field, K, config)
@@ -471,8 +465,7 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("config", [
         SolverConfig(),
         SolverConfig(use_confidence=False),
-        SolverConfig(damping=0.5),
-    ], ids=["confidence", "no-confidence", "damping"])
+    ], ids=["confidence", "no-confidence"])
     def test_matches_reference_step(self, valid, config):
         depth, ff, K = block_scene(valid, seed=valid)
         problem = solver.prepare(depth, ff, K, config)

@@ -14,7 +14,9 @@ raster-sized temporaries stop page-faulting in afresh; it is not done at
 import, so a program that imports the library keeps its own allocator.
 
 Exit codes: 0 success, 2 usage, 3 I/O or format error, 4 numerical
-degeneracy, 5 insufficient data.
+degeneracy, 5 insufficient data. Each failure prints one `<label>:
+<message>` stderr line; a command line that argparse rejects prints
+`error: <argparse's message>`, not a usage block.
 """
 
 import argparse
@@ -109,8 +111,8 @@ def _read_config(path, settings):
     """Line-oriented `key = value` configuration file of a command whose
     setting flags are `settings`, {dest: action}. Returns {dest: value},
     each value converted as its flag converts it; an on/off setting takes
-    a key of _ON_OFF in any case. A bad value is a UsageError; one that
-    its flag's converter rejects names the file, line and key."""
+    a key of _ON_OFF in any case. An unknown key or a bad value is a
+    UsageError that names the file and line."""
     raw = {}
     with open(path, 'r') as fh:
         for lineno, line in enumerate(fh, 1):
@@ -123,20 +125,20 @@ def _read_config(path, settings):
             raw[key.strip()] = lineno, value.strip()
     values = {}
     for key, (lineno, value) in raw.items():
+        where = f"{path}:{lineno}:"
         if key not in settings:
-            raise UsageError(f"unknown config key {key!r}")
+            raise UsageError(f"{where} unknown config key {key!r}")
         convert = settings[key].type
         if convert:
             try:
                 values[key] = convert(value)
             except ValueError as exc:
-                raise UsageError(
-                    f"{path}:{lineno}: {key} = {value!r}: {exc}") from exc
+                raise UsageError(f"{where} {key} = {value!r}: {exc}") from exc
         elif value.lower() in _ON_OFF:
             values[key] = _ON_OFF[value.lower()]
         else:
-            raise UsageError(f"{key} = {value!r} is not an on/off value: "
-                             "use 1/true/yes/on or 0/false/no/off")
+            raise UsageError(f"{where} {key} = {value!r} is not an on/off "
+                             "value: use 1/true/yes/on or 0/false/no/off")
     return values
 
 
@@ -257,8 +259,18 @@ def cmd_loss(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as the one `error: <message>` stderr
+    line of every other usage error, not a usage block; its subparsers are
+    of its class. --help still prints the usage."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog='flowpose',
         description='Synthetic scenes, IRLS pose solving, trajectory '
                     'evaluation and loss evaluation.')

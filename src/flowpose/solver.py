@@ -34,7 +34,18 @@ Conventions:
     iteration budget allows; if the ||beta|| evaluated at a mixed point is
     larger than the one before it, the loop restarts from the plain point
     xi_k + beta_k with no history. The limit is unchanged: the loop stops
-    when ||beta|| < convergence_tol and returns xi + beta.
+    when ||beta|| < convergence_tol and returns xi + beta;
+  * warm start: a problem of at least 32768 valid pixels (QVGA and larger)
+    first runs the same loop on every 8th valid pixel, with its own
+    Jacobians, down to ||beta|| < 1e-6 within max_iterations steps (the
+    coarse-to-fine idea of dense odometry, Steinbruecker et al., ICCV
+    workshops 2011, as a subsample rather than a pyramid). Only a converged
+    warm-up hands its xi to the full loop, which then runs from there with
+    the whole budget; an unconverged one, or one that raises for too few
+    pixels or degenerate geometry, is dropped and the full loop starts from
+    seed_xi. The full loop's fixed point does not depend on its start, so
+    only the last digits of the returned xi move. Warm-up steps are
+    reported with update 'coarse' and do not count as iterations.
 """
 
 from dataclasses import dataclass, field
@@ -56,6 +67,15 @@ CONDITION_LIMIT = 1e12
 # weights and residuals take about 0.5 MB and stay in L2 cache; with blocks of
 # 32768 a QVGA or VGA step took about 1.4 times as long.
 _BLOCK = 4096
+
+# The warm-up of a large solve: every _WARM_STRIDE-th valid pixel, down to
+# ||beta|| < _WARM_TOL, for problems of at least _WARM_GATE valid pixels.
+# Stride 16 at 1e-4 left frames with outliers slower, and 1e-9 wasted
+# coarse steps on noisy frames. Below the gate (the 64x48 and 96x72
+# scenes) a solve takes no warm-up and keeps every bit.
+_WARM_STRIDE = 8
+_WARM_TOL = 1e-6
+_WARM_GATE = 32768
 
 
 @dataclass
@@ -132,8 +152,9 @@ class ResidualReport:
     m: float                    # mean residual magnitude over valid pixels
     weighted_cost: float        # sum of w * r^2 over valid pixels
     valid_count: int
-    update: str = 'plain'       # 'plain' or 'mixed', set by solve; a
-                                # fall-back counts as 'plain'
+    update: str = 'plain'       # 'plain', 'mixed' or 'coarse', set by
+                                # solve; a fall-back counts as 'plain', and
+                                # every warm-up step as 'coarse'
     step_norm: float = None     # ||beta||, which solve tests for convergence
     eig_min: float = None       # extreme eigenvalues of the normal matrix A
     eig_max: float = None
@@ -144,12 +165,14 @@ class SolveResult:
     xi: np.ndarray
     converged: bool
     reports: list               # the ResidualReport of each
-                                # gauss_newton_step call, in order
+                                # gauss_newton_step call, in order: the
+                                # warm-up's first, then the full loop's
     problem: 'Problem' = None   # what `prepare` built for the solve
 
     @property
     def iterations(self):
-        return len(self.reports)
+        """The full-resolution steps: warm-up steps do not count."""
+        return sum(report.update != 'coarse' for report in self.reports)
 
 
 @dataclass
@@ -342,23 +365,21 @@ def gauss_newton_step(problem, xi, config):
                                 eig_min=eig_min, eig_max=eig_max)
 
 
-def solve(depth, flow_field, K, config=None):
-    """Iterate gauss_newton_step until the update norm drops below the
-    convergence tolerance or the iteration budget is exhausted.
+def _subsample(problem, stride):
+    """The problem over every stride-th of its valid pixels, with its own
+    contiguous rows and Jacobians."""
+    points = np.ascontiguousarray(problem.points[:, ::stride])
+    return Problem(shape=problem.shape, index=problem.index[::stride],
+                   points=points,
+                   flow=np.ascontiguousarray(problem.flow[:, ::stride]),
+                   conf=np.ascontiguousarray(problem.conf[:, ::stride]),
+                   JT=_jacobians(points[0], points[1], points[3]))
 
-    The Jacobians, the valid pixels and the confidences are built once, by
-    `prepare`; residuals, m and the weights are recomputed every iteration
-    (true IRLS). Steps after the first are depth-1 Anderson mixes of the
-    last two updates, guarded as the module docstring says. With
-    single_iteration set, stops after one plain step. The result keeps the
-    prepared Problem, so a caller can pass it to compute_residuals without
-    building the geometry again.
-    """
-    if config is None:
-        config = SolverConfig()
-    problem = prepare(depth, flow_field, K, config)
-    xi = np.array(config.seed_xi, dtype=float)
-    reports = []
+
+def _iterate(problem, xi, config, tol, reports):
+    """The plain-then-Anderson loop from xi until ||beta|| < tol or the
+    iteration budget is spent. Appends each step's report to reports and
+    returns (xi, converged)."""
     converged = False
     max_iter = 1 if config.single_iteration else config.max_iterations
     last = None         # (xi, beta) of the previous step; None after a restart
@@ -367,7 +388,7 @@ def solve(depth, flow_field, K, config=None):
         beta, report = gauss_newton_step(problem, xi, config)
         reports.append(report)
         norm = report.step_norm
-        if norm < config.convergence_tol:
+        if norm < tol:
             converged = True
             xi = xi + beta
             break
@@ -388,5 +409,40 @@ def solve(depth, flow_field, K, config=None):
                 report.update = 'mixed'
         last = (xi, beta)
         xi = xi + step
+    return xi, converged
+
+
+def solve(depth, flow_field, K, config=None):
+    """Iterate gauss_newton_step until the update norm drops below the
+    convergence tolerance or the iteration budget is exhausted.
+
+    The Jacobians, the valid pixels and the confidences are built once, by
+    `prepare`; residuals, m and the weights are recomputed every iteration
+    (true IRLS). Steps after the first are depth-1 Anderson mixes of the
+    last two updates, and a problem of at least _WARM_GATE valid pixels
+    is first solved on every _WARM_STRIDE-th of them, as the module
+    docstring says. With single_iteration set, stops after one plain step. The result keeps the
+    prepared Problem, so a caller can pass it to compute_residuals without
+    building the geometry again.
+    """
+    if config is None:
+        config = SolverConfig()
+    problem = prepare(depth, flow_field, K, config)
+    xi = np.array(config.seed_xi, dtype=float)
+    reports = []
+    if not config.single_iteration and len(problem.index) >= _WARM_GATE:
+        # the subsample lives only for the call, so the full loop's
+        # temporaries reuse its memory
+        try:
+            start, converged = _iterate(_subsample(problem, _WARM_STRIDE), xi,
+                                        config, _WARM_TOL, reports)
+        except (InsufficientDataError, DegenerateGeometryError):
+            converged = False
+        for report in reports:
+            report.update = 'coarse'
+        if converged:
+            xi = start
+    xi, converged = _iterate(problem, xi, config, config.convergence_tol,
+                             reports)
     return SolveResult(xi=xi, converged=converged, reports=reports,
                        problem=problem)

@@ -261,7 +261,8 @@ class TestSolve:
             code, out, err = run(capsys, *solve_args(directory, "--config",
                                                      str(cfg)))
             assert (code, out) == (2, "")
-            assert err == f"error: unknown config key {line.split()[0]!r}\n"
+            assert err == (f"error: {cfg}:1: unknown config key "
+                           f"{line.split()[0]!r}\n")
 
     def test_damping_flag_rejected(self, capsys, scene_dir):
         directory, _ = scene_dir
@@ -305,8 +306,8 @@ class TestSolve:
             with pytest.raises(UsageError) as exc:
                 cli._read_config(cfg, settings)
             assert str(exc.value) == (
-                f"single_iteration = {value!r} is not an on/off value: "
-                "use 1/true/yes/on or 0/false/no/off")
+                f"{cfg}:1: single_iteration = {value!r} is not an on/off "
+                "value: use 1/true/yes/on or 0/false/no/off")
 
     def test_defaults_are_the_library_defaults(self, capsys, outlier_scene_dir):
         directory, _ = outlier_scene_dir
@@ -1026,10 +1027,12 @@ FAULTS = {
     # turned the exit 4 of a singular step into a wrong pose with exit 0
     "damping-negative": (SOLVE + ["--intrinsics", "{intrinsics}",
                                   "--config", "{damping_negative}"], 2,
-                         ["error", "unknown config key 'damping'"]),
+                         ["error", "damping_negative.cfg:1:",
+                          "unknown config key 'damping'"]),
     "damping-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
                              "--config", "{damping_nan}"], 2,
-                    ["error", "unknown config key 'damping'"]),
+                    ["error", "damping_nan.cfg:1:",
+                     "unknown config key 'damping'"]),
     "convergence-tol-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
                                      "--convergence-tol", "nan"], 2,
                             ["error", "convergence_tol must be positive"]),
@@ -1040,11 +1043,20 @@ FAULTS = {
     "convergence-tol-inf-config": (SOLVE + ["--intrinsics", "{intrinsics}",
                                             "--config", "{tol_inf}"], 2,
                                    ["error", "convergence_tol", "finite"]),
+    # argparse's rejections used to print a usage block of up to 7 lines
+    "max-iterations-not-int": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                        "--max-iterations", "abc"], 2,
+                               ["error: argument --max-iterations",
+                                "invalid int value: 'abc'"]),
+    "solve-missing-intrinsics": (SOLVE, 2,
+                                 ["error", "required", "--intrinsics"]),
+    "unknown-command": (["solv"], 2, ["error", "invalid choice: 'solv'"]),
+    "no-command": ([], 2, ["error", "required", "command"]),
     # a misspelt on/off value used to read as false
     "config-on-off-misspelt": (SOLVE + ["--intrinsics", "{intrinsics}",
                                         "--config", "{onoff_typo}"], 2,
-                               ["error", "use_confidence", "'ture'",
-                                "on/off"]),
+                               ["error", "onoff_typo.cfg:1:",
+                                "use_confidence", "'ture'", "on/off"]),
 }
 
 
@@ -1060,6 +1072,12 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert all(word in err for word in words), err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_prints_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: flowpose")
 
     def test_cheirality_error_is_degenerate(self, capsys, monkeypatch,
                                             fault_files):

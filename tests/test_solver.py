@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -871,7 +872,9 @@ class TestMixedStepsOnStub:
 
     @pytest.fixture
     def run(self, monkeypatch):
-        monkeypatch.setattr(solver, 'prepare', lambda *args: None)
+        # a stand-in with fewer valid pixels than the warm-up's gate
+        monkeypatch.setattr(solver, 'prepare',
+                            lambda *args: SimpleNamespace(index=np.arange(64)))
 
         def run(beta_of, **settings):
             stub = StubStep(beta_of)
@@ -944,6 +947,163 @@ class TestMixedStepsOnStub:
         assert not res.converged
         assert updates(res)[-1] == 'plain'
         np.testing.assert_allclose(res.xi, xi, rtol=0, atol=1e-15)
+
+
+def mixed_reference_solve(depth, flow_field, K, config):
+    """The plain-then-Anderson loop that `solve` ran from the seed before
+    large problems took a warm-up; verbatim but for how it builds its
+    result."""
+    problem = solver.prepare(depth, flow_field, K, config)
+    xi = np.array(config.seed_xi, dtype=float)
+    reports = []
+    converged = False
+    max_iter = 1 if config.single_iteration else config.max_iterations
+    last = None
+    plain = None
+    for k in range(max_iter):
+        beta, report = solver.gauss_newton_step(problem, xi, config)
+        reports.append(report)
+        norm = report.step_norm
+        if norm < config.convergence_tol:
+            converged = True
+            xi = xi + beta
+            break
+        if plain is not None and norm > np.linalg.norm(last[1]):
+            xi, last, plain = plain, None, None
+            continue
+        step = beta
+        plain = None
+        if last is not None and k + 1 < max_iter:
+            dx = xi - last[0]
+            dbeta = beta - last[1]
+            denom = dbeta @ dbeta
+            if denom > 0:
+                theta = (beta @ dbeta) / denom
+                step = beta - theta * (dx + dbeta)
+                plain = xi + beta
+                report.update = 'mixed'
+        last = (xi, beta)
+        xi = xi + step
+    return solver.SolveResult(xi=xi, converged=converged, reports=reports)
+
+
+QVGA = camera.Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
+                         width=320, height=240)
+
+
+def qvga_scene(seed, noise_sigma):
+    """A 320x240 frame as in the odometry benchmark: depth 2 +- 0.5 m and
+    a 0.02 twist."""
+    direction = np.random.default_rng(seed).normal(size=6)
+    spec = synthetic.SceneSpec(
+        width=320, height=240, intrinsics=QVGA,
+        motion=direction / np.linalg.norm(direction) * 0.02,
+        depth_model=synthetic.SmoothRandomDepth(seed=seed, amplitude=0.5),
+        noise_sigma=noise_sigma, seed=seed)
+    return synthetic.render(spec), spec
+
+
+def first_valid(scene, n):
+    """The scene's flow field cut to its first n valid pixels, in raster
+    order."""
+    ff = scene.flow_field
+    valid = np.zeros(ff.valid.size, dtype=bool)
+    valid[np.flatnonzero(ff.valid)[:n]] = True
+    return FlowField(flow=ff.flow, info=ff.info,
+                     valid=valid.reshape(ff.valid.shape))
+
+
+def assert_same_solve(res, ref):
+    assert res.xi.tobytes() == ref.xi.tobytes()
+    assert res.converged == ref.converged
+    assert res.reports == ref.reports
+
+
+class TestWarmStart:
+    """Problems of at least solver._WARM_GATE valid pixels first solve on
+    every solver._WARM_STRIDE-th one; `mixed_reference_solve` is the loop
+    without that warm-up."""
+
+    GATE = 32768
+
+    @pytest.fixture(scope='class')
+    def noisy(self):
+        return qvga_scene(2, noise_sigma=0.5)[0]
+
+    def test_below_the_gate_takes_no_warm_up(self, noisy):
+        ff = first_valid(noisy, self.GATE - 1)
+        config = SolverConfig()
+        res = solver.solve(noisy.depth, ff, QVGA, config)
+        assert len(res.problem.index) == self.GATE - 1
+        assert_same_solve(res, mixed_reference_solve(noisy.depth, ff, QVGA,
+                                                     config))
+        assert 'coarse' not in updates(res)
+
+    def test_at_the_gate_warms_up(self, noisy):
+        ff = first_valid(noisy, self.GATE)
+        config = SolverConfig()
+        res = solver.solve(noisy.depth, ff, QVGA, config)
+        ref = mixed_reference_solve(noisy.depth, ff, QVGA, config)
+        coarse = updates(res).count('coarse')
+        assert coarse > 0
+        assert updates(res)[:coarse] == ['coarse'] * coarse
+        assert all(r.valid_count == self.GATE // 8
+                   for r in res.reports[:coarse])
+        assert all(r.valid_count == self.GATE for r in res.reports[coarse:])
+        assert res.iterations == len(res.reports) - coarse
+        assert res.converged and res.iterations < ref.iterations
+        assert np.max(np.abs(res.xi - ref.xi)) < 2e-9
+
+    def test_too_few_subsampled_pixels_fall_back(self, noisy):
+        # the warm-up's first step raises InsufficientDataError; the solve
+        # is the one without a warm-up, byte for byte
+        n = len(solver.prepare(noisy.depth, noisy.flow_field, QVGA,
+                               SolverConfig()).index)
+        config = SolverConfig(min_valid_pixels=-(-n // 8) + 1)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        assert_same_solve(res, mixed_reference_solve(
+            noisy.depth, noisy.flow_field, QVGA, config))
+        assert res.converged
+
+    def test_unconverged_warm_up_is_dropped(self, noisy):
+        # two steps do not reach the warm-up's tolerance on a noisy frame:
+        # its steps are reported, and the full loop starts from the seed
+        config = SolverConfig(max_iterations=2)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        ref = mixed_reference_solve(noisy.depth, noisy.flow_field, QVGA,
+                                    config)
+        assert updates(res)[:2] == ['coarse', 'coarse']
+        assert res.xi.tobytes() == ref.xi.tobytes()
+        assert res.reports[2:] == ref.reports and res.iterations == 2
+
+    def test_degenerate_warm_up_is_dropped(self, noisy, monkeypatch):
+        config = SolverConfig()
+        ref = mixed_reference_solve(noisy.depth, noisy.flow_field, QVGA,
+                                    config)
+        step = solver.gauss_newton_step
+
+        def coarse_fails(problem, xi, config):
+            if len(problem.index) < ref.reports[0].valid_count:
+                raise DegenerateGeometryError("coarse normal equations")
+            return step(problem, xi, config)
+        monkeypatch.setattr(solver, 'gauss_newton_step', coarse_fails)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        assert_same_solve(res, ref)
+
+    def test_single_iteration_is_unchanged(self, noisy):
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA,
+                           SolverConfig(single_iteration=True))
+        assert_same_solve(res, mixed_reference_solve(
+            noisy.depth, noisy.flow_field, QVGA,
+            SolverConfig(max_iterations=1)))
+        assert updates(res) == ['plain']
+
+    def test_noiseless_frame_in_three_full_steps(self):
+        scene, spec = qvga_scene(3, noise_sigma=0.0)
+        res = solver.solve(scene.depth, scene.flow_field, QVGA)
+        assert res.converged and res.iterations <= 3
+        assert 'coarse' in updates(res)
+        assert np.linalg.norm(res.xi - spec.motion) < 1e-8
 
 
 class TestConfig:

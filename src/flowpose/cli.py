@@ -7,7 +7,7 @@ keyed by the flags' dest names. It only fills in the settings that the
 command line left out, so a flag wins in any form argparse accepts, and it
 never changes the parser, which is built once per process. A bad value
 exits 2; an on/off value is one of 1/true/yes/on or 0/false/no/off, in
-any case.
+any case. Each `loss` subcommand takes only the flags that its loss reads.
 
 `main` makes glibc keep freed memory in the process heap, so the solver's
 raster-sized temporaries stop page-faulting in afresh; it is not done at
@@ -111,21 +111,24 @@ def _read_config(path, settings):
     """Line-oriented `key = value` configuration file of a command whose
     setting flags are `settings`, {dest: action}. Returns {dest: value},
     each value converted as its flag converts it; an on/off setting takes
-    a key of _ON_OFF in any case. An unknown key or a bad value is a
-    UsageError that names the file and line."""
-    raw = {}
-    with open(path, 'r') as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith('#'):
-                continue
-            if '=' not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition('=')
-            raw[key.strip()] = lineno, value.strip()
+    a key of _ON_OFF in any case. Each line is checked as it is read, and
+    the last line of a key wins. A file that is not UTF-8 is a UsageError
+    that names the file; an unknown key or a bad value, one that names the
+    file and the line."""
+    try:
+        with open(path, 'r', encoding='utf-8') as fh:
+            lines = fh.read().split('\n')
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     values = {}
-    for key, (lineno, value) in raw.items():
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith('#'):
+            continue
         where = f"{path}:{lineno}:"
+        if '=' not in line:
+            raise UsageError(f"{where} expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition('='))
         if key not in settings:
             raise UsageError(f"{where} unknown config key {key!r}")
         convert = settings[key].type
@@ -216,23 +219,14 @@ def cmd_eval_traj(args):
     return EXIT_OK
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace('-', '_')) is None:
-            raise UsageError(f"loss '{args.name}' requires --{name}")
-
-
 def cmd_loss(args):
     name = args.name
     if name == 'berhu':
-        _require(args, ['pred', 'gt'])
         value = losses.berhu(rasters.read_raster(args.pred),
                              rasters.read_raster(args.gt))
     elif name == 'smoothness':
-        _require(args, ['depth'])
         value = losses.smoothness(rasters.read_raster(args.depth))
     elif name == 'flownll':
-        _require(args, ['flow', 'gt-flow'])
         pred = solver.FlowField.from_raster(rasters.read_raster(args.flow))
         gt = solver.FlowField.from_raster(rasters.read_raster(args.gt_flow))
         check_same_size(pred.flow, gt.flow, ("flow", "gt-flow"))
@@ -241,20 +235,16 @@ def cmd_loss(args):
                                out=np.zeros_like(pred.flow))
         value = infomat.flow_nll_map(residual, pred.info, valid)
     elif name == 'photometric-lr':
-        _require(args, ['image-1', 'image-2', 'depth', 'gt', 'intrinsics'])
         K = rasters.read_intrinsics(args.intrinsics)
         value = losses.photometric_lr(
             rasters.read_raster(args.image_1), rasters.read_raster(args.image_2),
             rasters.read_raster(args.depth), rasters.read_raster(args.gt),
             args.baseline, K)
     elif name == 'pose-photometric':
-        _require(args, ['image-1', 'image-2', 'depth', 'intrinsics', 'motion'])
         K = rasters.read_intrinsics(args.intrinsics)
         value = losses.pose_photometric(
             rasters.read_raster(args.image_1), rasters.read_raster(args.image_2),
             rasters.read_raster(args.depth), _parse_motion(args.motion), K)
-    else:
-        raise UsageError(f"unknown loss '{name}'")
     print("%.12g" % value)
     return EXIT_OK
 
@@ -322,18 +312,25 @@ def build_parser():
     p.set_defaults(settings={a.dest: a for a in settings})
 
     p = sub.add_parser('loss', help='evaluate a loss from raster files')
-    p.add_argument('name', help='berhu | smoothness | flownll | '
-                                'photometric-lr | pose-photometric')
-    p.add_argument('--pred')
-    p.add_argument('--gt')
-    p.add_argument('--depth')
-    p.add_argument('--flow')
-    p.add_argument('--gt-flow')
-    p.add_argument('--image-1')
-    p.add_argument('--image-2')
-    p.add_argument('--intrinsics')
-    p.add_argument('--baseline', type=float, default=0.1)
-    p.add_argument('--motion')
+    # one parser per loss, with only its flags, each in full: an abbreviation
+    # would let flownll read --gt as --gt-flow
+    by_loss = p.add_subparsers(dest='name', required=True)
+    for name, flags, text in [
+            ('berhu', ['pred', 'gt'], 'berHu depth loss'),
+            ('smoothness', ['depth'], 'edge smoothness of a depth raster'),
+            ('flownll', ['flow', 'gt-flow'], 'flow negative log-likelihood'),
+            ('photometric-lr', ['image-1', 'image-2', 'depth', 'gt',
+                                'intrinsics'],
+             "stereo photometric loss; --gt is the right view's depth"),
+            ('pose-photometric', ['image-1', 'image-2', 'depth',
+                                  'intrinsics', 'motion'],
+             'photometric loss of two frames under --motion')]:
+        q = by_loss.add_parser(name, help=text, description=text,
+                               allow_abbrev=False)
+        for flag in flags:
+            q.add_argument('--' + flag, required=True)
+    by_loss.choices['photometric-lr'].add_argument(
+        '--baseline', type=float, default=0.1)
 
     return parser
 

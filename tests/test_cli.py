@@ -1,6 +1,7 @@
 import ctypes
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -289,6 +290,48 @@ class TestSolve:
             assert (code, out) == (2, "")
             assert err == f"error: {cfg}:2: {key} = {value!r}: {reason}\n"
 
+    def test_bad_config_value_not_hidden_by_a_later_line(
+            self, capsys, scene_dir, tmp_path):
+        directory, _ = scene_dir
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("max_iterations = abc\nmax_iterations = 5\n")
+        code, out, err = run(capsys, *solve_args(directory, "--config",
+                                                 str(cfg)))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}:1: max_iterations = 'abc': invalid "
+                       "literal for int() with base 10: 'abc'\n")
+        # the last valid line of a key wins
+        cfg.write_text("max_iterations = 1\nmax_iterations = 20\n")
+        want = run(capsys, *solve_args(directory, "--max-iterations", "20"))
+        assert run(capsys, *solve_args(directory, "--config", str(cfg))) == want
+        assert want[1].split()[7] == "1"
+
+    def test_config_not_utf8_names_the_file(self, capsys, scene_dir,
+                                            tmp_path):
+        directory, _ = scene_dir
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_bytes(b"max_iterations = 5\n# caf\xe9\n")
+        code, out, err = run(capsys, *solve_args(directory, "--config",
+                                                 str(cfg)))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode "
+                              "byte 0xe9"), err
+
+    def test_config_is_utf8_in_an_ascii_locale(self, scene_dir, tmp_path):
+        directory, _ = scene_dir
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("# réglages\nmax_iterations = 20\n", encoding="utf-8")
+        # the C locale without UTF-8 mode or locale coercion decodes ASCII
+        env = {**child_env(), "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowpose.cli",
+             *solve_args(directory, "--config", str(cfg))],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.split()) == 9
+
     def test_on_off_words(self, tmp_path):
         settings = cli.build_parser().parse_args(
             ["solve", "--depth", "d", "--flow", "f", "--intrinsics", "k"]
@@ -546,6 +589,8 @@ def loss_rasters(tmp_path):
     rasters.write_intrinsics(paths["wide"], Intrinsics(
         fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120))
     paths["motion"] = ",".join(repr(float(x)) for x in spec.motion)
+    paths["flow"] = tmp_path / "flow.engr"
+    rasters.write_raster(paths["flow"], scene.flow_field.raster())
     return paths
 
 
@@ -873,12 +918,15 @@ class TestLoss:
             assert out == "%.12g\n" % want[name]
 
     def test_unknown_loss_rejected(self, capsys):
-        code, _, _ = run(capsys, "loss", "nope")
-        assert code == 2
+        code, out, err = run(capsys, "loss", "nope")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: argument name: invalid choice: 'nope'")
 
     def test_missing_required_raster_rejected(self, capsys):
-        code, _, _ = run(capsys, "loss", "berhu")
-        assert code == 2
+        assert run(capsys, "loss", "berhu") == (
+            2, "", "error: the following arguments are required: --pred, "
+                   "--gt\n")
 
     def test_flownll_skips_pixels_invalid_in_either_raster(
             self, capsys, tmp_path, scene_dir):
@@ -901,6 +949,81 @@ class TestLoss:
                                     "--gt-flow", str(paths["gt"]))
         assert code == 0 and err == ""
         assert float(out) == pytest.approx(expected, rel=1e-10)
+
+
+# the flags that each loss reads; all are required but photometric-lr's
+# --baseline
+LOSS_FLAGS = {
+    "berhu": ["pred", "gt"],
+    "smoothness": ["depth"],
+    "flownll": ["flow", "gt-flow"],
+    "photometric-lr": ["image-1", "image-2", "depth", "gt", "intrinsics",
+                       "baseline"],
+    "pose-photometric": ["image-1", "image-2", "depth", "intrinsics",
+                         "motion"],
+}
+ALL_LOSS_FLAGS = sorted(set().union(*LOSS_FLAGS.values()))
+
+
+def loss_flag_args(paths, flags):
+    """`--flag=value` arguments on loss_rasters' files, or on the files that
+    paths names for a flag: the depth raster stands for every other depth
+    and the scene's flow for both flows."""
+    values = {"pred": paths["depth"], "gt": paths["depth"],
+              "gt-flow": paths["flow"], "baseline": 0.1, **paths}
+    return [f"--{flag}={values[flag]}" for flag in flags]
+
+
+class TestLossFlags:
+    """Each loss takes the flags that it reads, and no other."""
+
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name, flags in LOSS_FLAGS.items()
+        for flag in ALL_LOSS_FLAGS if flag not in flags])
+    def test_unread_flag_rejected(self, capsys, loss_rasters, name, flag):
+        # an abbreviation is no flag either: flownll would take --gt for
+        # --gt-flow
+        code, out, err = run_strict(capsys, "loss", name, *loss_flag_args(
+            loss_rasters, LOSS_FLAGS[name] + [flag]))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: unrecognized arguments: --{flag}=")
+
+    @pytest.mark.parametrize("name,flag", [
+        (name, flag) for name, flags in LOSS_FLAGS.items()
+        for flag in flags if flag != "baseline"])
+    def test_missing_flag_rejected(self, capsys, loss_rasters, name, flag):
+        argv = loss_flag_args(loss_rasters, [
+            other for other in LOSS_FLAGS[name] if other != flag])
+        assert run_strict(capsys, "loss", name, *argv) == (
+            2, "", f"error: the following arguments are required: --{flag}\n")
+
+    @pytest.mark.parametrize("name", ["photometric-lr", "pose-photometric"])
+    def test_first_fault_in_read_order_is_reported(self, capsys, loss_rasters,
+                                                   tmp_path, name):
+        # the intrinsics first, then the rasters, then --motion
+        order = ["intrinsics", "image-1", "image-2", "depth",
+                 "gt" if name == "photometric-lr" else "motion"]
+        bad = {flag: tmp_path / f"missing-{flag}" for flag in order}
+        bad["motion"] = "1,2"
+        for first, flag in enumerate(order):
+            paths = {**loss_rasters, **{f: bad[f] for f in order[first:]}}
+            code, out, err = run_strict(capsys, "loss", name, *loss_flag_args(
+                paths, LOSS_FLAGS[name]))
+            assert out == "" and len(err.splitlines()) == 1, err
+            if flag == "motion":
+                assert (code, err) == (2, "error: motion vector expects 6 "
+                                          "comma-separated numbers, got 2\n")
+            else:
+                assert code == 3 and f"missing-{flag}" in err, err
+
+    @pytest.mark.parametrize("name", list(LOSS_FLAGS))
+    def test_help_lists_its_flags(self, capsys, name):
+        code, out, err = run(capsys, "loss", name, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: flowpose loss {name} ")
+        assert set(re.findall(r"--[\w-]+", out)) == {
+            "--help", *("--" + flag for flag in LOSS_FLAGS[name])}
 
 
 @pytest.fixture
@@ -1052,6 +1175,7 @@ FAULTS = {
                                  ["error", "required", "--intrinsics"]),
     "unknown-command": (["solv"], 2, ["error", "invalid choice: 'solv'"]),
     "no-command": ([], 2, ["error", "required", "command"]),
+    "loss-no-name": (["loss"], 2, ["error", "required", "name"]),
     # a misspelt on/off value used to read as false
     "config-on-off-misspelt": (SOLVE + ["--intrinsics", "{intrinsics}",
                                         "--config", "{onoff_typo}"], 2,

@@ -8,6 +8,7 @@ command line left out, so a flag wins in any form argparse accepts, and it
 never changes the parser, which is built once per process. A bad value
 exits 2; an on/off value is one of 1/true/yes/on or 0/false/no/off, in
 any case. Each `loss` subcommand takes only the flags that its loss reads.
+A value may start with `-` and a digit without `=`: `--motion -0.05,...`.
 
 `main` makes glibc keep freed memory in the process heap, so the solver's
 raster-sized temporaries stop page-faulting in afresh; it is not done at
@@ -15,20 +16,21 @@ import, so a program that imports the library keeps its own allocator.
 
 Exit codes: 0 success, 2 usage, 3 I/O or format error, 4 numerical
 degeneracy, 5 insufficient data. Each failure prints one `<label>:
-<message>` stderr line; a command line that argparse rejects prints
-`error: <argparse's message>`, not a usage block.
+<message>` stderr line; a command line that argparse rejects is a
+ValueError like every other usage fault: `error: <message>`, no usage block.
 """
 
 import argparse
 import ctypes
 import functools
+import re
 import sys
 
 import numpy as np
 
 from . import infomat, losses, rasters, solver, synthetic, trajectory
 from .camera import check_same_size
-from .errors import FlowPoseError, UsageError
+from .errors import FlowPoseError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,7 +71,7 @@ def _keep_freed_memory():
 def _parse_motion(text):
     parts = text.split(',')
     if len(parts) != 6:
-        raise UsageError("motion vector expects 6 comma-separated numbers, "
+        raise ValueError("motion vector expects 6 comma-separated numbers, "
                          f"got {len(parts)}")
     return np.array([float(p) for p in parts])
 
@@ -87,8 +89,8 @@ def _parse_depth_model(text):
             return synthetic.SmoothRandomDepth(seed=int(seed),
                                                amplitude=float(amplitude))
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad depth model '{text}': {exc}") from exc
-    raise UsageError(f"unknown depth model '{kind}'")
+        raise ValueError(f"bad depth model '{text}': {exc}") from exc
+    raise ValueError(f"unknown depth model '{kind}'")
 
 
 def _parse_texture_model(text):
@@ -99,8 +101,8 @@ def _parse_texture_model(text):
         if kind == 'smooth':
             return synthetic.SmoothRandomTexture(seed=int(rest) if rest else 1)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad texture model '{text}': {exc}") from exc
-    raise UsageError(f"unknown texture model '{kind}'")
+        raise ValueError(f"bad texture model '{text}': {exc}") from exc
+    raise ValueError(f"unknown texture model '{kind}'")
 
 
 _ON_OFF = {'1': True, 'true': True, 'yes': True, 'on': True,
@@ -112,14 +114,14 @@ def _read_config(path, settings):
     setting flags are `settings`, {dest: action}. Returns {dest: value},
     each value converted as its flag converts it; an on/off setting takes
     a key of _ON_OFF in any case. Each line is checked as it is read, and
-    the last line of a key wins. A file that is not UTF-8 is a UsageError
+    the last line of a key wins. A file that is not UTF-8 is a ValueError
     that names the file; an unknown key or a bad value, one that names the
     file and the line."""
     try:
         with open(path, 'r', encoding='utf-8') as fh:
             lines = fh.read().split('\n')
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -127,20 +129,20 @@ def _read_config(path, settings):
             continue
         where = f"{path}:{lineno}:"
         if '=' not in line:
-            raise UsageError(f"{where} expected 'key = value'")
+            raise ValueError(f"{where} expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition('='))
         if key not in settings:
-            raise UsageError(f"{where} unknown config key {key!r}")
+            raise ValueError(f"{where} unknown config key {key!r}")
         convert = settings[key].type
         if convert:
             try:
                 values[key] = convert(value)
             except ValueError as exc:
-                raise UsageError(f"{where} {key} = {value!r}: {exc}") from exc
+                raise ValueError(f"{where} {key} = {value!r}: {exc}") from exc
         elif value.lower() in _ON_OFF:
             values[key] = _ON_OFF[value.lower()]
         else:
-            raise UsageError(f"{where} {key} = {value!r} is not an on/off "
+            raise ValueError(f"{where} {key} = {value!r} is not an on/off "
                              "value: use 1/true/yes/on or 0/false/no/off")
     return values
 
@@ -250,13 +252,18 @@ def cmd_loss(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a rejected command line as the one `error: <message>` stderr
-    line of every other usage error, not a usage block; its subparsers are
-    of its class. --help still prints the usage."""
+    """Raises a rejected command line as a ValueError, the type of every
+    other usage fault; its subparsers are of its class. --help still prints
+    the usage."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # `-` or `-.` and a digit is a value, not a flag, so a motion such as
+        # `-0.05,0,0,0,0,0` needs no `=`: no flag here looks like a number
+        self._negative_number_matcher = re.compile(r'^-\.?\d')
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        raise ValueError(message)
 
 
 def build_parser():
@@ -344,9 +351,6 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         if getattr(args, 'config', None):
             # the settings' defaults are SUPPRESS, so args holds a setting
             # only when a flag gave it, in any form argparse accepts; the
@@ -362,9 +366,11 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:   # a library argument check
+    except ValueError as exc:   # a command line, config or argument check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:          # --help printed the usage
+        return EXIT_OK
 
 
 if __name__ == '__main__':

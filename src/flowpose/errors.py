@@ -1,5 +1,6 @@
 """Exception types shared across the library. Each carries the exit code
-and the stderr label with which the `flowpose` command reports it."""
+and the stderr label with which the `flowpose` command reports it; a usage
+fault (exit 2, `error`) is a plain ValueError, not one of these."""
 
 
 class FlowPoseError(Exception):
@@ -11,11 +12,6 @@ class FlowPoseError(Exception):
     def __init__(self, message, **numbers):
         super().__init__(message)
         self.__dict__.update(numbers)
-
-
-class UsageError(FlowPoseError, ValueError):
-    """Bad flag, config value or argument (exit 2); a ValueError, so that
-    argparse reports it when a `type=` converter raises it."""
 
 
 class InsufficientDataError(FlowPoseError):

@@ -67,6 +67,7 @@ def flow_nll(rx, ry, a_hat, b_hat, g_hat):
     """Per-sample negative log-likelihood 0.5 * (r^T I r - log det I)."""
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
+    _check_finite(rx, ry)
     c_x, c_y, c_xy = build(a_hat, b_hat, g_hat)
     quad = c_x * rx * rx + 2.0 * c_xy * rx * ry + c_y * ry * ry
     return 0.5 * (quad - log_det(a_hat, b_hat, g_hat))
@@ -97,6 +98,7 @@ def nll_gradients(rx, ry, a_hat, b_hat, g_hat):
     """
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
+    _check_finite(rx, ry)
     c_x, c_y, c_xy = build(a_hat, b_hat, g_hat)
     th = np.tanh(np.asarray(b_hat, dtype=float))
     sech2 = 1.0 - th * th

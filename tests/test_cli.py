@@ -16,8 +16,7 @@ import flowpose
 from flowpose import (cli, infomat, losses, rasters, se3, solver, synthetic,
                       trajectory)
 from flowpose.camera import Intrinsics
-from flowpose.errors import (CheiralityError, DegenerateGeometryError,
-                             UsageError)
+from flowpose.errors import CheiralityError, DegenerateGeometryError
 from flowpose.trajectory import Trajectory
 
 # the directory holding the flowpose package the tests import
@@ -346,7 +345,7 @@ class TestSolve:
                 "use_confidence": want, "single_iteration": want}
         for value in ["ture", "", "2", "y", "offf", "true!"]:
             cfg.write_text(f"single_iteration = {value}\n")
-            with pytest.raises(UsageError) as exc:
+            with pytest.raises(ValueError) as exc:
                 cli._read_config(cfg, settings)
             assert str(exc.value) == (
                 f"{cfg}:1: single_iteration = {value!r} is not an on/off "
@@ -1203,6 +1202,15 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.startswith("usage: flowpose")
 
+    def test_parser_raises_value_error(self):
+        # main prints it as it prints every other usage fault
+        with pytest.raises(ValueError) as exc:
+            cli.build_parser().parse_args(
+                ["solve", "--depth", "d", "--flow", "f", "--intrinsics", "k",
+                 "--max-iterations", "abc"])
+        assert str(exc.value) == (
+            "argument --max-iterations: invalid int value: 'abc'")
+
     def test_cheirality_error_is_degenerate(self, capsys, monkeypatch,
                                             fault_files):
         def behind(args):
@@ -1241,6 +1249,49 @@ class TestOversizedRotation:
         assert run_strict(capsys, *loss_args(
             "pose-photometric", loss_rasters, motion="0,0,0,0,0,1e150")) == (
             2, "", self.MESSAGE)
+
+
+class TestNegativeFirstComponent:
+    """A value of `-` and a digit, or of `-.` and a digit, is the flag's
+    value: the space form gives what the `=` form gives. It used to exit 2
+    with "expected one argument"."""
+
+    @pytest.mark.parametrize("motion", ["-0.05,0,0,0,0,0", "-.05,0,0,0,0,0",
+                                        "-5e-2,0.01,0,0,0,-0.01"])
+    def test_synth_motion(self, capsys, tmp_path, motion):
+        manifests = []
+        for out, flag in [("space", ["--motion", motion]),
+                          ("equals", ["--motion=" + motion])]:
+            assert run_strict(
+                capsys, "synth", "--width", "64", "--height", "48",
+                "--depth", "constant:2", *flag, "--out", str(tmp_path / out)
+            ) == (0, f"{tmp_path / out / 'manifest.txt'}\n", "")
+            manifests.append((tmp_path / out / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+
+    def test_solve_seed(self, capsys, scene_dir):
+        directory, _ = scene_dir
+        seed = "-0.01,0,0,0,0,0"
+        code, out, err = run_strict(capsys, *solve_args(
+            directory, "--seed-xi", seed))
+        assert (code, err, len(out.split())) == (0, "", 9)
+        assert run_strict(capsys, *solve_args(
+            directory, "--seed-xi=" + seed)) == (0, out, "")
+
+    def test_pose_photometric_motion(self, capsys, loss_rasters):
+        motion = "-0.02,0.01,-0.015,-0.003,0.005,-0.008"
+        argv = loss_args("pose-photometric", loss_rasters, motion=motion)
+        code, out, err = run_strict(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run_strict(capsys, *argv[:-1], "--motion", motion) == (
+            0, out, "")
+
+    @pytest.mark.parametrize("seed", ["-x", "-inf,0,0,0,0,0"])
+    def test_other_dash_value_is_a_flag(self, capsys, scene_dir, seed):
+        directory, _ = scene_dir
+        assert run_strict(capsys, *solve_args(
+            directory, "--seed-xi", seed)) == (
+            2, "", "error: argument --seed-xi: expected one argument\n")
 
 
 class TestHugeTranslation:

@@ -97,6 +97,36 @@ class TestFlowNll:
                                  np.zeros((2, 2), dtype=bool))
 
 
+FINITE_MESSAGE = "information parameters and residuals must be finite"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+class TestNonfiniteResidual:
+    """A non-finite residual raises the ValueError that a non-finite
+    information parameter raises, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("function", [infomat.flow_nll,
+                                          infomat.nll_gradients])
+    def test_per_sample(self, bad, axis, function):
+        r = [0.0, 0.0]
+        r[axis] = bad
+        with pytest.raises(ValueError, match=FINITE_MESSAGE):
+            function(*r, 0, 0, 0)
+
+    def test_map_at_a_valid_pixel(self, bad, axis):
+        residuals = np.zeros((4, 4, 2))
+        residuals[1, 2, axis] = bad
+        valid = np.ones((4, 4), dtype=bool)
+        with pytest.raises(ValueError, match=FINITE_MESSAGE):
+            infomat.flow_nll_map(residuals, np.zeros((4, 4, 3)), valid)
+        # outside the mask it is not evaluated
+        valid[1, 2] = False
+        assert infomat.flow_nll_map(
+            residuals, np.zeros((4, 4, 3)), valid) == 0.0
+
+
 def fd_gradients(rx, ry, a, b, g, h=1e-6):
     vals = []
     for k in range(5):

@@ -23,29 +23,39 @@ Conventions:
     cost are then summed over blocks of _BLOCK pixels, so a block's
     Jacobians, weights and residuals stay in cache and no weighted copy of
     the Jacobians is made;
-  * update: the first step is plain, xi <- xi + beta. Later steps are
-    depth-1 Anderson mixes of the fixed-point map xi <- xi + beta(xi)
-    (Walker & Ni, SIAM J. Numer. Anal. 2011), which remove the slow,
-    steady contraction that the moving m gives noisy frames:
-        theta = <beta_k, d_beta> / ||d_beta||^2,
-        xi <- xi + beta_k - theta (d_xi + d_beta)
-    with d_xi = xi_k - xi_{k-1} and d_beta = beta_k - beta_{k-1}. Guards:
-    the step is plain when ||d_beta|| = 0 and when it is the last one the
-    iteration budget allows; if the ||beta|| evaluated at a mixed point is
-    larger than the one before it, the loop restarts from the plain point
-    xi_k + beta_k with no history. The limit is unchanged: the loop stops
-    when ||beta|| < convergence_tol and returns xi + beta;
+  * update: the loop stops when ||beta|| < convergence_tol and returns
+    xi + beta, where b(xi) = J^T W r = 0. A plain step, xi <- xi + beta,
+    contracts the error of a noisy frame by only about 0.4, because m moves
+    with xi. So later steps are Newton steps on the loop's own fixed-point
+    equation g(xi) = b(xi) = sum_c J0_c W_c(xi) r_c(xi), whose root does
+    not move: xi <- xi - H^-1 b, with
+        H = sum_c J0_c diag(psi'_c) Jr_c^T + outer(gm, dm),
+    psi'_c = C_c m^2 (m^2 - r_c^2) / (m^2 + r_c^2)^2 the derivative of the
+    M-estimator's weighted residual (Huber, 1967), gm its derivative by m,
+    Jr the true dr/dxi at the warped points times the SE(3) left Jacobian
+    of xi (Barfoot, 2017), and dm the derivative of m. H takes a second
+    block pass, which costs about 1.5-2 plain steps at QVGA, so it is built
+    only at a step whose ||beta|| is at least 1e-6 (_WARM_TOL); below that
+    a step reuses the last H (a chord step), or is plain when there is none.
+    The first step from the seed is plain, and so are the last step the
+    budget allows, a step with m = 0 and a step whose H is singular or not
+    finite. If the ||beta|| evaluated at a Newton point is larger than the
+    one before it, the loop falls back to the plain point xi_k + beta_k and
+    takes only plain steps from then on. Noisy QVGA frames converge in 3
+    full-resolution steps with one full-resolution H;
   * warm start: a problem of at least 32768 valid pixels (QVGA and larger)
     first runs the same loop on every 8th valid pixel, with its own
     Jacobians, down to ||beta|| < 1e-6 within max_iterations steps (the
     coarse-to-fine idea of dense odometry, Steinbruecker et al., ICCV
     workshops 2011, as a subsample rather than a pyramid). Only a converged
     warm-up hands its xi to the full loop, which then runs from there with
-    the whole budget; an unconverged one, or one that raises for too few
-    pixels or degenerate geometry, is dropped and the full loop starts from
-    seed_xi. The full loop's fixed point does not depend on its start, so
-    only the last digits of the returned xi move. Warm-up steps are
-    reported with update 'coarse' and do not count as iterations.
+    the whole budget, its first step a Newton step; an unconverged one, or
+    one that raises for too few pixels or degenerate geometry, is dropped
+    and the full loop starts from seed_xi with a plain step. The full
+    loop's fixed point does not depend on its start, so only the last
+    digits of the returned xi move. Warm-up steps are reported with update
+    'coarse' and do not count as iterations, so a solve can take up to
+    2 * max_iterations Gauss-Newton steps.
 """
 
 from dataclasses import dataclass, field
@@ -72,7 +82,9 @@ _BLOCK = 4096
 # ||beta|| < _WARM_TOL, for problems of at least _WARM_GATE valid pixels.
 # Stride 16 at 1e-4 left frames with outliers slower, and 1e-9 wasted
 # coarse steps on noisy frames. Below the gate (the 64x48 and 96x72
-# scenes) a solve takes no warm-up and keeps every bit.
+# scenes) a solve takes no warm-up. _WARM_TOL is also the ||beta|| below
+# which a Newton step reuses the last Newton matrix rather than pay for a
+# new one.
 _WARM_STRIDE = 8
 _WARM_TOL = 1e-6
 _WARM_GATE = 32768
@@ -152,9 +164,10 @@ class ResidualReport:
     m: float                    # mean residual magnitude over valid pixels
     weighted_cost: float        # sum of w * r^2 over valid pixels
     valid_count: int
-    update: str = 'plain'       # 'plain', 'mixed' or 'coarse', set by
-                                # solve; a fall-back counts as 'plain', and
-                                # every warm-up step as 'coarse'
+    update: str = 'plain'       # 'plain', 'newton' or 'coarse', set by
+                                # solve: 'newton' where xi <- xi - H^-1 b
+                                # replaced xi + beta; a fall-back counts as
+                                # 'plain', and every warm-up step as 'coarse'
     step_norm: float = None     # ||beta||, which solve tests for convergence
     eig_min: float = None       # extreme eigenvalues of the normal matrix A
     eig_max: float = None
@@ -325,11 +338,13 @@ def build_weight(c_x, c_y, rx, ry, m):
 def gauss_newton_step(problem, xi, config):
     """One weighted Gauss-Newton update on a prepared problem.
 
-    Returns (beta, report); the caller applies xi <- xi + beta.
+    Returns (beta, report, terms): the caller applies xi <- xi + beta, or
+    takes the Newton update that terms leads to.
     """
     r, keep = _residuals(problem, xi, config)
     m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
     JT, conf = problem.JT, problem.conf
+    cols = None
     if keep is not None:
         # the blocks take their kept columns from JT one block at a time;
         # JT[:, :, keep] would copy all of it
@@ -359,10 +374,71 @@ def gauss_newton_step(problem, xi, config):
             "normal equations singular or ill-conditioned",
             eig_min=eig_min, eig_max=eig_max, limit=CONDITION_LIMIT)
     beta = np.linalg.solve(A, -b)
-    return beta, ResidualReport(m=m, weighted_cost=float(cost),
-                                valid_count=r.shape[1],
-                                step_norm=float(np.linalg.norm(beta)),
-                                eig_min=eig_min, eig_max=eig_max)
+    report = ResidualReport(m=m, weighted_cost=float(cost),
+                            valid_count=r.shape[1],
+                            step_norm=float(np.linalg.norm(beta)),
+                            eig_min=eig_min, eig_max=eig_max)
+    return beta, report, NewtonTerms(problem=problem, xi=xi, r=r, cols=cols,
+                                     conf=conf, m=m, b=b)
+
+
+@dataclass(eq=False)
+class NewtonTerms:
+    """What a Newton update needs from one gauss_newton_step: b, the value
+    at xi of the loop's fixed-point function g(xi) = sum_c J0_c W_c r_c, and
+    the step's own residuals, m and confidences, from which `matrix` builds
+    H = dg/dxi."""
+    problem: Problem
+    xi: np.ndarray
+    r: np.ndarray               # (2, M) residuals at the M kept pixels
+    cols: np.ndarray            # (M,) their columns, or None for all N
+    conf: np.ndarray            # (2, M) their confidences
+    m: float
+    b: np.ndarray
+
+    # a tiny m, whose square underflows, divides by zero; the loop checks
+    # H for finiteness
+    @np.errstate(all='ignore')
+    def matrix(self):
+        """H = sum_c J0_c diag(psi'_c) Jr_c^T + outer(gm, dm), summed over
+        the kept pixels in blocks of _BLOCK.
+
+        psi_c = C_c m^2 r_c / (m^2 + r_c^2) is the weighted residual, so
+        psi'_c = C_c m^2 (m^2 - r_c^2) / (m^2 + r_c^2)^2 and its derivative
+        by m gives gm = sum_c J0_c 2 C_c m r_c^3 / (m^2 + r_c^2)^2. Jr is
+        the true dr/dxi: _jacobians at the warped points T x times the left
+        Jacobian of xi, which every block shares and so multiplies the sums
+        once. dm = mean_n (r_x Jr_x + r_y Jr_y) / |r_n| is the derivative of
+        m. Needs m > 0.
+        """
+        problem, r, cols, m = self.problem, self.r, self.cols, self.m
+        T = se3.exp(self.xi)[:3]
+        m2 = m * m
+        H = np.zeros((6, 6))
+        gm = np.zeros(6)
+        dm = np.zeros(6)
+        for start in range(0, r.shape[1], _BLOCK):
+            blk = slice(start, start + _BLOCK)
+            at = blk if cols is None else cols[blk]
+            points = problem.points[:, at]
+            y = T @ points
+            # the warped points (u', v', 1, q'), scaled to a third entry of 1
+            Jw = _jacobians(y[0] / y[2], y[1] / y[2], points[3] / y[2])
+            rb = r[:, blk]
+            norm = np.sqrt(rb[0] * rb[0] + rb[1] * rb[1])
+            inverse = np.divide(1.0, norm, out=np.zeros_like(norm),
+                                where=norm > 0)
+            for J, Jr, c, rc in zip(problem.JT[:, :, at].transpose(1, 0, 2),
+                                    Jw.transpose(1, 0, 2), self.conf[:, blk],
+                                    rb):
+                r2 = rc * rc
+                scale = m2 + r2
+                scale = c / (scale * scale)
+                H += (J * (scale * m2 * (m2 - r2))) @ Jr.T
+                gm += J @ (scale * (2.0 * m) * r2 * rc)
+                dm += Jr @ (rc * inverse)
+        Jl = se3.left_jacobian(self.xi)
+        return H @ Jl + np.outer(gm, (dm / r.shape[1]) @ Jl)
 
 
 def _subsample(problem, stride):
@@ -376,38 +452,50 @@ def _subsample(problem, stride):
                    JT=_jacobians(points[0], points[1], points[3]))
 
 
-def _iterate(problem, xi, config, tol, reports):
-    """The plain-then-Anderson loop from xi until ||beta|| < tol or the
-    iteration budget is spent. Appends each step's report to reports and
-    returns (xi, converged)."""
+def _newton_update(H, b):
+    """-H^-1 b, or None where H is not finite or is singular."""
+    if not np.all(np.isfinite(H)):
+        return None
+    try:
+        step = np.linalg.solve(H, -b)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
+
+
+def _iterate(problem, xi, config, tol, reports, newton):
+    """The loop from xi until ||beta|| < tol or the iteration budget is
+    spent; its first step is a Newton step only with `newton` set. Appends
+    each step's report to reports and returns (xi, converged)."""
     converged = False
     max_iter = 1 if config.single_iteration else config.max_iterations
-    last = None         # (xi, beta) of the previous step; None after a restart
-    plain = None        # the plain point the previous, mixed step replaced
+    first = 0 if newton else 1      # the first step that may be a Newton step
+    H = None
+    plain = None        # (point, ||beta||) of the plain step a Newton step
+                        # replaced
     for k in range(max_iter):
-        beta, report = gauss_newton_step(problem, xi, config)
+        beta, report, terms = gauss_newton_step(problem, xi, config)
         reports.append(report)
         norm = report.step_norm
         if norm < tol:
             converged = True
             xi = xi + beta
             break
-        if plain is not None and norm > np.linalg.norm(last[1]):
-            # the mixed step did worse: restart from the plain point
-            xi, last, plain = plain, None, None
+        if plain is not None and norm > plain[1]:
+            # the Newton step did worse: plain steps from the plain point on
+            xi, plain, first = plain[0], None, max_iter
             continue
-        step = beta
-        plain = None
-        if last is not None and k + 1 < max_iter:
-            dx = xi - last[0]
-            dbeta = beta - last[1]
-            denom = dbeta @ dbeta
-            if denom > 0:
-                theta = (beta @ dbeta) / denom
-                step = beta - theta * (dx + dbeta)
-                plain = xi + beta
-                report.update = 'mixed'
-        last = (xi, beta)
+        step, plain = beta, None
+        if first <= k < max_iter - 1 and report.m > 0:
+            if norm >= _WARM_TOL:
+                H = terms.matrix()
+            newton_step = None if H is None else _newton_update(H, terms.b)
+            if newton_step is None:
+                H = None
+            else:
+                step, plain = newton_step, (xi + beta, norm)
+                report.update = 'newton'
+        del terms       # its residuals: the next step makes its own
         xi = xi + step
     return xi, converged
 
@@ -418,31 +506,32 @@ def solve(depth, flow_field, K, config=None):
 
     The Jacobians, the valid pixels and the confidences are built once, by
     `prepare`; residuals, m and the weights are recomputed every iteration
-    (true IRLS). Steps after the first are depth-1 Anderson mixes of the
-    last two updates, and a problem of at least _WARM_GATE valid pixels
-    is first solved on every _WARM_STRIDE-th of them, as the module
-    docstring says. With single_iteration set, stops after one plain step. The result keeps the
-    prepared Problem, so a caller can pass it to compute_residuals without
-    building the geometry again.
+    (true IRLS). Steps after the first are Newton steps on the loop's fixed
+    point, and a problem of at least _WARM_GATE valid pixels is first
+    solved on every _WARM_STRIDE-th of them, as the module docstring says.
+    With single_iteration set, stops after one plain step. The result keeps
+    the prepared Problem, so a caller can pass it to compute_residuals
+    without building the geometry again.
     """
     if config is None:
         config = SolverConfig()
     problem = prepare(depth, flow_field, K, config)
     xi = np.array(config.seed_xi, dtype=float)
     reports = []
+    warm = False
     if not config.single_iteration and len(problem.index) >= _WARM_GATE:
         # the subsample lives only for the call, so the full loop's
         # temporaries reuse its memory
         try:
-            start, converged = _iterate(_subsample(problem, _WARM_STRIDE), xi,
-                                        config, _WARM_TOL, reports)
+            start, warm = _iterate(_subsample(problem, _WARM_STRIDE), xi,
+                                   config, _WARM_TOL, reports, newton=False)
         except (InsufficientDataError, DegenerateGeometryError):
-            converged = False
+            warm = False
         for report in reports:
             report.update = 'coarse'
-        if converged:
+        if warm:
             xi = start
     xi, converged = _iterate(problem, xi, config, config.convergence_tol,
-                             reports)
+                             reports, newton=warm)
     return SolveResult(xi=xi, converged=converged, reports=reports,
                        problem=problem)

@@ -102,6 +102,9 @@ class SmoothRandomDepth:
     amplitude: float
     base: float = 2.0
 
+    # the second view's fixed-point loop diverges at pixels that see no
+    # surface, and the polynomial overflows there; render marks them invalid
+    @np.errstate(over='ignore', invalid='ignore')
     def __call__(self, a, b):
         """base + amplitude * (c0 a + c1 b + c2 a b + c3 a a + c4 b b), the
         sum taken left to right; returns a new array."""

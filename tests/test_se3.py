@@ -178,6 +178,48 @@ class TestLog:
         assert np.linalg.norm(se3.log(se3.exp(xi)) - xi) < 1e-9
 
 
+def xi_to_ad(xi):
+    """The 6x6 adjoint of a motion vector, ordered as the motion vector."""
+    ad = np.zeros((6, 6))
+    ad[:3, :3] = ad[3:, 3:] = se3.hat(xi[3:])
+    ad[:3, 3:] = se3.hat(xi[:3])
+    return ad
+
+
+class TestLeftJacobian:
+    @pytest.mark.parametrize("angle", [0.0, 1e-9, 1e-4, 0.01, 0.05, 0.0999,
+                                       0.1001, 0.3, 1.0, 2.5, 3.1])
+    def test_matches_power_series(self, angle):
+        rng = np.random.default_rng(71)
+        xi = rng.normal(size=6)
+        w = xi[3:]
+        xi[3:] = w / np.linalg.norm(w) * angle
+        ad = xi_to_ad(xi)
+        series, term = np.zeros((6, 6)), np.eye(6)
+        for n in range(1, 60):
+            series += term / n
+            term = term @ ad / n
+        # sum_n ad^n / (n + 1)!: term is ad^(n-1) / (n-1)! before /n
+        assert np.max(np.abs(se3.left_jacobian(xi) - series)) < 3e-14
+
+    @pytest.mark.parametrize("xi", [
+        [0.3, -0.2, 0.5, 0.4, -0.7, 0.2],
+        [0.02, 0.01, -0.015, 0.004, 0.003, -0.002],
+        [1.0, 0.0, 0.0, 0.01, 0.0, 0.0]])
+    def test_first_order_left_perturbation(self, xi):
+        # exp(xi + d) exp(xi)^-1 = exp(J d) to first order in d
+        xi = np.array(xi)
+        J = se3.left_jacobian(xi)
+        h = 1e-6
+        for j, d in enumerate(np.eye(6) * h):
+            plus = se3.log(se3.exp(xi + d) @ se3.inverse(se3.exp(xi)))
+            minus = se3.log(se3.exp(xi - d) @ se3.inverse(se3.exp(xi)))
+            assert np.max(np.abs((plus - minus) / (2 * h) - J[:, j])) < 1e-8
+
+    def test_identity_at_zero(self):
+        assert np.array_equal(se3.left_jacobian(np.zeros(6)), np.eye(6))
+
+
 class TestApplyComposeInverse:
     def test_apply_identity(self):
         p = np.array([0.2, -0.1, 1.0, 0.5])

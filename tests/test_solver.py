@@ -117,7 +117,7 @@ class TestComputeResiduals:
         residuals = solver.compute_residuals(problem, np.zeros(6), config)
         assert residuals.shape == (K.height, K.width, 2)
         assert np.count_nonzero(residuals) == 0
-        _, report = solver.gauss_newton_step(problem, np.zeros(6), config)
+        _, report, _ = solver.gauss_newton_step(problem, np.zeros(6), config)
         assert report.m == 0.0
 
     def test_zero_at_ground_truth(self, K):
@@ -214,8 +214,8 @@ class TestGaussNewtonStep:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         config = SolverConfig()
-        beta, _ = solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
-                                           np.zeros(6), config)
+        beta, _, _ = solver.gauss_newton_step(
+            solver.prepare(depth, ff, K, config), np.zeros(6), config)
         assert np.linalg.norm(beta - xi_star) < 1e-10
 
     def test_zero_flow_zero_update(self, K):
@@ -223,8 +223,8 @@ class TestGaussNewtonStep:
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
         config = SolverConfig()
-        beta, _ = solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
-                                           np.zeros(6), config)
+        beta, _, _ = solver.gauss_newton_step(
+            solver.prepare(depth, ff, K, config), np.zeros(6), config)
         assert np.linalg.norm(beta) == 0.0
 
     def test_z_rotation_converges_quickly(self, K):
@@ -235,7 +235,7 @@ class TestGaussNewtonStep:
         config = SolverConfig()
         problem = solver.prepare(depth, ff, K, config)
         for _ in range(3):
-            beta, _ = solver.gauss_newton_step(problem, xi, config)
+            beta, _, _ = solver.gauss_newton_step(problem, xi, config)
             xi = xi + beta
         assert np.linalg.norm(xi - xi_star) < 1e-8
 
@@ -273,7 +273,7 @@ class TestGaussNewtonStep:
         for tz, share in ((0.0, 0.5), (-2.0, 1.0)):
             tracemalloc.start()
             try:
-                _, report = solver.gauss_newton_step(
+                _, report, _ = solver.gauss_newton_step(
                     problem, np.array([0.0, 0.0, tz, 0.0, 0.0, 0.0]), config)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -383,7 +383,7 @@ class TestPreparedStep:
         scene = outlier_scene
         problem = solver.prepare(scene.depth, scene.flow_field, K, config)
         for xi in (np.zeros(6), np.array([0.02, 0.0, -0.01, 0.003, 0.004, -0.008])):
-            beta, report = solver.gauss_newton_step(problem, xi, config)
+            beta, report, _ = solver.gauss_newton_step(problem, xi, config)
             ref, exact, cost, count = reference_step(
                 scene.depth, scene.flow_field, xi, K, config)
             assert_agrees_with_reference(beta, ref, exact)
@@ -402,7 +402,7 @@ class TestPreparedStep:
         # the camera
         xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
         config = SolverConfig(use_confidence=use_confidence)
-        beta, report = solver.gauss_newton_step(
+        beta, report, _ = solver.gauss_newton_step(
             solver.prepare(depth, ff, K, config), xi, config)
         ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
         assert 0 < count < K.width * K.height
@@ -420,7 +420,7 @@ class TestPreparedStep:
         problem = solver.prepare(depth, ff, K, config)
         residuals = solver.compute_residuals(problem, xi, config)
         assert np.count_nonzero(residuals[:, :10]) == 0
-        _, report = solver.gauss_newton_step(problem, xi, config)
+        _, report, _ = solver.gauss_newton_step(problem, xi, config)
         assert report.valid_count == K.height * (K.width - 10)
 
     def test_confidences_computed_once_per_solve(self, K, monkeypatch,
@@ -472,7 +472,7 @@ class TestBlockBoundaries:
         problem = solver.prepare(depth, ff, K, config)
         assert len(problem.index) == valid
         for xi in (np.zeros(6), np.array([0.02, 0.0, -0.01, 0.003, 0.004, -0.008])):
-            beta, report = solver.gauss_newton_step(problem, xi, config)
+            beta, report, _ = solver.gauss_newton_step(problem, xi, config)
             ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
             assert report.valid_count == count == valid
             assert_agrees_with_reference(beta, ref, exact)
@@ -496,7 +496,7 @@ class TestBlockBoundaries:
         _, keep = solver._residuals(problem, xi, config)
         assert np.array_equal(keep, ~near[problem.index])
         assert B < keep.sum() < 2 * B
-        beta, report = solver.gauss_newton_step(problem, xi, config)
+        beta, report, _ = solver.gauss_newton_step(problem, xi, config)
         ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
         assert report.valid_count == count
         assert_agrees_with_reference(beta, ref, exact)
@@ -679,7 +679,7 @@ class TestSolve:
             noise_sigma=0.5, seed=25)
         scene = synthetic.render(spec)
         config = SolverConfig()
-        base, _ = solver.gauss_newton_step(
+        base, _, _ = solver.gauss_newton_step(
             solver.prepare(scene.depth, scene.flow_field, K, config),
             np.zeros(6), config)
         scaled_info = scene.flow_field.info.copy()
@@ -687,7 +687,7 @@ class TestSolve:
         scaled_info[..., 2] += np.log(7.0)
         ff2 = FlowField(flow=scene.flow_field.flow, info=scaled_info,
                         valid=scene.flow_field.valid)
-        scaled, _ = solver.gauss_newton_step(
+        scaled, _, _ = solver.gauss_newton_step(
             solver.prepare(scene.depth, ff2, K, config), np.zeros(6), config)
         assert np.max(np.abs(base - scaled)) < 1e-12
 
@@ -699,8 +699,8 @@ class TestSolve:
         res = solver.solve(depth, ff, K)
         config = SolverConfig()
         problem = solver.prepare(depth, ff, K, config)
-        _, rep_final = solver.gauss_newton_step(problem, res.xi, config)
-        _, rep_zero = solver.gauss_newton_step(problem, np.zeros(6), config)
+        _, rep_final, _ = solver.gauss_newton_step(problem, res.xi, config)
+        _, rep_zero, _ = solver.gauss_newton_step(problem, np.zeros(6), config)
         assert rep_final.weighted_cost <= rep_zero.weighted_cost
 
     def test_seed_independence(self, K):
@@ -726,8 +726,8 @@ class TestSolve:
 
 
 def plain_reference_solve(depth, flow_field, K, config=None):
-    """The plain IRLS loop, xi <- xi + beta, that `solve` ran before it mixed
-    its steps; verbatim but for how it builds its result."""
+    """The plain IRLS loop, xi <- xi + beta, with no Newton step and no
+    warm-up; verbatim but for how it builds its result."""
     if config is None:
         config = SolverConfig()
     problem = solver.prepare(depth, flow_field, K, config)
@@ -736,7 +736,7 @@ def plain_reference_solve(depth, flow_field, K, config=None):
     converged = False
     max_iter = 1 if config.single_iteration else config.max_iterations
     for _ in range(max_iter):
-        beta, report = solver.gauss_newton_step(problem, xi, config)
+        beta, report, _ = solver.gauss_newton_step(problem, xi, config)
         xi = xi + beta
         reports.append(report)
         if np.linalg.norm(beta) < config.convergence_tol:
@@ -764,8 +764,8 @@ def small_scene(seed, outliers):
 
 
 class TestMixedSteps:
-    """`solve` mixes the last two Gauss-Newton updates (depth-1 Anderson
-    acceleration); the plain loop above is its reference."""
+    """`solve` mixes plain steps with Newton steps on the plain loop's fixed
+    point; the plain loop above is its reference."""
 
     @pytest.mark.parametrize("outliers", [False, True],
                              ids=["noisy", "outliers"])
@@ -795,7 +795,7 @@ class TestMixedSteps:
             # both first steps are plain steps from the seed
             assert res.reports[0] == ref.reports[0]
             assert updates(res)[0] == 'plain'
-            assert set(updates(res)) <= {'plain', 'mixed'}
+            assert set(updates(res)) <= {'plain', 'newton'}
 
     def test_noisy_qvga_frame_takes_fewer_steps(self):
         # 320x240 frame as in the odometry benchmark: TUM-like intrinsics,
@@ -813,6 +813,33 @@ class TestMixedSteps:
         res = solver.solve(scene.depth, scene.flow_field, K)
         assert ref.converged and ref.iterations >= 16
         assert res.converged and res.iterations <= 13
+        assert np.max(np.abs(res.xi - ref.xi)) < 1e-9
+
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.1],
+                             ids=["noisy", "outliers"])
+    def test_qvga_frame_in_three_full_steps(self, monkeypatch,
+                                            outlier_fraction):
+        # the odometry benchmark's noisy frame kinds: the warm-up hands on
+        # its xi, then one full-resolution Newton matrix serves every step
+        spec = qvga_spec(4, noise_sigma=0.5,
+                         outlier_fraction=outlier_fraction)
+        scene = synthetic.render(spec)
+        built = []
+        matrix = solver.NewtonTerms.matrix
+
+        def counting(terms):
+            built.append(len(terms.r[0]))
+            return matrix(terms)
+        monkeypatch.setattr(solver.NewtonTerms, 'matrix', counting)
+        res = solver.solve(scene.depth, scene.flow_field, QVGA)
+        n = len(res.problem.index)
+        assert res.converged and res.iterations <= 3
+        assert built.count(n) <= 1 and 0 < len(built)
+        full = updates(res)[-res.iterations:]
+        assert full[0] == 'newton' and full[-1] == 'plain'
+        monkeypatch.undo()
+        ref = plain_reference_solve(scene.depth, scene.flow_field, QVGA)
+        assert ref.converged and ref.iterations > 3
         assert np.max(np.abs(res.xi - ref.xi)) < 1e-9
 
     @pytest.mark.parametrize("outliers", [False, True],
@@ -841,34 +868,52 @@ class TestStepRecords:
             assert 0 < r.eig_min <= r.eig_max
             assert r.eig_max / r.eig_min <= solver.CONDITION_LIMIT
         # the first step, from the seed, is the plain step and its record
-        beta, first = solver.gauss_newton_step(res.problem, config.seed_xi,
+        beta, first, _ = solver.gauss_newton_step(res.problem, config.seed_xi,
                                                config)
         assert first == res.reports[0]
         assert first.step_norm == np.linalg.norm(beta)
 
 
 class StubStep:
-    """Stands in for gauss_newton_step: records the points it is called at
-    and returns beta_of(call index, xi)."""
+    """Stands in for gauss_newton_step on known maps xi -> beta: records
+    the points and problems it is called with and returns beta_of(call
+    index, xi). Its
+    normal matrix is the identity, so b = -beta, and the Newton matrix of
+    each step is matrix_of(call index, xi)."""
 
-    def __init__(self, beta_of):
+    def __init__(self, beta_of, matrix_of):
         self.beta_of = beta_of
+        self.matrix_of = matrix_of
         self.points = []
+        self.problems = []
+        self.built = []         # the call indices whose Newton matrix was
+                                # built
 
     def __call__(self, problem, xi, config):
+        k = len(self.points)
         self.points.append(np.array(xi))
-        beta = np.asarray(self.beta_of(len(self.points) - 1, xi), dtype=float)
+        self.problems.append(problem)
+        beta = np.asarray(self.beta_of(k, xi), dtype=float)
+
+        def matrix():
+            self.built.append(k)
+            return np.asarray(self.matrix_of(k, xi), dtype=float)
         return beta, solver.ResidualReport(
-            m=0.0, weighted_cost=float(len(self.points)), valid_count=64,
-            step_norm=float(np.linalg.norm(beta)))
+            m=1.0, weighted_cost=float(k + 1), valid_count=64,
+            step_norm=float(np.linalg.norm(beta))), \
+            SimpleNamespace(b=-beta, matrix=matrix)
 
 
 E0, E1 = np.eye(6)[:2]
 
 
+def constant(H):
+    return lambda k, xi: H
+
+
 class TestMixedStepsOnStub:
-    """The loop of `solve` on known maps xi -> beta, with prepare and
-    gauss_newton_step stubbed out."""
+    """The loop of `solve`, with its plain and Newton steps, on known maps
+    xi -> beta, with prepare and gauss_newton_step stubbed out."""
 
     @pytest.fixture
     def run(self, monkeypatch):
@@ -876,54 +921,91 @@ class TestMixedStepsOnStub:
         monkeypatch.setattr(solver, 'prepare',
                             lambda *args: SimpleNamespace(index=np.arange(64)))
 
-        def run(beta_of, **settings):
-            stub = StubStep(beta_of)
+        def run(beta_of, matrix_of=constant(np.eye(6)), **settings):
+            stub = StubStep(beta_of, matrix_of)
             monkeypatch.setattr(solver, 'gauss_newton_step', stub)
             return solver.solve(None, None, None, SolverConfig(**settings)), \
-                stub.points
+                stub
         return run
 
-    def test_theta_formula(self, run):
-        # a linear contraction with a different rate per component
+    def test_first_step_from_the_seed_is_plain(self, run):
+        seed = np.array([0.1, 0.0, 0.0, 0.0, 0.0, -0.1])
+        step = 0.5 * E1
+        res, stub = run(lambda k, xi: step if k == 0 else 0 * step,
+                        seed_xi=seed)
+        assert updates(res) == ['plain', 'plain']
+        assert 0 not in stub.built
+        np.testing.assert_array_equal(stub.points[1], seed + step)
+
+    def test_newton_update(self, run):
+        # a matrix that is not the map's derivative: the point after the
+        # Newton step is xi - H^-1 b all the same
         target = np.array([0.3, -0.2, 0.1, 0.05, -0.04, 0.02])
         rates = np.array([0.9, 0.7, 0.5, 0.4, 0.3, 0.2])
-        res, points = run(lambda k, xi: rates * (target - xi),
-                          max_iterations=3)
-        x0, x1 = points[:2]
-        f0, f1 = rates * (target - x0), rates * (target - x1)
-        theta = f1 @ (f1 - f0) / ((f1 - f0) @ (f1 - f0))
-        np.testing.assert_allclose(
-            points[2], x1 + f1 - theta * ((x1 - x0) + (f1 - f0)),
-            rtol=0, atol=1e-16)
-        assert updates(res) == ['plain', 'mixed', 'plain']
-        assert len(points) == res.iterations == 3
+        H = np.diag(rates) + 0.01 * np.ones((6, 6))
+        res, stub = run(lambda k, xi: rates * (target - xi), constant(H),
+                        max_iterations=3)
+        x1 = stub.points[1]
+        b1 = -rates * (target - x1)
+        np.testing.assert_allclose(stub.points[2],
+                                   x1 - np.linalg.solve(H, b1),
+                                   rtol=0, atol=1e-15)
+        assert updates(res) == ['plain', 'newton', 'plain']
+        assert len(stub.points) == res.iterations == 3
 
     def test_one_dimensional_linear_map_converges_in_three_calls(self, run):
-        # the secant step lands on the fixed point of xi -> xi + beta(xi),
+        # the Newton step lands on the fixed point of xi -> xi + beta(xi),
         # which the plain loop approaches by halves
-        res, points = run(lambda k, xi: 0.5 * (2.0 * E0 - xi))
-        np.testing.assert_allclose(points[2], 2.0 * E0, rtol=0, atol=1e-15)
+        res, stub = run(lambda k, xi: 0.5 * (2.0 * E0 - xi),
+                        constant(0.5 * np.eye(6)))
+        np.testing.assert_allclose(stub.points[2], 2.0 * E0, rtol=0,
+                                   atol=1e-15)
         assert res.converged and res.iterations == 3
-        assert updates(res) == ['plain', 'mixed', 'plain']
+        assert updates(res) == ['plain', 'newton', 'plain']
         # the stub's cost counts its calls: the reports are its own, in order
         assert [r.weighted_cost for r in res.reports] == [1.0, 2.0, 3.0]
 
-    def test_zero_denominator_takes_plain_steps(self, run):
-        # beta never changes, so ||beta_k - beta_{k-1}||^2 = 0 at every step
+    def test_matrix_is_built_only_far_from_the_root(self, run):
+        # ||beta|| halves at each step: the matrix is rebuilt while it is
+        # at least 1e-6, and reused below that (chord steps)
+        norms = [0.5 ** j for j in range(0, 40, 2)]
+        res, stub = run(lambda k, xi: norms[k] * E0, max_iterations=12,
+                        convergence_tol=1e-12)
+        assert updates(res) == ['plain'] + ['newton'] * 10 + ['plain']
+        assert stub.built == [k for k in range(1, 11) if norms[k] >= 1e-6]
+        assert stub.built[-1] < 10
+
+    def test_plain_without_a_matrix_below_the_rebuild_norm(self, run):
+        # after a plain first step the loop has no Newton matrix, and a
+        # step whose ||beta|| is below 1e-6 builds none
+        res, stub = run(lambda k, xi: (1.0 if k == 0 else 1e-7) * E0,
+                        max_iterations=4)
+        assert updates(res) == ['plain'] * 4
+        assert stub.built == []
+
+    @pytest.mark.parametrize("H", [np.zeros((6, 6)),
+                                   np.full((6, 6), np.nan),
+                                   np.full((6, 6), np.inf),
+                                   np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])],
+                             ids=["zero", "nan", "inf", "rank-5"])
+    def test_singular_newton_matrix_takes_plain_steps(self, run, H):
+        # no LinAlgError escapes: every step is the plain one, and the
+        # matrix is built again at the next step
         step = np.array([0.1, 0.0, -0.2, 0.0, 0.05, 0.0])
-        res, points = run(lambda k, xi: step, max_iterations=7)
+        res, stub = run(lambda k, xi: step, constant(H), max_iterations=7)
         assert updates(res) == ['plain'] * 7
-        assert not res.converged and len(points) == res.iterations == 7
-        for k, point in enumerate(points + [res.xi]):
+        assert stub.built == [1, 2, 3, 4, 5]
+        assert not res.converged and len(stub.points) == res.iterations == 7
+        for k, point in enumerate(stub.points + [res.xi]):
             np.testing.assert_allclose(point, k * step, rtol=0, atol=1e-15)
 
     SCRIPT = [                  # (point called at, beta returned there)
         (0.0 * E0, E0),         # first step: plain
-        (1.0 * E0, 0.5 * E0),   # mixed: theta = -1 lands on 2 E0
+        (1.0 * E0, 0.5 * E0),   # Newton with H = I / 2: lands on 2 E0
         (2.0 * E0, 0.6 * E1),   # ||beta|| grew: fall back to 1.5 E0
-        (1.5 * E0, 0.25 * E0),  # history dropped: plain
-        (1.75 * E0, 0.125 * E0),  # mixed again, to 2 E0
-        (2.0 * E0, 0.0 * E0),   # converged
+        (1.5 * E0, 0.25 * E0),  # plain from now on
+        (1.75 * E0, 0.125 * E0),
+        (1.875 * E0, 0.0 * E0),  # converged
     ]
 
     def scripted(self, k, xi):
@@ -932,57 +1014,189 @@ class TestMixedStepsOnStub:
         return beta
 
     def test_falls_back_when_beta_grows(self, run):
-        res, points = run(self.scripted)
-        assert len(points) == res.iterations == 6 and res.converged
-        assert updates(res) == ['plain', 'mixed', 'plain',
-                                'plain', 'mixed', 'plain']
-        np.testing.assert_allclose(res.xi, 2.0 * E0, rtol=0, atol=1e-15)
+        res, stub = run(self.scripted, constant(0.5 * np.eye(6)))
+        assert len(stub.points) == res.iterations == 6 and res.converged
+        assert updates(res) == ['plain', 'newton', 'plain',
+                                'plain', 'plain', 'plain']
+        assert stub.built == [1]
+        np.testing.assert_allclose(res.xi, 1.875 * E0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("calls, xi", [(1, 1.0 * E0), (2, 1.5 * E0),
                                            (3, 1.5 * E0), (5, 1.875 * E0)])
     def test_max_iterations_counts_every_call(self, run, calls, xi):
         # the fall-back's call counts, and the last step is always plain
-        res, points = run(self.scripted, max_iterations=calls)
-        assert len(points) == res.iterations == calls
+        res, stub = run(self.scripted, constant(0.5 * np.eye(6)),
+                        max_iterations=calls)
+        assert len(stub.points) == res.iterations == calls
         assert not res.converged
         assert updates(res)[-1] == 'plain'
         np.testing.assert_allclose(res.xi, xi, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("calls", [2, 3, 6])
+    def test_last_step_of_the_budget_is_plain(self, run, calls):
+        res, stub = run(lambda k, xi: 0.5 * (2.0 * E0 - xi),
+                        constant(np.eye(6)), max_iterations=calls)
+        assert updates(res) == ['plain'] + ['newton'] * (calls - 2) \
+            + ['plain']
+        assert stub.built == list(range(1, calls - 1))
 
-def mixed_reference_solve(depth, flow_field, K, config):
-    """The plain-then-Anderson loop that `solve` ran from the seed before
-    large problems took a warm-up; verbatim but for how it builds its
-    result."""
+    @pytest.fixture
+    def warm(self, monkeypatch, run):
+        # a stand-in at the warm-up's gate, whose subsample's fixed point
+        # lies 1e-3 from the full problem's
+        full = SimpleNamespace(index=np.arange(32768),
+                               target=2.0 * E0 + 1e-3 * E1)
+        coarse = SimpleNamespace(index=np.arange(4096), target=2.0 * E0)
+        monkeypatch.setattr(solver, 'prepare', lambda *args: full)
+        monkeypatch.setattr(solver, '_subsample', lambda problem, s: coarse)
+
+        def warm(**settings):
+            stub = StubStep(
+                lambda k, xi: 0.5 * (stub.problems[-1].target - xi),
+                constant(0.5 * np.eye(6)))
+            monkeypatch.setattr(solver, 'gauss_newton_step', stub)
+            return solver.solve(None, None, None,
+                                SolverConfig(**settings)), stub
+        return warm
+
+    def test_first_full_step_after_a_converged_warm_up_is_newton(self, warm):
+        res, stub = warm()
+        assert updates(res) == ['coarse'] * 3 + ['newton', 'plain']
+        assert res.converged and res.iterations == 2
+        np.testing.assert_allclose(res.xi, 2.0 * E0 + 1e-3 * E1, rtol=0,
+                                   atol=1e-15)
+
+    def test_first_full_step_after_a_dropped_warm_up_is_plain(self, warm):
+        # two steps do not converge the warm-up: the full loop starts from
+        # the seed with a plain step
+        res, stub = warm(max_iterations=2)
+        assert updates(res) == ['coarse', 'coarse', 'plain', 'plain']
+        np.testing.assert_array_equal(stub.points[2], np.zeros(6))
+
+
+class TestNewtonMatrix:
+    """NewtonTerms.matrix is the derivative of b(xi), the J^T W r that
+    gauss_newton_step sums, at the step's own xi."""
+
+    @pytest.mark.parametrize("outliers", [False, True],
+                             ids=["noisy", "outliers"])
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_matches_central_differences(self, outliers, use_confidence):
+        scene, spec = small_scene(43, outliers)
+        ff = scene.flow_field
+        # confidences that differ per pixel and per component
+        info = ff.info + np.random.default_rng(43).uniform(
+            -1.0, 1.0, ff.info.shape)
+        ff = FlowField(flow=ff.flow, info=info, valid=ff.valid)
+        config = SolverConfig(use_confidence=use_confidence)
+        problem = solver.prepare(scene.depth, ff, spec.intrinsics, config)
+        xi = spec.motion + np.random.default_rng(44).normal(size=6) * 2e-3
+
+        def b(at):
+            return solver.gauss_newton_step(problem, at, config)[2].b
+        H = solver.gauss_newton_step(problem, xi, config)[2].matrix()
+        h = 1e-6
+        D = np.column_stack([(b(xi + h * e) - b(xi - h * e)) / (2 * h)
+                             for e in np.eye(6)])
+        assert np.max(np.abs(H - D)) < 1e-7 * np.max(np.abs(H))
+
+    def test_matches_central_differences_when_pixels_are_dropped(self, K):
+        # 2 m backwards the pixels nearer than 2 m fail the cheirality test;
+        # the matrix is summed over the kept ones
+        rng = np.random.default_rng(33)
+        depth = rng.uniform(1.5, 5.0, (K.height, K.width))
+        ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
+                       info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
+        xi = np.array([0.01, -0.02, -2.0, 0.01, 0.02, -0.01])
+        _, report, terms = solver.gauss_newton_step(problem, xi, config)
+        assert report.valid_count < len(problem.index)
+        h = 1e-7
+        D = np.column_stack([
+            (solver.gauss_newton_step(problem, xi + h * e, config)[2].b
+             - solver.gauss_newton_step(problem, xi - h * e, config)[2].b)
+            / (2 * h) for e in np.eye(6)])
+        H = terms.matrix()
+        assert np.max(np.abs(H - D)) < 1e-6 * np.max(np.abs(H))
+
+    def test_no_full_width_temporary(self):
+        # the second block pass builds the warped Jacobians block by block
+        K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
+                       width=320, height=240)
+        rng = np.random.default_rng(33)
+        depth = rng.uniform(1.5, 5.0, (K.height, K.width))
+        ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
+                       info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
+        _, _, terms = solver.gauss_newton_step(problem, np.full(6, 0.01),
+                                               config)
+        tracemalloc.start()
+        try:
+            terms.matrix()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < problem.JT.nbytes / 4
+
+    @pytest.mark.parametrize("H", [np.zeros((6, 6)),
+                                   np.full((6, 6), np.nan)],
+                             ids=["singular", "nan"])
+    @pytest.mark.parametrize("outliers", [False, True],
+                             ids=["noisy", "outliers"])
+    def test_unusable_matrix_gives_the_plain_loop(self, monkeypatch,
+                                                  outliers, H):
+        # every step falls back to the plain one, bit for bit
+        scene, spec = small_scene(45, outliers)
+        args = (scene.depth, scene.flow_field, spec.intrinsics)
+        ref = plain_reference_solve(*args)
+        monkeypatch.setattr(solver.NewtonTerms, 'matrix', lambda terms: H)
+        res = solver.solve(*args)
+        assert set(updates(res)) == {'plain'}
+        assert res.xi.tobytes() == ref.xi.tobytes()
+        assert res.converged == ref.converged and res.reports == ref.reports
+
+
+def newton_reference_solve(depth, flow_field, K, config):
+    """The loop that `solve` runs from the seed when it takes no warm-up;
+    verbatim but for how it builds its result and its Newton update."""
     problem = solver.prepare(depth, flow_field, K, config)
     xi = np.array(config.seed_xi, dtype=float)
+    tol = config.convergence_tol
     reports = []
     converged = False
     max_iter = 1 if config.single_iteration else config.max_iterations
-    last = None
+    first = 1
+    H = None
     plain = None
     for k in range(max_iter):
-        beta, report = solver.gauss_newton_step(problem, xi, config)
+        beta, report, terms = solver.gauss_newton_step(problem, xi, config)
         reports.append(report)
         norm = report.step_norm
-        if norm < config.convergence_tol:
+        if norm < tol:
             converged = True
             xi = xi + beta
             break
-        if plain is not None and norm > np.linalg.norm(last[1]):
-            xi, last, plain = plain, None, None
+        if plain is not None and norm > plain[1]:
+            xi, plain, first = plain[0], None, max_iter
             continue
-        step = beta
-        plain = None
-        if last is not None and k + 1 < max_iter:
-            dx = xi - last[0]
-            dbeta = beta - last[1]
-            denom = dbeta @ dbeta
-            if denom > 0:
-                theta = (beta @ dbeta) / denom
-                step = beta - theta * (dx + dbeta)
-                plain = xi + beta
-                report.update = 'mixed'
-        last = (xi, beta)
+        step, plain = beta, None
+        if first <= k < max_iter - 1 and report.m > 0:
+            if norm >= 1e-6:
+                H = terms.matrix()
+            newton_step = None
+            if H is not None and np.all(np.isfinite(H)):
+                try:
+                    newton_step = np.linalg.solve(H, -terms.b)
+                except np.linalg.LinAlgError:
+                    pass
+            if newton_step is None or not np.all(np.isfinite(newton_step)):
+                H = None
+            else:
+                step, plain = newton_step, (xi + beta, norm)
+                report.update = 'newton'
+        del terms
         xi = xi + step
     return solver.SolveResult(xi=xi, converged=converged, reports=reports)
 
@@ -991,15 +1205,21 @@ QVGA = camera.Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
                          width=320, height=240)
 
 
-def qvga_scene(seed, noise_sigma):
-    """A 320x240 frame as in the odometry benchmark: depth 2 +- 0.5 m and
-    a 0.02 twist."""
+def qvga_spec(seed, noise_sigma, outlier_fraction=0.0):
+    """A 320x240 frame as in the odometry benchmark: depth 2 +- 0.5 m, a
+    0.02 twist and, with outlier_fraction set, 20 px outliers."""
     direction = np.random.default_rng(seed).normal(size=6)
-    spec = synthetic.SceneSpec(
+    return synthetic.SceneSpec(
         width=320, height=240, intrinsics=QVGA,
         motion=direction / np.linalg.norm(direction) * 0.02,
         depth_model=synthetic.SmoothRandomDepth(seed=seed, amplitude=0.5),
-        noise_sigma=noise_sigma, seed=seed)
+        noise_sigma=noise_sigma, outlier_fraction=outlier_fraction,
+        outlier_magnitude=20.0, seed=seed)
+
+
+def qvga_scene(seed, noise_sigma):
+    """A rendered qvga_spec frame with no outliers, and its spec."""
+    spec = qvga_spec(seed, noise_sigma)
     return synthetic.render(spec), spec
 
 
@@ -1021,7 +1241,7 @@ def assert_same_solve(res, ref):
 
 class TestWarmStart:
     """Problems of at least solver._WARM_GATE valid pixels first solve on
-    every solver._WARM_STRIDE-th one; `mixed_reference_solve` is the loop
+    every solver._WARM_STRIDE-th one; `newton_reference_solve` is the loop
     without that warm-up."""
 
     GATE = 32768
@@ -1035,7 +1255,7 @@ class TestWarmStart:
         config = SolverConfig()
         res = solver.solve(noisy.depth, ff, QVGA, config)
         assert len(res.problem.index) == self.GATE - 1
-        assert_same_solve(res, mixed_reference_solve(noisy.depth, ff, QVGA,
+        assert_same_solve(res, newton_reference_solve(noisy.depth, ff, QVGA,
                                                      config))
         assert 'coarse' not in updates(res)
 
@@ -1043,7 +1263,7 @@ class TestWarmStart:
         ff = first_valid(noisy, self.GATE)
         config = SolverConfig()
         res = solver.solve(noisy.depth, ff, QVGA, config)
-        ref = mixed_reference_solve(noisy.depth, ff, QVGA, config)
+        ref = newton_reference_solve(noisy.depth, ff, QVGA, config)
         coarse = updates(res).count('coarse')
         assert coarse > 0
         assert updates(res)[:coarse] == ['coarse'] * coarse
@@ -1061,7 +1281,7 @@ class TestWarmStart:
                                SolverConfig()).index)
         config = SolverConfig(min_valid_pixels=-(-n // 8) + 1)
         res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
-        assert_same_solve(res, mixed_reference_solve(
+        assert_same_solve(res, newton_reference_solve(
             noisy.depth, noisy.flow_field, QVGA, config))
         assert res.converged
 
@@ -1070,7 +1290,7 @@ class TestWarmStart:
         # its steps are reported, and the full loop starts from the seed
         config = SolverConfig(max_iterations=2)
         res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
-        ref = mixed_reference_solve(noisy.depth, noisy.flow_field, QVGA,
+        ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA,
                                     config)
         assert updates(res)[:2] == ['coarse', 'coarse']
         assert res.xi.tobytes() == ref.xi.tobytes()
@@ -1078,7 +1298,7 @@ class TestWarmStart:
 
     def test_degenerate_warm_up_is_dropped(self, noisy, monkeypatch):
         config = SolverConfig()
-        ref = mixed_reference_solve(noisy.depth, noisy.flow_field, QVGA,
+        ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA,
                                     config)
         step = solver.gauss_newton_step
 
@@ -1093,7 +1313,7 @@ class TestWarmStart:
     def test_single_iteration_is_unchanged(self, noisy):
         res = solver.solve(noisy.depth, noisy.flow_field, QVGA,
                            SolverConfig(single_iteration=True))
-        assert_same_solve(res, mixed_reference_solve(
+        assert_same_solve(res, newton_reference_solve(
             noisy.depth, noisy.flow_field, QVGA,
             SolverConfig(max_iterations=1)))
         assert updates(res) == ['plain']

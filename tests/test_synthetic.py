@@ -642,3 +642,39 @@ class TestStreamsAndPolynomialsMatchParent:
         first = depth(a, b)
         first += 1.0
         assert same_bytes(depth(a, b), reference_depth(depth, a, b))
+
+
+class TestDivergingSecondView:
+    """A QVGA scene whose second view's fixed-point loop diverges at 2194
+    pixels: the depth polynomial overflows there, under the suite's
+    warnings-as-errors setting, without a warning."""
+
+    MOTION = [-0.26137526010960194, -0.23343239050512446, 0.10589530327566,
+              0.037255329601612326, -0.2796207122691113, -0.19079511234894667]
+
+    @pytest.fixture(scope='class')
+    def spec(self):
+        return SceneSpec(width=320, height=240, intrinsics=QVGA,
+                         motion=self.MOTION,
+                         depth_model=SmoothRandomDepth(seed=1259538835,
+                                                       amplitude=0.5),
+                         seed=2060095667)
+
+    def test_diverging_pixels_end_invalid(self, spec):
+        a, b = camera.pixel_offsets(QVGA, (QVGA.height, QVGA.width))
+        a, b = a / QVGA.fx, b / QVGA.fy
+        a2, b2, valid2 = synthetic._second_view_scene_coords(
+            spec, se3.exp(spec.motion), a, b, spec.depth_model(a, b))
+        diverged = ~(np.isfinite(a2) & np.isfinite(b2))
+        assert np.count_nonzero(diverged) == 2194
+        assert not np.any(valid2 & diverged)
+
+    def test_renders_without_a_warning(self, spec):
+        scene = synthetic.render(spec)
+        # the diverging pixels are zeroed in the second image; the flow is
+        # the first view's, finite at every pixel in front of both cameras
+        assert np.all(np.isfinite(scene.image_2))
+        flow, mask = camera.flow_from_pose(scene.depth, scene.transform, QVGA)
+        pix = camera.flow_normalised_to_pixels(flow, QVGA)
+        assert same_bytes(scene.flow_field.flow[mask], pix[mask])
+        assert np.all(np.isnan(scene.flow_field.flow[~mask]))

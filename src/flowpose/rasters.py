@@ -17,21 +17,32 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
 
 
-def encode_raster(path, data):
-    """The ENGR bytes of a (H, W) or (H, W, C) float array. NaN and infinite
-    values are encoded as they are; a finite value beyond the float32 range
-    is a ValueError that names `path`, the file the bytes are meant for."""
+def encode_raster(path, *parts):
+    """The ENGR bytes of a raster whose channels are those of `parts`, in
+    order: (H, W) or (H, W, C) float arrays of one size. Each part is cast
+    straight into the float32 data, so no stacked or float64 copy is made.
+    NaN and infinite values are encoded as they are; a finite value beyond
+    the float32 range is a ValueError that names `path`, the file the bytes
+    are meant for."""
+    parts = [np.asarray(part) for part in parts]
+    parts = [part[:, :, None] if part.ndim == 2 else part for part in parts]
+    if not parts or any(part.ndim != 3 for part in parts):
+        raise ValueError("raster must be 2-D or 3-D")
+    h, w = parts[0].shape[:2]
+    c = sum(part.shape[2] for part in parts)
+    encoded = bytearray(_HEADER.size + 4 * h * w * c)
+    _HEADER.pack_into(encoded, 0, MAGIC, VERSION, w, h, c)
+    data = np.frombuffer(encoded, dtype='<f4',
+                         offset=_HEADER.size).reshape(h, w, c)
+    start = 0
     try:
         with np.errstate(over='raise'):
-            data = np.ascontiguousarray(data, dtype='<f4')
+            for part in parts:
+                data[:, :, start:start + part.shape[2]] = part
+                start += part.shape[2]
     except FloatingPointError:
         raise ValueError(f"{path}: a finite value overflows float32") from None
-    if data.ndim == 2:
-        data = data[:, :, None]
-    if data.ndim != 3:
-        raise ValueError("raster must be 2-D or 3-D")
-    h, w, c = data.shape
-    return b"".join((_HEADER.pack(MAGIC, VERSION, w, h, c), data))
+    return encoded
 
 
 def write_raster(path, data):

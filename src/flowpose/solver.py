@@ -10,10 +10,13 @@ Conventions:
         [[ q, 0, -u q, -u v,   u^2+1, -v ],
          [ 0, q, -v q, -v^2-1, u v,    u ]];
 
-    it depends only on the fixed points (u, v, q), so `prepare` builds it
-    once per solve, together with the valid pixels, the measured flow and
-    the confidences (the precomputed-Jacobian idea of the inverse
-    compositional algorithm, Baker & Matthews, IJCV 2004);
+    it depends only on the fixed points (u, v, q), yet it is not stored
+    for the solve: each block pass builds it from the block's points into
+    a buffer the pass reuses. Stored whole, as in the precomputed-Jacobian
+    idea of the inverse compositional algorithm (Baker & Matthews, IJCV
+    2004), it would take 96 bytes a pixel, nearly half of a QVGA solve's
+    traced peak, to save one build in each of about 3 full-resolution
+    steps;
   * diagonal robust weight per pixel:
         diag(C_x m^2 / (m^2 + r_x^2), C_y m^2 / (m^2 + r_y^2))
     with m the mean residual magnitude of the image, recomputed each
@@ -44,8 +47,8 @@ Conventions:
     takes only plain steps from then on. Noisy QVGA frames converge in 3
     full-resolution steps with one full-resolution H;
   * warm start: a problem of at least 32768 valid pixels (QVGA and larger)
-    first runs the same loop on every 8th valid pixel, with its own
-    Jacobians, down to ||beta|| < 1e-6 within max_iterations steps (the
+    first runs the same loop on every 8th valid pixel, copied into rows of
+    their own, down to ||beta|| < 1e-6 within max_iterations steps (the
     coarse-to-fine idea of dense odometry, Steinbruecker et al., ICCV
     workshops 2011, as a subsample rather than a pyramid). Only a converged
     warm-up hands its xi to the full loop, which then runs from there with
@@ -197,9 +200,6 @@ class Problem:
     points: np.ndarray          # (4, N) inverse-depth points, rows u, v, 1, q
     flow: np.ndarray            # (2, N) measured flow, normalised units
     conf: np.ndarray            # (2, N) confidences, rows C_x, C_y
-    JT: np.ndarray              # (6, 2, N) transposed Jacobians, as built by
-                                # _jacobians: JT[:, 0] holds the x rows and
-                                # JT[:, 1] the y rows
 
 
 # Overflow from extreme inputs (absurd focal lengths, huge flow times huge
@@ -210,8 +210,7 @@ _OVERFLOW_CHECKED = np.errstate(over='ignore', invalid='ignore')
 @_OVERFLOW_CHECKED
 def prepare(depth, flow_field, K, config):
     """Everything constant over a solve: the valid pixels, their points and
-    measured flow, their confidences (ones with use_confidence off) and the
-    Jacobians at the identity."""
+    measured flow, and their confidences (ones with use_confidence off)."""
     depth = np.asarray(depth, dtype=float)
     if depth.ndim != 2:
         raise RasterFormatError("depth raster must have a single channel")
@@ -247,7 +246,7 @@ def prepare(depth, flow_field, K, config):
     else:
         conf = np.ones((2, n))
     return Problem(shape=(h, w), index=index, points=points, flow=meas,
-                   conf=conf, JT=_jacobians(points[0], points[1], points[3]))
+                   conf=conf)
 
 
 def _residuals(problem, xi, config):
@@ -295,24 +294,40 @@ def jacobian_row(u, v, q):
     return _jacobians(*np.array([[u], [v], [q]], dtype=float))[:, :, 0].T
 
 
-def _jacobians(u, v, q):
+def _jacobian_buffer(n=_BLOCK):
+    """A (6, 2, n) buffer for _jacobians, with its two zero rows set."""
+    J = np.empty((6, 2, n))
+    J[1, 0] = 0.0
+    J[0, 1] = 0.0
+    return J
+
+
+def _jacobians(u, v, q, out=None):
     """Transposed Jacobians for (N,) arrays of u, v and q, as a (6, 2, N)
     array: entry [j, i, n] is the derivative of flow component i at point n
-    w.r.t. motion component j."""
-    # every entry is written once: np.zeros would clear 96 bytes a pixel
-    J = np.empty((6, 2, len(u)))
-    J[0, 0] = q
-    J[1, 0] = 0.0
-    J[2, 0] = -u * q
-    J[3, 0] = -u * v
-    J[4, 0] = u * u + 1.0
-    J[5, 0] = -v
-    J[0, 1] = 0.0
-    J[1, 1] = q
-    J[2, 1] = -v * q
-    J[3, 1] = -v * v - 1.0
-    J[4, 1] = u * v
-    J[5, 1] = u
+    w.r.t. motion component j.
+
+    With `out`, a _jacobian_buffer of at least N columns, the ten nonzero
+    rows are written into its first N columns, which are returned as a
+    view; its zero rows are left as they are.
+    """
+    J = (_jacobian_buffer(len(u)) if out is None else out)[:, :, :len(u)]
+    x, y = J[:, 0], J[:, 1]     # the x rows and the y rows
+    # each row is computed in place, and -v and u v are reused: no (N,)
+    # temporary, and the values of -u q, -u v, -v q and -v v - 1 bit for bit
+    np.copyto(x[0], q)
+    np.multiply(u, q, out=x[2])
+    np.negative(x[2], out=x[2])
+    np.multiply(u, v, out=y[4])
+    np.negative(y[4], out=x[3])
+    np.multiply(u, u, out=x[4])
+    np.add(x[4], 1.0, out=x[4])
+    np.negative(v, out=x[5])
+    np.copyto(y[1], q)
+    np.multiply(x[5], q, out=y[2])
+    np.multiply(x[5], v, out=y[3])
+    np.subtract(y[3], 1.0, out=y[3])
+    np.copyto(y[5], u)
     return J
 
 
@@ -343,11 +358,8 @@ def gauss_newton_step(problem, xi, config):
     """
     r, keep = _residuals(problem, xi, config)
     m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
-    JT, conf = problem.JT, problem.conf
-    cols = None
+    conf, cols = problem.conf, None
     if keep is not None:
-        # the blocks take their kept columns from JT one block at a time;
-        # JT[:, :, keep] would copy all of it
         cols = np.flatnonzero(keep)
         conf = conf[:, cols]
     wx, wy = build_weight(conf[0], conf[1], r[0], r[1], m)
@@ -355,11 +367,15 @@ def gauss_newton_step(problem, xi, config):
     A = np.zeros((6, 6))
     b = np.zeros(6)
     cost = 0.0
+    buffer = _jacobian_buffer()
     for start in range(0, r.shape[1], _BLOCK):
         blk = slice(start, start + _BLOCK)
-        JTb = JT[:, :, blk] if keep is None else JT[:, :, cols[blk]]
-        # one flow component at a time: J is a (6, B) view of JTb
-        for J, wc, rc in zip(JTb.transpose(1, 0, 2),
+        # a block gathers its own kept points: problem.points[:, cols]
+        # would copy all of them
+        points = problem.points[:, blk if cols is None else cols[blk]]
+        JT = _jacobians(points[0], points[1], points[3], out=buffer)
+        # one flow component at a time: J is a (6, B) view of JT
+        for J, wc, rc in zip(JT.transpose(1, 0, 2),
                              (wx[blk], wy[blk]), r[:, blk]):
             wr = wc * rc
             A += (J * wc) @ J.T
@@ -417,18 +433,20 @@ class NewtonTerms:
         H = np.zeros((6, 6))
         gm = np.zeros(6)
         dm = np.zeros(6)
+        j0_buffer, jw_buffer = _jacobian_buffer(), _jacobian_buffer()
         for start in range(0, r.shape[1], _BLOCK):
             blk = slice(start, start + _BLOCK)
-            at = blk if cols is None else cols[blk]
-            points = problem.points[:, at]
+            points = problem.points[:, blk if cols is None else cols[blk]]
+            J0 = _jacobians(points[0], points[1], points[3], out=j0_buffer)
             y = T @ points
             # the warped points (u', v', 1, q'), scaled to a third entry of 1
-            Jw = _jacobians(y[0] / y[2], y[1] / y[2], points[3] / y[2])
+            Jw = _jacobians(y[0] / y[2], y[1] / y[2], points[3] / y[2],
+                            out=jw_buffer)
             rb = r[:, blk]
             norm = np.sqrt(rb[0] * rb[0] + rb[1] * rb[1])
             inverse = np.divide(1.0, norm, out=np.zeros_like(norm),
                                 where=norm > 0)
-            for J, Jr, c, rc in zip(problem.JT[:, :, at].transpose(1, 0, 2),
+            for J, Jr, c, rc in zip(J0.transpose(1, 0, 2),
                                     Jw.transpose(1, 0, 2), self.conf[:, blk],
                                     rb):
                 r2 = rc * rc
@@ -443,13 +461,11 @@ class NewtonTerms:
 
 def _subsample(problem, stride):
     """The problem over every stride-th of its valid pixels, with its own
-    contiguous rows and Jacobians."""
-    points = np.ascontiguousarray(problem.points[:, ::stride])
+    contiguous rows."""
     return Problem(shape=problem.shape, index=problem.index[::stride],
-                   points=points,
+                   points=np.ascontiguousarray(problem.points[:, ::stride]),
                    flow=np.ascontiguousarray(problem.flow[:, ::stride]),
-                   conf=np.ascontiguousarray(problem.conf[:, ::stride]),
-                   JT=_jacobians(points[0], points[1], points[3]))
+                   conf=np.ascontiguousarray(problem.conf[:, ::stride]))
 
 
 def _newton_update(H, b):
@@ -504,11 +520,12 @@ def solve(depth, flow_field, K, config=None):
     """Iterate gauss_newton_step until the update norm drops below the
     convergence tolerance or the iteration budget is exhausted.
 
-    The Jacobians, the valid pixels and the confidences are built once, by
+    The valid pixels, their points and the confidences are built once, by
     `prepare`; residuals, m and the weights are recomputed every iteration
-    (true IRLS). Steps after the first are Newton steps on the loop's fixed
-    point, and a problem of at least _WARM_GATE valid pixels is first
-    solved on every _WARM_STRIDE-th of them, as the module docstring says.
+    (true IRLS), and the Jacobians block by block within each step. Steps
+    after the first are Newton steps on the loop's fixed point, and a
+    problem of at least _WARM_GATE valid pixels is first solved on every
+    _WARM_STRIDE-th of them, as the module docstring says.
     With single_iteration set, stops after one plain step. The result keeps
     the prepared Problem, so a caller can pass it to compute_residuals
     without building the geometry again.

@@ -373,13 +373,14 @@ def write_scene(spec, directory):
     """
     scene = render(spec)
     K = spec.intrinsics
-    pair = np.stack([scene.image_1, scene.image_2], axis=-1)
     artifacts = {}
-    for name, data in (("depth.engr", scene.depth),
-                       ("flow.engr", scene.flow_field.raster()),
-                       ("images.engr", pair)):
+    # each raster's channels are cast straight into its float32 bytes
+    for name, parts in (("depth.engr", (scene.depth,)),
+                        ("flow.engr", (scene.flow_field.flow,
+                                       scene.flow_field.info)),
+                        ("images.engr", (scene.image_1, scene.image_2))):
         path = os.path.join(directory, name)
-        artifacts[name] = rasters.encode_raster(path, data)
+        artifacts[name] = rasters.encode_raster(path, *parts)
     artifacts["intrinsics.txt"] = rasters.intrinsics_line(K).encode()
     motion = " ".join("%.17g" % x for x in spec.motion) + "\n"
     artifacts["pose_gt.txt"] = motion.encode()

@@ -46,6 +46,17 @@ class TestRasterRoundtrip:
             rasters.write_raster(path, np.float64([[1.0, value]]))
         assert not path.exists()
 
+    def test_parts_join_their_channels(self):
+        # an (H, W) part is one channel; a later part can overflow too
+        rng = np.random.default_rng(2)
+        flow, depth = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 4))
+        joined = np.concatenate([flow, depth[..., None], flow], axis=-1)
+        assert (rasters.encode_raster("j.engr", flow, depth, flow)
+                == rasters.encode_raster("j.engr", joined))
+        depth[2, 3] = 1e39
+        with pytest.raises(ValueError, match="^j.engr: a finite value"):
+            rasters.encode_raster("j.engr", flow, depth)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.engr"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

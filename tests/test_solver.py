@@ -183,6 +183,18 @@ class TestJacobian:
                 denom = np.maximum(np.abs(fd), 1e-3)
                 assert np.max(np.abs(J[:, j] - fd) / denom) < 1e-6
 
+    def test_buffer_matches_allocating_form(self):
+        # one buffer takes a whole block, then a shorter last block
+        rng = np.random.default_rng(22)
+        buffer = solver._jacobian_buffer()
+        for n in (solver._BLOCK, 517):
+            u, v = rng.uniform(-1, 1, (2, n))
+            u[:4] = v[2:6] = [0.0, -0.0, 0.0, -0.0]    # signed zeros
+            q = rng.uniform(0.1, 10, n)
+            J = solver._jacobians(u, v, q, out=buffer)
+            assert J.shape == (6, 2, n) and np.shares_memory(J, buffer)
+            assert J.tobytes() == solver._jacobians(u, v, q).tobytes()
+
 
 class TestBuildWeight:
     def test_zero_residual(self):
@@ -253,12 +265,14 @@ class TestGaussNewtonStep:
         err = info.value
         assert str(err) == "normal equations singular or ill-conditioned"
         assert err.limit == solver.CONDITION_LIMIT
-        assert 0 < err.eig_min < err.eig_max
-        assert err.eig_max / err.eig_min > err.limit
+        # the solver's own raise condition: the sign of an eigenvalue this
+        # near zero depends on the BLAS kernel's rounding
+        assert err.eig_min <= 0 or err.eig_max / err.eig_min > err.limit
 
     def test_no_full_width_temporary(self):
-        # a 320x240 problem: JT takes 7.4 MB, and one weighted copy of it,
-        # or of its x or y half, would break the bound at the identity
+        # a 320x240 problem: the Jacobians of all its pixels would take
+        # 12 * 8 bytes a pixel, 7.4 MB, and building them, or one weighted
+        # copy of their x or y half, would break the bound at the identity
         K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
                        width=320, height=240)
         rng = np.random.default_rng(33)
@@ -268,8 +282,8 @@ class TestGaussNewtonStep:
         config = SolverConfig()
         problem = solver.prepare(depth, ff, K, config)
         # at the identity every pixel is kept; 2 m backwards the pixels
-        # nearer than 2 m fail the cheirality test, and a copy of JT's kept
-        # columns would break the bound
+        # nearer than 2 m fail the cheirality test, and the Jacobians of the
+        # kept pixels would break the bound
         for tz, share in ((0.0, 0.5), (-2.0, 1.0)):
             tracemalloc.start()
             try:
@@ -279,7 +293,7 @@ class TestGaussNewtonStep:
             finally:
                 tracemalloc.stop()
             assert (report.valid_count < len(problem.index)) == (tz < 0)
-            assert peak < problem.JT.nbytes * share, tz
+            assert peak < 12 * 8 * len(problem.index) * share, tz
 
 
 def reference_step(depth, flow_field, xi, K, config):
@@ -503,6 +517,33 @@ class TestBlockBoundaries:
         assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
 
 
+class TestDroppedPixels:
+    def test_step_matches_a_problem_without_them(self):
+        # the kept pixels' blocks take the same Jacobian products as those
+        # of a problem prepared without the dropped ones, so both passes
+        # agree bit for bit; only the cost's dot product reads the kept
+        # residuals through a strided view
+        B = solver._BLOCK
+        depth, ff, K = block_scene(2 * B + 300, seed=30)
+        near = np.random.default_rng(31).random(depth.shape) < 0.1
+        depth[near] = 0.5
+        xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
+        config = SolverConfig()
+        problem = solver.prepare(depth, ff, K, config)
+        beta, report, terms = solver.gauss_newton_step(problem, xi, config)
+        assert B < report.valid_count < len(problem.index)
+        kept = FlowField(flow=ff.flow, info=ff.info, valid=~near)
+        ref_beta, ref_report, ref_terms = solver.gauss_newton_step(
+            solver.prepare(depth, kept, K, config), xi, config)
+        assert report.weighted_cost == pytest.approx(ref_report.weighted_cost,
+                                                     rel=1e-14)
+        ref_report.weighted_cost = report.weighted_cost
+        assert report == ref_report
+        for got, want in ((beta, ref_beta), (terms.b, ref_terms.b),
+                          (terms.matrix(), ref_terms.matrix())):
+            assert got.tobytes() == want.tobytes()
+
+
 # The parent's residual kernel, kept verbatim as the reference for the
 # shared divide kernel.
 def reference_residuals(problem, xi):
@@ -631,9 +672,10 @@ class TestPrepareMatchesParent:
         assert ff.valid[24, 20:30].all()
         assert np.isin(edge_index, index).tolist() == [False] * 6 + [
             True, True, False, False]
+        jacobians = solver._jacobians(*problem.points[[0, 1, 3]])
         for got, want in [(problem.index, index), (problem.points, points),
                           (problem.flow, flow), (problem.conf, conf),
-                          (problem.JT, J)]:
+                          (jacobians, J)]:
             assert np.array_equal(got, want)
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()  # signed zeros too
@@ -1121,7 +1163,8 @@ class TestNewtonMatrix:
         assert np.max(np.abs(H - D)) < 1e-6 * np.max(np.abs(H))
 
     def test_no_full_width_temporary(self):
-        # the second block pass builds the warped Jacobians block by block
+        # the second block pass builds J0 and the warped Jacobians block by
+        # block
         K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
                        width=320, height=240)
         rng = np.random.default_rng(33)
@@ -1138,7 +1181,7 @@ class TestNewtonMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < problem.JT.nbytes / 4
+        assert peak < 12 * 8 * len(problem.index) / 4
 
     @pytest.mark.parametrize("H", [np.zeros((6, 6)),
                                    np.full((6, 6), np.nan)],
@@ -1324,6 +1367,20 @@ class TestWarmStart:
         assert res.converged and res.iterations <= 3
         assert 'coarse' in updates(res)
         assert np.linalg.norm(res.xi - spec.motion) < 1e-8
+
+
+class TestSolveMemory:
+    def test_noisy_qvga_peak(self):
+        # each block builds its own Jacobians: stored for all 76800 pixels
+        # they took 7.4 MB, and the peak was 16.1 MB
+        scene, _ = qvga_scene(2, noise_sigma=0.5)
+        tracemalloc.start()
+        try:
+            solver.solve(scene.depth, scene.flow_field, QVGA)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11e6
 
 
 class TestConfig:

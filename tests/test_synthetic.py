@@ -538,6 +538,40 @@ class TestWriteScene:
                                    scene.flow_field.info], axis=-1)
         assert np.array_equal(flow5, expected.astype(np.float32).astype(float))
 
+    def test_files_match_the_stacked_rasters(self, tmp_path):
+        # each raster's channels are cast part by part: the bytes are those
+        # of the float64 raster that joins the parts. The camera turns by
+        # 86 degrees, so NaN flow is written too
+        spec = basic_spec(motion=[0.1, 0.0, 0.1, 0.05, 1.5, 0.0],
+                          noise_sigma=0.3, outlier_fraction=0.05,
+                          outlier_magnitude=10.0)
+        scene = synthetic.render(spec)
+        assert not scene.flow_field.valid.all()
+        synthetic.write_scene(spec, tmp_path / "scene")
+        pair = np.stack([scene.image_1, scene.image_2], axis=-1)
+        for name, data in (("depth.engr", scene.depth),
+                           ("flow.engr", scene.flow_field.raster()),
+                           ("images.engr", pair)):
+            path = tmp_path / "scene" / name
+            assert path.read_bytes() == rasters.encode_raster(path, data)
+
+    def test_traced_peak(self, tmp_path):
+        # with a float64 flow raster and a stacked image pair, and each
+        # raster's float32 copy joined to its header, the peak was 12.75e6
+        # bytes
+        spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
+                         motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
+                         depth_model=SmoothRandomDepth(seed=5, amplitude=0.5),
+                         noise_sigma=0.5, outlier_fraction=0.1,
+                         outlier_magnitude=20.0, seed=9)
+        tracemalloc.start()
+        try:
+            synthetic.write_scene(spec, tmp_path / "scene")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.0e6
+
     def test_ground_truth_file_roundtrip(self, tmp_path):
         spec = basic_spec()
         synthetic.write_scene(spec, tmp_path / "scene")

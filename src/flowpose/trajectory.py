@@ -71,9 +71,8 @@ def chain(relatives):
     steps = se3.inverse(se3.exp(xis.reshape(len(relatives), 6)))
     poses = np.empty_like(steps)
     current = np.eye(4)
-    for k, step in enumerate(steps):
-        current = current @ step
-        poses[k] = current
+    for row, step in zip(poses, steps):
+        current = np.matmul(current, step, out=row)
     return Trajectory(timestamps, poses)
 
 
@@ -100,8 +99,9 @@ def associate(est, gt, max_dt=0.02):
     est index, gt index) order. They come from a window around each
     estimate timestamp, so the cost grows with the number of candidates,
     not with the product of the trajectory lengths. Returns a list of
-    (est_index, gt_index) pairs sorted by time. Raises when fewer than 2
-    matches are found.
+    (est_index, gt_index) pairs sorted by time. Raises an
+    InsufficientDataError carrying matched_count and max_dt when fewer than
+    2 matches are found.
     """
     if not (max_dt > 0):
         raise ValueError("max_dt must be positive")
@@ -131,7 +131,9 @@ def associate(est, gt, max_dt=0.02):
         pairs.append((a, b))
     pairs.sort()    # estimate timestamps increase with the index
     if len(pairs) < 2:
-        raise InsufficientDataError("fewer than 2 associated samples")
+        raise InsufficientDataError(
+            f"fewer than 2 associated samples: {len(pairs)} within max_dt "
+            f"{max_dt:g} s", matched_count=len(pairs), max_dt=max_dt)
     return pairs
 
 
@@ -157,7 +159,9 @@ def align_and_scale(est, gt, pairs):
     """
     ie, ig = _indices(pairs)
     if len(ie) < 2:
-        raise InsufficientDataError("need at least 2 pairs to align")
+        raise InsufficientDataError(
+            f"need at least 2 pairs to align, got {len(ie)}",
+            pair_count=len(ie))
     pe = est.positions()[ie]
     pg = gt.positions()[ig]
     with np.errstate(over='ignore', invalid='ignore'):  # checked below
@@ -217,7 +221,9 @@ def rpe(est, gt, pairs, delta=1):
         raise ValueError("delta must be >= 1")
     ie, ig = _indices(pairs)
     if len(ie) <= delta:
-        raise InsufficientDataError("not enough pairs for the chosen delta")
+        raise InsufficientDataError(
+            f"not enough pairs for delta {delta}: {len(ie)} pairs, need "
+            f"at least {delta + 1}", pair_count=len(ie), delta=delta)
     with np.errstate(over='ignore', invalid='ignore'):  # checked below
         rel_gt = se3.inverse(gt.poses[ig[:-delta]]) @ gt.poses[ig[delta:]]
         rel_est = se3.inverse(est.poses[ie[:-delta]]) @ est.poses[ie[delta:]]

@@ -471,7 +471,8 @@ class TestSolve:
 # with numpy 2.4.6 and OpenBLAS's SkylakeX (AVX-512) kernel, and hold bit
 # for bit only there: the normal-equation sums, se3.exp's products and the
 # point transform go through BLAS, whose summation order depends on the
-# kernel, so another kernel moves the last digits of the noisy twists.
+# kernel, so another kernel moves last digits: under Haswell all five
+# recorded cases fail, the noiseless one included.
 PINNED_SYNTH = ["synth", "--width", "96", "--height", "72",
                 "--depth", "smooth:3,0.3",
                 "--motion", "0.01,-0.02,0.015,0.01,0.005,-0.01", "--seed", "4"]
@@ -741,7 +742,8 @@ class TestEvalTraj:
         want = run(capsys, *argv)
         assert want[0] == 0
         assert run(capsys, *argv, "--config", str(cfg)) == (
-            5, "", "insufficient data: fewer than 2 associated samples\n")
+            5, "", "insufficient data: fewer than 2 associated samples: 0 "
+            "within max_dt 0.001 s\n")
         assert run(capsys, *argv, "--config", str(cfg), "--max-dt=0.02") == want
 
     def test_defaults_are_the_library_defaults(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -91,9 +92,16 @@ class TestExp:
         expected = series_exp(xi_to_matrix(xi))
         assert np.max(np.abs(se3.exp(xi) - expected)) < 1e-14
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            se3.exp([np.nan, 0, 0, 0, 0, 0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("component", range(6))
+    def test_nonfinite_rejected(self, component, value):
+        # a twist and a one-row stack raise the same message
+        one = np.array([0.1, -0.2, 0.3, 0.01, 0.02, -0.03])
+        one[component] = value
+        for xi in (one, one[None], one.tolist()):
+            with pytest.raises(ValueError,
+                               match="^motion vector must be finite$"):
+                se3.exp(xi)
 
     def test_stack_matches_rows(self):
         # both branches of the coefficients, zero and pure-translation rows
@@ -134,8 +142,10 @@ class TestExp:
         stack[2] = one
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for xi in (one, stack):
-                with pytest.raises(ValueError, match="rotation angle exceeds"):
+            for xi in (one, one[None], stack):
+                with pytest.raises(ValueError,
+                                   match="^motion vector's rotation angle "
+                                         "exceeds 1e\\+100$"):
                     se3.exp(xi)
 
     def test_row_norms_match_rows(self):
@@ -389,8 +399,34 @@ def edge_twists(seed):
 
 class TestMatchesReferenceBytes:
     def test_exp_one_row(self):
-        for x in edge_twists(40):
-            assert se3.exp(x).tobytes() == ref_exp(x).tobytes(), x
+        xi = edge_twists(40)
+        # the rows of a column-major copy are strided views, which BLAS
+        # would read with their stride
+        for x, strided in zip(xi, np.asfortranarray(xi)):
+            want = ref_exp(x).tobytes()
+            assert se3.exp(x).tobytes() == want, x
+            assert se3.exp(strided).tobytes() == want, x
+        # rotations whose products underflow to -0.0, which the identity's
+        # +0.0 entries turn into +0.0
+        tiny = (0.0, -0.0, 0.3, -5e-324)
+        for w in itertools.product(tiny, repeat=3):
+            for v in ((1.0, -2.0, 0.5), (0.0, -0.0, 0.0)):
+                x = np.array(v + w)
+                assert se3.exp(x).tobytes() == ref_exp(x).tobytes(), x
+
+    def test_twist_coefficients_match_arrays(self):
+        # both sides of SMALL_ANGLE and up to pi, then angles exp accepts
+        rng = np.random.default_rng(45)
+        small = se3.SMALL_ANGLE
+        theta = np.concatenate([
+            [0.0, 5e-324, np.nextafter(small, 0), small,
+             np.nextafter(small, 1), np.pi, 10.0, 1e3, se3.MAX_ANGLE],
+            np.geomspace(1e-12, np.pi, 20000), rng.uniform(0, np.pi, 20000),
+            small * rng.uniform(0.5, 2.0, 2000)])
+        for part in (theta[theta < small], theta[theta >= small]):
+            want = np.array(se3._rodrigues_coefficients(part)).T
+            got = np.array([se3._twist_coefficients(t) for t in part.tolist()])
+            assert got.tobytes() == want.tobytes()
 
     def test_exp_stack(self):
         xi = edge_twists(41)

@@ -65,7 +65,7 @@ class TestChain:
         current = np.eye(4)
         for (_, xi), T in zip(rels, trajectory.chain(rels).poses):
             current = current @ se3.inverse(se3.exp(xi))
-            assert np.array_equal(T, current)
+            assert T.tobytes() == current.tobytes()
 
     def test_chain_of_ground_truth_logs_reproduces_trajectory(self):
         rng = np.random.default_rng(31)
@@ -96,8 +96,18 @@ class TestAssociate:
         rng = np.random.default_rng(33)
         a = random_trajectory(rng, n=5)
         b = Trajectory(a.timestamps + 100.0, a.poses)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError) as info:
             trajectory.associate(a, b)
+        assert (info.value.matched_count, info.value.max_dt) == (0, 0.02)
+        assert str(info.value) == (
+            "fewer than 2 associated samples: 0 within max_dt 0.02 s")
+        # one sample in reach of the other trajectory
+        b = Trajectory(np.append(a.timestamps[:1], a.timestamps[1:] + 100.0),
+                       a.poses)
+        with pytest.raises(InsufficientDataError,
+                           match=r"samples: 1 within max_dt 0\.5 s$") as info:
+            trajectory.associate(a, b, max_dt=0.5)
+        assert (info.value.matched_count, info.value.max_dt) == (1, 0.5)
 
     def test_jittered_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(34)
@@ -218,6 +228,15 @@ class TestAlignAndScale:
                                match="alignment scale"):
                 trajectory.align_and_scale(est, gt, pairs)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_pairs_to_align(self, count):
+        rng = np.random.default_rng(44)
+        t = random_trajectory(rng, n=3)
+        with pytest.raises(InsufficientDataError) as info:
+            trajectory.align_and_scale(t, t, [(i, i) for i in range(count)])
+        assert info.value.pair_count == count
+        assert str(info.value) == f"need at least 2 pairs to align, got {count}"
+
 
 class TestAteRpe:
     def test_perfect_estimate(self):
@@ -286,8 +305,14 @@ class TestAteRpe:
         rng = np.random.default_rng(43)
         t = random_trajectory(rng, n=3)
         pairs = [(i, i) for i in range(3)]
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError) as info:
             trajectory.rpe(t, t, pairs, delta=5)
+        assert (info.value.pair_count, info.value.delta) == (3, 5)
+        assert str(info.value) == (
+            "not enough pairs for delta 5: 3 pairs, need at least 6")
+        with pytest.raises(InsufficientDataError, match="3 pairs, need at least 4"):
+            trajectory.rpe(t, t, pairs, delta=3)
+        assert trajectory.rpe(t, t, pairs, delta=2) == (0.0, 0.0)
 
     # evaluate converts its pairs once; each stage then takes views
     def test_index_array_is_not_copied(self):

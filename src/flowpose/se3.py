@@ -126,7 +126,8 @@ def _exp_twist(xi):
     if theta > MAX_ANGLE:
         raise ValueError(_ANGLE_ERROR)
     A, B, C = _twist_coefficients(theta)
-    k = k01, k02, k10, k12, k20, k21 = -w2, w1, w2, -w0, -w1, w0
+    k = (-w2, w1, w2, -w0, -w1, w0)     # K's off-diagonal entries, as hat's
+    k01, k02, k10, k12, k20, k21 = k
     K = np.array([[0.0, k01, k02], [k10, 0.0, k12], [k20, k21, 0.0]])
     K2 = (K @ K).tolist()
     V = np.array(_identity_plus(B, C, k, K2))
@@ -149,7 +150,7 @@ def exp(xi):
     the three calls whose rounding depends on the BLAS kernel:
     np.linalg.norm of the rotation (which copies a strided view before its
     dot product), K @ K and V @ v. So its bytes are those of the array
-    formulas, signed zeros included, under any kernel.
+    formulas, signed zeros included, under any BLAS kernel.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape == (6,):

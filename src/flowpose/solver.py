@@ -265,7 +265,8 @@ def _residuals(problem, xi, config):
     if keep.all():
         keep = None
     else:
-        r = r[:, keep]
+        # row-major, as r is: r[:, keep] would be laid out column-major
+        r = np.compress(keep, r, axis=1)
     count, required = r.shape[1], config.min_valid_pixels
     if count < required:
         raise InsufficientDataError(

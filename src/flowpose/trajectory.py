@@ -72,7 +72,7 @@ def chain(relatives):
     poses = np.empty_like(steps)
     current = np.eye(4)
     for row, step in zip(poses, steps):
-        current = np.matmul(current, step, out=row)
+        current = np.dot(current, step, out=row)
     return Trajectory(timestamps, poses)
 
 
@@ -92,14 +92,29 @@ def _finite(name, values):
     return values
 
 
+class _Pairs(list):
+    """A list of (est_index, gt_index) tuples that also holds them as the
+    (K, 2) integer array `indices`."""
+
+    __slots__ = ('indices',)
+
+
 def associate(est, gt, max_dt=0.02):
     """Greedy nearest-timestamp matching, each sample used at most once.
 
     Candidates are the pairs with abs(te - tg) <= max_dt, taken in (dt,
     est index, gt index) order. They come from a window around each
     estimate timestamp, so the cost grows with the number of candidates,
-    not with the product of the trajectory lengths. Returns a list of
-    (est_index, gt_index) pairs sorted by time. Raises an
+    not with the product of the trajectory lengths. The greedy loop takes
+    every candidate that comes first in that order for both of its
+    samples: no earlier candidate can have used either. So one array pass
+    takes all of those, and the loop runs only over the candidates whose
+    two samples they leave free, which it meets in the same order with
+    the same samples free; on 30 Hz estimates against 100 Hz ground truth
+    that is a handful in thousands.
+
+    Returns a list of (est_index, gt_index) pairs sorted by time, with the
+    same pairs as a (K, 2) array in its `indices`. Raises an
     InsufficientDataError carrying matched_count and max_dt when fewer than
     2 matches are found.
     """
@@ -122,18 +137,32 @@ def associate(est, gt, max_dt=0.02):
     keep = dt <= max_dt
     i, j, dt = i[keep], j[keep], dt[keep]
     order = np.lexsort((j, i, dt))
+    i, j = i[order], j[order]
+    # each sample's first candidate in that order, by rank
+    rank = np.arange(len(i))
+    first_e = np.full(len(te), len(i))
+    first_g = np.full(len(tg), len(i))
+    np.minimum.at(first_e, i, rank)
+    np.minimum.at(first_g, j, rank)
+    first = (first_e[i] == rank) & (first_g[j] == rank)
+    match = np.full(len(te), -1)    # each estimate's gt index, or -1
+    match[i[first]] = j[first]
+    # the candidates neither of whose samples a first-for-both pair took
+    rest = ~(first[first_e[i]] | first[first_g[j]])
     used_e, used_g = bytearray(len(te)), bytearray(len(tg))
-    pairs = []
-    for a, b in zip(i[order].tolist(), j[order].tolist()):
+    for a, b in zip(i[rest].tolist(), j[rest].tolist()):
         if used_e[a] or used_g[b]:
             continue
         used_e[a] = used_g[b] = 1
-        pairs.append((a, b))
-    pairs.sort()    # estimate timestamps increase with the index
-    if len(pairs) < 2:
+        match[a] = b
+    ie = np.flatnonzero(match >= 0)     # estimate timestamps increase
+    if len(ie) < 2:
         raise InsufficientDataError(
-            f"fewer than 2 associated samples: {len(pairs)} within max_dt "
-            f"{max_dt:g} s", matched_count=len(pairs), max_dt=max_dt)
+            f"fewer than 2 associated samples: {len(ie)} within max_dt "
+            f"{max_dt:g} s", matched_count=len(ie), max_dt=max_dt)
+    ig = match[ie]
+    pairs = _Pairs(zip(ie.tolist(), ig.tolist()))
+    pairs.indices = np.column_stack((ie, ig))
     return pairs
 
 
@@ -247,8 +276,8 @@ def evaluate(est, gt, max_dt=0.02, rpe_delta=1):
     Raises DegenerateGeometryError when no estimated step is long enough
     to give a per-pose scale.
     """
-    # one (K, 2) index array for every stage, not a list per stage
-    pairs = np.array(associate(est, gt, max_dt))
+    # associate's pairs as one (K, 2) index array for every stage
+    pairs = associate(est, gt, max_dt).indices
     aligned, alignment = align_and_scale(est, gt, pairs)
     rpe_t, rpe_r = rpe(est, gt, pairs, rpe_delta)
     if len(alignment.per_pose_scales) == 0:
@@ -315,19 +344,29 @@ def rotation_from_quaternion(qx, qy, qz, qw):
     quaternions keep every bit of the matrix, and huge or tiny components
     neither overflow nor vanish when squared.
     """
-    q = np.stack(np.broadcast_arrays(qx, qy, qz, qw), axis=-1).astype(float)
-    _, e = np.frexp(np.max(np.abs(q), axis=-1, keepdims=True))
-    qx, qy, qz, qw = np.moveaxis(np.ldexp(q, -e), -1, 0)
-    n = qx * qx + qy * qy + qz * qz + qw * qw
+    qx, qy, qz, qw = (np.asarray(c, dtype=float)
+                      for c in np.broadcast_arrays(qx, qy, qz, qw))
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(qx), np.abs(qy)),
+                               np.maximum(np.abs(qz), np.abs(qw))))
+    qx, qy, qz, qw = (np.ldexp(c, -e) for c in (qx, qy, qz, qw))
+    xx, yy, zz = qx * qx, qy * qy, qz * qz
+    n = xx + yy + zz + qw * qw
     if np.any(n == 0):
         raise RasterFormatError("zero quaternion in trajectory file")
     s = 2.0 / n
-    R = np.array([
-        [1 - s * (qy * qy + qz * qz), s * (qx * qy - qz * qw), s * (qx * qz + qy * qw)],
-        [s * (qx * qy + qz * qw), 1 - s * (qx * qx + qz * qz), s * (qy * qz - qx * qw)],
-        [s * (qx * qz - qy * qw), s * (qy * qz + qx * qw), 1 - s * (qx * qx + qy * qy)],
-    ])
-    return np.moveaxis(R, (0, 1), (-2, -1))
+    xy, xz, yz = qx * qy, qx * qz, qy * qz
+    xw, yw, zw = qx * qw, qy * qw, qz * qw
+    R = np.empty(n.shape + (3, 3))
+    R[..., 0, 0] = 1 - s * (yy + zz)
+    R[..., 0, 1] = s * (xy - zw)
+    R[..., 0, 2] = s * (xz + yw)
+    R[..., 1, 0] = s * (xy + zw)
+    R[..., 1, 1] = 1 - s * (xx + zz)
+    R[..., 1, 2] = s * (yz - xw)
+    R[..., 2, 0] = s * (xz - yw)
+    R[..., 2, 1] = s * (yz + xw)
+    R[..., 2, 2] = 1 - s * (xx + yy)
+    return R
 
 
 _TUM_FIELDS = ('timestamp', 'tx', 'ty', 'tz', 'qx', 'qy', 'qz', 'qw')

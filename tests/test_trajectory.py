@@ -60,12 +60,17 @@ class TestChain:
             assert np.max(np.abs(traj.poses[k] - current)) < 1e-10
 
     def test_matches_step_loop(self):
+        # each pose is the product that a plain `current = current @ step`
+        # loop forms, to the last bit: on wild steps, and on a chain as
+        # long and as smooth as a benchmark ground truth
         rng = np.random.default_rng(29)
-        rels = [(0.1 * k, rng.normal(0, 0.3, 6)) for k in range(300)]
-        current = np.eye(4)
-        for (_, xi), T in zip(rels, trajectory.chain(rels).poses):
-            current = current @ se3.inverse(se3.exp(xi))
-            assert T.tobytes() == current.tobytes()
+        for xis in (rng.normal(0, 0.3, (300, 6)),
+                    rng.normal(0, 0.003, (3300, 6)) + [0, 0, 0.01, 0, 0, 0]):
+            rels = [(0.1 * k, xi) for k, xi in enumerate(xis)]
+            current = np.eye(4)
+            for (_, xi), T in zip(rels, trajectory.chain(rels).poses):
+                current = current @ se3.inverse(se3.exp(xi))
+                assert T.tobytes() == current.tobytes()
 
     def test_chain_of_ground_truth_logs_reproduces_trajectory(self):
         rng = np.random.default_rng(31)
@@ -445,6 +450,24 @@ def reference_associate(est, gt, max_dt=0.02):
     return pairs
 
 
+def loop_candidates(est, gt, max_dt=0.02):
+    """The candidates that associate's greedy loop visits: those whose two
+    samples no first-for-both candidate takes, from the exhaustive list."""
+    candidates = sorted((abs(te - tg), i, j)
+                        for i, te in enumerate(est.timestamps)
+                        for j, tg in enumerate(gt.timestamps)
+                        if abs(te - tg) <= max_dt)
+    first_e, first_g = {}, {}
+    for rank, (_, i, j) in enumerate(candidates):
+        first_e.setdefault(i, rank)
+        first_g.setdefault(j, rank)
+    taken = [(i, j) for rank, (_, i, j) in enumerate(candidates)
+             if first_e[i] == rank == first_g[j]]
+    used_e, used_g = {i for i, _ in taken}, {j for _, j in taken}
+    return [(i, j) for _, i, j in candidates
+            if i not in used_e and j not in used_g]
+
+
 def reference_per_pose_scales(est, gt, pairs):
     pe = est.positions()
     pg = gt.positions()
@@ -516,6 +539,22 @@ def reference_read_tum(path):
         return Trajectory(np.array(timestamps), np.array(poses))
     except ValueError as exc:
         raise RasterFormatError(f"{path}: {exc}") from exc
+
+
+def reference_rotation_from_quaternion(qx, qy, qz, qw):
+    q = np.stack(np.broadcast_arrays(qx, qy, qz, qw), axis=-1).astype(float)
+    _, e = np.frexp(np.max(np.abs(q), axis=-1, keepdims=True))
+    qx, qy, qz, qw = np.moveaxis(np.ldexp(q, -e), -1, 0)
+    n = qx * qx + qy * qy + qz * qz + qw * qw
+    if np.any(n == 0):
+        raise RasterFormatError("zero quaternion in trajectory file")
+    s = 2.0 / n
+    R = np.array([
+        [1 - s * (qy * qy + qz * qz), s * (qx * qy - qz * qw), s * (qx * qz + qy * qw)],
+        [s * (qx * qy + qz * qw), 1 - s * (qx * qx + qz * qz), s * (qy * qz - qx * qw)],
+        [s * (qx * qz - qy * qw), s * (qy * qz + qx * qw), 1 - s * (qx * qx + qy * qy)],
+    ])
+    return np.moveaxis(R, (0, 1), (-2, -1))
 
 
 def reference_quaternion_from_rotation(R):
@@ -591,6 +630,8 @@ def assert_same_associate(est, gt, max_dt):
         return None
     got = trajectory.associate(est, gt, max_dt)
     assert got == want
+    # the same pairs as the (K, 2) array that evaluate reads
+    assert got.indices.tolist() == [list(p) for p in want]
     return got
 
 
@@ -709,6 +750,46 @@ class TestMatchesPerPoseLoops:
             pairs = assert_same_associate(est, gt, max_dt)
             assert pairs is not None
 
+    # samples alternate est, gt, est, ... with gaps that shrink along the
+    # chain: each sample's first candidate is the gap after it, so only the
+    # last gap is first for both its samples, and the loop takes every
+    # other gap from the end back
+    @pytest.mark.parametrize("base", [0.0, 1.3e9])
+    def test_associate_alternating_chain(self, base):
+        n = 40
+        gaps = (0.9 - np.arange(2 * n - 1) * (0.4 / (2 * n))) * 1e-3
+        t = base + np.concatenate([[0.0], np.cumsum(gaps)])
+        est, gt = at_times(t[0::2]), at_times(t[1::2])
+        max_dt = 0.95e-3
+        assert len(loop_candidates(est, gt, max_dt)) == 2 * n - 3
+        pairs = assert_same_associate(est, gt, max_dt)
+        assert pairs == [(k, k) for k in range(n)]
+
+    # dt ties at an estimate and at a ground-truth sample: the (est, gt)
+    # order decides, and the first-for-both pass leaves the loop a chain
+    @pytest.mark.parametrize("est_ticks,gt_ticks,window", [
+        ([1, 3, 5, 7], [0, 2, 4, 6, 8], 1),
+        ([0, 2, 4, 6, 8], [1, 3, 5, 7], 1),
+        ([0, 2, 3, 5, 8], [1, 4, 6, 7], 2),
+        ([2, 4, 6], [0, 1, 3, 5, 7, 8], 2),
+    ])
+    def test_associate_ties_at_both_ends(self, est_ticks, gt_ticks, window):
+        est = at_times(np.array(est_ticks) / 64.0)
+        gt = at_times(np.array(gt_ticks) / 64.0)
+        assert loop_candidates(est, gt, window / 64.0)
+        assert_same_associate(est, gt, window / 64.0)
+
+    # 30 Hz estimates against 100 Hz ground truth with gaps, as in the
+    # benchmark: the first-for-both pass takes all pairs but those of the
+    # one candidate left to the loop (seeds 3 and 9 of the first 12 leave
+    # one; the others none)
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_associate_bench_like_sequence(self, seed):
+        est, gt = gappy_pair(seed, 1305031100.0, n=900)
+        assert len(loop_candidates(est, gt)) == 1
+        pairs = assert_same_associate(est, gt, 0.02)
+        assert len(pairs) > 250
+
     @pytest.mark.parametrize("base", [0.0, 3.0, 1.3e9])
     def test_associate_at_max_dt(self, base):
         max_dt = 0.02
@@ -791,6 +872,26 @@ class TestMatchesPerPoseLoops:
         one = trajectory.quaternion_from_rotation(R[0])
         assert one.shape == (4,)
         assert np.array_equal(one.view(np.uint64), want[0].view(np.uint64))
+
+    def test_rotation_stack_matches_stacked_reference(self):
+        rng = np.random.default_rng(53)
+        q = rng.normal(size=(400, 4))
+        q[:100] *= 10.0 ** rng.uniform(-300, 300, (100, 1))
+        q[100:200] *= 10.0 ** rng.uniform(-300, 300, (100, 4))
+        signed = rng.random((200, 4)) < 0.4
+        q[200:][signed] = np.where(rng.random(signed.sum()) < 0.5, 0.0, -0.0)
+        q[200:][np.all(signed, axis=1), 3] = 1.0
+        for args in (q.T, q[0], (q[:, 0], 0.0, -0.0, 1.0),
+                     (0.5, 0.5, 0.5, -0.5)):
+            got = trajectory.rotation_from_quaternion(*args)
+            want = reference_rotation_from_quaternion(*args)
+            assert got.shape == want.shape
+            # bit for bit, signed zeros too
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for zero in ((0.0, -0.0, 0.0, 0.0),
+                     ([0.5, -0.0, 1.0], 0.0, 0.0, [1.0, 0.0, 2.0])):
+            with pytest.raises(RasterFormatError, match="zero quaternion"):
+                trajectory.rotation_from_quaternion(*zero)
 
     def test_write_tum_matches_pose_loop(self, tmp_path):
         rng = np.random.default_rng(50)

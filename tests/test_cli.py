@@ -466,13 +466,13 @@ class TestSolve:
                 log_conf, infomat.LOG_FLOAT_MAX)
 
 
-# `solve` stdout and the --residuals raster recorded, as literals, when the
-# solver's later steps became Newton steps. They were recorded on x86-64
-# with numpy 2.4.6 and OpenBLAS's SkylakeX (AVX-512) kernel, and hold bit
-# for bit only there: the normal-equation sums, se3.exp's products and the
-# point transform go through BLAS, whose summation order depends on the
-# kernel, so another kernel moves last digits: under Haswell all five
-# recorded cases fail, the noiseless one included.
+# `solve` stdout and the --residuals raster recorded, as literals, when
+# se3's coefficients took their accurate forms. They were recorded on
+# x86-64 with numpy 2.4.6 and OpenBLAS's SkylakeX (AVX-512) kernel, and
+# hold bit for bit only there: the normal-equation sums, se3.exp's
+# products and the point transform go through BLAS, whose summation order
+# depends on the kernel, so another kernel moves last digits: under
+# Haswell all four recorded cases fail, the noiseless one included.
 PINNED_SYNTH = ["synth", "--width", "96", "--height", "72",
                 "--depth", "smooth:3,0.3",
                 "--motion", "0.01,-0.02,0.015,0.01,0.005,-0.01", "--seed", "4"]
@@ -483,18 +483,18 @@ PINNED_KINDS = {
                  "--outlier-magnitude", "20"],
 }
 PINNED_STDOUT = {
-    "noiseless": "0.0099999998943250869 -0.020000000544777675 "
-                 "0.014999999824405599 0.0099999997054243187 "
-                 "0.005000000004679153 -0.0099999998357217096 "
-                 "6 1 1.3651831475419087e-15\n",
-    "noisy": "0.0095642045008654357 -0.017654776374954734 "
-             "0.015009984914324915 0.011073118707101468 "
-             "0.0052421658201632802 -0.0099807179920665488 "
-             "5 1 0.59513310340558556\n",
-    "outliers": "0.0087848757308957321 -0.018790126837845804 "
-                "0.015273794384872218 0.010500421160566513 "
-                "0.0056282917309382662 -0.0099649771474798199 "
-                "4 1 1.1720871385792879\n",
+    "noiseless": "0.0099999998943251511 -0.020000000544777657 "
+                 "0.014999999824405622 0.0099999997054243516 "
+                 "0.0050000000046790862 -0.0099999998357217078 "
+                 "6 1 1.3651831277348966e-15\n",
+    "noisy": "0.0095642045008655207 -0.017654776374954835 "
+             "0.015009984914324807 0.011073118707101426 "
+             "0.0052421658201632299 -0.009980717992066547 "
+             "5 1 0.59513310340558567\n",
+    "outliers": "0.0087848757308958744 -0.018790126837845828 "
+                "0.015273794384872251 0.010500421160566487 "
+                "0.005628291730938202 -0.0099649771474798251 "
+                "4 1 1.1720871385792877\n",
 }
 PINNED_RESIDUALS_SHA256 = (  # outliers scene
     "edbc07f3e03020dec01d4879034a2d6ea9d443d09ebdf2d34e544319a9f92bf1")
@@ -561,14 +561,18 @@ class TestSolveOutputPinned:
     def test_config_does_not_leak_into_the_next_call(self, capsys,
                                                      pinned_scenes, tmp_path):
         # the parser is built once per process; a config file must not
-        # change it
+        # change it. The same argv before and after is compared, not a
+        # recorded literal, so this holds under any BLAS kernel
         capsys.readouterr()
         cfg = tmp_path / "solver.cfg"
         cfg.write_text("max_iterations = 1\n")
         argv = solve_args(pinned_scenes / "noisy")
+        before = run(capsys, *argv)
+        assert (before[0], before[1].split()[6:8], before[2]) == (
+            0, ["5", "1"], "")
         code, out, _ = run(capsys, *argv, "--config", str(cfg))
         assert (code, out.split()[6:8]) == (0, ["1", "0"])
-        assert run(capsys, *argv) == (0, PINNED_STDOUT["noisy"], "")
+        assert run(capsys, *argv) == before
 
 
 @pytest.fixture

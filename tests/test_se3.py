@@ -1,5 +1,7 @@
 import itertools
+import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -88,9 +90,13 @@ class TestExp:
             assert np.max(np.abs(se3.exp(xi) - expected)) < 1e-12
 
     def test_small_angle_branch(self):
-        xi = np.array([0.01, -0.02, 0.03, 1e-8, -2e-8, 1.5e-8])
-        expected = series_exp(xi_to_matrix(xi))
-        assert np.max(np.abs(se3.exp(xi) - expected)) < 1e-14
+        # 1.5e-6 is just above the old 1e-6 switch of the coefficients,
+        # where (t - sin t) / t^3 put the translation 7.3e-12 off
+        for xi in ([0.01, -0.02, 0.03, 1e-8, -2e-8, 1.5e-8],
+                   [1.0, 0.0, 0.0, 0.0, 0.0, 1.5e-6]):
+            xi = np.array(xi)
+            expected = series_exp(xi_to_matrix(xi))
+            assert np.max(np.abs(se3.exp(xi) - expected)) < 1e-14, xi
 
     def test_nonfinite_rejected(self):
         # in each component: a twist and a one-row stack raise the same
@@ -163,6 +169,39 @@ class TestExp:
             assert se3.is_rigid(se3.exp(xi))
 
 
+def decimal_coefficients(t, digits=70):
+    """(A, B, C) of a float angle t from their Taylor series, summed in
+    decimal arithmetic: sum_k (-1)^k t^2k / (2k + j)! for j = 1, 2, 3."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        t2 = Decimal(t) ** 2
+        out = []
+        for j in (1, 2, 3):
+            term = Decimal(1) / math.factorial(j)
+            total, k = Decimal(0), 0
+            while term != 0 and abs(term) > abs(total) * Decimal(10) ** -digits:
+                total += term
+                k += 1
+                term = -term * t2 / ((2 * k + j - 1) * (2 * k + j))
+            out.append(total)
+        return out
+
+
+class TestCoefficients:
+    SWITCH = se3._SERIES_ANGLE
+    ANGLES = [0.0, 5e-324, 1e-300, 1e-8,
+              np.nextafter(se3.SMALL_ANGLE, 0), se3.SMALL_ANGLE,
+              np.nextafter(se3.SMALL_ANGLE, 1),
+              np.nextafter(SWITCH, 0), SWITCH, np.nextafter(SWITCH, 2),
+              *np.geomspace(1e-6, np.pi, 200).tolist(), 10.0]
+
+    def test_within_1e_15_of_decimal_series(self):
+        coefficients = np.array(se3._coefficients(np.array(self.ANGLES))).T
+        for t, got in zip(self.ANGLES, coefficients):
+            for value, want in zip(got.tolist(), decimal_coefficients(t)):
+                assert abs(Decimal(value) / want - 1) < Decimal("1e-15"), t
+
+
 class TestLog:
     def test_identity(self):
         assert np.array_equal(se3.log(np.eye(4)), np.zeros(6))
@@ -181,6 +220,28 @@ class TestLog:
         T = se3.exp([0, 0, 0, 0, 0, np.pi - 1e-9])
         with pytest.raises(ValueError):
             se3.log(T)
+
+    @pytest.mark.parametrize("angle", [5e-7, 1.1e-6, 1e-5, 1e-4, 1e-2])
+    def test_roundtrip_small_angles(self, angle):
+        # on both sides of SMALL_ANGLE, where log switches to its series
+        rng = np.random.default_rng(72)
+        for _ in range(50):
+            axis = rng.normal(size=3)
+            xi = np.concatenate([rng.uniform(-1, 1, 3),
+                                 axis / np.linalg.norm(axis) * angle])
+            assert np.max(np.abs(se3.log(se3.exp(xi)) - xi)) < 1e-14, xi
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6,
+                                       1.01e-6])
+    def test_roundtrip_near_pi(self, delta):
+        # the angle is pi - delta, as close to pi as log accepts; arccos of
+        # the trace put it about 2e-3 off at 1.01e-6
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            axis = rng.normal(size=3)
+            xi = np.concatenate([rng.uniform(-1, 1, 3), axis
+                                 / np.linalg.norm(axis) * (np.pi - delta)])
+            assert np.max(np.abs(se3.log(se3.exp(xi)) - xi)) < 1e-9, xi
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-0.9, 0.9), min_size=6, max_size=6))
@@ -216,7 +277,9 @@ class TestLeftJacobian:
     @pytest.mark.parametrize("xi", [
         [0.3, -0.2, 0.5, 0.4, -0.7, 0.2],
         [0.02, 0.01, -0.015, 0.004, 0.003, -0.002],
-        [1.0, 0.0, 0.0, 0.01, 0.0, 0.0]])
+        [1.0, 0.0, 0.0, 0.01, 0.0, 0.0],
+        # its rotation steps of 1e-6 land on log's SMALL_ANGLE
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
     def test_first_order_left_perturbation(self, xi):
         # exp(xi + d) exp(xi)^-1 = exp(J d) to first order in d
         xi = np.array(xi)
@@ -311,7 +374,7 @@ def ref_exp(xi):
     theta = np.linalg.norm(w)
     K = ref_hat(w)
     K2 = K @ K
-    A, B, C = se3._rodrigues_coefficients(theta)
+    A, B, C = se3._coefficients(theta)
     R = np.eye(3) + A * K + B * K2
     V = np.eye(3) + B * K + C * K2
     T = np.eye(4)
@@ -330,11 +393,7 @@ def ref_exp_stack(xi):
     K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
     K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
     K2 = K @ K
-    # the coefficients branch on the angle, so each branch gets its rows
-    small = theta < se3.SMALL_ANGLE
-    A, B, C = np.empty((3, n))
-    A[small], B[small], C[small] = se3._rodrigues_coefficients(theta[small])
-    A[~small], B[~small], C[~small] = se3._rodrigues_coefficients(theta[~small])
+    A, B, C = se3._coefficients(theta)
     A, B, C = A[:, None, None], B[:, None, None], C[:, None, None]
     T = np.zeros((n, 4, 4))
     T[:, :3, :3] = np.eye(3) + A * K + B * K2
@@ -370,9 +429,10 @@ def ref_apply(T, p):
 
 
 def edge_twists(seed):
-    """Twists that reach every branch: both coefficient branches and their
-    boundary, zero rows, pure translations, -0.0 components, angles near pi
-    and twists of norm up to about 10, shuffled together."""
+    """Twists that reach every branch: both forms of the coefficients and
+    the angles around their switch, zero rows, pure translations, -0.0
+    components, angles near pi and twists of norm up to about 10, shuffled
+    together."""
     rng = np.random.default_rng(seed)
     translation = rng.normal(0, 1, (60, 6))
     translation[:30, 3:] = 0.0
@@ -386,9 +446,10 @@ def edge_twists(seed):
     large = rng.normal(size=(100, 6))
     large *= rng.uniform(0, 10, (100, 1)) / np.linalg.norm(large, axis=1,
                                                            keepdims=True)
-    boundary = np.zeros((4, 6))
-    boundary[:, 3] = [se3.SMALL_ANGLE, -se3.SMALL_ANGLE,
-                      np.nextafter(se3.SMALL_ANGLE, 0), 2 * se3.SMALL_ANGLE]
+    switch = se3._SERIES_ANGLE
+    boundary = np.zeros((6, 6))
+    boundary[:, 3] = [switch, -switch, np.nextafter(switch, 0),
+                      np.nextafter(switch, 2), 5e-324, 0.0]
     xi = np.concatenate([rng.normal(0, 0.05, (300, 6)),
                          rng.normal(0, 1.0, (200, 6)),
                          rng.normal(0, 1e-8, (100, 6)), np.zeros((2, 6)),
@@ -416,18 +477,19 @@ class TestMatchesReferenceBytes:
                 assert se3.exp(x).tobytes() == ref_exp(x).tobytes(), x
 
     def test_twist_coefficients_match_arrays(self):
-        # both sides of SMALL_ANGLE and up to pi, then angles exp accepts
+        # a float angle, with math.sin, against the same angle in an array:
+        # both sides of the switch and up to pi, then angles exp accepts
         rng = np.random.default_rng(45)
-        small = se3.SMALL_ANGLE
+        switch = se3._SERIES_ANGLE
         theta = np.concatenate([
-            [0.0, 5e-324, np.nextafter(small, 0), small,
-             np.nextafter(small, 1), np.pi, 10.0, 1e3, se3.MAX_ANGLE],
+            TestCoefficients.ANGLES, [1e3, se3.MAX_ANGLE],
             np.geomspace(1e-12, np.pi, 20000), rng.uniform(0, np.pi, 20000),
-            small * rng.uniform(0.5, 2.0, 2000)])
-        for part in (theta[theta < small], theta[theta >= small]):
-            want = np.array(se3._rodrigues_coefficients(part)).T
-            got = np.array([se3._twist_coefficients(t) for t in part.tolist()])
-            assert got.tobytes() == want.tobytes()
+            switch * rng.uniform(0.5, 2.0, 2000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = np.array(se3._coefficients(theta)).T
+        got = np.array([se3._coefficients(t, math.sin) for t in theta.tolist()])
+        assert got.tobytes() == want.tobytes()
 
     def test_exp_stack(self):
         xi = edge_twists(41)

@@ -95,14 +95,12 @@ def _parse_depth_model(text):
 
 def _parse_texture_model(text):
     kind, _, rest = text.partition(':')
+    if kind != 'smooth':
+        raise ValueError(f"unknown texture model '{kind}'")
     try:
-        if kind == 'checker':
-            return synthetic.CheckerTexture(period=float(rest) if rest else 8.0)
-        if kind == 'smooth':
-            return synthetic.SmoothRandomTexture(seed=int(rest) if rest else 1)
-    except (ValueError, TypeError) as exc:
+        return synthetic.SmoothRandomTexture(seed=int(rest) if rest else 1)
+    except ValueError as exc:
         raise ValueError(f"bad texture model '{text}': {exc}") from exc
-    raise ValueError(f"unknown texture model '{kind}'")
 
 
 _ON_OFF = {'1': True, 'true': True, 'yes': True, 'on': True,
@@ -175,12 +173,12 @@ def cmd_solve(args):
     depth = rasters.read_raster(args.depth)
     flow = solver.FlowField.from_raster(rasters.read_raster(args.flow))
     K = rasters.read_intrinsics(args.intrinsics)
-    config = solver.SolverConfig(**_given_settings(args))
-    result = solver.solve(depth, flow, K, config)
+    result = solver.solve(depth, flow, K,
+                          solver.SolverConfig(**_given_settings(args)))
     if args.residuals:
         # the problem the solve built, not a second one
         rasters.write_raster(args.residuals, solver.compute_residuals(
-            result.problem, result.xi, config))
+            result.problem, result.xi))
     if args.pretty:
         print("xi:         " + " ".join("%.12g" % x for x in result.xi))
         print("iterations: %d" % result.iterations)
@@ -279,7 +277,7 @@ def build_parser():
     p.add_argument('--depth', required=True,
                    help='constant:D | plane:nx,ny,nz,offset | smooth:seed,amp')
     p.add_argument('--texture', default='smooth:1',
-                   help='checker:period | smooth:seed')
+                   help='smooth:seed')
     p.add_argument('--motion', required=True,
                    help='6 comma-separated motion components')
     p.add_argument('--intrinsics', help='optional intrinsics file')
@@ -299,8 +297,6 @@ def build_parser():
     g = p.add_argument_group('settings (defaults: solver.SolverConfig)',
                              argument_default=argparse.SUPPRESS)
     settings = [g.add_argument('--max-iterations', type=int),
-                g.add_argument('--convergence-tol', type=float),
-                g.add_argument('--min-valid-pixels', type=int),
                 g.add_argument('--no-confidence', dest='use_confidence',
                                action='store_false'),
                 g.add_argument('--single-iteration', action='store_true'),

@@ -183,8 +183,12 @@ def log(T):
     """Logarithm map SE(3) -> se(3).
 
     The angle is atan2(sin, cos) of the rotation, which keeps its digits
-    near pi, where arccos of the trace would not. Raises ValueError when
-    it is at or beyond pi - 1e-6 (branch ambiguity).
+    near pi, where arccos of the trace would not. The axis a comes from the
+    skew part of R, sin(theta) a, while cos(theta) >= 0. Beyond that it
+    comes from the symmetric part, (R + R^T) / 2 - cos(theta) I =
+    (1 - cos(theta)) a a^T: near pi the skew part's entries shrink with
+    sin(theta) but keep the rounding of R's O(1) entries. Raises ValueError
+    when the angle is at or beyond pi - 1e-6 (branch ambiguity).
     """
     T = np.asarray(T, dtype=float)
     R = T[:3, :3]
@@ -192,19 +196,26 @@ def log(T):
     w_skew = (R - R.T) / 2.0
     vee = np.array([w_skew[2, 1], w_skew[0, 2], w_skew[1, 0]])
     sin_theta = float(np.linalg.norm(vee))
-    theta = math.atan2(sin_theta, (np.trace(R) - 1.0) / 2.0)
+    cos_theta = (np.trace(R) - 1.0) / 2.0
+    theta = math.atan2(sin_theta, cos_theta)
     if theta >= np.pi - LOG_ANGLE_MARGIN:
         raise ValueError("rotation angle too close to pi for log()")
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         # theta / sin(theta)
-        scale = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
+        w = vee * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
         D = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
     else:
-        scale = theta / sin_theta
+        if cos_theta >= 0.0:
+            w = vee * (theta / sin_theta)
+        else:
+            S = (R + R.T) / 2.0 - cos_theta * np.eye(3)
+            # the row of the largest diagonal entry, (1 - cos) a_k a
+            k = int(np.argmax(np.diag(S)))
+            axis = S[k] / math.sqrt(S[k, k] * (1.0 - cos_theta))
+            w = axis * (theta if axis @ vee >= 0.0 else -theta)
         A, B, _ = _coefficients(theta, math.sin)
         D = (1.0 - A / (2.0 * B)) / (theta * theta)
-    w = vee * scale
     K = hat(w)
     Vinv = np.eye(3) - 0.5 * K + D * (K @ K)
     v = Vinv @ t

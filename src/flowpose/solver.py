@@ -26,7 +26,7 @@ Conventions:
     cost are then summed over blocks of _BLOCK pixels, so a block's
     Jacobians, weights and residuals stay in cache and no weighted copy of
     the Jacobians is made;
-  * update: the loop stops when ||beta|| < convergence_tol and returns
+  * update: the loop stops when ||beta|| < CONVERGENCE_TOL and returns
     xi + beta, where b(xi) = J^T W r = 0. A plain step, xi <- xi + beta,
     contracts the error of a noisy frame by only about 0.4, because m moves
     with xi. So later steps are Newton steps on the loop's own fixed-point
@@ -75,6 +75,13 @@ Q_MIN = 1e-4
 Q_MAX = 1e4
 
 CONDITION_LIMIT = 1e12
+
+# The loop converges when ||beta|| falls below CONVERGENCE_TOL; a step with
+# fewer than MIN_VALID_PIXELS pixels in front of the camera raises
+# InsufficientDataError. Neither is a setting: a looser value let a solve
+# print a far-off pose as converged, with exit 0.
+CONVERGENCE_TOL = 1e-9
+MIN_VALID_PIXELS = 64
 
 # Pixels per block of the normal-equation sums. A block's Jacobians (6, 2, B),
 # weights and residuals take about 0.5 MB and stay in L2 cache; with blocks of
@@ -144,8 +151,6 @@ class FlowField:
 @dataclass
 class SolverConfig:
     max_iterations: int = 20
-    convergence_tol: float = 1e-9
-    min_valid_pixels: int = 64
     use_confidence: bool = True
     single_iteration: bool = False
     seed_xi: np.ndarray = field(default_factory=lambda: np.zeros(6))
@@ -153,10 +158,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.min_valid_pixels >= 1):
-            raise ValueError("min_valid_pixels must be >= 1")
-        if not (0 < self.convergence_tol < np.inf):
-            raise ValueError("convergence_tol must be positive and finite")
         self.seed_xi = np.asarray(self.seed_xi, dtype=float)
 
 
@@ -249,13 +250,13 @@ def prepare(depth, flow_field, K, config):
                    conf=conf)
 
 
-def _residuals(problem, xi, config):
+def _residuals(problem, xi):
     """Residuals r = F+ - F at exp(xi) over the pixels that stay in front of
     the camera.
 
     Returns (r (2, M), keep) where keep is None when all N pixels pass the
     cheirality test and an (N,) bool mask of the M passing ones otherwise.
-    Raises InsufficientDataError when M is below config.min_valid_pixels.
+    Raises InsufficientDataError when M is below MIN_VALID_PIXELS.
     """
     T = se3.exp(xi)
     # T acting on (u, v, 1, q): rows 0..2 give R (u,v,1)^T + t q
@@ -267,7 +268,7 @@ def _residuals(problem, xi, config):
     else:
         # row-major, as r is: r[:, keep] would be laid out column-major
         r = np.compress(keep, r, axis=1)
-    count, required = r.shape[1], config.min_valid_pixels
+    count, required = r.shape[1], MIN_VALID_PIXELS
     if count < required:
         raise InsufficientDataError(
             f"{count} valid pixels < required {required}",
@@ -275,14 +276,14 @@ def _residuals(problem, xi, config):
     return r, keep
 
 
-def compute_residuals(problem, xi, config):
+def compute_residuals(problem, xi):
     """Residual flow r = F+ - F at exp(xi), in normalised camera
     coordinates, as an (H, W, 2) raster that holds 0 at invalid pixels.
 
     F+ is the flow induced by exp(xi) on the prepared problem's points; F
     is the measured flow.
     """
-    r, keep = _residuals(problem, xi, config)
+    r, keep = _residuals(problem, xi)
     h, w = problem.shape
     residuals = np.zeros((h * w, 2))
     residuals[problem.index if keep is None else problem.index[keep]] = r.T
@@ -351,13 +352,13 @@ def build_weight(c_x, c_y, rx, ry, m):
 
 
 @_OVERFLOW_CHECKED
-def gauss_newton_step(problem, xi, config):
+def gauss_newton_step(problem, xi):
     """One weighted Gauss-Newton update on a prepared problem.
 
     Returns (beta, report, terms): the caller applies xi <- xi + beta, or
     takes the Newton update that terms leads to.
     """
-    r, keep = _residuals(problem, xi, config)
+    r, keep = _residuals(problem, xi)
     m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
     conf, cols = problem.conf, None
     if keep is not None:
@@ -491,7 +492,7 @@ def _iterate(problem, xi, config, tol, reports, newton):
     plain = None        # (point, ||beta||) of the plain step a Newton step
                         # replaced
     for k in range(max_iter):
-        beta, report, terms = gauss_newton_step(problem, xi, config)
+        beta, report, terms = gauss_newton_step(problem, xi)
         reports.append(report)
         norm = report.step_norm
         if norm < tol:
@@ -518,8 +519,8 @@ def _iterate(problem, xi, config, tol, reports, newton):
 
 
 def solve(depth, flow_field, K, config=None):
-    """Iterate gauss_newton_step until the update norm drops below the
-    convergence tolerance or the iteration budget is exhausted.
+    """Iterate gauss_newton_step until the update norm drops below
+    CONVERGENCE_TOL or the iteration budget is exhausted.
 
     The valid pixels, their points and the confidences are built once, by
     `prepare`; residuals, m and the weights are recomputed every iteration
@@ -549,7 +550,7 @@ def solve(depth, flow_field, K, config=None):
             report.update = 'coarse'
         if warm:
             xi = start
-    xi, converged = _iterate(problem, xi, config, config.convergence_tol,
-                             reports, newton=warm)
+    xi, converged = _iterate(problem, xi, config, CONVERGENCE_TOL, reports,
+                             newton=warm)
     return SolveResult(xi=xi, converged=converged, reports=reports,
                        problem=problem)

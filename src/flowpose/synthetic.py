@@ -100,13 +100,12 @@ class PlaneDepth:
 class SmoothRandomDepth:
     seed: int
     amplitude: float
-    base: float = 2.0
 
     # the second view's fixed-point loop diverges at pixels that see no
     # surface, and the polynomial overflows there; render marks them invalid
     @np.errstate(over='ignore', invalid='ignore')
     def __call__(self, a, b):
-        """base + amplitude * (c0 a + c1 b + c2 a b + c3 a a + c4 b b), the
+        """2 + amplitude * (c0 a + c1 b + c2 a b + c3 a a + c4 b b), the
         sum taken left to right; returns a new array."""
         c = stream_uniform(self.seed, 7, 5) * 2.0 - 1.0
         a = np.asarray(a, dtype=float)
@@ -117,23 +116,8 @@ class SmoothRandomDepth:
         for ck, x, y in ((c[2], a, b), (c[3], a, a), (c[4], b, b)):
             bump += np.multiply(np.multiply(ck, x, out=term), y, out=term)
         bump *= self.amplitude
-        bump += self.base
+        bump += 2.0
         return bump
-
-
-@dataclass(frozen=True)
-class CheckerTexture:
-    period: float = 8.0
-
-    def __post_init__(self):
-        if not (0 < self.period < np.inf):
-            raise ValueError("checker period must be positive and finite")
-
-    def intensity(self, a, b, K):
-        px = a * K.fx + K.cx
-        py = b * K.fy + K.cy
-        cell = np.floor(px / self.period) + np.floor(py / self.period)
-        return np.where(np.mod(cell, 2.0) == 0.0, 0.25, 0.75)
 
 
 @dataclass(frozen=True)
@@ -191,15 +175,6 @@ class SceneSpec:
             raise ValueError("outlier_magnitude must be finite")
         if not (0.0 <= self.noise_sigma < np.inf):
             raise ValueError("noise_sigma must be finite and >= 0")
-        # beyond 2^53, px / period holds no odd integer, so floor() loses
-        # the cell parity and the checker image comes out uniform
-        extent = max(self.width, self.height)
-        if (isinstance(self.texture_model, CheckerTexture)
-                and self.texture_model.period < extent / 2.0 ** 53):
-            raise ValueError(
-                f"checker period {self.texture_model.period:g} is below the "
-                f"raster extent {extent} / 2^53, where floor(px / period) "
-                "loses the cell parity")
 
 
 @dataclass

@@ -89,29 +89,25 @@ class TestSynth:
         assert err == "error: outlier_magnitude must be finite\n"
         assert not out.exists()
 
+    # the checker texture is gone: these periods wrote uniform images with
+    # exit 0 until it checked them, and now no period is a texture
     @pytest.mark.parametrize("period", ["0", "-8", "nan", "inf"])
     def test_bad_checker_period_is_usage_error(self, capsys, tmp_path,
                                                period):
-        # these wrote a uniform second image with exit 0, a zero period
-        # after RuntimeWarnings
         out = tmp_path / "scene"
         code, stdout, err = run_strict(capsys, *SYNTH_ARGS, "--texture",
                                        f"checker:{period}", "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert err == (f"error: bad texture model 'checker:{period}': "
-                       "checker period must be positive and finite\n")
+        assert err == "error: unknown texture model 'checker'\n"
         assert not out.exists()
 
     def test_checker_period_too_small_for_raster_is_usage_error(
             self, capsys, tmp_path):
-        # this wrote uniform images (every pixel 0.25) with exit 0
         out = tmp_path / "scene"
         code, stdout, err = run_strict(capsys, *SYNTH_ARGS, "--texture",
                                        "checker:1e-300", "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert err == ("error: checker period 1e-300 is below the raster "
-                       "extent 64 / 2^53, where floor(px / period) loses "
-                       "the cell parity\n")
+        assert err == "error: unknown texture model 'checker'\n"
         assert not out.exists()
 
     def test_float32_overflow_is_usage_error(self, capsys, tmp_path):
@@ -218,7 +214,7 @@ class TestSolve:
         K = rasters.read_intrinsics(directory / "intrinsics.txt")
         config = solver.SolverConfig()
         want = solver.compute_residuals(
-            solver.prepare(depth, flow, K, config), xi, config)
+            solver.prepare(depth, flow, K, config), xi)
         assert np.array_equal(resid, want.astype(np.float32))
         assert np.count_nonzero(resid[:, :5]) == 0
         assert np.all(resid[:, 5:].any(axis=-1))
@@ -255,8 +251,10 @@ class TestSolve:
         directory, _ = scene_dir
         cfg = tmp_path / "solver.cfg"
         # only setting flags have config keys
+        # ... and deleted settings have none
         for line in ["speed = 11", "depth = x", "pretty = true",
-                     "config = other.cfg", "residuals = r.engr"]:
+                     "config = other.cfg", "residuals = r.engr",
+                     "convergence_tol = 1e-9", "min_valid_pixels = 64"]:
             cfg.write_text(line + "\n")
             code, out, err = run(capsys, *solve_args(directory, "--config",
                                                      str(cfg)))
@@ -265,10 +263,13 @@ class TestSolve:
                            f"{line.split()[0]!r}\n")
 
     def test_damping_flag_rejected(self, capsys, scene_dir):
+        # and the other deleted settings, each at its old default
         directory, _ = scene_dir
-        code, out, err = run(capsys, *solve_args(directory, "--damping", "0"))
-        assert (code, out) == (2, "")
-        assert "unrecognized arguments: --damping" in err
+        for flag, value in [("--damping", "0"), ("--convergence-tol", "1e-9"),
+                            ("--min-valid-pixels", "64")]:
+            code, out, err = run(capsys, *solve_args(directory, flag, value))
+            assert (code, out) == (2, "")
+            assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
     def test_bad_config_value_rejected_even_when_overridden(
             self, capsys, scene_dir, tmp_path):
@@ -278,8 +279,6 @@ class TestSolve:
         for key, value, flag, reason in [
                 ("max_iterations", "abc", "20",
                  "invalid literal for int() with base 10: 'abc'"),
-                ("convergence_tol", "abc", "1e-9",
-                 "could not convert string to float: 'abc'"),
                 ("seed_xi", "1,2", "0,0,0,0,0,0",
                  "motion vector expects 6 comma-separated numbers, got 2")]:
             cfg.write_text(f"# solver settings\n{key} = {value}\n")
@@ -393,7 +392,8 @@ class TestSolve:
     def test_min_valid_pixels_below_one_is_usage_error(self, capsys, scene_dir,
                                                        tmp_path, floor):
         # with no valid pixel, a floor below 1 let the all-zero normal
-        # equations through, and the solve exited 4
+        # equations through, and the solve exited 4; the floor is no
+        # setting any more
         directory, _ = scene_dir
         depth = rasters.read_raster(directory / "depth.engr")
         depth[:] = np.nan
@@ -404,7 +404,8 @@ class TestSolve:
                              "--intrinsics", str(directory / "intrinsics.txt"),
                              "--min-valid-pixels", floor)
         assert (code, out) == (2, "")
-        assert err == "error: min_valid_pixels must be >= 1\n"
+        assert err == ("error: unrecognized arguments: "
+                       f"--min-valid-pixels {floor}\n")
 
     def test_intrinsics_size_mismatch_is_format_error(self, capsys, scene_dir,
                                                       tmp_path):
@@ -1062,6 +1063,7 @@ def fault_files(scene_dir, tmp_path):
         "tum_still.txt": f"0.0 {pose}1.0 {pose}2.0 {pose}",
         "onoff_typo.cfg": "use_confidence = ture\n",
         "tol_inf.cfg": "convergence_tol = inf\n",
+        "floor_zero.cfg": "min_valid_pixels = 0\n",
         "damping_negative.cfg": "damping = -1\n",
         "damping_nan.cfg": "damping = nan\n",
     }
@@ -1162,16 +1164,33 @@ FAULTS = {
                              "--config", "{damping_nan}"], 2,
                     ["error", "damping_nan.cfg:1:",
                      "unknown config key 'damping'"]),
+    # nor are the tolerance and the pixel floor: an infinite tolerance
+    # reported convergence after one step, and a floor of 2 let 3 pixels
+    # give a pose 0.35 off, both with exit 0
     "convergence-tol-nan": (SOLVE + ["--intrinsics", "{intrinsics}",
                                      "--convergence-tol", "nan"], 2,
-                            ["error", "convergence_tol must be positive"]),
-    # an infinite tolerance reported convergence after one step
+                            ["error",
+                             "unrecognized arguments: --convergence-tol nan"]),
     "convergence-tol-inf": (SOLVE + ["--intrinsics", "{intrinsics}",
                                      "--convergence-tol", "inf"], 2,
-                            ["error", "convergence_tol", "finite"]),
+                            ["error",
+                             "unrecognized arguments: --convergence-tol inf"]),
     "convergence-tol-inf-config": (SOLVE + ["--intrinsics", "{intrinsics}",
                                             "--config", "{tol_inf}"], 2,
-                                   ["error", "convergence_tol", "finite"]),
+                                   ["error", "tol_inf.cfg:1:",
+                                    "unknown config key 'convergence_tol'"]),
+    "min-valid-pixels-zero": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                       "--min-valid-pixels", "0"], 2,
+                              ["error", "unrecognized arguments: "
+                                        "--min-valid-pixels 0"]),
+    "min-valid-pixels-zero-config": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                              "--config", "{floor_zero}"], 2,
+                                     ["error", "floor_zero.cfg:1:",
+                                      "unknown config key "
+                                      "'min_valid_pixels'"]),
+    # the checker texture is gone
+    "texture-checker": (SYNTH + ["--texture", "checker:8"], 2,
+                        ["error", "unknown texture model 'checker'"]),
     # argparse's rejections used to print a usage block of up to 7 lines
     "max-iterations-not-int": (SOLVE + ["--intrinsics", "{intrinsics}",
                                         "--max-iterations", "abc"], 2,
@@ -1200,6 +1219,7 @@ class TestExitCodes:
             capsys, *(arg.format(**fault_files) for arg in argv))
         assert code == expected
         assert out == ""
+        assert not os.path.exists(fault_files["out"])   # synth wrote nothing
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert all(word in err for word in words), err
 
@@ -1424,18 +1444,15 @@ class TestAnyInputFile:
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(st.binary(max_size=200), _text_bytes(
-        "max_iterations = 20\nconvergence_tol = 1e-9\nmin_valid_pixels = 64\n"
-        "use_confidence = true\nsingle_iteration = false\n"
-        "seed_xi = 0,0,0,0,0,0\n")))
+        "max_iterations = 20\nuse_confidence = true\n"
+        "single_iteration = false\nseed_xi = 0,0,0,0,0,0\n")))
     def test_config_file_exit_code(self, capsys, fuzz_scene, content):
         path = fuzz_scene / "input.cfg"
         path.write_bytes(content)
         code, out, err = run_strict(capsys, *_fuzz_argv(
             "depth", fuzz_scene, fuzz_scene / "scene" / "depth.engr"),
             "--config", str(path), "--max-iterations", "20",
-            "--convergence-tol", "1e-9", "--min-valid-pixels", "64",
-            "--single-iteration", "--seed-xi",
-            "0,0,0,0,0,0")
+            "--single-iteration", "--seed-xi", "0,0,0,0,0,0")
         assert code in (0, 2)
         if code:
             assert out == "" and len(err.splitlines()) == 1, err

@@ -1,16 +1,19 @@
-"""Every name a flowpose module imports is used in that module, and every
-top-level function and class has a caller.
+"""Every name a flowpose module imports is used in that module, every
+top-level function and class has a caller, and every setting is read.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
 """
 
 import ast
+import dataclasses
+import inspect
 import os
 
 import pytest
 
 import flowpose
+from flowpose import cli, solver, trajectory
 
 PACKAGE = os.path.dirname(os.path.abspath(flowpose.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE)
@@ -44,7 +47,9 @@ def test_every_import_is_used(module):
         assert unused_imports(fh.read()) == [], module
 
 
-ROOT = os.path.dirname(os.path.dirname(PACKAGE))
+# the repository holding this file: the package may be imported from
+# elsewhere, an installed copy for one
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # functions that only tests call, kept on purpose (ROADMAP "Keep")
 TEST_ONLY = {'jacobian_row', 'nll_gradients', 'combined_semisupervised',
              'pose_loss'}
@@ -113,3 +118,29 @@ def test_every_helper_has_a_caller():
             if name.split('.')[1] not in TEST_ONLY
             and not name.startswith('cli.cmd_')]
     assert dead == []
+
+
+def test_every_setting_is_read():
+    # a command's setting flags are exactly what the library takes, and the
+    # solver reads each of its settings outside SolverConfig itself
+    def settings(*argv):
+        return set(cli.build_parser().parse_args(argv).settings)
+    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
+    assert settings('solve', '--depth', 'd', '--flow', 'f',
+                    '--intrinsics', 'k') == fields
+    keywords = {name for name, p in inspect.signature(
+        trajectory.evaluate).parameters.items() if p.default is not p.empty}
+    assert settings('eval-traj', '--est', 'e', '--gt', 'g') == keywords
+
+    read = set()
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            tree = ast.parse(fh.read())
+        config = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == 'SolverConfig']
+        inside = {id(node) for top in config for node in ast.walk(top)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in inside}
+    assert fields - read == set()

@@ -7,9 +7,8 @@ import pytest
 
 from flowpose import camera, rasters, se3, synthetic
 from flowpose.camera import Intrinsics
-from flowpose.synthetic import (CheckerTexture, ConstantDepth, PlaneDepth,
-                                SceneSpec, SmoothRandomDepth,
-                                SmoothRandomTexture)
+from flowpose.synthetic import (ConstantDepth, PlaneDepth, SceneSpec,
+                                SmoothRandomDepth, SmoothRandomTexture)
 
 
 def basic_spec(**kwargs):
@@ -117,34 +116,6 @@ class TestRender:
         expected = -2.0 * np.log(sigma)
         assert np.allclose(scene.flow_field.info[..., 0], expected, atol=0)
         assert np.allclose(scene.flow_field.info[..., 2], expected, atol=0)
-
-    @pytest.mark.parametrize("period", [0.0, -8.0, np.nan, np.inf])
-    def test_bad_checker_period_rejected(self, period):
-        # a zero period divided by zero, NaN and inf gave a uniform image
-        with pytest.raises(ValueError, match="checker period"):
-            CheckerTexture(period=period)
-
-    @pytest.mark.parametrize("width, height", [(64, 48), (48, 64)])
-    def test_checker_period_below_extent_over_2_53_rejected(self, width,
-                                                             height):
-        # px / period passed 2^53, where floats hold no odd integer: the
-        # images came out uniform
-        smallest = 64 / 2.0 ** 53
-        for period in [1e-300, np.nextafter(smallest, 0.0)]:
-            with pytest.raises(ValueError, match="loses the cell parity"):
-                basic_spec(width=width, height=height,
-                           texture_model=CheckerTexture(period=period))
-        # the smallest period accepted still draws both levels in each image
-        scene = synthetic.render(basic_spec(
-            width=width, height=height,
-            texture_model=CheckerTexture(period=smallest)))
-        for image in (scene.image_1, scene.image_2):
-            assert set(np.unique(image)) == {0.25, 0.75}
-
-    def test_checker_texture_binary_levels(self):
-        spec = basic_spec(texture_model=CheckerTexture(period=8.0))
-        scene = synthetic.render(spec)
-        assert set(np.unique(scene.image_1)) <= {0.25, 0.75}
 
     def test_smooth_texture_in_range(self):
         spec = basic_spec(texture_model=SmoothRandomTexture(seed=9))
@@ -419,8 +390,7 @@ class TestRenderMatchesReference:
         spec = basic_spec(motion=motion, depth_model=depth_model,
                           noise_sigma=noise_sigma,
                           outlier_fraction=outlier_fraction,
-                          outlier_magnitude=20.0,
-                          texture_model=CheckerTexture(period=5.0))
+                          outlier_magnitude=20.0)
         valid = self.check(spec).flow_field.valid
         assert valid.all() == (motion[2] > 0 and motion[4] < 1)
         if motion[4] > 1:
@@ -623,7 +593,7 @@ def reference_depth(model, a, b):
     b = np.asarray(b, dtype=float)
     bump = (c[0] * a + c[1] * b + c[2] * a * b
             + c[3] * a * a + c[4] * b * b)
-    return model.base + model.amplitude * bump
+    return 2.0 + model.amplitude * bump
 
 
 def reference_intensity(texture, a, b, K):
@@ -661,7 +631,7 @@ class TestStreamsAndPolynomialsMatchParent:
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 2 ** 31 - 1])
     def test_polynomials(self, seed):
-        depth = SmoothRandomDepth(seed=seed, amplitude=0.37, base=1.5)
+        depth = SmoothRandomDepth(seed=seed, amplitude=0.37)
         texture = SmoothRandomTexture(seed=seed)
         with np.errstate(all='ignore'):
             for a, b in polynomial_inputs():

@@ -142,8 +142,9 @@ def warp_image(src, depth, T, K):
     sampling out of bounds are invalid; invalid pixels hold 0.
     """
     uv, mask, _ = _moved_grid(depth, T, K)
-    values, in_bounds = bilinear_sample(src, uv[0] * K.fx + K.cx,
-                                        uv[1] * K.fy + K.cy)
+    with np.errstate(over='ignore'):    # an infinite coordinate is outside
+        px, py = uv[0] * K.fx + K.cx, uv[1] * K.fy + K.cy
+    values, in_bounds = bilinear_sample(src, px, py)
     mask &= in_bounds
     values[~mask] = 0.0
     return values, mask

@@ -57,9 +57,10 @@ def _keep_freed_memory():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # 32 MiB, glibc's largest on 64-bit: every buffer up to the 29.5 MB VGA
-    # Jacobian stack comes from the heap. Alone it still left 2,594 faults
-    # per QVGA solve, as freed memory at the heap top went back to the kernel.
+    # 32 MiB, glibc's largest on 64-bit: every buffer of a VGA solve comes
+    # from the heap, the largest the float64 flow raster (640*480*5*8 B =
+    # 12.3 MB). Alone it still left 2,594 faults per QVGA solve, as freed
+    # memory at the heap top went back to the kernel.
     if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
         # 1 GiB: the heap top is kept. Alone this setting turns off the
         # dynamic mmap threshold, so every buffer over 128 KB is mapped and
@@ -179,15 +180,9 @@ def cmd_solve(args):
         # the problem the solve built, not a second one
         rasters.write_raster(args.residuals, solver.compute_residuals(
             result.problem, result.xi))
-    if args.pretty:
-        print("xi:         " + " ".join("%.12g" % x for x in result.xi))
-        print("iterations: %d" % result.iterations)
-        print("converged:  %s" % result.converged)
-        print("final_cost: %.12g" % result.reports[-1].weighted_cost)
-    else:
-        print(" ".join("%.17g" % x for x in result.xi)
-              + " %d %d %.17g" % (result.iterations, int(result.converged),
-                                  result.reports[-1].weighted_cost))
+    print(" ".join("%.17g" % x for x in result.xi)
+          + " %d %d %.17g" % (result.iterations, int(result.converged),
+                              result.reports[-1].weighted_cost))
     return EXIT_OK
 
 
@@ -204,18 +199,10 @@ def cmd_eval_traj(args):
     gt = trajectory.read_tum(args.gt)
     report = trajectory.evaluate(est, gt, **_given_settings(args))
     q = _quantiles(report.per_pose_scales)
-    if args.pretty:
-        print("ATE (m):    %.12g" % report.ate_rmse)
-        print("RPE (m):    %.12g" % report.rpe_trans)
-        print("RPE (deg):  %.12g" % report.rpe_rot_deg)
-        print("matched:    %d" % report.matched_count)
-        print("scales (min q1 median q3 max): "
-              + " ".join("%.12g" % v for v in q))
-    else:
-        print("%.12g %.12g %.12g matched %d"
-              % (report.ate_rmse, report.rpe_trans, report.rpe_rot_deg,
-                 report.matched_count))
-        print("scales " + " ".join("%.12g" % v for v in q))
+    print("%.12g %.12g %.12g matched %d"
+          % (report.ate_rmse, report.rpe_trans, report.rpe_rot_deg,
+             report.matched_count))
+    print("scales " + " ".join("%.12g" % v for v in q))
     return EXIT_OK
 
 
@@ -293,7 +280,6 @@ def build_parser():
     p.add_argument('--intrinsics', required=True)
     p.add_argument('--config', help='key = value configuration file')
     p.add_argument('--residuals', help='optional residual raster output')
-    p.add_argument('--pretty', action='store_true')
     g = p.add_argument_group('settings (defaults: solver.SolverConfig)',
                              argument_default=argparse.SUPPRESS)
     settings = [g.add_argument('--max-iterations', type=int),
@@ -307,7 +293,6 @@ def build_parser():
     p.add_argument('--est', required=True)
     p.add_argument('--gt', required=True)
     p.add_argument('--config', help='key = value configuration file')
-    p.add_argument('--pretty', action='store_true')
     g = p.add_argument_group('settings (defaults: trajectory.evaluate)',
                              argument_default=argparse.SUPPRESS)
     settings = [g.add_argument('--rpe-delta', type=int),

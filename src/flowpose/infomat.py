@@ -21,9 +21,11 @@ LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise ValueError("information parameters and residuals must be finite")
+    bad = sum(np.size(a) - np.count_nonzero(np.isfinite(a)) for a in arrays)
+    if bad:
+        raise ValueError("information parameters and residuals must be "
+                         f"finite: {bad} of {sum(map(np.size, arrays))} "
+                         "values are not")
 
 
 def _check_exponents(a_hat, g_hat):
@@ -83,7 +85,8 @@ def flow_nll_map(residuals, info, valid=None):
     info = np.asarray(info, dtype=float)
     if valid is not None:
         if not np.any(valid):
-            raise InsufficientDataError("no valid pixels")
+            size = "x".join(map(str, np.shape(valid)[::-1]))
+            raise InsufficientDataError(f"no valid pixels in the {size} mask")
         residuals, info = residuals[valid], info[valid]
     nll = flow_nll(residuals[..., 0], residuals[..., 1],
                    info[..., 0], info[..., 1], info[..., 2])

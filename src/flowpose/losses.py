@@ -23,8 +23,10 @@ class LossWeights:
     lambda3: float = float(np.exp(-4.0))
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda3 < 0:
-            raise ValueError("loss weights must be nonnegative")
+        weights = (self.lambda1, self.lambda2, self.lambda3)
+        if not all(w >= 0 for w in weights):    # NaN fails it too
+            raise ValueError("loss weights must be nonnegative, got lambda1 "
+                             "%g, lambda2 %g, lambda3 %g" % weights)
 
 
 def berhu(pred, gt, valid=None):
@@ -43,7 +45,9 @@ def berhu(pred, gt, valid=None):
         valid = depth_valid_mask(gt)
     valid = valid & np.isfinite(pred) & np.isfinite(gt)
     if not np.any(valid):
-        raise InsufficientDataError("empty validity mask")
+        h, w = gt.shape[:2]
+        raise InsufficientDataError(f"empty validity mask over the {w}x{h} "
+                                    "raster")
     d = np.abs(pred[valid] - gt[valid])
     c = d.max() / 5.0
     if c == 0.0:
@@ -66,8 +70,8 @@ def smoothness(depth):
     valid = finite[:-1, :-1] & finite[:-1, 1:] & finite[1:, :-1]
     if not np.any(valid):
         raise InsufficientDataError(
-            "no valid pixels: every smoothness gradient touches a "
-            "non-finite depth")
+            f"no valid pixels: every smoothness gradient of the {w}x{h} "
+            "raster touches a non-finite depth")
     with np.errstate(invalid='ignore'):     # inf - inf, masked out
         g = (np.abs(depth[:-1, 1:] - depth[:-1, :-1])
              + np.abs(depth[1:, :-1] - depth[:-1, :-1]))
@@ -78,7 +82,8 @@ def photometric_lr(img_l, img_r, depth_l, depth_r, baseline, K):
     """Left-right photometric consistency: sum of the two directional mean
     absolute intensity differences after depth-based warping."""
     if not 0 <= baseline < np.inf:
-        raise ValueError("baseline must be finite and nonnegative")
+        raise ValueError(
+            f"baseline must be finite and nonnegative, got {baseline:g}")
     # the right camera sits at +baseline along x, so left-frame points shift
     # by -baseline in the right frame
     t_rl = se3.exp([-baseline, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -112,7 +117,9 @@ def _warped_difference(img_a, img_b, depth_a, T, K):
         check_same_size(img, depth_a, ("image", "depth"))
     warped, mask = camera.warp_image(img_b, depth_a, T, K)
     if not np.any(mask):
-        raise InsufficientDataError("no valid pixels after warping")
+        h, w = np.shape(depth_a)
+        raise InsufficientDataError(
+            f"no valid pixels after warping the {w}x{h} raster")
     diff = np.abs(np.asarray(img_a, dtype=float) - warped)
     if diff.ndim == 3:
         diff = diff.mean(axis=-1)

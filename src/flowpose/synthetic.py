@@ -90,6 +90,9 @@ class PlaneDepth:
     normal: tuple
     offset: float
 
+    # a ray parallel to the plane divides by zero, and one nearly parallel
+    # overflows; render rejects the depth of either
+    @np.errstate(divide='ignore', over='ignore', invalid='ignore')
     def __call__(self, a, b):
         n = np.asarray(self.normal, dtype=float)
         denom = n[0] * a + n[1] * b + n[2]
@@ -128,7 +131,7 @@ class SmoothRandomTexture:
 
     # huge motions overflow at pixels the second camera cannot see: zeroed
     @np.errstate(over='ignore', invalid='ignore')
-    def intensity(self, a, b, K):
+    def intensity(self, a, b):
         """0.5 + 0.25 (c0 a + c1 b) + 0.02 (c2 a b + c3 a a + c4 b b),
         clipped to [0, 1]; each sum is taken left to right."""
         c = stream_uniform(self.seed, 11, 5) * 2.0 - 1.0
@@ -294,10 +297,10 @@ def render(spec):
     T = se3.exp(spec.motion)
     # the image pair first, so that the second view's buffers and the grids
     # are freed before the flow is built
-    image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
+    image_1 = np.asarray(spec.texture_model.intensity(a, b), dtype=float)
     a2, b2, valid2 = _second_view_scene_coords(spec, T, a, b, depth)
     del a, b
-    image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K), dtype=float)
+    image_2 = np.asarray(spec.texture_model.intensity(a2, b2), dtype=float)
     image_2[~valid2] = 0.0
     del a2, b2
 

@@ -62,10 +62,21 @@ class TestSynth:
         assert code == 2
 
     def test_bad_depth_model_is_usage_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "synth", "--width", "8", "--height", "8",
-                         "--depth", "wavy:1", "--motion", "0,0,0,0,0,0",
-                         "--out", str(tmp_path / "s"))
-        assert code == 2
+        # the planes divide by zero, the first two at some pixel of an
+        # even-width raster, or overflow: they printed a RuntimeWarning
+        # before the message
+        out = tmp_path / "s"
+        for depth, message in [
+                ("wavy:1", "unknown depth model 'wavy'"),
+                ("plane:0,0,0,2", "depth model produced nonpositive depth"),
+                ("plane:1,0,0,2", "depth model produced nonpositive depth"),
+                ("plane:0,0,1e-320,2",
+                 "depth model produced nonpositive depth")]:
+            assert run_strict(
+                capsys, "synth", "--width", "8", "--height", "8", "--depth",
+                depth, "--motion", "0,0,0,0,0,0", "--out", str(out)
+            ) == (2, "", f"error: {message}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["-0.5", "nan", "inf"])
     def test_bad_noise_sigma_is_usage_error(self, capsys, tmp_path, sigma):
@@ -262,14 +273,23 @@ class TestSolve:
             assert err == (f"error: {cfg}:1: unknown config key "
                            f"{line.split()[0]!r}\n")
 
-    def test_damping_flag_rejected(self, capsys, scene_dir):
-        # and the other deleted settings, each at its old default
+    def test_damping_flag_rejected(self, capsys, scene_dir, tmp_path):
+        # and the other deleted settings, each at its old default, and the
+        # deleted second output format of solve and eval-traj
         directory, _ = scene_dir
-        for flag, value in [("--damping", "0"), ("--convergence-tol", "1e-9"),
-                            ("--min-valid-pixels", "64")]:
-            code, out, err = run(capsys, *solve_args(directory, flag, value))
+        tum = tmp_path / "gt.txt"
+        trajectory.write_tum(Trajectory(np.arange(3) * 0.1, np.array(
+            [se3.exp([0.1 * k, 0, 0, 0, 0, 0]) for k in range(3)])), tum)
+        eval_args = ["eval-traj", "--est", str(tum), "--gt", str(tum)]
+        for argv, flags in [
+                (solve_args(directory), ["--damping", "0"]),
+                (solve_args(directory), ["--convergence-tol", "1e-9"]),
+                (solve_args(directory), ["--min-valid-pixels", "64"]),
+                (solve_args(directory), ["--pretty"]),
+                (eval_args, ["--pretty"])]:
+            code, out, err = run(capsys, *argv, *flags)
             assert (code, out) == (2, "")
-            assert err == f"error: unrecognized arguments: {flag} {value}\n"
+            assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
 
     def test_bad_config_value_rejected_even_when_overridden(
             self, capsys, scene_dir, tmp_path):
@@ -649,7 +669,8 @@ class TestRasterSizes:
         code, out, err = run_strict(capsys, *loss_args(
             "photometric-lr", loss_rasters), "--baseline=" + baseline)
         assert (code, out) == (2, "")
-        assert err == "error: baseline must be finite and nonnegative\n"
+        assert err == ("error: baseline must be finite and nonnegative, "
+                       f"got {float(baseline):g}\n")
 
     def test_loss_multichannel_depth_is_format_error(
             self, capsys, loss_rasters, tmp_path):
@@ -677,12 +698,12 @@ class TestRasterSizes:
 
 
 class TestEvalTraj:
-    def make_files(self, tmp_path, scale=1.0):
+    def make_files(self, tmp_path, scale=1.0, count=30):
         rng = np.random.default_rng(62)
-        ts = np.arange(30) * 0.1
+        ts = np.arange(count) * 0.1
         poses = []
         current = np.eye(4)
-        for _ in range(30):
+        for _ in range(count):
             current = current @ se3.exp(rng.uniform(-0.05, 0.05, 6))
             poses.append(current)
         gt = Trajectory(ts, np.array(poses))
@@ -750,6 +771,24 @@ class TestEvalTraj:
             5, "", "insufficient data: fewer than 2 associated samples: 0 "
             "within max_dt 0.001 s\n")
         assert run(capsys, *argv, "--config", str(cfg), "--max-dt=0.02") == want
+        # rpe_delta: the RPE step in matched pairs, from a flag or the file
+        est, gt = self.make_files(tmp_path, scale=0.5, count=60)
+        est_t, gt_t = trajectory.read_tum(est), trajectory.read_tum(gt)
+        rpe = "%.12g %.12g" % trajectory.rpe(
+            est_t, gt_t, trajectory.associate(est_t, gt_t).indices, 3)
+        code, out, err = run(capsys, *argv, "--rpe-delta", "3")
+        assert (code, err) == (0, "")
+        assert " ".join(out.split()[1:3]) == rpe
+        assert run(capsys, *argv)[1] != out       # the default delta is 1
+        cfg.write_text("rpe_delta = 3\n")
+        assert run(capsys, *argv, "--config", str(cfg)) == (0, out, "")
+        too_far = (5, "", "insufficient data: not enough pairs for delta "
+                   "100: 60 pairs, need at least 101\n")
+        assert run(capsys, *argv, "--rpe-delta", "100") == too_far
+        cfg.write_text("rpe_delta = 100\n")
+        assert run(capsys, *argv, "--config", str(cfg)) == too_far
+        assert run(capsys, *argv, "--config", str(cfg),
+                   "--rpe-delta=3") == (0, out, "")
 
     def test_defaults_are_the_library_defaults(self, capsys, tmp_path):
         est, gt = self.make_files(tmp_path, scale=0.5)
@@ -797,21 +836,11 @@ class TestEvalTraj:
 # and `_tum_lines` its deferred non-finite search. The alignment goes
 # through LAPACK and BLAS, so another platform may differ in the last digits.
 PINNED_EVAL_STDOUT = {
-    ("bench", False): "0.006625819799 0.0108403142584 0.29474279257 "
-                      "matched 177\n"
-                      "scales 0.637824888743 1.09611319308 1.22473345089 "
-                      "1.37434321075 2.38167861787\n",
-    ("bench", True): "ATE (m):    0.006625819799\n"
-                     "RPE (m):    0.0108403142584\n"
-                     "RPE (deg):  0.29474279257\n"
-                     "matched:    177\n"
-                     "scales (min q1 median q3 max): 0.637824888743 "
-                     "1.09611319308 1.22473345089 1.37434321075 "
-                     "2.38167861787\n",
-    ("same", False): "0 0 0 matched 588\nscales 1 1 1 1 1\n",
-    ("same", True): "ATE (m):    0\nRPE (m):    0\nRPE (deg):  0\n"
-                    "matched:    588\n"
-                    "scales (min q1 median q3 max): 1 1 1 1 1\n",
+    "bench": "0.006625819799 0.0108403142584 0.29474279257 "
+             "matched 177\n"
+             "scales 0.637824888743 1.09611319308 1.22473345089 "
+             "1.37434321075 2.38167861787\n",
+    "same": "0 0 0 matched 588\nscales 1 1 1 1 1\n",
 }
 
 
@@ -843,16 +872,16 @@ def pinned_sequence(tmp_path_factory):
 
 
 class TestEvalTrajOutputPinned:
-    @pytest.mark.parametrize("pretty", [False, True], ids=["plain", "pretty"])
-    @pytest.mark.parametrize("pair", ["bench", "same"])
+    # "plain" names the command's one output format
+    @pytest.mark.parametrize("pair", ["bench", "same"],
+                             ids=["bench-plain", "same-plain"])
     def test_stdout_matches_recorded_bytes(self, capsys, pinned_sequence,
-                                           pair, pretty):
+                                           pair):
         gt = pinned_sequence / "gt.txt"
         est = pinned_sequence / "est.txt" if pair == "bench" else gt
         argv = ["eval-traj", "--est", str(est), "--gt", str(gt)]
         capsys.readouterr()
-        assert run_strict(capsys, *argv, *(["--pretty"] if pretty else [])) \
-            == (0, PINNED_EVAL_STDOUT[pair, pretty], "")
+        assert run_strict(capsys, *argv) == (0, PINNED_EVAL_STDOUT[pair], "")
 
 
 class TestLoss:
@@ -1141,16 +1170,32 @@ FAULTS = {
                                ["format error", "2 or 5 channels"]),
     "flownll-no-valid-pixels": (["loss", "flownll", "--flow", "{flow}",
                                  "--gt-flow", "{nan_gt}"], 5,
-                                ["insufficient data", "no valid pixels"]),
+                                ["insufficient data",
+                                 "no valid pixels in the 64x48 mask"]),
     "berhu-prediction-all-nan": (["loss", "berhu", "--pred", "{nan_depth}",
                                   "--gt", "{depth}"], 5,
-                                 ["insufficient data", "empty"]),
+                                 ["insufficient data", "empty validity mask "
+                                  "over the 64x48 raster"]),
     "smoothness-all-nan": (["loss", "smoothness", "--depth", "{nan_depth}"],
-                           5, ["insufficient data", "no valid pixels"]),
+                           5, ["insufficient data", "no valid pixels",
+                               "gradient of the 64x48 raster"]),
     "smoothness-channels": (["loss", "smoothness", "--depth", "{flow}"], 3,
                             ["format error", "single channel"]),
     "smoothness-under-2x2": (["loss", "smoothness", "--depth", "{tiny}"], 5,
                              ["insufficient data", "5x1", "2x2"]),
+    # an overflowing pixel coordinate printed a RuntimeWarning first
+    "photometric-lr-huge-baseline": (
+        ["loss", "photometric-lr", "--image-1", "{depth}", "--image-2",
+         "{depth}", "--depth", "{depth}", "--gt", "{depth}", "--intrinsics",
+         "{intrinsics}", "--baseline", "1e308"], 5,
+        ["insufficient data", "no valid pixels after warping the 64x48 "
+                              "raster"]),
+    "pose-photometric-huge-translation": (
+        ["loss", "pose-photometric", "--image-1", "{depth}", "--image-2",
+         "{depth}", "--depth", "{depth}", "--intrinsics", "{intrinsics}",
+         "--motion=1e308,0,0,0,0,0"], 5,
+        ["insufficient data", "no valid pixels after warping the 64x48 "
+                              "raster"]),
     # NaN fails every comparison, so each check is written to reject it
     "max-dt-nan": (EVAL + ["{tum_good}", "--max-dt", "nan"], 2,
                    ["error", "max_dt must be positive"]),

@@ -92,12 +92,15 @@ class TestFlowNll:
         assert infomat.flow_nll_map(residuals, info, valid) == pytest.approx(0.5 / 16)
 
     def test_map_empty_mask(self):
-        with pytest.raises(InsufficientDataError):
-            infomat.flow_nll_map(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)),
-                                 np.zeros((2, 2), dtype=bool))
+        with pytest.raises(InsufficientDataError,
+                           match="^no valid pixels in the 3x2 mask$"):
+            infomat.flow_nll_map(np.zeros((2, 3, 2)), np.zeros((2, 3, 3)),
+                                 np.zeros((2, 3), dtype=bool))
 
 
-FINITE_MESSAGE = "information parameters and residuals must be finite"
+def finite_message(bad, total):
+    return ("^information parameters and residuals must be finite: "
+            f"{bad} of {total} values are not$")
 
 
 @pytest.mark.filterwarnings("error")
@@ -112,14 +115,15 @@ class TestNonfiniteResidual:
     def test_per_sample(self, bad, axis, function):
         r = [0.0, 0.0]
         r[axis] = bad
-        with pytest.raises(ValueError, match=FINITE_MESSAGE):
+        with pytest.raises(ValueError, match=finite_message(1, 2)):
             function(*r, 0, 0, 0)
 
     def test_map_at_a_valid_pixel(self, bad, axis):
         residuals = np.zeros((4, 4, 2))
         residuals[1, 2, axis] = bad
         valid = np.ones((4, 4), dtype=bool)
-        with pytest.raises(ValueError, match=FINITE_MESSAGE):
+        # the 16 valid pixels' two residual components
+        with pytest.raises(ValueError, match=finite_message(1, 32)):
             infomat.flow_nll_map(residuals, np.zeros((4, 4, 3)), valid)
         # outside the mask it is not evaluated
         valid[1, 2] = False

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,9 @@ class TestBerhu:
         assert (np.diff(per_pixel) > 0).all()
 
     def test_empty_mask_rejected(self):
-        bad = np.full((2, 2), np.nan)
-        with pytest.raises(InsufficientDataError):
+        bad = np.full((2, 3), np.nan)
+        with pytest.raises(InsufficientDataError, match=(
+                r"^empty validity mask over the 3x2 raster$")):
             losses.berhu(bad, bad)
 
     def test_shape_mismatch(self):
@@ -110,7 +113,9 @@ class TestSmoothness:
     def test_all_gradients_non_finite_rejected(self):
         d = np.full((3, 4), np.nan)
         d[:, 0] = 2.0       # no pixel has finite right and lower neighbours
-        with pytest.raises(InsufficientDataError, match="no valid pixels"):
+        with pytest.raises(InsufficientDataError, match=(
+                r"^no valid pixels: every smoothness gradient of the 4x3 "
+                r"raster touches a non-finite depth$")):
             losses.smoothness(d)
 
 
@@ -165,12 +170,23 @@ class TestPhotometricLR:
     def test_rejects_bad_baseline(self, K, baseline):
         img = np.full((K.height, K.width), 0.3)
         depth = np.full((K.height, K.width), 2.0)
-        with pytest.raises(ValueError,
-                           match="^baseline must be finite and nonnegative$"):
+        with pytest.raises(ValueError, match=(
+                "^baseline must be finite and nonnegative, "
+                f"got {re.escape(f'{baseline:g}')}$")):
             losses.photometric_lr(img, img, depth, depth, baseline, K)
 
 
 class TestCombined:
+    @pytest.mark.parametrize("weights, got", [
+        ((-1.0, 1.0, 0.5), "lambda1 -1, lambda2 1, lambda3 0.5"),
+        ((2.0, np.nan, 0.5), "lambda1 2, lambda2 nan, lambda3 0.5"),
+        ((2.0, 1.0, -np.inf), "lambda1 2, lambda2 1, lambda3 -inf")],
+        ids=["negative", "nan", "minus-inf"])
+    def test_rejects_negative_or_nan_weight(self, weights, got):
+        message = f"loss weights must be nonnegative, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LossWeights(*weights)
+
     def test_weight_selection_reduces_to_smoothness(self, K):
         rng = np.random.default_rng(13)
         d = rng.uniform(1, 3, (K.height, K.width))

@@ -331,10 +331,10 @@ def reference_render(spec):
     flow_px = flow * np.array([K.fx, K.fy])
     flow_px[~valid] = np.nan
 
-    image_1 = np.asarray(spec.texture_model.intensity(a, b, K), dtype=float)
+    image_1 = np.asarray(spec.texture_model.intensity(a, b), dtype=float)
     a2, b2, valid2 = reference_second_view_scene_coords(spec, T)
     with np.errstate(all='ignore'):     # pixels that the mask zeroes
-        image_2 = np.asarray(spec.texture_model.intensity(a2, b2, K),
+        image_2 = np.asarray(spec.texture_model.intensity(a2, b2),
                              dtype=float)
     image_2 = np.where(valid2, image_2, 0.0)
 
@@ -596,7 +596,7 @@ def reference_depth(model, a, b):
     return 2.0 + model.amplitude * bump
 
 
-def reference_intensity(texture, a, b, K):
+def reference_intensity(texture, a, b):
     c = reference_stream_uniform(texture.seed, 11, 5) * 2.0 - 1.0
     val = (0.5 + 0.25 * (c[0] * a + c[1] * b)
            + 0.02 * (c[2] * a * b + c[3] * a * a + c[4] * b * b))
@@ -636,8 +636,8 @@ class TestStreamsAndPolynomialsMatchParent:
         with np.errstate(all='ignore'):
             for a, b in polynomial_inputs():
                 assert same_bytes(depth(a, b), reference_depth(depth, a, b))
-                assert same_bytes(texture.intensity(a, b, QVGA),
-                                  reference_intensity(texture, a, b, QVGA))
+                assert same_bytes(texture.intensity(a, b),
+                                  reference_intensity(texture, a, b))
 
     def test_depth_returns_a_new_array(self):
         # the fixed-point loop updates the model's result in place

@@ -2,13 +2,10 @@
 trajectories and evaluate losses.
 
 `solve` and `eval-traj` settings are flags with no default of their own:
-the library's defaults apply. `--config FILE` holds `key = value` lines
-keyed by the flags' dest names. It only fills in the settings that the
-command line left out, so a flag wins in any form argparse accepts, and it
-never changes the parser, which is built once per process. A bad value
-exits 2; an on/off value is one of 1/true/yes/on or 0/false/no/off, in
-any case. Each `loss` subcommand takes only the flags that its loss reads.
-A value may start with `-` and a digit without `=`: `--motion -0.05,...`.
+the library's defaults apply. The parser is built once per process, and no
+command line changes it. Each `loss` subcommand takes only the flags that
+its loss reads. A value may start with `-` and a digit without `=`:
+`--motion -0.05,...`.
 
 `main` makes glibc keep freed memory in the process heap, so the solver's
 raster-sized temporaries stop page-faulting in afresh; it is not done at
@@ -104,51 +101,9 @@ def _parse_texture_model(text):
         raise ValueError(f"bad texture model '{text}': {exc}") from exc
 
 
-_ON_OFF = {'1': True, 'true': True, 'yes': True, 'on': True,
-           '0': False, 'false': False, 'no': False, 'off': False}
-
-
-def _read_config(path, settings):
-    """Line-oriented `key = value` configuration file of a command whose
-    setting flags are `settings`, {dest: action}. Returns {dest: value},
-    each value converted as its flag converts it; an on/off setting takes
-    a key of _ON_OFF in any case. Each line is checked as it is read, and
-    the last line of a key wins. A file that is not UTF-8 is a ValueError
-    that names the file; an unknown key or a bad value, one that names the
-    file and the line."""
-    try:
-        with open(path, 'r', encoding='utf-8') as fh:
-            lines = fh.read().split('\n')
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    values = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith('#'):
-            continue
-        where = f"{path}:{lineno}:"
-        if '=' not in line:
-            raise ValueError(f"{where} expected 'key = value'")
-        key, _, value = (part.strip() for part in line.partition('='))
-        if key not in settings:
-            raise ValueError(f"{where} unknown config key {key!r}")
-        convert = settings[key].type
-        if convert:
-            try:
-                values[key] = convert(value)
-            except ValueError as exc:
-                raise ValueError(f"{where} {key} = {value!r}: {exc}") from exc
-        elif value.lower() in _ON_OFF:
-            values[key] = _ON_OFF[value.lower()]
-        else:
-            raise ValueError(f"{where} {key} = {value!r} is not an on/off "
-                             "value: use 1/true/yes/on or 0/false/no/off")
-    return values
-
-
 def _given_settings(args):
-    """The command's settings given on the command line or in its config
-    file; the library supplies the rest."""
+    """The command's settings given on the command line; the library
+    supplies the rest."""
     return {dest: getattr(args, dest) for dest in args.settings
             if hasattr(args, dest)}
 
@@ -278,7 +233,6 @@ def build_parser():
     p.add_argument('--depth', required=True)
     p.add_argument('--flow', required=True)
     p.add_argument('--intrinsics', required=True)
-    p.add_argument('--config', help='key = value configuration file')
     p.add_argument('--residuals', help='optional residual raster output')
     g = p.add_argument_group('settings (defaults: solver.SolverConfig)',
                              argument_default=argparse.SUPPRESS)
@@ -287,17 +241,16 @@ def build_parser():
                                action='store_false'),
                 g.add_argument('--single-iteration', action='store_true'),
                 g.add_argument('--seed-xi', type=_parse_motion)]
-    p.set_defaults(settings={a.dest: a for a in settings})
+    p.set_defaults(settings=[a.dest for a in settings])
 
     p = sub.add_parser('eval-traj', help='score ATE/RPE of TUM trajectories')
     p.add_argument('--est', required=True)
     p.add_argument('--gt', required=True)
-    p.add_argument('--config', help='key = value configuration file')
     g = p.add_argument_group('settings (defaults: trajectory.evaluate)',
                              argument_default=argparse.SUPPRESS)
     settings = [g.add_argument('--rpe-delta', type=int),
                 g.add_argument('--max-dt', type=float)]
-    p.set_defaults(settings={a.dest: a for a in settings})
+    p.set_defaults(settings=[a.dest for a in settings])
 
     p = sub.add_parser('loss', help='evaluate a loss from raster files')
     # one parser per loss, with only its flags, each in full: an abbreviation
@@ -332,13 +285,6 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parser().parse_args(argv)
-        if getattr(args, 'config', None):
-            # the settings' defaults are SUPPRESS, so args holds a setting
-            # only when a flag gave it, in any form argparse accepts; the
-            # config file fills in the others
-            for dest, value in _read_config(args.config, args.settings).items():
-                if not hasattr(args, dest):
-                    setattr(args, dest, value)
         # looked up at call time, so a replaced cmd_* function is the one run
         return globals()['cmd_' + args.command.replace('-', '_')](args)
     except FlowPoseError as exc:
@@ -347,7 +293,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:   # a command line, config or argument check
+    except ValueError as exc:   # a command line or argument check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit:          # --help printed the usage

@@ -282,6 +282,11 @@ def _outlier_pixels(seed, valid, count):
     return flat_valid[picked[np.argsort(ranks[picked])]]
 
 
+# A huge depth, motion, noise sigma or outlier magnitude overflows some
+# product, and a pixel that sees no surface may divide by zero. render checks
+# the depth and the transform; a flow value beyond float32 fails the scene's
+# write, and an infinite or NaN one is a pixel without a measurement
+@np.errstate(divide='ignore', over='ignore', invalid='ignore')
 def render(spec):
     """Render a scene: depth, flow field with information parameters,
     an analytic image pair and the ground-truth transform."""
@@ -291,10 +296,19 @@ def render(spec):
     b /= K.fy
 
     depth = np.asarray(spec.depth_model(a, b), dtype=float)
-    if not camera.depth_valid_mask(depth).all():
-        raise ValueError("depth model produced nonpositive depth")
+    depth_valid = camera.depth_valid_mask(depth)
+    if not depth_valid.all():
+        bad = depth[~depth_valid]
+        # argmax takes the first NaN, else the largest magnitude
+        worst = bad[np.argmax(np.abs(bad))]
+        raise ValueError("depth model produced a non-finite or nonpositive "
+                         f"depth at {bad.size} of {depth.size} pixels, worst "
+                         f"{worst:.6g}")
 
     T = se3.exp(spec.motion)
+    if not np.isfinite(T).all():
+        raise ValueError("motion vector's translation overflows: exp gives "
+                         + ", ".join(f"{x:.6g}" for x in T[:3, 3]))
     # the image pair first, so that the second view's buffers and the grids
     # are freed before the flow is built
     image_1 = np.asarray(spec.texture_model.intensity(a, b), dtype=float)

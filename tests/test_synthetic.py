@@ -68,16 +68,33 @@ class TestRender:
         with pytest.raises(ValueError):
             synthetic.render(spec)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf, -np.inf,
+                                     -1e308])
     def test_one_invalid_depth_pixel_rejected(self, bad):
+        worst = {"0.0": "0", "-0.0": "-0"}.get(repr(bad), repr(bad))
+
         def depth_model(a, b):
             depth = np.full(a.shape, 2.0)
             depth[3, 5] = bad
             return depth
 
-        with pytest.raises(ValueError,
-                           match="^depth model produced nonpositive depth$"):
+        with pytest.raises(ValueError) as exc:
             synthetic.render(basic_spec(depth_model=depth_model))
+        assert str(exc.value) == (
+            "depth model produced a non-finite or nonpositive depth at 1 of "
+            f"3072 pixels, worst {worst}")
+
+    def test_worst_invalid_depth_is_nan_then_largest(self):
+        def depth_model(a, b):
+            depth = np.full(a.shape, 2.0)
+            depth[0, :4] = [-1.0, -np.inf, np.nan, 0.0]
+            return depth
+
+        with pytest.raises(ValueError) as exc:
+            synthetic.render(basic_spec(depth_model=depth_model))
+        assert str(exc.value) == (
+            "depth model produced a non-finite or nonpositive depth at 4 of "
+            "3072 pixels, worst nan")
 
     @pytest.mark.parametrize("sigma", [-0.5, np.nan, np.inf])
     def test_bad_noise_sigma_rejected(self, sigma):

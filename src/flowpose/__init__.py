@@ -4,20 +4,4 @@ training-style losses, a confidence-weighted IRLS pose solver, trajectory
 evaluation, and a deterministic synthetic-scene oracle.
 """
 
-from . import camera, infomat, losses, rasters, se3, solver, synthetic, trajectory
-from .camera import Intrinsics
-from .errors import (CheiralityError, DegenerateGeometryError, FlowPoseError,
-                     InsufficientDataError, RasterFormatError)
-from .solver import FlowField, SolveResult, SolverConfig, solve
-from .synthetic import SceneSpec, render, write_scene
-from .trajectory import Trajectory, chain, evaluate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "camera", "infomat", "losses", "rasters", "se3", "solver", "synthetic",
-    "trajectory", "Intrinsics", "FlowField", "SolveResult", "SolverConfig",
-    "solve", "SceneSpec", "render", "write_scene", "Trajectory", "chain",
-    "evaluate", "CheiralityError", "DegenerateGeometryError", "FlowPoseError",
-    "InsufficientDataError", "RasterFormatError",
-]

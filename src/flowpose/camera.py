@@ -141,10 +141,11 @@ def warp_image(src, depth, T, K):
     Returns (warped image, validity mask). Pixels failing cheirality or
     sampling out of bounds are invalid; invalid pixels hold 0.
     """
-    uv, mask, _ = _moved_grid(depth, T, K)
-    with np.errstate(over='ignore'):    # an infinite coordinate is outside
+    # a coordinate that overflows to inf, or on to NaN, is outside the raster
+    with np.errstate(over='ignore', invalid='ignore'):
+        uv, mask, _ = _moved_grid(depth, T, K)
         px, py = uv[0] * K.fx + K.cx, uv[1] * K.fy + K.cy
-    values, in_bounds = bilinear_sample(src, px, py)
+        values, in_bounds = bilinear_sample(src, px, py)
     mask &= in_bounds
     values[~mask] = 0.0
     return values, mask

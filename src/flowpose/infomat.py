@@ -88,9 +88,21 @@ def flow_nll_map(residuals, info, valid=None):
             size = "x".join(map(str, np.shape(valid)[::-1]))
             raise InsufficientDataError(f"no valid pixels in the {size} mask")
         residuals, info = residuals[valid], info[valid]
-    nll = flow_nll(residuals[..., 0], residuals[..., 1],
-                   info[..., 0], info[..., 1], info[..., 2])
-    return float(np.mean(nll))
+    # a huge residual times a large confidence overflows a term, or their sum
+    with np.errstate(over='ignore', invalid='ignore'):
+        nll = flow_nll(residuals[..., 0], residuals[..., 1],
+                       info[..., 0], info[..., 1], info[..., 2])
+        value = float(np.mean(nll))
+    if nll.size and not np.isfinite(value):
+        # the first term that is not finite, else the largest
+        i = np.argmax(np.where(np.isfinite(nll), nll, np.inf))
+        rx, ry = residuals.reshape(-1, 2)[i]
+        a, b, g = info.reshape(-1, 3)[i]
+        raise DegenerateGeometryError(
+            f"flow NLL of {nll.size} pixels overflows: term {nll.flat[i]:.6g} "
+            f"at residual ({rx:.6g}, {ry:.6g}) with a_hat {a:.6g}, b_hat "
+            f"{b:.6g}, g_hat {g:.6g}", worst=float(nll.flat[i]))
+    return value
 
 
 def nll_gradients(rx, ry, a_hat, b_hat, g_hat):

@@ -104,7 +104,8 @@ def combined_semisupervised(pred_l, pred_r, gt_l, gt_r, img_l, img_r,
 def pose_photometric(img_1, img_2, depth_1, xi, K):
     """Mean absolute intensity difference between img_1 and img_2 warped by
     exp(xi) through depth_1."""
-    return _warped_difference(img_1, img_2, depth_1, se3.exp(xi), K)
+    with np.errstate(over='ignore'):    # an inf translation warps nothing
+        return _warped_difference(img_1, img_2, depth_1, se3.exp(xi), K)
 
 
 def _warped_difference(img_a, img_b, depth_a, T, K):

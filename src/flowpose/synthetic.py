@@ -296,14 +296,15 @@ def render(spec):
     b /= K.fy
 
     depth = np.asarray(spec.depth_model(a, b), dtype=float)
-    depth_valid = camera.depth_valid_mask(depth)
+    # a point no deeper than the cheirality bound is never in front
+    depth_valid = np.isfinite(depth) & (depth > camera.CHEIRALITY_EPS)
     if not depth_valid.all():
         bad = depth[~depth_valid]
         # argmax takes the first NaN, else the largest magnitude
         worst = bad[np.argmax(np.abs(bad))]
-        raise ValueError("depth model produced a non-finite or nonpositive "
-                         f"depth at {bad.size} of {depth.size} pixels, worst "
-                         f"{worst:.6g}")
+        raise ValueError("depth model produced a depth that is not finite or "
+                         f"not above {camera.CHEIRALITY_EPS:g} at {bad.size} "
+                         f"of {depth.size} pixels, worst {worst:.6g}")
 
     T = se3.exp(spec.motion)
     if not np.isfinite(T).all():

@@ -69,7 +69,8 @@ class TestSynth:
         # flow's products, which printed RuntimeWarnings too, on a 16x12
         # scene; the float32 write then rejects the scene
         out = tmp_path / "s"
-        bad = "error: depth model produced a non-finite or nonpositive depth"
+        bad = ("error: depth model produced a depth that is not finite or "
+               "not above 1e-12")
         for argv, message in [
                 (["--depth", "wavy:1"], "error: unknown depth model 'wavy'"),
                 (["--depth", "plane:0,0,0,2"],
@@ -84,6 +85,11 @@ class TestSynth:
                  f"{bad} at 64 of 64 pixels, worst nan"),
                 (["--depth", "plane:0,0,1,-2"],
                  f"{bad} at 64 of 64 pixels, worst -2"),
+                # positive, but closer than the cheirality bound: it exited
+                # 0 with a depth raster of zeros and an all-NaN flow
+                (["--width", "16", "--height", "12",
+                  "--depth", "constant:1e-300"],
+                 f"{bad} at 192 of 192 pixels, worst 1e-300"),
                 (["--width", "16", "--height", "12",
                   "--depth", "constant:1e308"],
                  f"error: {out / 'depth.engr'}: a finite value overflows "
@@ -825,6 +831,23 @@ class TestLoss:
         assert len(err.splitlines()) == 1
         assert "800" in err and "709.78" in err
 
+    def test_flownll_overflowing_nll_is_degenerate(self, capsys, tmp_path):
+        # a finite float32 flow times a confidence below the exponent bound
+        # overflows the NLL: it printed inf with exit 0, after a
+        # RuntimeWarning
+        flow = np.zeros((12, 16, 5))
+        flow[..., 0] = 3e38
+        flow[..., 2] = flow[..., 4] = 700.0     # a_hat, g_hat
+        paths = {"flow": tmp_path / "flow.engr", "gt": tmp_path / "gt.engr"}
+        rasters.write_raster(paths["flow"], flow)
+        rasters.write_raster(paths["gt"], np.zeros((12, 16, 2)))
+        assert run_strict(capsys, "loss", "flownll",
+                          "--flow", str(paths["flow"]),
+                          "--gt-flow", str(paths["gt"])) == (
+            4, "", "degenerate geometry: flow NLL of 192 pixels overflows: "
+                   "term inf at residual (3e+38, 0) with a_hat 700, b_hat 0, "
+                   "g_hat 700\n")
+
     def test_non_finite_pixel_is_skipped(self, capsys, tmp_path):
         rng = np.random.default_rng(65)
         gt = rng.uniform(1, 3, (12, 16)).astype(np.float32).astype(float)
@@ -1081,6 +1104,22 @@ FAULTS = {
         ["loss", "pose-photometric", "--image-1", "{depth}", "--image-2",
          "{depth}", "--depth", "{depth}", "--intrinsics", "{intrinsics}",
          "--motion=1e308,0,0,0,0,0"], 5,
+        ["insufficient data", "no valid pixels after warping the 64x48 "
+                              "raster"]),
+    # a point moved to depth 0.5 and y 1e308 overflows the perspective
+    # divide: it printed a RuntimeWarning
+    "pose-photometric-projection-overflows": (
+        ["loss", "pose-photometric", "--image-1", "{depth}", "--image-2",
+         "{depth}", "--depth", "{depth}", "--intrinsics", "{intrinsics}",
+         "--motion=0,1e308,-1.5,0,0,0"], 5,
+        ["insufficient data", "no valid pixels after warping the 64x48 "
+                              "raster"]),
+    # exp's translation overflows in a matmul: it printed a RuntimeWarning
+    "pose-photometric-translation-overflows-exp": (
+        ["loss", "pose-photometric", "--image-1", "{depth}", "--image-2",
+         "{depth}", "--depth", "{depth}", "--intrinsics", "{intrinsics}",
+         "--motion=0,1.7976931348623157e308,1.7976931348623157e308,-0.64,"
+         "0.53,0.25"], 5,
         ["insufficient data", "no valid pixels after warping the 64x48 "
                               "raster"]),
     # NaN fails every comparison, so each check is written to reject it
@@ -1517,6 +1556,67 @@ class TestExtremeSynthNumbers:
         else:
             assert err == ""
             shutil.rmtree(out)
+
+
+# Property: loss command lines with extreme numbers. Each raster that the
+# loss reads is the 16x12 scene's, with EXTREME_FLOAT32 values on one pixel
+# or on every pixel of any of its channels, flow and information alike;
+# photometric-lr's --baseline and each --motion component is an
+# EXTREME_FLOATS value or one from its ordinary range.
+@st.composite
+def _loss_argv(draw, scene, directory):
+    """(argv, {path: raster}) of one `flowpose loss` call on `scene`'s
+    rasters, which it writes to `directory`."""
+    images = rasters.read_raster(scene / "images.engr")
+    depth = rasters.read_raster(scene / "depth.engr")
+    flow = rasters.read_raster(scene / "flow.engr")
+    bases = {"pred": depth, "gt": depth, "depth": depth, "flow": flow,
+             "gt-flow": flow, "image-1": images[..., 0],
+             "image-2": images[..., 1]}
+    name = draw(st.sampled_from(sorted(LOSS_FLAGS)))
+    argv, files = ["loss", name], {}
+    for flag in LOSS_FLAGS[name]:
+        if flag in bases:
+            raster = bases[flag].copy()
+            channels = raster.reshape(raster.shape[:2] + (-1,))
+            h, w, c = channels.shape
+            for channel, pixel, value, everywhere in draw(st.lists(
+                    st.tuples(st.integers(0, 4), st.integers(0, 10 ** 4),
+                              EXTREME_FLOAT32, st.booleans()), max_size=4)):
+                target = channels[..., channel % c]
+                if everywhere:
+                    target[...] = value
+                else:
+                    target[divmod(pixel % (h * w), w)] = value
+            value = directory / f"loss-{flag}.engr"
+            files[value] = raster
+        elif flag == "intrinsics":
+            value = scene / "intrinsics.txt"
+        else:
+            low = 0 if flag == "baseline" else -1
+            value = ",".join(
+                repr(draw(st.one_of(EXTREME_FLOATS, st.floats(low, 1))))
+                for _ in range(6 if flag == "motion" else 1))
+        argv.append(f"--{flag}={value}")
+    return argv, files
+
+
+class TestExtremeLossNumbers:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_documented_exit_code_and_finite_output(self, capsys, fuzz_scene,
+                                                    data):
+        argv, files = data.draw(_loss_argv(fuzz_scene / "scene", fuzz_scene))
+        for path, raster in files.items():
+            rasters.write_raster(path, raster)
+        code, out, err = run_strict(capsys, *argv)
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""
+            assert np.isfinite(float(out)), out
 
 
 def _libc_has_mallopt():

@@ -1,14 +1,16 @@
 """Every name a flowpose module imports is used in that module, every
 top-level function and class has a caller, and every setting is read.
 
-`__init__.py` is left out of the import check: it imports names to
-re-export them.
+The package re-exports nothing: `import flowpose` loads no submodule, and
+each module loads only the modules it calls.
 """
 
 import ast
 import dataclasses
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,8 +18,28 @@ import flowpose
 from flowpose import cli, solver, trajectory
 
 PACKAGE = os.path.dirname(os.path.abspath(flowpose.__file__))
-MODULES = sorted(name for name in os.listdir(PACKAGE)
-                 if name.endswith('.py') and name != '__init__.py')
+MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith('.py'))
+
+
+def loaded_submodules(statement):
+    """The flowpose submodules loaded in a fresh interpreter after it runs
+    statement."""
+    env = dict(os.environ)
+    env['PYTHONPATH'] = os.pathsep.join(
+        [os.path.dirname(PACKAGE)] + [p for p in [env.get('PYTHONPATH')] if p])
+    probe = (f"{statement}\nimport sys\nprint(*sorted(name.split('.')[1] "
+             "for name in sys.modules if name.startswith('flowpose.')))")
+    done = subprocess.run([sys.executable, '-c', probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize('statement,loaded', [
+    ('import flowpose', []),
+    ('import flowpose.trajectory',
+     ['camera', 'errors', 'rasters', 'se3', 'trajectory'])])
+def test_import_loads_only_what_it_calls(statement, loaded):
+    assert loaded_submodules(statement) == loaded
 
 
 def unused_imports(source):

@@ -81,8 +81,8 @@ class TestRender:
         with pytest.raises(ValueError) as exc:
             synthetic.render(basic_spec(depth_model=depth_model))
         assert str(exc.value) == (
-            "depth model produced a non-finite or nonpositive depth at 1 of "
-            f"3072 pixels, worst {worst}")
+            "depth model produced a depth that is not finite or not above "
+            f"1e-12 at 1 of 3072 pixels, worst {worst}")
 
     def test_worst_invalid_depth_is_nan_then_largest(self):
         def depth_model(a, b):
@@ -93,8 +93,8 @@ class TestRender:
         with pytest.raises(ValueError) as exc:
             synthetic.render(basic_spec(depth_model=depth_model))
         assert str(exc.value) == (
-            "depth model produced a non-finite or nonpositive depth at 4 of "
-            "3072 pixels, worst nan")
+            "depth model produced a depth that is not finite or not above "
+            "1e-12 at 4 of 3072 pixels, worst nan")
 
     @pytest.mark.parametrize("sigma", [-0.5, np.nan, np.inf])
     def test_bad_noise_sigma_rejected(self, sigma):

@@ -34,9 +34,12 @@ class Intrinsics:
 
     def __post_init__(self):
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
-            raise ValueError("focal lengths must be positive and finite")
+            raise ValueError("focal lengths must be positive and finite, "
+                             f"got fx {self.fx:g}, fy {self.fy:g}")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the raster")
+            raise ValueError(
+                f"principal point must lie inside the {self.width}x"
+                f"{self.height} raster, got cx {self.cx:g}, cy {self.cy:g}")
 
 
 def depth_valid_mask(depth):

@@ -65,14 +65,34 @@ def log_det(a_hat, b_hat, g_hat):
     return a_hat + g_hat + 2.0 * (np.log(2.0) - ab - np.log1p(np.exp(-2.0 * ab)))
 
 
+def _overflow_error(name, terms, rx, ry, a_hat, b_hat, g_hat):
+    """The DegenerateGeometryError of per-pixel terms that overflow, naming
+    the first term that is not finite, else the largest, and its pixel's
+    residual and raw parameters; the inputs broadcast to the terms' shape."""
+    i = np.argmax(np.where(np.isfinite(terms), terms, np.inf))
+    rx, ry, a, b, g = (np.broadcast_to(x, terms.shape).flat[i]
+                       for x in (rx, ry, a_hat, b_hat, g_hat))
+    term = terms.flat[i]
+    return DegenerateGeometryError(
+        f"{name} of {terms.size} pixel{'s' * (terms.size != 1)} overflows: "
+        f"term {term:.6g} at residual ({rx:.6g}, {ry:.6g}) with a_hat "
+        f"{a:.6g}, b_hat {b:.6g}, g_hat {g:.6g}", worst=float(term))
+
+
 def flow_nll(rx, ry, a_hat, b_hat, g_hat):
-    """Per-sample negative log-likelihood 0.5 * (r^T I r - log det I)."""
+    """Per-sample negative log-likelihood 0.5 * (r^T I r - log det I).
+    Raises DegenerateGeometryError where a sample's value overflows."""
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     _check_finite(rx, ry)
     c_x, c_y, c_xy = build(a_hat, b_hat, g_hat)
-    quad = c_x * rx * rx + 2.0 * c_xy * rx * ry + c_y * ry * ry
-    return 0.5 * (quad - log_det(a_hat, b_hat, g_hat))
+    # a huge residual times a large confidence overflows a term, or their sum
+    with np.errstate(over='ignore', invalid='ignore'):
+        quad = c_x * rx * rx + 2.0 * c_xy * rx * ry + c_y * ry * ry
+        nll = 0.5 * (quad - log_det(a_hat, b_hat, g_hat))
+    if not np.isfinite(nll).all():
+        raise _overflow_error("flow NLL", nll, rx, ry, a_hat, b_hat, g_hat)
+    return nll
 
 
 def flow_nll_map(residuals, info, valid=None):
@@ -88,20 +108,13 @@ def flow_nll_map(residuals, info, valid=None):
             size = "x".join(map(str, np.shape(valid)[::-1]))
             raise InsufficientDataError(f"no valid pixels in the {size} mask")
         residuals, info = residuals[valid], info[valid]
-    # a huge residual times a large confidence overflows a term, or their sum
-    with np.errstate(over='ignore', invalid='ignore'):
-        nll = flow_nll(residuals[..., 0], residuals[..., 1],
-                       info[..., 0], info[..., 1], info[..., 2])
+    samples = (residuals[..., 0], residuals[..., 1],
+               info[..., 0], info[..., 1], info[..., 2])
+    nll = flow_nll(*samples)
+    with np.errstate(over='ignore'):    # the sum of huge finite terms
         value = float(np.mean(nll))
     if nll.size and not np.isfinite(value):
-        # the first term that is not finite, else the largest
-        i = np.argmax(np.where(np.isfinite(nll), nll, np.inf))
-        rx, ry = residuals.reshape(-1, 2)[i]
-        a, b, g = info.reshape(-1, 3)[i]
-        raise DegenerateGeometryError(
-            f"flow NLL of {nll.size} pixels overflows: term {nll.flat[i]:.6g} "
-            f"at residual ({rx:.6g}, {ry:.6g}) with a_hat {a:.6g}, b_hat "
-            f"{b:.6g}, g_hat {g:.6g}", worst=float(nll.flat[i]))
+        raise _overflow_error("flow NLL", nll, *samples)
     return value
 
 
@@ -109,7 +122,7 @@ def nll_gradients(rx, ry, a_hat, b_hat, g_hat):
     """Analytic gradient of flow_nll.
 
     Returns (dL/drx, dL/dry, dL/da_hat, dL/db_hat, dL/dg_hat), broadcast
-    over the inputs.
+    over the inputs. Raises DegenerateGeometryError where one overflows.
     """
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
@@ -118,14 +131,20 @@ def nll_gradients(rx, ry, a_hat, b_hat, g_hat):
     th = np.tanh(np.asarray(b_hat, dtype=float))
     sech2 = 1.0 - th * th
     s = np.exp((np.asarray(a_hat, dtype=float) + np.asarray(g_hat, dtype=float)) / 2.0)
-    d_rx = c_x * rx + c_xy * ry
-    d_ry = c_y * ry + c_xy * rx
-    # d c_xy / d a_hat = c_xy / 2 (same for g_hat); d logdet / d a_hat = 1
-    d_a = 0.5 * (c_x * rx * rx + c_xy * rx * ry - 1.0)
-    d_g = 0.5 * (c_y * ry * ry + c_xy * rx * ry - 1.0)
-    # d c_xy / d b_hat = s * sech^2; d logdet / d b_hat = -2 tanh
-    d_b = rx * ry * s * sech2 + th
-    return d_rx, d_ry, d_a, d_b, d_g
+    with np.errstate(over='ignore', invalid='ignore'):  # checked below
+        d_rx = c_x * rx + c_xy * ry
+        d_ry = c_y * ry + c_xy * rx
+        # d c_xy / d a_hat = c_xy / 2 (same for g_hat); d logdet / d a_hat = 1
+        d_a = 0.5 * (c_x * rx * rx + c_xy * rx * ry - 1.0)
+        d_g = 0.5 * (c_y * ry * ry + c_xy * rx * ry - 1.0)
+        # d c_xy / d b_hat = s * sech^2; d logdet / d b_hat = -2 tanh
+        d_b = rx * ry * s * sech2 + th
+    gradients = d_rx, d_ry, d_a, d_b, d_g
+    for name, d in zip(("rx", "ry", "a_hat", "b_hat", "g_hat"), gradients):
+        if not np.isfinite(d).all():
+            raise _overflow_error(f"flow NLL gradient dL/d{name}", d,
+                                  rx, ry, a_hat, b_hat, g_hat)
+    return gradients
 
 
 def confidences(exponents, out=None):

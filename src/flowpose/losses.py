@@ -29,10 +29,11 @@ class LossWeights:
                              "%g, lambda2 %g, lambda3 %g" % weights)
 
 
-def berhu(pred, gt, valid=None):
+def berhu(pred, gt):
     """Reverse Huber loss: L1 below the cutoff c, quadratic above it.
 
-    c = (1/5) * max |pred - gt| over valid pixels; the quadratic branch
+    A pixel counts where gt is a valid depth and pred is finite.
+    c = (1/5) * max |pred - gt| over those pixels; the quadratic branch
     (d^2 + c^2) / (2c) meets the linear branch at |d| = c exactly.
     """
     pred = np.asarray(pred, dtype=float)
@@ -41,9 +42,7 @@ def berhu(pred, gt, valid=None):
     if pred.shape != gt.shape:
         raise RasterFormatError(f"pred raster has shape {pred.shape} but "
                                 f"gt raster has shape {gt.shape}")
-    if valid is None:
-        valid = depth_valid_mask(gt)
-    valid = valid & np.isfinite(pred) & np.isfinite(gt)
+    valid = depth_valid_mask(gt) & np.isfinite(pred)
     if not np.any(valid):
         h, w = gt.shape[:2]
         raise InsufficientDataError(f"empty validity mask over the {w}x{h} "

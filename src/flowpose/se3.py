@@ -33,6 +33,13 @@ _SERIES_ANGLE = 1.0
 MAX_ANGLE = 1e100
 _ANGLE_ERROR = f"motion vector's rotation angle exceeds {MAX_ANGLE:g}"
 
+
+def _nonfinite_error(values):
+    """The ValueError of a motion vector with a non-finite component."""
+    return ValueError("motion vector must be finite, got ("
+                      + ", ".join(f"{v:g}" for v in values) + ")")
+
+
 # exp()'s bounds on the magnitude of each motion component: finite for the
 # translation, MAX_ANGLE for the rotation, whose square then cannot
 # overflow the angle
@@ -113,7 +120,7 @@ def _exp_twist(xi):
     """exp of one (6,) motion vector; see exp."""
     values = xi.tolist()
     if not all(map(math.isfinite, values)):
-        raise ValueError("motion vector must be finite")
+        raise _nonfinite_error(values)
     _, _, _, w0, w1, w2 = values
     if not (abs(w0) <= MAX_ANGLE and abs(w1) <= MAX_ANGLE
             and abs(w2) <= MAX_ANGLE):
@@ -154,8 +161,10 @@ def exp(xi):
     if xi.ndim != 2 or xi.shape[1] != 6:
         raise ValueError("motion vector must have 6 components")
     if not (np.abs(xi) <= _COMPONENT_BOUNDS).all():
-        if not np.isfinite(xi).all():
-            raise ValueError("motion vector must be finite")
+        finite = np.isfinite(xi).all(axis=1)
+        if not finite.all():
+            # the first row with a non-finite component
+            raise _nonfinite_error(xi[np.argmin(finite)].tolist())
         raise ValueError(_ANGLE_ERROR)
     v, w = xi[:, :3], xi[:, 3:]
     theta = row_norms(w)

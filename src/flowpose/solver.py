@@ -105,32 +105,26 @@ class FlowField:
     """Dense flow plus raw information parameters.
 
     flow: (H, W, 2) in pixel units; info: (H, W, 3) raw (a_hat, b_hat,
-    g_hat); valid: (H, W) bool.
+    g_hat); valid: (H, W) bool, True where all five channels are finite.
+    NaN flow marks a pixel that holds no measurement.
     """
     flow: np.ndarray
     info: np.ndarray
-    valid: np.ndarray = None
+    valid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.flow = np.asarray(self.flow, dtype=float)
         self.info = np.asarray(self.info, dtype=float)
         size = self.flow.shape[:2]
-        valid_shape = None if self.valid is None else np.shape(self.valid)
-        if (self.flow.shape != size + (2,) or self.info.shape != size + (3,)
-                or valid_shape not in (None, size)):
-            raise ValueError("flow, info and valid must be (H, W, 2), "
-                             f"(H, W, 3) and (H, W), got {self.flow.shape}, "
-                             f"{self.info.shape} and {valid_shape}")
+        if self.flow.shape != size + (2,) or self.info.shape != size + (3,):
+            raise ValueError("flow and info must be (H, W, 2) and (H, W, 3), "
+                             f"got {self.flow.shape} and {self.info.shape}")
         # one elementwise pass per channel: np.all over the short channel
         # axis is several times slower
-        finite = np.ones(size, dtype=bool)
+        self.valid = np.ones(size, dtype=bool)
         for raster in (self.flow, self.info):
             for c in range(raster.shape[-1]):
-                finite &= np.isfinite(raster[..., c])
-        if self.valid is None:
-            self.valid = finite
-        else:
-            self.valid = np.asarray(self.valid, dtype=bool) & finite
+                self.valid &= np.isfinite(raster[..., c])
 
     @classmethod
     def from_raster(cls, data):
@@ -157,7 +151,8 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(
+                f"max_iterations must be >= 1, got {self.max_iterations}")
         self.seed_xi = np.asarray(self.seed_xi, dtype=float)
 
 

@@ -173,11 +173,14 @@ class SceneSpec:
         if self.intrinsics is None:
             self.intrinsics = default_intrinsics(self.width, self.height)
         if not (0.0 <= self.outlier_fraction < 1.0):
-            raise ValueError("outlier_fraction must be in [0, 1)")
+            raise ValueError("outlier_fraction must be in [0, 1), got "
+                             f"{self.outlier_fraction:g}")
         if not np.isfinite(self.outlier_magnitude):
-            raise ValueError("outlier_magnitude must be finite")
+            raise ValueError("outlier_magnitude must be finite, got "
+                             f"{self.outlier_magnitude:g}")
         if not (0.0 <= self.noise_sigma < np.inf):
-            raise ValueError("noise_sigma must be finite and >= 0")
+            raise ValueError("noise_sigma must be finite and >= 0, got "
+                             f"{self.noise_sigma:g}")
 
 
 @dataclass

@@ -26,13 +26,20 @@ class Trajectory:
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         self.poses = np.asarray(self.poses, dtype=float)
         if len(self.timestamps) != len(self.poses):
-            raise ValueError("timestamp/pose count mismatch")
+            raise ValueError("timestamp/pose count mismatch: "
+                             f"{len(self.timestamps)} timestamps, "
+                             f"{len(self.poses)} poses")
         if not np.all(np.isfinite(self.timestamps)):
             raise ValueError("timestamps must be finite")
         # compared, not subtracted: the difference of huge timestamps
         # would overflow
-        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):
-            raise ValueError("timestamps must be strictly increasing")
+        out_of_order = self.timestamps[1:] <= self.timestamps[:-1]
+        if out_of_order.any():
+            i = int(np.argmax(out_of_order))
+            before, after = self.timestamps[i:i + 2].tolist()
+            raise ValueError(
+                f"timestamps must be strictly increasing: sample {i + 1} at "
+                f"{after!r} does not follow sample {i} at {before!r}")
 
     def __len__(self):
         return len(self.timestamps)
@@ -119,7 +126,7 @@ def associate(est, gt, max_dt=0.02):
     2 matches are found.
     """
     if not (max_dt > 0):
-        raise ValueError("max_dt must be positive")
+        raise ValueError(f"max_dt must be positive, got {max_dt:g}")
     te, tg = est.timestamps, gt.timestamps
     # The window is wider than max_dt by 1e-9 of it plus 4 ulps of the
     # largest timestamp, more than the rounding of its bounds and of
@@ -247,7 +254,7 @@ def rpe(est, gt, pairs, delta=1):
     Returns (translational RMSE in metres, rotational RMSE in degrees).
     """
     if delta < 1:
-        raise ValueError("delta must be >= 1")
+        raise ValueError(f"delta must be >= 1, got {delta}")
     ie, ig = _indices(pairs)
     if len(ie) <= delta:
         raise InsufficientDataError(

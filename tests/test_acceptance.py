@@ -25,8 +25,9 @@ K64 = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
 
 def exact_flow_field(depth, xi, K):
     flow, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
+    flow[~mask] = np.nan
     return FlowField(flow=camera.flow_normalised_to_pixels(flow, K),
-                     info=np.zeros(depth.shape + (3,)), valid=mask)
+                     info=np.zeros(depth.shape + (3,)))
 
 
 def test_01_jacobian_matches_finite_differences():

@@ -23,12 +23,16 @@ def K():
 
 class TestIntrinsics:
     def test_rejects_bad_focal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             Intrinsics(fx=-1, fy=1, cx=1, cy=1, width=4, height=4)
+        assert str(exc.value) == (
+            "focal lengths must be positive and finite, got fx -1, fy 1")
 
     def test_rejects_principal_point_outside(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             Intrinsics(fx=1, fy=1, cx=10, cy=1, width=4, height=4)
+        assert str(exc.value) == ("principal point must lie inside the 4x4 "
+                                  "raster, got cx 10, cy 1")
 
 
 class TestProjectBackproject:

@@ -111,7 +111,7 @@ class TestSynth:
         code, stdout, err = run(capsys, *SYNTH_ARGS, "--noise-sigma", sigma,
                                 "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert err == "error: noise_sigma must be finite and >= 0\n"
+        assert err == f"error: noise_sigma must be finite and >= 0, got {sigma}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
@@ -123,7 +123,7 @@ class TestSynth:
                                 "0.1", f"--outlier-magnitude={magnitude}",
                                 "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert err == "error: outlier_magnitude must be finite\n"
+        assert err == f"error: outlier_magnitude must be finite, got {magnitude}\n"
         assert not out.exists()
 
     # the checker texture is gone: these periods wrote uniform images with
@@ -855,7 +855,7 @@ class TestLoss:
         pred = pred.astype(float)
         valid = np.ones(gt.shape, dtype=bool)
         valid[4, 5] = False
-        want = {"berhu": losses.berhu(pred, gt, valid),
+        want = {"berhu": losses.berhu(np.where(valid, pred, np.nan), gt),
                 "smoothness": losses.smoothness(np.where(valid, pred, np.nan))}
         pred[4, 5] = np.nan
         paths = {"pred": tmp_path / "pred.engr", "gt": tmp_path / "gt.engr"}
@@ -1031,10 +1031,18 @@ SYNTH = ["synth", "--width", "64", "--height", "48", "--depth", "constant:2.0",
          "--motion", "0.05,0,0,0,0,0", "--out", "{out}"]
 EVAL = ["eval-traj", "--gt", "{tum_good}", "--est"]
 
+
+def synth_with(flag, value):
+    """SYNTH with the value of one of its flags replaced."""
+    argv = list(SYNTH)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
 # (argv with {file} placeholders, exit code, words the one stderr line holds)
 FAULTS = {
     "intrinsics-fx-zero": (SOLVE + ["--intrinsics", "{fx_zero}"], 3,
-                           ["format error", "fx_zero.txt", "focal"]),
+                           ["format error", "fx_zero.txt", "focal",
+                            "got fx 0, fy 100"]),
     "intrinsics-fx-nan": (SOLVE + ["--intrinsics", "{fx_nan}"], 3,
                           ["format error", "fx_nan.txt", "finite"]),
     # u = (x - cx) / fx overflows the Jacobian and the residuals
@@ -1047,17 +1055,21 @@ FAULTS = {
         ["degenerate geometry", "not finite"]),
     "intrinsics-pp-outside-solve": (
         SOLVE + ["--intrinsics", "{pp_outside}"], 3,
-        ["format error", "pp_outside.txt", "principal point"]),
+        ["format error", "pp_outside.txt", "principal point",
+         "64x48 raster, got cx 70, cy 24"]),
     "intrinsics-pp-outside-synth": (
         SYNTH + ["--intrinsics", "{pp_outside}"], 3,
-        ["format error", "pp_outside.txt", "principal point"]),
+        ["format error", "pp_outside.txt", "principal point",
+         "64x48 raster, got cx 70, cy 24"]),
     "intrinsics-not-utf8": (SOLVE + ["--intrinsics", "{intrinsics_latin1}"],
                             3, ["format error", "utf-8"]),
     "tum-not-utf8": (EVAL + ["{tum_latin1}"], 3, ["format error", "utf-8"]),
     "tum-decreasing": (EVAL + ["{tum_decreasing}"], 3,
-                       ["format error", "tum_decreasing.txt", "increasing"]),
+                       ["format error", "tum_decreasing.txt", "increasing",
+                        "sample 1 at 0.5 does not follow sample 0 at 1.0"]),
     "tum-duplicate": (EVAL + ["{tum_duplicate}"], 3,
-                      ["format error", "tum_duplicate.txt", "increasing"]),
+                      ["format error", "tum_duplicate.txt", "increasing",
+                       "sample 1 at 1.0 does not follow sample 0 at 1.0"]),
     # the centroid of the positions overflows; the SVD used to raise
     # LinAlgError, reported as a usage error
     "tum-positions-overflow": (EVAL + ["{tum_huge}"], 4,
@@ -1124,7 +1136,32 @@ FAULTS = {
                               "raster"]),
     # NaN fails every comparison, so each check is written to reject it
     "max-dt-nan": (EVAL + ["{tum_good}", "--max-dt", "nan"], 2,
-                   ["error", "max_dt must be positive"]),
+                   ["error", "max_dt must be positive", "got nan"]),
+    "max-dt-negative": (EVAL + ["{tum_good}", "--max-dt", "-1"], 2,
+                        ["error", "max_dt must be positive, got -1"]),
+    "rpe-delta-zero": (EVAL + ["{tum_good}", "--rpe-delta", "0"], 2,
+                       ["error", "delta must be >= 1, got 0"]),
+    "max-iterations-zero": (SOLVE + ["--intrinsics", "{intrinsics}",
+                                     "--max-iterations", "0"], 2,
+                            ["error", "max_iterations must be >= 1, got 0"]),
+    "outlier-fraction-above-one": (
+        SYNTH + ["--outlier-fraction", "1.5"], 2,
+        ["error", "outlier_fraction must be in [0, 1), got 1.5"]),
+    "motion-nan": (synth_with("--motion", "nan,0,0,0,0,0"), 2,
+                   ["error", "motion vector must be finite, "
+                             "got (nan, 0, 0, 0, 0, 0)"]),
+    # a depth or texture model whose numbers do not parse
+    "depth-constant-not-a-number": (
+        synth_with("--depth", "constant:abc"), 2,
+        ["error", "bad depth model 'constant:abc'"]),
+    "depth-plane-two-numbers": (
+        synth_with("--depth", "plane:1,2"), 2,
+        ["error", "bad depth model 'plane:1,2'"]),
+    "depth-smooth-seed-not-int": (
+        synth_with("--depth", "smooth:x,1"), 2,
+        ["error", "bad depth model 'smooth:x,1'"]),
+    "texture-seed-not-int": (SYNTH + ["--texture", "smooth:x"], 2,
+                             ["error", "bad texture model 'smooth:x'"]),
     # the tolerance and the pixel floor are no settings any more: an infinite
     # tolerance reported convergence after one step, and a floor of 2 let 3
     # pixels give a pose 0.35 off, both with exit 0

@@ -131,6 +131,22 @@ class TestNonfiniteResidual:
             residuals, np.zeros((4, 4, 3)), valid) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("function, name", [
+    (infomat.flow_nll, "flow NLL"),
+    (infomat.nll_gradients, "flow NLL gradient dL/drx"),
+], ids=["flow_nll", "nll_gradients"])
+def test_overflow_is_degenerate(function, name):
+    # a finite residual times a confidence below the exponent bound: it
+    # warned and returned inf
+    with pytest.raises(DegenerateGeometryError) as info:
+        function(3e38, 0.0, 700.0, 0.0, 700.0)
+    assert str(info.value) == (
+        f"{name} of 1 pixel overflows: term inf at residual (3e+38, 0) "
+        "with a_hat 700, b_hat 0, g_hat 700")
+    assert info.value.worst == np.inf
+
+
 def fd_gradients(rx, ry, a, b, g, h=1e-6):
     vals = []
     for k in range(5):

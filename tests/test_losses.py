@@ -54,13 +54,18 @@ class TestBerhu:
         rng = np.random.default_rng(15)
         gt = rng.uniform(1, 3, (5, 6))
         pred = gt + rng.normal(0, 0.1, gt.shape)
-        keep = np.ones(gt.shape, dtype=bool)
-        keep[2, 3] = False
-        expected = losses.berhu(pred, gt, keep)
+        # the same pixel left out by a ground truth that is not a depth
+        gt_without = gt.copy()
+        gt_without[2, 3] = 0.0
+        expected = losses.berhu(pred, gt_without)
         pred[2, 3] = bad
         assert losses.berhu(pred, gt) == expected
-        # an explicit mask does not bring the pixel back
-        assert losses.berhu(pred, gt, np.ones(gt.shape, dtype=bool)) == expected
+
+    def test_validity_is_not_an_argument(self):
+        # a pixel counts by its values alone; there is no mask
+        d = np.ones((3, 3))
+        with pytest.raises(TypeError):
+            losses.berhu(d, d, np.ones((3, 3), dtype=bool))
 
     def test_all_predictions_non_finite_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -229,6 +234,17 @@ class TestCombined:
 
 
 class TestPosePhotometric:
+    def test_channels_are_averaged(self):
+        # a multi-channel image's loss is the mean of its channels' losses
+        K = Intrinsics(fx=20.0, fy=20.0, cx=8.0, cy=6.0, width=16, height=12)
+        rng = np.random.default_rng(19)
+        img_1, img_2 = rng.uniform(0, 1, (2, 12, 16, 2))
+        depth = rng.uniform(1.5, 2.5, (12, 16))
+        xi = [0.02, -0.01, 0.03, 0.01, -0.02, 0.01]
+        per_channel = [losses.pose_photometric(img_1[..., c], img_2[..., c],
+                                               depth, xi, K) for c in (0, 1)]
+        both = losses.pose_photometric(img_1, img_2, depth, xi, K)
+        assert abs(both - np.mean(per_channel)) < 1e-15
     def test_zero_motion_identical_images(self, K):
         rng = np.random.default_rng(16)
         img = rng.uniform(0, 1, (K.height, K.width))

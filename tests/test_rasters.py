@@ -57,6 +57,11 @@ class TestRasterRoundtrip:
         with pytest.raises(ValueError, match="^j.engr: a finite value"):
             rasters.encode_raster("j.engr", flow, depth)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 1)])
+    def test_other_dimensions_rejected(self, shape):
+        with pytest.raises(ValueError, match="^raster must be 2-D or 3-D$"):
+            rasters.encode_raster("r.engr", np.zeros(shape))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.engr"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

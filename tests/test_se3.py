@@ -105,10 +105,21 @@ class TestExp:
                                                   [np.nan, np.inf, -np.inf]):
             one = np.array([0.1, -0.2, 0.3, 0.01, 0.02, -0.03])
             one[component] = value
+            message = ("motion vector must be finite, got ("
+                       + ", ".join(f"{v:g}" for v in one) + ")")
             for xi in (one, one[None], one.tolist()):
-                with pytest.raises(ValueError,
-                                   match="^motion vector must be finite$"):
+                with pytest.raises(ValueError) as exc:
                     se3.exp(xi)
+                assert str(exc.value) == message
+
+    def test_nonfinite_stack_names_its_first_bad_row(self):
+        xi = np.zeros((4, 6))
+        xi[1, 2] = np.inf
+        xi[3, 0] = np.nan
+        with pytest.raises(ValueError) as exc:
+            se3.exp(xi)
+        assert str(exc.value) == (
+            "motion vector must be finite, got (0, 0, inf, 0, 0, 0)")
 
     def test_stack_matches_rows(self):
         # both branches of the coefficients, zero and pure-translation rows
@@ -167,6 +178,16 @@ class TestExp:
         for _ in range(500):
             xi = rng.uniform(-1, 1, 6) * 2
             assert se3.is_rigid(se3.exp(xi))
+
+    def test_reflection_and_scaled_rotation_are_not_rigid(self):
+        T = se3.exp([0.1, -0.2, 0.3, 0.2, -0.1, 0.3])
+        reflected = T.copy()
+        reflected[:3, 0] *= -1.0    # orthonormal, det -1
+        scaled = T.copy()
+        scaled[:3, :3] *= 1.01      # det 1.01^3, R^T R = 1.0201 I
+        assert se3.is_rigid(T)
+        assert not se3.is_rigid(reflected)
+        assert not se3.is_rigid(scaled)
 
 
 def decimal_coefficients(t, digits=70):

@@ -19,12 +19,12 @@ def K():
 def exact_flow_field(depth, xi, K):
     flow, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
     pix = camera.flow_normalised_to_pixels(flow, K)
-    return FlowField(flow=pix, info=np.zeros(depth.shape + (3,)), valid=mask)
+    pix[~mask] = np.nan
+    return FlowField(flow=pix, info=np.zeros(depth.shape + (3,)))
 
 
 class TestFlowField:
-    @pytest.mark.parametrize("explicit_valid", [False, True])
-    def test_valid_mask_matches_channel_reduction(self, explicit_valid):
+    def test_valid_mask_matches_channel_reduction(self):
         rng = np.random.default_rng(34)
         flow = rng.normal(size=(12, 16, 2))
         info = rng.normal(size=(12, 16, 3))
@@ -32,34 +32,33 @@ class TestFlowField:
             for c in range(raster.shape[-1]):
                 for bad in (np.nan, np.inf, -np.inf):
                     raster[rng.integers(12), rng.integers(16), c] = bad
-        valid = rng.random((12, 16)) < 0.8 if explicit_valid else None
-        ff = FlowField(flow=flow, info=info, valid=valid)
+        ff = FlowField(flow=flow, info=info)
         want = np.all(np.isfinite(flow), axis=-1) \
             & np.all(np.isfinite(info), axis=-1)
-        if explicit_valid:
-            want &= valid
         assert ff.valid.dtype == bool
         assert np.array_equal(ff.valid, want)
         assert 0 < want.sum() < want.size - 9
 
-    @pytest.mark.parametrize("flow_shape, info_shape, valid_shape", [
-        ((12, 16), (12, 16, 3), None),
-        ((12, 16, 1), (12, 16, 3), None),
-        ((12, 16, 3), (12, 16, 3), None),
-        ((12, 16, 2), (12, 16, 2), None),
-        ((12, 16, 2), (12, 16, 5), None),
-        ((12, 16, 2), (12, 16, 3), (16,)),
-    ], ids=["flow-2d", "flow-1ch", "flow-3ch", "info-2ch", "info-5ch",
-            "valid-1d"])
-    def test_rejects_other_shapes(self, flow_shape, info_shape, valid_shape):
-        valid = None if valid_shape is None else np.ones(valid_shape, bool)
+    @pytest.mark.parametrize("flow_shape, info_shape", [
+        ((12, 16), (12, 16, 3)),
+        ((12, 16, 1), (12, 16, 3)),
+        ((12, 16, 3), (12, 16, 3)),
+        ((12, 16, 2), (12, 16, 2)),
+        ((12, 16, 2), (12, 16, 5)),
+    ], ids=["flow-2d", "flow-1ch", "flow-3ch", "info-2ch", "info-5ch"])
+    def test_rejects_other_shapes(self, flow_shape, info_shape):
         with pytest.raises(ValueError) as exc:
-            FlowField(flow=np.zeros(flow_shape), info=np.zeros(info_shape),
-                      valid=valid)
+            FlowField(flow=np.zeros(flow_shape), info=np.zeros(info_shape))
         message = str(exc.value)
         assert "\n" not in message
-        for shape in (flow_shape, info_shape, valid_shape):
+        for shape in (flow_shape, info_shape):
             assert f"{shape}" in message
+
+    def test_validity_is_not_an_argument(self):
+        # a pixel without a measurement holds NaN flow; there is no mask
+        with pytest.raises(TypeError):
+            FlowField(flow=np.zeros((12, 16, 2)), info=np.zeros((12, 16, 3)),
+                      valid=np.ones((12, 16), bool))
 
     def test_three_channel_flow_cannot_reach_solve(self, K):
         # the solver used to read the third channel's column as flow and
@@ -534,7 +533,9 @@ class TestDroppedPixels:
         assert r.flags.c_contiguous
         beta, report, terms = solver.gauss_newton_step(problem, xi)
         assert B < report.valid_count < len(problem.index)
-        kept = FlowField(flow=ff.flow, info=ff.info, valid=~near)
+        flow = ff.flow.copy()
+        flow[near] = np.nan
+        kept = FlowField(flow=flow, info=ff.info)
         ref_beta, ref_report, ref_terms = solver.gauss_newton_step(
             solver.prepare(depth, kept, K, config), xi)
         assert report == ref_report
@@ -656,11 +657,11 @@ class TestPrepareMatchesParent:
         data = np.concatenate([scene.flow_field.flow,
                                rng.uniform(-5.0, 5.0, depth.shape + (3,))],
                               axis=-1)
+        data[rng.random(depth.shape) < 0.1, :2] = np.nan
         if layout == "separate":
             ff = FlowField(flow=data[..., :2].copy(), info=data[..., 2:].copy())
         else:
             ff = FlowField(flow=data[..., :2], info=data[..., 2:])
-        ff.valid[rng.random(depth.shape) < 0.1] = False
         config = SolverConfig(use_confidence=use_confidence)
         problem = solver.prepare(depth, ff, K, config)
         with np.errstate(over='ignore'):    # as in the parent's prepare
@@ -726,8 +727,7 @@ class TestSolve:
         scaled_info = scene.flow_field.info.copy()
         scaled_info[..., 0] += np.log(7.0)
         scaled_info[..., 2] += np.log(7.0)
-        ff2 = FlowField(flow=scene.flow_field.flow, info=scaled_info,
-                        valid=scene.flow_field.valid)
+        ff2 = FlowField(flow=scene.flow_field.flow, info=scaled_info)
         scaled, _, _ = solver.gauss_newton_step(
             solver.prepare(scene.depth, ff2, K, config), np.zeros(6))
         assert np.max(np.abs(base - scaled)) < 1e-12
@@ -1128,7 +1128,7 @@ class TestNewtonMatrix:
         # confidences that differ per pixel and per component
         info = ff.info + np.random.default_rng(43).uniform(
             -1.0, 1.0, ff.info.shape)
-        ff = FlowField(flow=ff.flow, info=info, valid=ff.valid)
+        ff = FlowField(flow=ff.flow, info=info)
         config = SolverConfig(use_confidence=use_confidence)
         problem = solver.prepare(scene.depth, ff, spec.intrinsics, config)
         xi = spec.motion + np.random.default_rng(44).normal(size=6) * 2e-3
@@ -1268,10 +1268,9 @@ def first_valid(scene, n):
     """The scene's flow field cut to its first n valid pixels, in raster
     order."""
     ff = scene.flow_field
-    valid = np.zeros(ff.valid.size, dtype=bool)
-    valid[np.flatnonzero(ff.valid)[:n]] = True
-    return FlowField(flow=ff.flow, info=ff.info,
-                     valid=valid.reshape(ff.valid.shape))
+    flow = ff.flow.copy()
+    flow.reshape(-1, 2)[np.flatnonzero(ff.valid)[n:]] = np.nan
+    return FlowField(flow=flow, info=ff.info)
 
 
 def assert_same_solve(res, ref):
@@ -1384,7 +1383,8 @@ class TestSolveMemory:
 
 class TestConfig:
     def test_rejects_bad_iterations(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^max_iterations must be >= 1, got 0$"):
             SolverConfig(max_iterations=0)
 
     # the pixel floor and the tolerance are constants, not settings: a floor

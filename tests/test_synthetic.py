@@ -98,13 +98,24 @@ class TestRender:
 
     @pytest.mark.parametrize("sigma", [-0.5, np.nan, np.inf])
     def test_bad_noise_sigma_rejected(self, sigma):
-        with pytest.raises(ValueError, match="noise_sigma"):
+        with pytest.raises(ValueError) as exc:
             basic_spec(noise_sigma=sigma)
+        assert str(exc.value) == (
+            f"noise_sigma must be finite and >= 0, got {sigma:g}")
 
     @pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf])
     def test_non_finite_outlier_magnitude_rejected(self, magnitude):
-        with pytest.raises(ValueError, match="outlier_magnitude"):
+        with pytest.raises(ValueError) as exc:
             basic_spec(outlier_fraction=0.1, outlier_magnitude=magnitude)
+        assert str(exc.value) == (
+            f"outlier_magnitude must be finite, got {magnitude:g}")
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5, np.nan])
+    def test_outlier_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError) as exc:
+            basic_spec(outlier_fraction=fraction)
+        assert str(exc.value) == (
+            f"outlier_fraction must be in [0, 1), got {fraction:g}")
 
     def test_determinism(self):
         a = synthetic.render(basic_spec(noise_sigma=0.5, outlier_fraction=0.1,

@@ -23,6 +23,20 @@ def random_trajectory(rng, n=20, dt=0.1, scale=0.1):
 
 
 class TestTrajectory:
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            Trajectory(np.arange(3.0), np.tile(np.eye(4), (2, 1, 1)))
+        assert str(exc.value) == (
+            "timestamp/pose count mismatch: 3 timestamps, 2 poses")
+
+    def test_first_sample_out_of_order_is_named(self):
+        with pytest.raises(ValueError) as exc:
+            Trajectory(np.array([0.0, 2.0, 1.5, 1.0]),
+                       np.tile(np.eye(4), (4, 1, 1)))
+        assert str(exc.value) == (
+            "timestamps must be strictly increasing: sample 2 at 1.5 does "
+            "not follow sample 1 at 2.0")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_timestamps_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -96,6 +110,14 @@ class TestAssociate:
         t = random_trajectory(rng)
         pairs = trajectory.associate(t, t)
         assert pairs == [(i, i) for i in range(len(t))]
+
+    @pytest.mark.parametrize("max_dt, text", [(0.0, "0"), (-1.0, "-1"),
+                                              (np.nan, "nan")])
+    def test_max_dt_not_positive_rejected(self, max_dt, text):
+        a = random_trajectory(np.random.default_rng(33), n=5)
+        with pytest.raises(ValueError) as exc:
+            trajectory.associate(a, a, max_dt)
+        assert str(exc.value) == f"max_dt must be positive, got {text}"
 
     def test_disjoint_ranges(self):
         rng = np.random.default_rng(33)
@@ -305,6 +327,12 @@ class TestAteRpe:
         aligned, result = trajectory.align_and_scale(est, gt, pairs)
         assert np.allclose(result.per_pose_scales, 0.25, atol=1e-9)
         assert trajectory.ate(aligned, gt, pairs) < 1e-9
+
+    def test_delta_below_one_rejected(self):
+        t = random_trajectory(np.random.default_rng(43), n=3)
+        with pytest.raises(ValueError) as exc:
+            trajectory.rpe(t, t, [(i, i) for i in range(3)], delta=0)
+        assert str(exc.value) == "delta must be >= 1, got 0"
 
     def test_insufficient_pairs_for_delta(self):
         rng = np.random.default_rng(43)

@@ -239,7 +239,6 @@ def build_parser():
     settings = [g.add_argument('--max-iterations', type=int),
                 g.add_argument('--no-confidence', dest='use_confidence',
                                action='store_false'),
-                g.add_argument('--single-iteration', action='store_true'),
                 g.add_argument('--seed-xi', type=_parse_motion)]
     p.set_defaults(settings=[a.dest for a in settings])
 

@@ -111,9 +111,11 @@ def flow_nll_map(residuals, info, valid=None):
     samples = (residuals[..., 0], residuals[..., 1],
                info[..., 0], info[..., 1], info[..., 2])
     nll = flow_nll(*samples)
+    if not nll.size:
+        raise InsufficientDataError(f"no pixels: residuals {residuals.shape}")
     with np.errstate(over='ignore'):    # the sum of huge finite terms
         value = float(np.mean(nll))
-    if nll.size and not np.isfinite(value):
+    if not np.isfinite(value):
         raise _overflow_error("flow NLL", nll, *samples)
     return value
 

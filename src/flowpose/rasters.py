@@ -24,10 +24,10 @@ def encode_raster(path, *parts):
     NaN and infinite values are encoded as they are; a finite value beyond
     the float32 range is a ValueError that names `path`, the file the bytes
     are meant for."""
-    parts = [np.asarray(part) for part in parts]
-    parts = [part[:, :, None] if part.ndim == 2 else part for part in parts]
-    if not parts or any(part.ndim != 3 for part in parts):
-        raise ValueError("raster must be 2-D or 3-D")
+    if not parts or any(np.ndim(part) not in (2, 3) for part in parts):
+        raise ValueError("raster must be 2-D or 3-D, got shapes "
+                         f"{[np.shape(part) for part in parts]}")
+    parts = [np.atleast_3d(part) for part in parts]
     h, w = parts[0].shape[:2]
     c = sum(part.shape[2] for part in parts)
     encoded = bytearray(_HEADER.size + 4 * h * w * c)

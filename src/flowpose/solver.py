@@ -146,7 +146,6 @@ class FlowField:
 class SolverConfig:
     max_iterations: int = 20
     use_confidence: bool = True
-    single_iteration: bool = False
     seed_xi: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
@@ -437,8 +436,7 @@ class NewtonTerms:
             J0 = _jacobians(points[0], points[1], points[3], out=j0_buffer)
             y = T @ points
             # the warped points (u', v', 1, q'), scaled to a third entry of 1
-            Jw = _jacobians(y[0] / y[2], y[1] / y[2], points[3] / y[2],
-                            out=jw_buffer)
+            Jw = _jacobians(*divide(y)[0], points[3] / y[2], out=jw_buffer)
             rb = r[:, blk]
             norm = np.sqrt(rb[0] * rb[0] + rb[1] * rb[1])
             inverse = np.divide(1.0, norm, out=np.zeros_like(norm),
@@ -481,12 +479,11 @@ def _iterate(problem, xi, config, tol, reports, newton):
     spent; its first step is a Newton step only with `newton` set. Appends
     each step's report to reports and returns (xi, converged)."""
     converged = False
-    max_iter = 1 if config.single_iteration else config.max_iterations
     first = 0 if newton else 1      # the first step that may be a Newton step
     H = None
     plain = None        # (point, ||beta||) of the plain step a Newton step
                         # replaced
-    for k in range(max_iter):
+    for k in range(config.max_iterations):
         beta, report, terms = gauss_newton_step(problem, xi)
         reports.append(report)
         norm = report.step_norm
@@ -496,10 +493,10 @@ def _iterate(problem, xi, config, tol, reports, newton):
             break
         if plain is not None and norm > plain[1]:
             # the Newton step did worse: plain steps from the plain point on
-            xi, plain, first = plain[0], None, max_iter
+            xi, plain, first = plain[0], None, config.max_iterations
             continue
         step, plain = beta, None
-        if first <= k < max_iter - 1 and report.m > 0:
+        if first <= k < config.max_iterations - 1 and report.m > 0:
             if norm >= _WARM_TOL:
                 H = terms.matrix()
             newton_step = None if H is None else _newton_update(H, terms.b)
@@ -522,8 +519,7 @@ def solve(depth, flow_field, K, config=None):
     (true IRLS), and the Jacobians block by block within each step. Steps
     after the first are Newton steps on the loop's fixed point, and a
     problem of at least _WARM_GATE valid pixels is first solved on every
-    _WARM_STRIDE-th of them, as the module docstring says.
-    With single_iteration set, stops after one plain step. The result keeps
+    _WARM_STRIDE-th of them, as the module docstring says. The result keeps
     the prepared Problem, so a caller can pass it to compute_residuals
     without building the geometry again.
     """
@@ -533,7 +529,7 @@ def solve(depth, flow_field, K, config=None):
     xi = np.array(config.seed_xi, dtype=float)
     reports = []
     warm = False
-    if not config.single_iteration and len(problem.index) >= _WARM_GATE:
+    if len(problem.index) >= _WARM_GATE:
         # the subsample lives only for the call, so the full loop's
         # temporaries reuse its memory
         try:

@@ -30,7 +30,9 @@ class Trajectory:
                              f"{len(self.timestamps)} timestamps, "
                              f"{len(self.poses)} poses")
         if not np.all(np.isfinite(self.timestamps)):
-            raise ValueError("timestamps must be finite")
+            i = int(np.argmin(np.isfinite(self.timestamps)))
+            raise ValueError(f"timestamps must be finite: sample {i} is "
+                             f"{self.timestamps[i].item()!r}")
         # compared, not subtracted: the difference of huge timestamps
         # would overflow
         out_of_order = self.timestamps[1:] <= self.timestamps[:-1]

@@ -165,7 +165,7 @@ def test_06_iteration_ablation_rotation_dominant():
         scene = synthetic.render(spec)
         full = solver.solve(scene.depth, scene.flow_field, spec.intrinsics)
         single = solver.solve(scene.depth, scene.flow_field, spec.intrinsics,
-                              SolverConfig(single_iteration=True))
+                              SolverConfig(max_iterations=1))
         if (np.linalg.norm(full.xi - xi) < np.linalg.norm(single.xi - xi)):
             wins += 1
     assert wins >= 18

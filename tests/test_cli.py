@@ -270,6 +270,7 @@ class TestSolve:
                 (solve_args(directory), ["--convergence-tol", "1e-9"]),
                 (solve_args(directory), ["--min-valid-pixels", "64"]),
                 (solve_args(directory), ["--pretty"]),
+                (solve_args(directory), ["--single-iteration"]),
                 (eval_args, ["--pretty"]),
                 (solve_args(directory), ["--config", "x.cfg"]),
                 (eval_args, ["--config", "x.cfg"])]:
@@ -1590,9 +1591,18 @@ class TestExtremeSynthNumbers:
         if code:
             assert stdout == "" and len(err.splitlines()) == 1, err
             assert not out.exists()
+            return
+        assert err == ""
+        # and every scene that synth writes is one that solve reads
+        code, stdout, err = run_strict(capsys, *solve_args(out))
+        shutil.rmtree(out)
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert stdout == "" and len(err.splitlines()) == 1, err
         else:
             assert err == ""
-            shutil.rmtree(out)
+            fields = [float(x) for x in stdout.split()]
+            assert len(fields) == 9 and np.all(np.isfinite(fields)), stdout
 
 
 # Property: loss command lines with extreme numbers. Each raster that the

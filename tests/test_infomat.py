@@ -97,6 +97,12 @@ class TestFlowNll:
             infomat.flow_nll_map(np.zeros((2, 3, 2)), np.zeros((2, 3, 3)),
                                  np.zeros((2, 3), dtype=bool))
 
+    @pytest.mark.filterwarnings("error")
+    def test_map_no_pixels(self):
+        with pytest.raises(InsufficientDataError,
+                           match=r"^no pixels: residuals \(0, 2\)$"):
+            infomat.flow_nll_map(np.zeros((0, 2)), np.zeros((0, 3)))
+
 
 def finite_message(bad, total):
     return ("^information parameters and residuals must be finite: "

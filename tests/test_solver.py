@@ -759,7 +759,7 @@ class TestSolve:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         full = solver.solve(depth, ff, K)
-        single = solver.solve(depth, ff, K, SolverConfig(single_iteration=True))
+        single = solver.solve(depth, ff, K, SolverConfig(max_iterations=1))
         assert single.iterations == 1
         err_full = np.linalg.norm(full.xi - xi_star)
         err_single = np.linalg.norm(single.xi - xi_star)
@@ -775,8 +775,7 @@ def plain_reference_solve(depth, flow_field, K, config=None):
     xi = np.array(config.seed_xi, dtype=float)
     reports = []
     converged = False
-    max_iter = 1 if config.single_iteration else config.max_iterations
-    for _ in range(max_iter):
+    for _ in range(config.max_iterations):
         beta, report, _ = solver.gauss_newton_step(problem, xi)
         xi = xi + beta
         reports.append(report)
@@ -890,7 +889,7 @@ class TestMixedSteps:
         scene, spec = small_scene(49, outliers)
         args = (scene.depth, scene.flow_field, spec.intrinsics)
         ref = plain_reference_solve(*args, SolverConfig(max_iterations=1))
-        res = solver.solve(*args, SolverConfig(single_iteration=True))
+        res = solver.solve(*args, SolverConfig(max_iterations=1))
         assert res.xi.tobytes() == ref.xi.tobytes()
         assert res.reports == ref.reports
         assert res.iterations == 1 and updates(res) == ['plain']
@@ -1207,7 +1206,7 @@ def newton_reference_solve(depth, flow_field, K, config):
     tol = solver.CONVERGENCE_TOL
     reports = []
     converged = False
-    max_iter = 1 if config.single_iteration else config.max_iterations
+    max_iter = config.max_iterations
     first = 1
     H = None
     plain = None
@@ -1352,12 +1351,16 @@ class TestWarmStart:
         assert_same_solve(res, ref)
 
     def test_single_iteration_is_unchanged(self, noisy):
-        res = solver.solve(noisy.depth, noisy.flow_field, QVGA,
-                           SolverConfig(single_iteration=True))
-        assert_same_solve(res, newton_reference_solve(
-            noisy.depth, noisy.flow_field, QVGA,
-            SolverConfig(max_iterations=1)))
-        assert updates(res) == ['plain']
+        # the one-step warm-up does not converge, so the full step starts
+        # from the seed
+        config = SolverConfig(max_iterations=1)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA,
+                                     config)
+        assert res.xi.tobytes() == ref.xi.tobytes()
+        assert res.converged == ref.converged
+        assert res.reports[1:] == ref.reports
+        assert updates(res) == ['coarse', 'plain']
 
     def test_noiseless_frame_in_three_full_steps(self):
         scene, spec = qvga_scene(3, noise_sigma=0.0)
@@ -1394,6 +1397,11 @@ class TestConfig:
     def test_rejects_min_valid_pixels_below_one(self, floor):
         with pytest.raises(TypeError, match="'min_valid_pixels'"):
             SolverConfig(min_valid_pixels=floor)
+
+    # one step is max_iterations=1, with no second setting to override it
+    def test_rejects_single_iteration(self):
+        with pytest.raises(TypeError, match="'single_iteration'"):
+            SolverConfig(single_iteration=True)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(TypeError, match="'convergence_tol'"):

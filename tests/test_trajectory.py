@@ -39,8 +39,10 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_timestamps_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError) as exc:
             Trajectory(np.array([0.0, bad, 2.0]), np.tile(np.eye(4), (3, 1, 1)))
+        assert str(exc.value) == (
+            f"timestamps must be finite: sample 1 is {bad!r}")
 
 
     def test_huge_timestamps_compare_without_overflow(self):

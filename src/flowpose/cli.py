@@ -55,9 +55,9 @@ def _keep_freed_memory():
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     # 32 MiB, glibc's largest on 64-bit: every buffer of a VGA solve comes
-    # from the heap, the largest the float64 flow raster (640*480*5*8 B =
-    # 12.3 MB). Alone it still left 2,594 faults per QVGA solve, as freed
-    # memory at the heap top went back to the kernel.
+    # from the heap, the largest the (4, N) points of its Problem (at most
+    # 640*480*4*8 B = 9.8 MB). Alone it still left 2,594 faults per QVGA
+    # solve, as freed memory at the heap top went back to the kernel.
     if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
         # 1 GiB: the heap top is kept. Alone this setting turns off the
         # dynamic mmap threshold, so every buffer over 128 KB is mapped and
@@ -126,11 +126,13 @@ def cmd_synth(args):
 
 
 def cmd_solve(args):
-    depth = rasters.read_raster(args.depth)
-    flow = solver.FlowField.from_raster(rasters.read_raster(args.flow))
-    K = rasters.read_intrinsics(args.intrinsics)
-    result = solver.solve(depth, flow, K,
-                          solver.SolverConfig(**_given_settings(args)))
+    # the rasters are bound to no name here, so `solve` frees them once it
+    # has gathered the valid pixels
+    result = solver.solve(
+        rasters.read_raster(args.depth),
+        solver.FlowField.from_raster(rasters.read_raster(args.flow)),
+        rasters.read_intrinsics(args.intrinsics),
+        solver.SolverConfig(**_given_settings(args)))
     if args.residuals:
         # the problem the solve built, not a second one
         rasters.write_raster(args.residuals, solver.compute_residuals(
@@ -173,8 +175,9 @@ def cmd_loss(args):
         gt = solver.FlowField.from_raster(rasters.read_raster(args.gt_flow))
         check_same_size(pred.flow, gt.flow, ("flow", "gt-flow"))
         valid = pred.valid & gt.valid
+        # in float64, as the losses compute: the rasters are float32
         residual = np.subtract(pred.flow, gt.flow, where=valid[..., None],
-                               out=np.zeros_like(pred.flow))
+                               out=np.zeros(pred.flow.shape), dtype=float)
         value = infomat.flow_nll_map(residual, pred.info, valid)
     elif name == 'photometric-lr':
         K = rasters.read_intrinsics(args.intrinsics)

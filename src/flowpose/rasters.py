@@ -5,6 +5,8 @@ height, channels, followed by float32 data in row-major order with
 channels interleaved.
 """
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -15,6 +17,8 @@ from .errors import RasterFormatError
 MAGIC = b"ENGR"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIII")
+# the bit that makes a float32 NaN quiet
+_QUIET_BIT = 0x00400000
 
 
 def encode_raster(path, *parts):
@@ -54,8 +58,15 @@ def write_raster(path, data):
 
 
 def read_raster(path):
-    """Read an ENGR raster as a float64 array of shape (H, W, C); a
-    single-channel raster is returned as (H, W)."""
+    """Read an ENGR raster as the file's float32 values, shape (H, W, C); a
+    single-channel raster is returned as (H, W).
+
+    The values are read into one writable little-endian float32 array, with
+    no bytes or float64 copy: a caller widens what it computes with. Each
+    signalling NaN is quieted in place (its quiet bit set), so no later
+    widening warns; it widens to the float64 NaN that converting the
+    signalling one gives.
+    """
     with open(path, 'rb') as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -65,13 +76,22 @@ def read_raster(path):
             raise RasterFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise RasterFormatError(f"{path}: unsupported version {version}")
-        payload = fh.read()
-    expected = w * h * c * 4
-    if len(payload) != expected:
+        expected = w * h * c * 4
+        # a regular file's size is known before reading, so a header that
+        # claims more data than the file holds allocates nothing; a pipe's
+        # is known once it is read
+        st = os.fstat(fh.fileno())
+        got = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else expected
+        if got == expected:
+            data = np.empty((h, w, c), dtype='<f4')
+            got = fh.readinto(data) + len(fh.read())
+    if got != expected:
         raise RasterFormatError(
-            f"{path}: expected {expected} data bytes, got {len(payload)}")
-    with np.errstate(invalid='ignore'):     # a signalling NaN stays a NaN
-        data = np.frombuffer(payload, dtype='<f4').reshape(h, w, c).astype(float)
+            f"{path}: expected {expected} data bytes, got {got}")
+    with np.errstate(invalid='ignore'):     # a signalling NaN may flag it
+        nan = np.isnan(data)
+    bits = data.view('<u4')
+    np.bitwise_or(bits, _QUIET_BIT, out=bits, where=nan)
     if c == 1:
         return data[:, :, 0]
     return data

@@ -100,21 +100,32 @@ _WARM_TOL = 1e-6
 _WARM_GATE = 32768
 
 
+def _float_raster(values):
+    """values as an array: float32 ones as they are, others as float64."""
+    values = np.asarray(values)
+    if values.dtype == np.float32:
+        return values
+    return values.astype(float, copy=False)
+
+
 @dataclass
 class FlowField:
     """Dense flow plus raw information parameters.
 
     flow: (H, W, 2) in pixel units; info: (H, W, 3) raw (a_hat, b_hat,
     g_hat); valid: (H, W) bool, True where all five channels are finite.
-    NaN flow marks a pixel that holds no measurement.
+    NaN flow marks a pixel that holds no measurement. A float32 array, such
+    as a view of what `rasters.read_raster` returns, is kept as it is, and
+    anything else is made float64: `prepare` widens only the valid pixels
+    it gathers, which is exact.
     """
     flow: np.ndarray
     info: np.ndarray
     valid: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.flow = np.asarray(self.flow, dtype=float)
-        self.info = np.asarray(self.info, dtype=float)
+        self.flow = _float_raster(self.flow)
+        self.info = _float_raster(self.info)
         size = self.flow.shape[:2]
         if self.flow.shape != size + (2,) or self.info.shape != size + (3,):
             raise ValueError("flow and info must be (H, W, 2) and (H, W, 3), "
@@ -134,7 +145,7 @@ class FlowField:
             raise RasterFormatError(
                 f"flow raster must have 2 or 5 channels, got {data.shape[2]}")
         info = (data[..., 2:] if data.shape[2] == 5
-                else np.zeros(data.shape[:2] + (3,)))
+                else np.zeros(data.shape[:2] + (3,), dtype=data.dtype))
         return cls(flow=data[..., :2], info=info)
 
     def raster(self):
@@ -206,15 +217,18 @@ _OVERFLOW_CHECKED = np.errstate(over='ignore', invalid='ignore')
 def prepare(depth, flow_field, K, config):
     """Everything constant over a solve: the valid pixels, their points and
     measured flow, and their confidences (ones with use_confidence off)."""
-    depth = np.asarray(depth, dtype=float)
+    depth = np.asarray(depth)
     if depth.ndim != 2:
         raise RasterFormatError("depth raster must have a single channel")
     check_same_size(depth, flow_field.flow, ("depth", "flow"))
     h, w = depth.shape
     ox, oy = pixel_offsets(K, (h, w))
 
+    # float32 rasters are widened before any arithmetic: numpy 2 computes a
+    # float32 array and a Python float in float32
     with np.errstate(divide='ignore'):
-        q = 1.0 / depth     # NaN, inf, 0 and < 0 depths: q outside the band
+        # NaN, inf, 0 and < 0 depths: q outside the band
+        q = np.divide(1.0, depth, dtype=float)
     index = np.flatnonzero(flow_field.valid & (q >= Q_MIN) & (q <= Q_MAX))
     # every gather goes straight into its row: a gather of (N, 2) flow rows
     # and its transposed copy took three times as long. The index is in
@@ -226,7 +240,8 @@ def prepare(depth, flow_field, K, config):
     for c, (o, f) in enumerate(((ox, K.fx), (oy, K.fy))):
         np.take(o.ravel(), index, out=points[c], mode='clip')
         points[c] /= f
-        np.divide(pixels[:, c][index], f, out=meas[c])
+        meas[c] = pixels[:, c][index]
+        meas[c] /= f
     points[2] = 1.0
     np.take(q.ravel(), index, out=points[3], mode='clip')
     n = len(index)
@@ -526,6 +541,9 @@ def solve(depth, flow_field, K, config=None):
     if config is None:
         config = SolverConfig()
     problem = prepare(depth, flow_field, K, config)
+    # the loop reads only the problem: a caller that holds no reference of
+    # its own to the rasters has them freed here
+    del depth, flow_field
     xi = np.array(config.seed_xi, dtype=float)
     reports = []
     warm = False

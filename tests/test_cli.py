@@ -6,7 +6,9 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -502,6 +504,53 @@ class TestSolveOutputPinned:
         assert run(capsys, *argv) == before
 
 
+class TestSolveMemory:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before 3.11 a caller holds its arguments until the call returns"))
+    def test_rasters_are_freed_before_the_loop(self, capsys, monkeypatch,
+                                               scene_dir):
+        read, iterate = rasters.read_raster, solver._iterate
+        freed, alive = [], []
+
+        def reading(path):
+            raster = read(path)
+            freed.append(weakref.ref(raster))
+            return raster
+
+        def first_step(*args, **kwargs):
+            alive.append([ref() is not None for ref in freed])
+            return iterate(*args, **kwargs)
+        monkeypatch.setattr(rasters, "read_raster", reading)
+        monkeypatch.setattr(solver, "_iterate", first_step)
+        directory, _ = scene_dir
+        assert run(capsys, *solve_args(directory))[0] == 0
+        assert alive == [[False, False]]
+
+    def test_noisy_qvga_peak(self, capsys, tmp_path):
+        # the rasters stay float32, and solve frees them once prepare has
+        # gathered the valid pixels. Read as float64 and held for the whole
+        # loop they set a peak of 12.3-12.5 MB; float32 but held, 10.6-10.9
+        # MB, as where a caller keeps its arguments until the call returns
+        K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
+                       width=320, height=240)
+        spec = synthetic.SceneSpec(
+            width=320, height=240, intrinsics=K,
+            motion=[0.01, -0.005, 0.008, 0.004, -0.003, 0.006],
+            depth_model=synthetic.SmoothRandomDepth(seed=3, amplitude=0.5),
+            noise_sigma=0.5, seed=5)
+        synthetic.write_scene(spec, tmp_path / "scene")
+        argv = solve_args(tmp_path / "scene")
+        want = run(capsys, *argv)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == want[:2]
+        assert peak < 11.5e6, peak
+
+
 @pytest.fixture
 def loss_rasters(tmp_path):
     """A 96x72 scene's depth and images as loss inputs, its intrinsics, and
@@ -802,11 +851,11 @@ class TestLoss:
 
     def test_flownll_matches_library(self, capsys, tmp_path, scene_dir):
         directory, _ = scene_dir
-        flow5 = rasters.read_raster(directory / "flow.engr")
+        flow5 = rasters.read_raster(directory / "flow.engr").astype(float)
         gt_flow = flow5[..., :2] + 0.25
         gt_path = tmp_path / "gtflow.engr"
         rasters.write_raster(gt_path, gt_flow)
-        gt_flow32 = rasters.read_raster(gt_path)
+        gt_flow32 = rasters.read_raster(gt_path).astype(float)
         expected = infomat.flow_nll_map(flow5[..., :2] - gt_flow32,
                                         flow5[..., 2:],
                                         np.ones(flow5.shape[:2], dtype=bool))
@@ -883,7 +932,7 @@ class TestLoss:
     def test_flownll_skips_pixels_invalid_in_either_raster(
             self, capsys, tmp_path, scene_dir):
         directory, _ = scene_dir
-        flow5 = rasters.read_raster(directory / "flow.engr")
+        flow5 = rasters.read_raster(directory / "flow.engr").astype(float)
         gt_flow = flow5[..., :2] + 0.25
         gt_flow[3, 4, 0] = np.nan       # invalid in the gt raster
         flow5[5, 6, 0] = np.nan         # invalid in the estimate, which
@@ -894,13 +943,143 @@ class TestLoss:
         valid = np.ones(flow5.shape[:2], dtype=bool)
         valid[3, 4] = valid[5, 6] = False
         expected = infomat.flow_nll_map(
-            flow5[valid][:, :2] - rasters.read_raster(paths["gt"])[valid],
+            flow5[valid][:, :2]
+            - rasters.read_raster(paths["gt"])[valid].astype(float),
             flow5[valid][:, 2:])
         code, out, err = run_strict(capsys, "loss", "flownll",
                                     "--flow", str(paths["flow"]),
                                     "--gt-flow", str(paths["gt"]))
         assert code == 0 and err == ""
         assert float(out) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def two_scenes(tmp_path_factory):
+    """Two written 96x72 scenes, A noisy with outliers and B noisy, each
+    with its two images in single-channel rasters of their own."""
+    directory = tmp_path_factory.mktemp("two_scenes")
+    scenes = {}
+    for name, motion, fraction, seed in [
+            ("a", [0.02, -0.01, 0.015, 0.003, -0.005, 0.008], 0.1, 64),
+            ("b", [-0.01, 0.02, 0.01, -0.004, 0.002, 0.006], 0.0, 65)]:
+        spec = synthetic.SceneSpec(
+            width=96, height=72, motion=motion,
+            depth_model=synthetic.SmoothRandomDepth(seed=seed, amplitude=0.5),
+            noise_sigma=0.5, outlier_fraction=fraction,
+            outlier_magnitude=20.0, seed=seed)
+        synthetic.write_scene(spec, directory / name)
+        images = rasters.read_raster(directory / name / "images.engr")
+        for c in range(2):
+            rasters.write_raster(directory / name / f"image-{c + 1}.engr",
+                                 images[..., c])
+        scenes[name] = directory / name, spec
+    return scenes
+
+
+def _widened(path):
+    """A raster file's values widened to float64."""
+    return rasters.read_raster(path).astype(float)
+
+
+def _loss_cases(scenes):
+    """{loss: (argv, value)}: each `flowpose loss` on the written scenes, and
+    its value computed by the library on the float64 widening of the
+    rasters it reads."""
+    (a, spec), (b, _) = scenes["a"], scenes["b"]
+    K = spec.intrinsics
+    motion = ",".join(repr(float(x)) for x in spec.motion)
+    pred = solver.FlowField.from_raster(_widened(a / "flow.engr"))
+    gt = solver.FlowField.from_raster(_widened(b / "flow.engr"))
+    valid = pred.valid & gt.valid
+    images = [str(a / "image-1.engr"), str(a / "image-2.engr")]
+    return {
+        "berhu": (["--pred", str(a / "depth.engr"),
+                   "--gt", str(b / "depth.engr")],
+                  losses.berhu(_widened(a / "depth.engr"),
+                               _widened(b / "depth.engr"))),
+        "smoothness": (["--depth", str(a / "depth.engr")],
+                       losses.smoothness(_widened(a / "depth.engr"))),
+        "flownll": (["--flow", str(a / "flow.engr"),
+                     "--gt-flow", str(b / "flow.engr")],
+                    infomat.flow_nll_map((pred.flow - gt.flow)[valid],
+                                         pred.info[valid])),
+        "photometric-lr": (
+            ["--image-1", images[0], "--image-2", images[1],
+             "--depth", str(a / "depth.engr"), "--gt", str(b / "depth.engr"),
+             "--intrinsics", str(a / "intrinsics.txt")],
+            losses.photometric_lr(
+                *(_widened(p) for p in images), _widened(a / "depth.engr"),
+                _widened(b / "depth.engr"), 0.1, K)),
+        "pose-photometric": (
+            ["--image-1", images[0], "--image-2", images[1],
+             "--depth", str(a / "depth.engr"),
+             "--intrinsics", str(a / "intrinsics.txt"), "--motion=" + motion],
+            losses.pose_photometric(*(_widened(p) for p in images),
+                                    _widened(a / "depth.engr"), spec.motion,
+                                    K)),
+    }
+
+
+def _signalling_nan_copy(path, out, pixel):
+    """Copy a raster file to `out` with a signalling NaN in channel 0 of
+    the (y, x) pixel; returns out."""
+    raw = bytearray(path.read_bytes())
+    _, _, w, _, c = struct.unpack("<4sIIII", raw[:20])
+    offset = 20 + 4 * c * (pixel[0] * w + pixel[1])
+    raw[offset:offset + 4] = struct.pack("<I", 0x7f810000)
+    out.write_bytes(bytes(raw))
+    return out
+
+
+class TestLossFloat64:
+    """Each loss prints its value on the float64 widening of its float32
+    rasters, and a signalling NaN in a raster is a NaN like any other."""
+
+    @pytest.mark.parametrize("name", ["berhu", "smoothness", "flownll",
+                                      "photometric-lr", "pose-photometric"])
+    def test_stdout_is_the_float64_computation(self, capsys, two_scenes,
+                                               name):
+        argv, value = _loss_cases(two_scenes)[name]
+        assert run_strict(capsys, "loss", name, *argv) == (
+            0, "%.12g\n" % value, "")
+
+    def test_flownll_in_float32_would_print_other_bytes(self, two_scenes):
+        # so the test above fails on a float32 subtraction
+        (a, _), (b, _) = two_scenes["a"], two_scenes["b"]
+        pred = solver.FlowField.from_raster(rasters.read_raster(a / "flow.engr"))
+        gt = solver.FlowField.from_raster(rasters.read_raster(b / "flow.engr"))
+        valid = pred.valid & gt.valid
+        assert pred.flow.dtype == np.float32
+        _, value = _loss_cases(two_scenes)["flownll"]
+        narrow = infomat.flow_nll_map((pred.flow - gt.flow)[valid],
+                                      pred.info[valid])
+        assert "%.12g" % narrow != "%.12g" % value
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--depth"), ("solve", "--flow"),
+        ("berhu", "--pred"), ("berhu", "--gt"), ("smoothness", "--depth"),
+        ("flownll", "--flow"), ("flownll", "--gt-flow"),
+        ("photometric-lr", "--depth"), ("photometric-lr", "--gt"),
+        ("pose-photometric", "--depth")])
+    def test_signalling_nan_is_read_as_a_quiet_one(self, capsys, two_scenes,
+                                                   tmp_path, command, flag):
+        directory, _ = two_scenes["a"]
+        if command == "solve":
+            argv = solve_args(directory)
+        else:
+            argv = ["loss", command, *_loss_cases(two_scenes)[command][0]]
+        i = argv.index(flag) + 1
+        pixel = (30, 40)
+        quiet = tmp_path / "quiet.engr"
+        raster = rasters.read_raster(argv[i])
+        raster.reshape(raster.shape[:2] + (-1,))[pixel + (0,)] = np.nan
+        rasters.write_raster(quiet, raster)
+        argv[i] = str(quiet)
+        want = run_strict(capsys, *argv)
+        argv[i] = str(_signalling_nan_copy(
+            quiet, tmp_path / "signalling.engr", pixel))
+        assert run_strict(capsys, *argv) == want
+        assert want[0] == 0 and want[2] == ""
 
 
 # the flags that each loss reads; all are required but photometric-lr's

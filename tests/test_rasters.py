@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +98,75 @@ class TestRasterRoundtrip:
                          + b"\x00\x00\x81\x7f" + b"\x00\x00\x80\x3f")
         back = rasters.read_raster(path)    # warnings are errors in tests
         assert np.isnan(back[0, 0]) and back[0, 1] == 1.0
+        # quieted in place: its payload is kept, and widening it warns not
+        assert back.view('<u4')[0, 0] == 0x7fc10000
+        with np.errstate(all='raise'):
+            wide = back.astype(float)
+        assert wide.view('<u8')[0, 0] == 0x7ff8200000000000
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5)])
+    def test_reads_float32_into_one_buffer(self, tmp_path, shape):
+        data = np.random.default_rng(3).normal(size=shape)
+        data.flat[[1, 7]] = [np.nan, -np.inf]
+        path = tmp_path / "r.engr"
+        rasters.write_raster(path, data)
+        back = rasters.read_raster(path)
+        assert back.shape == shape and back.dtype == np.dtype('<f4')
+        assert back.tobytes() == data.astype('<f4').tobytes()
+        # the array that read_raster filled holds the raster's data bytes and
+        # nothing else, and the caller may write to it
+        owner = back if back.base is None else back.base
+        assert owner.flags.owndata and owner.nbytes == 4 * data.size
+        assert back.flags.writeable
+
+    @pytest.mark.parametrize("extra", [-4, -1, 1, 8])
+    def test_other_data_length_names_both_sizes(self, tmp_path, extra):
+        path = tmp_path / "n.engr"
+        rasters.write_raster(path, np.zeros((2, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) + extra] if extra < 0
+                         else raw + b"\x00" * extra)
+        with pytest.raises(RasterFormatError) as exc:
+            rasters.read_raster(path)
+        assert str(exc.value) == (
+            f"{path}: expected 24 data bytes, got {24 + extra}")
+
+    def test_header_beyond_the_file_allocates_nothing(self, tmp_path):
+        # a header that claims a 2^32-byte raster on a 4-byte payload
+        path = tmp_path / "huge.engr"
+        import struct
+        path.write_bytes(struct.pack("<4sIIII", b"ENGR", 1, 65536, 16384, 1)
+                         + b"\x00" * 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RasterFormatError,
+                               match="expected 4294967296 data bytes, got 4$"):
+                rasters.read_raster(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    @pytest.mark.parametrize("cut", [0, 4])
+    def test_reads_a_pipe(self, tmp_path, cut):
+        # a pipe's length is known only once it is read
+        data = np.arange(12.0).reshape(3, 4)
+        raw = rasters.encode_raster("p.engr", data)
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(
+            target=lambda: path.write_bytes(raw[:len(raw) - cut]), daemon=True)
+        writer.start()
+        try:
+            if cut:
+                with pytest.raises(RasterFormatError,
+                                   match="expected 48 data bytes, got 44$"):
+                    rasters.read_raster(path)
+            else:
+                assert np.array_equal(rasters.read_raster(path), data)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestIntrinsicsFile:

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -90,6 +92,22 @@ class TestFlowField:
         assert two.flow.tobytes() == flow.tobytes()
         assert two.info.shape == (12, 16, 3) and not two.info.any()
         assert np.array_equal(two.valid, np.isfinite(flow).all(axis=-1))
+
+    def test_float32_is_kept_and_other_types_made_float64(self):
+        # float32 is what read_raster returns: no copy is made of it
+        raster = np.random.default_rng(37).normal(size=(12, 16, 5))
+        data = raster.astype(np.float32)
+        ff = FlowField.from_raster(data)
+        assert ff.flow.dtype == ff.info.dtype == np.float32
+        assert ff.flow.base is data and ff.info.base is data
+        two = FlowField.from_raster(data[..., :2])
+        assert two.info.dtype == np.float32 and not two.info.any()
+        for other in (raster.astype(np.float16), np.rint(raster).astype(int),
+                      raster.tolist()):
+            ff = FlowField.from_raster(np.asarray(other))
+            assert ff.flow.dtype == ff.info.dtype == np.float64
+            assert np.array_equal(ff.raster(),
+                                  np.asarray(other).astype(float))
 
 
 class TestDepthShape:
@@ -1370,7 +1388,82 @@ class TestWarmStart:
         assert np.linalg.norm(res.xi - spec.motion) < 1e-8
 
 
+def float32_rasters(scene):
+    """The scene's depth and 5-channel flow raster as the float32 values a
+    scene file holds, as read_raster returns them."""
+    return (scene.depth.astype(np.float32),
+            scene.flow_field.raster().astype(np.float32))
+
+
+class TestFloat32Rasters:
+    """solve on float32 rasters is solve on their float64 widening, byte for
+    byte: prepare widens each value it gathers before any arithmetic."""
+
+    @pytest.mark.parametrize("size", ["64x48", "320x240"])
+    @pytest.mark.parametrize("noise_sigma, outlier_fraction", [
+        (0.0, 0.0), (0.5, 0.0), (0.5, 0.1)],
+        ids=["noiseless", "noisy", "outliers"])
+    def test_solve_equals_solve_on_the_widening(self, K, size, noise_sigma,
+                                                outlier_fraction):
+        spec = qvga_spec(5, noise_sigma, outlier_fraction)
+        if size == "64x48":
+            spec.width, spec.height, spec.intrinsics = K.width, K.height, K
+        depth, data = float32_rasters(synthetic.render(spec))
+        res = solver.solve(depth, FlowField.from_raster(data),
+                           spec.intrinsics)
+        ref = solver.solve(depth.astype(float),
+                           FlowField.from_raster(data.astype(float)),
+                           spec.intrinsics)
+        assert_same_solve(res, ref)
+        # the 320x240 frames take the warm-up
+        assert ('coarse' in updates(res)) == (size == "320x240")
+        for name in ("index", "points", "flow", "conf"):
+            got, want = getattr(res.problem, name), getattr(ref.problem, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("use_confidence", [True, False])
+    def test_step_that_drops_pixels_equals_the_widening(self, K,
+                                                        use_confidence):
+        rng = np.random.default_rng(29)
+        depth = rng.uniform(0.5, 5.0, (K.height, K.width)).astype(np.float32)
+        data = np.concatenate([rng.normal(0.0, 2.0, (K.height, K.width, 2)),
+                               rng.uniform(-1.0, 1.0, (K.height, K.width, 3))],
+                              axis=-1).astype(np.float32)
+        # a backward step of 1 m puts every point nearer than 1 m behind
+        # the camera
+        xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
+        config = SolverConfig(use_confidence=use_confidence)
+        steps = [solver.gauss_newton_step(solver.prepare(
+            d, FlowField.from_raster(f), K, config), xi)
+            for d, f in ((depth, data),
+                         (depth.astype(float), data.astype(float)))]
+        (beta, report, terms), (ref_beta, ref_report, ref_terms) = steps
+        assert 0 < report.valid_count < K.width * K.height
+        assert beta.tobytes() == ref_beta.tobytes() and report == ref_report
+        assert terms.matrix().tobytes() == ref_terms.matrix().tobytes()
+
+
 class TestSolveMemory:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "before 3.11 a caller holds its arguments until the call returns"))
+    def test_rasters_are_freed_before_the_loop(self, K, monkeypatch):
+        # the loop reads only the Problem, so rasters that the caller does
+        # not hold are freed once prepare has gathered the valid pixels
+        spec = qvga_spec(5, noise_sigma=0.5)
+        spec.width, spec.height, spec.intrinsics = K.width, K.height, K
+        held = list(float32_rasters(synthetic.render(spec)))
+        freed = [weakref.ref(raster) for raster in held]
+        alive = []
+        iterate = solver._iterate
+
+        def first_step(*args, **kwargs):
+            alive.append([ref() is not None for ref in freed])
+            return iterate(*args, **kwargs)
+        monkeypatch.setattr(solver, "_iterate", first_step)
+        res = solver.solve(held.pop(0), FlowField.from_raster(held.pop(0)), K)
+        assert res.converged and alive == [[False, False]]
+
     def test_noisy_qvga_peak(self):
         # each block builds its own Jacobians: stored for all 76800 pixels
         # they took 7.4 MB, and the peak was 16.1 MB

@@ -110,9 +110,10 @@ def write_intrinsics(path, K):
 
 
 def read_text(path):
-    """The contents of a UTF-8 text file; RasterFormatError if it is not
+    """The contents of a UTF-8 text file, without the byte-order mark that
+    some editors write at its start; RasterFormatError if it is not
     UTF-8."""
-    with open(path, 'r', encoding='utf-8') as fh:
+    with open(path, 'r', encoding='utf-8-sig') as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -148,10 +148,6 @@ class FlowField:
                 else np.zeros(data.shape[:2] + (3,), dtype=data.dtype))
         return cls(flow=data[..., :2], info=info)
 
-    def raster(self):
-        """The 5-channel flow raster: flow, then a_hat, b_hat, g_hat."""
-        return np.concatenate([self.flow, self.info], axis=-1)
-
 
 @dataclass
 class SolverConfig:

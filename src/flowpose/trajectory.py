@@ -433,9 +433,10 @@ def _tum_lines(path, lines):
 
 def read_tum(path):
     """Read a TUM-format trajectory: `timestamp tx ty tz qx qy qz qw` per
-    line, '#' comments ignored. A file that is not UTF-8 text, or whose
-    samples Trajectory rejects, is a RasterFormatError naming the file; a
-    malformed line is one naming the first such line."""
+    line, '#' comments ignored; a byte-order mark at the start of the file
+    is dropped. A file that is not UTF-8 text, or whose samples Trajectory
+    rejects, is a RasterFormatError naming the file; a malformed line is
+    one naming the first such line."""
     lines = read_text(path).split('\n')
     values = _tum_values(lines)
     if values is None:

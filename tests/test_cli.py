@@ -571,7 +571,8 @@ def loss_rasters(tmp_path):
         fx=100.0, fy=100.0, cx=80.0, cy=60.0, width=160, height=120))
     paths["motion"] = ",".join(repr(float(x)) for x in spec.motion)
     paths["flow"] = tmp_path / "flow.engr"
-    rasters.write_raster(paths["flow"], scene.flow_field.raster())
+    rasters.write_raster(paths["flow"], np.concatenate(
+        [scene.flow_field.flow, scene.flow_field.info], axis=-1))
     return paths
 
 
@@ -711,6 +712,22 @@ class TestEvalTraj:
         expected = [float(w) for w in want.split()
                     if w not in ("matched", "scales")]
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    # a byte-order mark once joined the header's '#' or the first
+    # timestamp, and the file exited 3 with a line that did not name it
+    @pytest.mark.parametrize("header", [True, False], ids=["header",
+                                                           "no-header"])
+    def test_byte_order_mark_accepted(self, capsys, tmp_path, header):
+        est, gt = self.make_files(tmp_path, scale=0.5)
+        _, want, _ = run_strict(capsys, "eval-traj", "--est", str(est),
+                                "--gt", str(gt))
+        for path in (est, gt):
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("\ufeff" + "".join(lines[0 if header else 1:]),
+                            encoding="utf-8")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run_strict(capsys, "eval-traj", "--est", str(est),
+                          "--gt", str(gt)) == (0, want, "")
 
     def test_config_flag_override(self, capsys, tmp_path):
         # each setting flag overrides trajectory.evaluate's default

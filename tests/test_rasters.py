@@ -178,6 +178,13 @@ class TestIntrinsicsFile:
         back = rasters.read_intrinsics(path)
         assert back == K
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # read_text drops the mark, for intrinsics as for TUM files
+        path = tmp_path / "K.txt"
+        path.write_bytes(b"\xef\xbb\xbf100 100 32 24 64 48\n")
+        assert rasters.read_intrinsics(path) == Intrinsics(
+            fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "K.txt"
         path.write_text("100 100 32\n")

@@ -84,7 +84,8 @@ class TestFlowField:
         info = rng.normal(size=(12, 16, 3))
         info[5, 6, 1] = np.inf
         ff = FlowField(flow=flow, info=info)
-        back = FlowField.from_raster(ff.raster())
+        back = FlowField.from_raster(
+            np.concatenate([ff.flow, ff.info], axis=-1))
         for got, want in [(back.flow, ff.flow), (back.info, ff.info),
                           (back.valid, ff.valid)]:
             assert got.tobytes() == want.tobytes()
@@ -106,8 +107,9 @@ class TestFlowField:
                       raster.tolist()):
             ff = FlowField.from_raster(np.asarray(other))
             assert ff.flow.dtype == ff.info.dtype == np.float64
-            assert np.array_equal(ff.raster(),
-                                  np.asarray(other).astype(float))
+            assert np.array_equal(
+                np.concatenate([ff.flow, ff.info], axis=-1),
+                np.asarray(other).astype(float))
 
 
 class TestDepthShape:
@@ -1392,7 +1394,8 @@ def float32_rasters(scene):
     """The scene's depth and 5-channel flow raster as the float32 values a
     scene file holds, as read_raster returns them."""
     return (scene.depth.astype(np.float32),
-            scene.flow_field.raster().astype(np.float32))
+            np.concatenate([scene.flow_field.flow, scene.flow_field.info],
+                           axis=-1).astype(np.float32))
 
 
 class TestFloat32Rasters:

@@ -219,6 +219,24 @@ class TestSecondViewMatchesParent:
         if motion[4] > 1:
             assert valid.any() and not valid.all()
 
+    # blocks of 1000 pixels split the 64x48 raster into three and a
+    # partial one of 72, and blocks of 1 stop each pixel on its own
+    @pytest.mark.parametrize("block", [1000, 1])
+    def test_bit_identical_in_blocks(self, monkeypatch, block):
+        spec = basic_spec(depth_model=SmoothRandomDepth(seed=3, amplitude=0.4),
+                          motion=[0.15, -0.1, 0.2, 0.05, -0.1, 0.08])
+        K = spec.intrinsics
+        T = se3.exp(spec.motion)
+        ox, oy = camera.pixel_offsets(K, (spec.height, spec.width))
+        a, b = ox / K.fx, oy / K.fy
+        monkeypatch.setattr(synthetic, "_FIXED_POINT_BLOCK", block)
+        got = synthetic._second_view_scene_coords(spec, T, a, b,
+                                                  spec.depth_model(a, b))
+        ref_a, ref_b, ref_valid = reference_second_view_scene_coords(spec, T)
+        assert got[2].all() and np.array_equal(got[2], ref_valid)
+        assert got[0].tobytes() == ref_a.tobytes()
+        assert got[1].tobytes() == ref_b.tobytes()
+
 
 def lambda_history(spec, T):
     """lambda_0 .. lambda_50 of the reference's fixed-point iteration, as a
@@ -465,6 +483,23 @@ class TestRenderMemory:
             tracemalloc.stop()
         assert peak < 10.0e6
 
+    def test_write_scene_traced_peak(self, tmp_path):
+        # 8.84e6 bytes while the second view's fixed-point loop held five
+        # raster-sized arrays, and 7.20e6 with block-sized ones and each
+        # raster's arrays freed once encoded
+        spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
+                         motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
+                         depth_model=SmoothRandomDepth(seed=5, amplitude=0.5),
+                         noise_sigma=0.5, outlier_fraction=0.1,
+                         outlier_magnitude=20.0, seed=9)
+        tracemalloc.start()
+        try:
+            synthetic.write_scene(spec, tmp_path / "scene")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.8e6
+
 
 class CountingDepth:
     """An elementwise depth model that records the size of each input."""
@@ -481,22 +516,25 @@ class CountingDepth:
 class TestDepthModelCalls:
     # the fixed-point loop starts from render's depth and stops each pixel
     # at its first repeat: 10 full-raster calls became 7, and 6 became 3
-    # for a constant depth, which repeats at step 2
+    # for a constant depth, which repeats at step 2. Since the loop runs in
+    # blocks of pixels, the calls are counted as pixel evaluations: 7.102
+    # per pixel for the smooth depth when the loop took the raster as one
+    # block
     @pytest.mark.parametrize("model, most", [
-        (SmoothRandomDepth(seed=5, amplitude=0.5), 7),
+        (SmoothRandomDepth(seed=5, amplitude=0.5), 7.1),
         (ConstantDepth(2.0), 3),
     ], ids=["smooth", "constant"])
-    def test_full_raster_calls(self, model, most):
+    def test_pixel_evaluations(self, model, most):
         counting = CountingDepth(model)
         spec = SceneSpec(width=320, height=240, intrinsics=QVGA,
                          motion=[0.01, -0.008, 0.012, 0.004, -0.006, 0.005],
                          depth_model=counting, noise_sigma=0.5,
                          outlier_fraction=0.1, outlier_magnitude=20.0, seed=9)
         synthetic.render(spec)
-        full = counting.sizes.count(320 * 240)
-        assert full <= most
+        evaluations = sum(counting.sizes)
+        assert evaluations <= most * 320 * 240
         if isinstance(model, ConstantDepth):
-            assert counting.sizes == [320 * 240] * 3
+            assert evaluations == 3 * 320 * 240
 
 
 class TestWriteScene:
@@ -546,9 +584,10 @@ class TestWriteScene:
         scene = synthetic.render(spec)
         assert not scene.flow_field.valid.all()
         synthetic.write_scene(spec, tmp_path / "scene")
+        flow = np.concatenate([scene.flow_field.flow, scene.flow_field.info],
+                              axis=-1)
         pair = np.stack([scene.image_1, scene.image_2], axis=-1)
-        for name, data in (("depth.engr", scene.depth),
-                           ("flow.engr", scene.flow_field.raster()),
+        for name, data in (("depth.engr", scene.depth), ("flow.engr", flow),
                            ("images.engr", pair)):
             path = tmp_path / "scene" / name
             assert path.read_bytes() == rasters.encode_raster(path, data)

@@ -22,10 +22,11 @@ Conventions:
     with m the mean residual magnitude of the image, recomputed each
     iteration from the residuals at the current estimate;
   * a Gauss-Newton step solves (J^T W J) beta = -J^T W r. The residuals
-    and m take one pass over all pixels; J^T W J, J^T W r and the weighted
-    cost are then summed over blocks of _BLOCK pixels, so a block's
-    Jacobians, weights and residuals stay in cache and no weighted copy of
-    the Jacobians is made;
+    and m take one pass over all pixels. One block walk, _blocks, then
+    yields blocks of _BLOCK kept pixels with their Jacobians, confidences
+    and residuals; from these the step sums each block's weights into
+    J^T W J, J^T W r and the weighted cost in cache, with no weighted copy
+    of the Jacobians. The Newton matrix below sums over the same walk;
   * update: the loop stops when ||beta|| < CONVERGENCE_TOL and returns
     xi + beta, where b(xi) = J^T W r = 0. A plain step, xi <- xi + beta,
     contracts the error of a noisy frame by only about 0.4, because m moves
@@ -83,7 +84,7 @@ CONDITION_LIMIT = 1e12
 CONVERGENCE_TOL = 1e-9
 MIN_VALID_PIXELS = 64
 
-# Pixels per block of the normal-equation sums. A block's Jacobians (6, 2, B),
+# Pixels per block of the per-pixel sums. A block's Jacobians (2, 6, B),
 # weights and residuals take about 0.5 MB and stay in L2 cache; with blocks of
 # 32768 a QVGA or VGA step took about 1.4 times as long.
 _BLOCK = 4096
@@ -298,28 +299,28 @@ def compute_residuals(problem, xi):
 def jacobian_row(u, v, q):
     """2x6 Jacobian of the estimated flow w.r.t. the motion vector at the
     identity, for an inverse-depth point (u, v, 1, q)."""
-    return _jacobians(*np.array([[u], [v], [q]], dtype=float))[:, :, 0].T
+    return _jacobians(*np.array([[u], [v], [q]], dtype=float))[:, :, 0]
 
 
 def _jacobian_buffer(n=_BLOCK):
-    """A (6, 2, n) buffer for _jacobians, with its two zero rows set."""
-    J = np.empty((6, 2, n))
-    J[1, 0] = 0.0
+    """A (2, 6, n) buffer for _jacobians, with its two zero rows set."""
+    J = np.empty((2, 6, n))
     J[0, 1] = 0.0
+    J[1, 0] = 0.0
     return J
 
 
 def _jacobians(u, v, q, out=None):
-    """Transposed Jacobians for (N,) arrays of u, v and q, as a (6, 2, N)
-    array: entry [j, i, n] is the derivative of flow component i at point n
-    w.r.t. motion component j.
+    """Jacobians for (N,) arrays of u, v and q, as a (2, 6, N) array: entry
+    [i, j, n] is the derivative of flow component i at point n w.r.t.
+    motion component j, so x, y = J are the (6, N) rows of each component.
 
     With `out`, a _jacobian_buffer of at least N columns, the ten nonzero
     rows are written into its first N columns, which are returned as a
     view; its zero rows are left as they are.
     """
     J = (_jacobian_buffer(len(u)) if out is None else out)[:, :, :len(u)]
-    x, y = J[:, 0], J[:, 1]     # the x rows and the y rows
+    x, y = J
     # each row is computed in place, and -v and u v are reused: no (N,)
     # temporary, and the values of -u q, -u v, -v q and -v v - 1 bit for bit
     np.copyto(x[0], q)
@@ -336,6 +337,22 @@ def _jacobians(u, v, q, out=None):
     np.subtract(y[3], 1.0, out=y[3])
     np.copyto(y[5], u)
     return J
+
+
+def _blocks(problem, r, cols):
+    """The M kept pixels, of residuals r (2, M) and columns cols (None for
+    all N), in blocks of _BLOCK: each block's (4, B) points, its (2, 6, B)
+    Jacobians J0, built into one reused buffer, and its (2, B) confidences
+    and residuals."""
+    buffer = _jacobian_buffer()
+    for start in range(0, r.shape[1], _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        # a block gathers its own kept columns: problem.points[:, cols]
+        # would copy all of them
+        kept = blk if cols is None else cols[blk]
+        points = problem.points[:, kept]
+        yield (points, _jacobians(points[0], points[1], points[3], out=buffer),
+               problem.conf[:, kept], r[:, blk])
 
 
 def build_weight(c_x, c_y, rx, ry, m):
@@ -365,25 +382,14 @@ def gauss_newton_step(problem, xi):
     """
     r, keep = _residuals(problem, xi)
     m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
-    conf, cols = problem.conf, None
-    if keep is not None:
-        cols = np.flatnonzero(keep)
-        conf = conf[:, cols]
-    wx, wy = build_weight(conf[0], conf[1], r[0], r[1], m)
+    cols = None if keep is None else np.flatnonzero(keep)
 
     A = np.zeros((6, 6))
     b = np.zeros(6)
     cost = 0.0
-    buffer = _jacobian_buffer()
-    for start in range(0, r.shape[1], _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        # a block gathers its own kept points: problem.points[:, cols]
-        # would copy all of them
-        points = problem.points[:, blk if cols is None else cols[blk]]
-        JT = _jacobians(points[0], points[1], points[3], out=buffer)
-        # one flow component at a time: J is a (6, B) view of JT
-        for J, wc, rc in zip(JT.transpose(1, 0, 2),
-                             (wx[blk], wy[blk]), r[:, blk]):
+    for _, J0, conf, rb in _blocks(problem, r, cols):
+        # one flow component at a time: J is the (6, B) Jacobian of its flow
+        for J, wc, rc in zip(J0, build_weight(*conf, *rb, m), rb):
             wr = wc * rc
             A += (J * wc) @ J.T
             b += J @ wr
@@ -402,20 +408,18 @@ def gauss_newton_step(problem, xi):
                             step_norm=float(np.linalg.norm(beta)),
                             eig_min=eig_min, eig_max=eig_max)
     return beta, report, NewtonTerms(problem=problem, xi=xi, r=r, cols=cols,
-                                     conf=conf, m=m, b=b)
+                                     m=m, b=b)
 
 
 @dataclass(eq=False)
 class NewtonTerms:
     """What a Newton update needs from one gauss_newton_step: b, the value
     at xi of the loop's fixed-point function g(xi) = sum_c J0_c W_c r_c, and
-    the step's own residuals, m and confidences, from which `matrix` builds
-    H = dg/dxi."""
+    the step's own residuals and m, from which `matrix` builds H = dg/dxi."""
     problem: Problem
     xi: np.ndarray
     r: np.ndarray               # (2, M) residuals at the M kept pixels
     cols: np.ndarray            # (M,) their columns, or None for all N
-    conf: np.ndarray            # (2, M) their confidences
     m: float
     b: np.ndarray
 
@@ -434,27 +438,21 @@ class NewtonTerms:
         once. dm = mean_n (r_x Jr_x + r_y Jr_y) / |r_n| is the derivative of
         m. Needs m > 0.
         """
-        problem, r, cols, m = self.problem, self.r, self.cols, self.m
+        r, m = self.r, self.m
         T = se3.exp(self.xi)[:3]
         m2 = m * m
         H = np.zeros((6, 6))
         gm = np.zeros(6)
         dm = np.zeros(6)
-        j0_buffer, jw_buffer = _jacobian_buffer(), _jacobian_buffer()
-        for start in range(0, r.shape[1], _BLOCK):
-            blk = slice(start, start + _BLOCK)
-            points = problem.points[:, blk if cols is None else cols[blk]]
-            J0 = _jacobians(points[0], points[1], points[3], out=j0_buffer)
+        buffer = _jacobian_buffer()
+        for points, J0, conf, rb in _blocks(self.problem, r, self.cols):
             y = T @ points
             # the warped points (u', v', 1, q'), scaled to a third entry of 1
-            Jw = _jacobians(*divide(y)[0], points[3] / y[2], out=jw_buffer)
-            rb = r[:, blk]
+            Jw = _jacobians(*divide(y)[0], points[3] / y[2], out=buffer)
             norm = np.sqrt(rb[0] * rb[0] + rb[1] * rb[1])
             inverse = np.divide(1.0, norm, out=np.zeros_like(norm),
                                 where=norm > 0)
-            for J, Jr, c, rc in zip(J0.transpose(1, 0, 2),
-                                    Jw.transpose(1, 0, 2), self.conf[:, blk],
-                                    rb):
+            for J, Jr, c, rc in zip(J0, Jw, conf, rb):
                 r2 = rc * rc
                 scale = m2 + r2
                 scale = c / (scale * scale)
@@ -527,7 +525,7 @@ def solve(depth, flow_field, K, config=None):
 
     The valid pixels, their points and the confidences are built once, by
     `prepare`; residuals, m and the weights are recomputed every iteration
-    (true IRLS), and the Jacobians block by block within each step. Steps
+    (true IRLS), the weights and Jacobians block by block in each step. Steps
     after the first are Newton steps on the loop's fixed point, and a
     problem of at least _WARM_GATE valid pixels is first solved on every
     _WARM_STRIDE-th of them, as the module docstring says. The result keeps

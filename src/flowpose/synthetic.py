@@ -8,6 +8,7 @@ SIMD float64 log, which stream_normal calls, can round differently from
 libm's.
 """
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -75,6 +76,15 @@ def stream_normal(seed, tag, count):
 
 # --- depth and texture models ---------------------------------------------
 
+# typed: a float seed, which stream_uniform rejects, must not find the
+# coefficients of the int seed it equals
+@functools.lru_cache(maxsize=None, typed=True)
+def _coefficients(seed, tag):
+    """The five coefficients in [-1, 1) of a smooth random model, drawn once
+    per (seed, tag) from substream `tag` of `seed`, as Python floats."""
+    return tuple((stream_uniform(seed, tag, 5) * 2.0 - 1.0).tolist())
+
+
 @dataclass(frozen=True)
 class ConstantDepth:
     value: float
@@ -110,7 +120,7 @@ class SmoothRandomDepth:
     def __call__(self, a, b):
         """2 + amplitude * (c0 a + c1 b + c2 a b + c3 a a + c4 b b), the
         sum taken left to right; returns a new array."""
-        c = stream_uniform(self.seed, 7, 5) * 2.0 - 1.0
+        c = _coefficients(self.seed, 7)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         bump = c[0] * a
@@ -134,7 +144,7 @@ class SmoothRandomTexture:
     def intensity(self, a, b):
         """0.5 + 0.25 (c0 a + c1 b) + 0.02 (c2 a b + c3 a a + c4 b b),
         clipped to [0, 1]; each sum is taken left to right."""
-        c = stream_uniform(self.seed, 11, 5) * 2.0 - 1.0
+        c = _coefficients(self.seed, 11)
         val = c[0] * a
         term = np.empty_like(val)
         val += np.multiply(c[1], b, out=term)

@@ -267,9 +267,14 @@ def rpe(est, gt, pairs, delta=1):
         rel_est = se3.inverse(est.poses[ie[:-delta]]) @ est.poses[ie[delta:]]
         E = se3.inverse(rel_gt) @ rel_est
         terr = se3.row_norms(E[:, :3, 3])
-        c = np.clip((np.trace(E[:, :3, :3], axis1=1, axis2=2) - 1.0) / 2.0,
-                    -1.0, 1.0)
-        rerr = np.degrees(np.arccos(c))
+        # the angle as atan2(sin, cos), as in se3.log: arccos of the trace
+        # alone loses digits near 0 and pi
+        R = E[:, :3, :3]
+        vee = np.stack((R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                        R[:, 1, 0] - R[:, 0, 1]), axis=1)
+        rerr = np.degrees(np.arctan2(se3.row_norms(vee) / 2.0,
+                                     (np.trace(R, axis1=1, axis2=2) - 1.0)
+                                     / 2.0))
         # identical relative motions score exactly zero
         same = np.all(rel_gt == rel_est, axis=(1, 2))
         terr[same] = 0.0

@@ -211,7 +211,7 @@ class TestJacobian:
             u[:4] = v[2:6] = [0.0, -0.0, 0.0, -0.0]    # signed zeros
             q = rng.uniform(0.1, 10, n)
             J = solver._jacobians(u, v, q, out=buffer)
-            assert J.shape == (6, 2, n) and np.shares_memory(J, buffer)
+            assert J.shape == (2, 6, n) and np.shares_memory(J, buffer)
             assert J.tobytes() == solver._jacobians(u, v, q).tobytes()
 
 
@@ -313,6 +313,30 @@ class TestGaussNewtonStep:
                 tracemalloc.stop()
             assert (report.valid_count < len(problem.index)) == (tz < 0)
             assert peak < 12 * 8 * len(problem.index) * share, tz
+
+    def test_held_memory_is_residuals_and_columns(self):
+        # what a step leaves held for the Newton matrix, 2 m backwards where
+        # the pixels nearer than 2 m are dropped: the kept residuals and
+        # their columns. The confidences are gathered block by block, so no
+        # (2, M) copy of them (1 MB here) outlives the step
+        K = Intrinsics(fx=262.5, fy=262.5, cx=159.5, cy=119.5,
+                       width=320, height=240)
+        rng = np.random.default_rng(33)
+        depth = rng.uniform(1.5, 5.0, (K.height, K.width))
+        ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
+                       info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
+        problem = solver.prepare(depth, ff, K, SolverConfig())
+        tracemalloc.start()
+        try:
+            step = solver.gauss_newton_step(
+                problem, np.array([0.0, 0.0, -2.0, 0.0, 0.0, 0.0]))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _, report, terms = step
+        assert 0 < len(problem.index) - report.valid_count < len(
+            problem.index) / 4
+        assert held <= terms.r.nbytes + terms.cols.nbytes + 64 * 1024
 
 
 def reference_step(depth, flow_field, xi, K, config):
@@ -639,17 +663,17 @@ def reference_prepare(depth, flow_field, K, config):
     else:
         conf = np.ones((2, len(index)))
     u, v, _, q = points
-    J = np.zeros((6, 2, len(u)))
+    J = np.zeros((2, 6, len(u)))
     J[0, 0] = q
-    J[2, 0] = -u * q
-    J[3, 0] = -u * v
-    J[4, 0] = u * u + 1.0
-    J[5, 0] = -v
+    J[0, 2] = -u * q
+    J[0, 3] = -u * v
+    J[0, 4] = u * u + 1.0
+    J[0, 5] = -v
     J[1, 1] = q
-    J[2, 1] = -v * q
-    J[3, 1] = -v * v - 1.0
-    J[4, 1] = u * v
-    J[5, 1] = u
+    J[1, 2] = -v * q
+    J[1, 3] = -v * v - 1.0
+    J[1, 4] = u * v
+    J[1, 5] = u
     return index, points, flow, conf, J
 
 

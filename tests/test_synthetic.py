@@ -706,6 +706,28 @@ class TestStreamsAndPolynomialsMatchParent:
                 assert same_bytes(texture.intensity(a, b),
                                   reference_intensity(texture, a, b))
 
+    def test_coefficients_are_drawn_once(self, monkeypatch):
+        # the fixed-point loop calls the depth model once per step and block
+        calls = []
+        draw = synthetic.stream_uniform
+        monkeypatch.setattr(synthetic, "stream_uniform",
+                            lambda *args: calls.append(args) or draw(*args))
+        synthetic._coefficients.cache_clear()
+        a, b = polynomial_inputs()[0]
+        depth = SmoothRandomDepth(seed=5, amplitude=0.5)
+        texture = SmoothRandomTexture(seed=5)
+        for _ in range(3):
+            depth(a, b)
+            texture.intensity(a, b)
+        assert calls == [(5, 7, 5), (5, 11, 5)]
+        # a seed that only equals a drawn one finds nothing in the cache
+        with pytest.raises(TypeError):
+            SmoothRandomDepth(seed=5.0, amplitude=0.5)(a, b)
+        # immutable, so no caller can change what the others read
+        coefficients = synthetic._coefficients(5, 7)
+        assert type(coefficients) is tuple
+        assert [type(c) for c in coefficients] == [float] * 5
+
     def test_depth_returns_a_new_array(self):
         # the fixed-point loop updates the model's result in place
         a, b = polynomial_inputs()[0]

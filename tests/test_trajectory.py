@@ -319,6 +319,22 @@ class TestAteRpe:
         assert abs(base[0] - moved[0]) < 1e-9
         assert abs(base[1] - moved[1]) < 1e-9
 
+    # arccos of the trace reads 0 below about 1e-8 rad and is 1% off at
+    # 1e-7, since its absolute floor is sqrt(2 eps); near pi it loses
+    # digits too
+    @pytest.mark.parametrize("angle", [1e-12, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7,
+                                       1e-6, 1e-3, 1.0, 3.0,
+                                       np.pi - 1e-3, np.pi - 1e-6])
+    def test_rotation_error_keeps_its_digits(self, angle):
+        # one relative motion, rotated by `angle` about (1, 1, 1) and moved
+        # 0.1 m along x, against a ground truth that stands still
+        xi = np.concatenate([[0.1, 0.0, 0.0], angle * np.ones(3) / np.sqrt(3)])
+        ts = np.array([0.0, 1.0])
+        gt = Trajectory(ts, np.stack([np.eye(4), np.eye(4)]))
+        est = Trajectory(ts, np.stack([np.eye(4), se3.exp(xi)]))
+        _, rot = trajectory.rpe(est, gt, [(0, 0), (1, 1)])
+        assert rot == pytest.approx(np.degrees(angle), rel=1e-14, abs=0.0)
+
     def test_scaling_estimate_scales_per_pose_ratios(self):
         rng = np.random.default_rng(42)
         gt = random_trajectory(rng)

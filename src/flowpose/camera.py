@@ -4,9 +4,9 @@ Raster convention: arrays are (height, width[, channels]) with pixel (x, y)
 addressed as data[y, x]. Pixel centres sit at integer coordinates.
 
 Two kernels serve this module, the solver and the synthetic renderer:
-`pixel_offsets` (x - cx, y - cy), which checks that the raster is
-K.width x K.height, and `divide`, the perspective divide with the
-cheirality test.
+`pixel_offsets` (x - cx, y - cy), for every pixel or for a list of flat
+raster indices, which checks that the raster is K.width x K.height, and
+`divide`, the perspective divide with the cheirality test.
 
 Flow rasters are stored in pixel units; the solver converts to normalised
 camera coordinates by dividing by (fx, fy). flow_from_pose returns
@@ -48,16 +48,28 @@ def depth_valid_mask(depth):
     return np.isfinite(depth) & (depth > 0)
 
 
-def pixel_offsets(K, shape):
-    """(x - cx, y - cy) as two (H, W) arrays; raises RasterFormatError
-    unless shape is (K.height, K.width). Offsets, not rays: d * (x - cx) / fx
-    and d * ((x - cx) / fx) round differently."""
+def pixel_offsets(K, shape, index=None):
+    """(x - cx, y - cy) as two (H, W) arrays, or with `index` as the rows of
+    one (2, N) array for those flat raster indices, with the same bits;
+    raises RasterFormatError unless shape is (K.height, K.width). Offsets,
+    not rays: d * (x - cx) / fx and d * ((x - cx) / fx) round differently."""
     h, w = shape
     if (h, w) != (K.height, K.width):
         raise RasterFormatError(
             f"intrinsics are {K.width}x{K.height} but the raster is {w}x{h}")
-    return np.meshgrid(np.arange(w, dtype=float) - K.cx,
-                       np.arange(h, dtype=float) - K.cy)
+    if index is None:
+        return np.meshgrid(np.arange(w, dtype=float) - K.cx,
+                           np.arange(h, dtype=float) - K.cy)
+    # y = floor(index / w) and x = index - y w are exact in float64 below
+    # 2**52 pixels, and take a quarter of the time of an integer divmod
+    offsets = np.empty((2, len(index)))
+    x, y = offsets
+    np.floor(np.divide(index, w, out=y), out=y)
+    np.multiply(y, -w, out=x)
+    x += index
+    x -= K.cx
+    y -= K.cy
+    return offsets
 
 
 def check_same_size(first, second, names):

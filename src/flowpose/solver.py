@@ -22,11 +22,14 @@ Conventions:
     with m the mean residual magnitude of the image, recomputed each
     iteration from the residuals at the current estimate;
   * a Gauss-Newton step solves (J^T W J) beta = -J^T W r. The residuals
-    and m take one pass over all pixels. One block walk, _blocks, then
-    yields blocks of _BLOCK kept pixels with their Jacobians, confidences
-    and residuals; from these the step sums each block's weights into
-    J^T W J, J^T W r and the weighted cost in cache, with no weighted copy
-    of the Jacobians. The Newton matrix below sums over the same walk;
+    are formed block by block: each block's product T x and its divide go
+    straight into one (2, N) array, with the bytes of the raster-wide
+    product, and m sums the squared norms into one (M,) array in place.
+    One block walk, _blocks, then yields blocks of _BLOCK kept pixels
+    with their Jacobians, confidences and residuals; from these the step
+    sums each block's weights into J^T W J, J^T W r and the weighted cost
+    in cache, with no weighted copy of the Jacobians. The Newton matrix
+    below sums over the same walk;
   * update: the loop stops when ||beta|| < CONVERGENCE_TOL and returns
     xi + beta, where b(xi) = J^T W r = 0. A plain step, xi <- xi + beta,
     contracts the error of a noisy frame by only about 0.4, because m moves
@@ -219,7 +222,6 @@ def prepare(depth, flow_field, K, config):
         raise RasterFormatError("depth raster must have a single channel")
     check_same_size(depth, flow_field.flow, ("depth", "flow"))
     h, w = depth.shape
-    ox, oy = pixel_offsets(K, (h, w))
 
     # float32 rasters are widened before any arithmetic: numpy 2 computes a
     # float32 array and a Python float in float32
@@ -227,21 +229,24 @@ def prepare(depth, flow_field, K, config):
         # NaN, inf, 0 and < 0 depths: q outside the band
         q = np.divide(1.0, depth, dtype=float)
     index = np.flatnonzero(flow_field.valid & (q >= Q_MIN) & (q <= Q_MAX))
+    n = len(index)
     # every gather goes straight into its row: a gather of (N, 2) flow rows
     # and its transposed copy took three times as long. The index is in
     # range, so mode='clip' changes no value; it only spares np.take the
-    # buffered copy of `out` that its default mode makes.
-    points = np.empty((4, len(index)))
-    meas = np.empty((2, len(index)))
+    # buffered copy of `out` that its default mode makes. q is freed once
+    # gathered, and the offsets are taken from the index: no raster-sized
+    # float array is held beside the Problem's rows.
+    points = np.empty((4, n))
+    np.take(q.ravel(), index, out=points[3], mode='clip')
+    del q
+    np.divide(pixel_offsets(K, (h, w), index), [[K.fx], [K.fy]],
+              out=points[:2])
+    points[2] = 1.0
+    meas = np.empty((2, n))
     pixels = flow_field.flow.reshape(-1, 2)
-    for c, (o, f) in enumerate(((ox, K.fx), (oy, K.fy))):
-        np.take(o.ravel(), index, out=points[c], mode='clip')
-        points[c] /= f
+    for c, f in enumerate((K.fx, K.fy)):
         meas[c] = pixels[:, c][index]
         meas[c] /= f
-    points[2] = 1.0
-    np.take(q.ravel(), index, out=points[3], mode='clip')
-    n = len(index)
     if config.use_confidence:
         # only the a_hat and g_hat channels, each gathered into its row; the
         # exponentials overwrite them
@@ -256,6 +261,14 @@ def prepare(depth, flow_field, K, config):
                    conf=conf)
 
 
+def _spans(n):
+    """Slices of _BLOCK consecutive columns that cover n columns; a single
+    column left over joins the block before it, as numpy multiplies one
+    column by gemv, whose sums round differently from gemm's."""
+    stops = [*range(_BLOCK, n - 1, _BLOCK), n]
+    return map(slice, [0, *stops[:-1]], stops)
+
+
 def _residuals(problem, xi):
     """Residuals r = F+ - F at exp(xi) over the pixels that stay in front of
     the camera.
@@ -264,10 +277,17 @@ def _residuals(problem, xi):
     cheirality test and an (N,) bool mask of the M passing ones otherwise.
     Raises InsufficientDataError when M is below MIN_VALID_PIXELS.
     """
-    T = se3.exp(xi)
     # T acting on (u, v, 1, q): rows 0..2 give R (u,v,1)^T + t q
-    r, keep = divide(T[:3] @ problem.points)
-    r -= problem.points[:2]     # in place: no fresh (2, N) per iteration
+    T = se3.exp(xi)[:3]
+    points = problem.points
+    n = points.shape[1]
+    r = np.empty((2, n))
+    keep = np.empty(n, dtype=bool)
+    # block by block, each product and its divide straight into r: the
+    # (3, N) product and a second (2, N) quotient are never formed
+    for blk in _spans(n):
+        _, keep[blk] = divide(T @ points[:, blk], out=r[:, blk])
+    r -= points[:2]             # in place: no fresh (2, N) per iteration
     r -= problem.flow
     if keep.all():
         keep = None
@@ -381,7 +401,13 @@ def gauss_newton_step(problem, xi):
     takes the Newton update that terms leads to.
     """
     r, keep = _residuals(problem, xi)
-    m = float(np.sqrt(r[0] * r[0] + r[1] * r[1]).mean())
+    # m's squared norms summed into one (M,) array in place, a block of
+    # r[1] * r[1] at a time, rooted there and freed before the block walk
+    norms = r[0] * r[0]
+    for blk in _spans(len(norms)):
+        norms[blk] += r[1, blk] * r[1, blk]
+    m = float(np.sqrt(norms, out=norms).mean())
+    del norms
     cols = None if keep is None else np.flatnonzero(keep)
 
     A = np.zeros((6, 6))

@@ -228,6 +228,36 @@ class TestKernels:
         with pytest.raises(RasterFormatError, match="64x48"):
             camera.pixel_offsets(K, shape)
 
+    @pytest.mark.parametrize("cx, cy", [(32.0, 24.0), (0.1, 47.9),
+                                        (31.3, 1e-300)])
+    @pytest.mark.parametrize("width, height", [(64, 48), (1, 7), (640, 480)])
+    def test_pixel_offsets_of_flat_indices_are_the_grids(self, width, height,
+                                                         cx, cy):
+        # the offsets of a raster's flat indices, taken without the grids,
+        # are the grids' values at those indices, bit for bit, in the first
+        # and last column and row too
+        K = Intrinsics(fx=100.0, fy=120.0, cx=cx * width / 64,
+                       cy=cy * height / 48, width=width, height=height)
+        size = width * height
+        rng = np.random.default_rng(width)
+        index = np.unique(np.concatenate([
+            [0, width - 1, size - width, size - 1],
+            rng.integers(0, size, min(size, 500))]))
+        ox, oy = camera.pixel_offsets(K, (height, width))
+        offsets = camera.pixel_offsets(K, (height, width), index)
+        assert offsets.shape == (2, len(index)) and offsets.dtype == float
+        assert_same_bytes(offsets, np.stack([ox.ravel()[index],
+                                             oy.ravel()[index]]))
+        empty = camera.pixel_offsets(K, (height, width),
+                                     np.empty(0, dtype=np.int64))
+        assert empty.shape == (2, 0)
+
+    @pytest.mark.parametrize("shape", [(48, 60), (40, 64), (64, 48)])
+    def test_pixel_offsets_of_flat_indices_reject_other_raster_size(
+            self, K, shape):
+        with pytest.raises(RasterFormatError, match="64x48"):
+            camera.pixel_offsets(K, shape, np.arange(10))
+
     def test_divide(self):
         Y = np.array([[2.0, 1.0, 3.0, 5.0],
                       [4.0, 1.0, 3.0, 7.0],

@@ -1776,7 +1776,71 @@ def _synth_argv(draw, out):
     return argv + [f"--out={out}"]
 
 
+# An --intrinsics file for synth's raster of width x height. Up to two of
+# fx, fy, cx and cy are EXTREME_FLOATS values, the others from each slot's
+# ordinary range; the size is the raster's or another. One edit in three
+# leaves the line malformed: a field dropped or repeated, a word that is no
+# number or a non-finite one, a size that is no int, a second line, or bytes
+# that are not UTF-8.
+@st.composite
+def _synth_intrinsics(draw, width, height):
+    extreme = draw(st.sets(st.integers(0, 3), max_size=2))
+    ordinary = [st.floats(1, 4 * width), st.floats(1, 4 * height)] + [
+        st.floats(0, size, exclude_min=True, exclude_max=True)
+        for size in (width, height)]
+    fields = [repr(draw(EXTREME_FLOATS if slot in extreme else numbers))
+              for slot, numbers in enumerate(ordinary)]
+    fields += draw(st.sampled_from([
+        [str(width), str(height)], [str(width), str(height)],
+        [str(height), str(width)], [str(width + 1), str(height)]]))
+    slot = draw(st.integers(0, 5))
+    edit = draw(st.sampled_from(["none"] * 10 + [
+        "drop", "repeat", "word", "size", "lines", "bytes"]))
+    if edit == "drop":
+        del fields[slot]
+    elif edit == "repeat":
+        fields.insert(slot, fields[slot])
+    elif edit == "word":
+        fields[slot] = draw(st.sampled_from(
+            ["nan", "-inf", "inf", "x", "0x10", "1,5", "--1", "1e400"]))
+    elif edit == "size":
+        fields[4 + slot % 2] = draw(st.sampled_from(
+            ["0", "-3", "64.0", "1e3", str(10 ** 30)]))
+    text = " ".join(fields) + "\n"
+    if edit == "lines":
+        text = " ".join(fields[:3]) + "\n" + " ".join(fields[3:]) + "\n"
+    return text.encode() if edit != "bytes" else b"\xff" + text.encode()
+
+
 class TestExtremeSynthNumbers:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_intrinsics_file_documented_exit_code(self, capsys, tmp_path,
+                                                  data):
+        # the same contract with an --intrinsics file, and every scene that
+        # synth writes is one that solve reads
+        out, path = tmp_path / "scene", tmp_path / "intrinsics.txt"
+        argv = data.draw(_synth_argv(out))
+        width, height = (int(flag.partition("=")[2]) for flag in argv[1:3])
+        path.write_bytes(data.draw(_synth_intrinsics(width, height)))
+        code, stdout, err = run_strict(capsys, *argv, f"--intrinsics={path}")
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert stdout == "" and len(err.splitlines()) == 1, err
+            assert not out.exists()
+            return
+        assert err == ""
+        code, stdout, err = run_strict(capsys, *solve_args(out))
+        shutil.rmtree(out)
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert stdout == "" and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""
+            fields = [float(x) for x in stdout.split()]
+            assert len(fields) == 9 and np.all(np.isfinite(fields)), stdout
+
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())

@@ -639,6 +639,41 @@ class TestResidualsMatchParent:
             assert keep is not None and keep.any()
 
 
+class TestBlockResiduals:
+    """_residuals forms T[:3] @ points and its divide block by block; its
+    residuals, kept mask and residual raster have the bytes of the
+    raster-wide product: on whole blocks and a ragged tail (76,800 pixels
+    are 18 blocks and one of 3,072), on a tail of one column, which numpy
+    would multiply by gemv, and with pixels dropped behind the camera."""
+    BLOCK = solver._BLOCK
+
+    @pytest.mark.parametrize("valid", [76800, 2 * BLOCK + 1, BLOCK - 1])
+    # the last motion steps 2 m back: points nearer than that drop out
+    @pytest.mark.parametrize("xi", [
+        [0.0] * 6,
+        [0.03, -0.02, 0.01, 0.01, -0.02, 0.015],
+        [0.01, -0.02, -2.0, 0.01, 0.02, -0.01],
+    ], ids=["zero", "small", "behind"])
+    def test_matches_raster_wide_product(self, valid, xi):
+        depth, ff, K = block_scene(valid, seed=valid)
+        problem = solver.prepare(depth, ff, K, SolverConfig())
+        assert len(problem.index) == valid
+        xi = np.array(xi)
+        r, keep = solver._residuals(problem, xi)
+        ref_r, ref_keep = reference_residuals(problem, xi)
+        assert r.flags.c_contiguous
+        assert r.tobytes() == ref_r.tobytes()
+        assert (keep is None) == (ref_keep is None) == (xi[2] > -1.0)
+        kept = problem.index
+        if keep is not None:
+            assert keep.tobytes() == ref_keep.tobytes()
+            kept = kept[ref_keep]
+        want = np.zeros((depth.size, 2))
+        want[kept] = ref_r.T
+        assert (solver.compute_residuals(problem, xi).tobytes()
+                == want.tobytes())
+
+
 # The parent's prepare, verbatim but for its return value and the inlined
 # exp of infomat.confidences: the reference for the per-channel gathers.
 def reference_prepare(depth, flow_field, K, config):
@@ -1490,6 +1525,43 @@ class TestSolveMemory:
         monkeypatch.setattr(solver, "_iterate", first_step)
         res = solver.solve(held.pop(0), FlowField.from_raster(held.pop(0)), K)
         assert res.converged and alive == [[False, False]]
+
+    def test_prepare_holds_only_the_problem_and_a_gather(self):
+        # q is freed once gathered and the offsets are taken from the
+        # index, so prepare peaks at its Problem and one float32 gather of
+        # the valid pixels. With q and the two offset grids held to the end
+        # it peaked 2.15 MB above its Problem
+        depth, data = float32_rasters(qvga_scene(2, noise_sigma=0.5)[0])
+        ff = FlowField.from_raster(data)
+        tracemalloc.start()
+        try:
+            problem = solver.prepare(depth, ff, QVGA, SolverConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(problem.index)
+        assert n > 0.9 * depth.size
+        nbytes = sum(getattr(problem, name).nbytes
+                     for name in ("index", "points", "flow", "conf"))
+        assert peak <= nbytes + 4 * n + 64 * 1024, (peak, nbytes)
+
+    def test_full_resolution_step_peaks_at_residuals_and_norms(self):
+        # the residuals are formed block by block into their (2, M) array,
+        # and m's squared norms are summed into one (M,) array in place:
+        # with the (3, N) product and a second (2, N) quotient a step
+        # peaked at 3.15 MB here
+        depth, data = float32_rasters(qvga_scene(2, noise_sigma=0.5)[0])
+        problem = solver.prepare(depth, FlowField.from_raster(data), QVGA,
+                                 SolverConfig())
+        tracemalloc.start()
+        try:
+            _, report, _ = solver.gauss_newton_step(problem, np.zeros(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = report.valid_count
+        assert m == len(problem.index)
+        assert peak <= 24 * m + 0.5e6, peak
 
     def test_noisy_qvga_peak(self):
         # each block builds its own Jacobians: stored for all 76800 pixels

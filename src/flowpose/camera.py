@@ -8,9 +8,8 @@ Two kernels serve this module, the solver and the synthetic renderer:
 raster indices, which checks that the raster is K.width x K.height, and
 `divide`, the perspective divide with the cheirality test.
 
-Flow rasters are stored in pixel units; the solver converts to normalised
-camera coordinates by dividing by (fx, fy). flow_from_pose returns
-normalised flow.
+Flow is in pixels in rasters, FlowField and flow_from_pose's result; the
+solver divides it by (fx, fy) into normalised camera coordinates.
 """
 
 from dataclasses import dataclass
@@ -167,27 +166,18 @@ def warp_image(src, depth, T, K):
 
 
 def flow_from_pose(depth, T, K):
-    """Pose-induced dense flow in normalised camera coordinates.
+    """Pose-induced dense flow in pixels.
 
     Returns (flow (H,W,2), validity mask). flow is divide(T X), X the pixel
-    lifted to its depth, minus the pixel's normalised coordinate; invalid
-    pixels hold 0.
+    lifted to its depth, minus the pixel's normalised coordinate, scaled by
+    (fx, fy) one component at a time: a product broadcast over the length-2
+    last axis takes about three times as long. Invalid pixels hold 0.
     """
     uv, mask, offsets = _moved_grid(depth, T, K)
     flow = np.empty(mask.shape + (2,))
     for c, (o, f) in enumerate(zip(offsets, (K.fx, K.fy))):
         np.divide(o, f, out=flow[..., c])
         np.subtract(uv[c], flow[..., c], out=flow[..., c])
+        flow[..., c] *= f
     flow[~mask] = 0.0
     return flow, mask
-
-
-def flow_normalised_to_pixels(flow, K):
-    """Scale a normalised-coordinate flow field (..., 2) to pixel units, one
-    component at a time: a product broadcast over the length-2 last axis
-    takes about three times as long."""
-    flow = np.asarray(flow, dtype=float)
-    pixels = np.empty_like(flow)
-    for c, f in enumerate((K.fx, K.fy)):
-        np.multiply(flow[..., c], f, out=pixels[..., c])
-    return pixels

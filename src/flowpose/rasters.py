@@ -78,11 +78,17 @@ def read_raster(path):
             raise RasterFormatError(f"{path}: unsupported version {version}")
         expected = w * h * c * 4
         # a regular file's size is known before reading, so a header that
-        # claims more data than the file holds allocates nothing; a pipe's
-        # is known once it is read
+        # claims more data than the file holds allocates nothing; a pipe is
+        # read in 64 KiB pieces (its capacity) up to one byte past the count
         st = os.fstat(fh.fileno())
-        got = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else expected
-        if got == expected:
+        if not stat.S_ISREG(st.st_mode):
+            buf = bytearray()
+            while piece := fh.read(min(1 << 16, expected + 1 - len(buf))):
+                buf += piece
+            got = len(buf) if len(buf) <= expected else f"more than {expected}"
+            if got == expected:
+                data = np.frombuffer(buf, dtype='<f4').reshape(h, w, c)
+        elif (got := st.st_size - fh.tell()) == expected:
             data = np.empty((h, w, c), dtype='<f4')
             got = fh.readinto(data) + len(fh.read())
     if got != expected:

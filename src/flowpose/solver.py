@@ -117,15 +117,13 @@ class FlowField:
     """Dense flow plus raw information parameters.
 
     flow: (H, W, 2) in pixel units; info: (H, W, 3) raw (a_hat, b_hat,
-    g_hat); valid: (H, W) bool, True where all five channels are finite.
-    NaN flow marks a pixel that holds no measurement. A float32 array, such
-    as a view of what `rasters.read_raster` returns, is kept as it is, and
-    anything else is made float64: `prepare` widens only the valid pixels
-    it gathers, which is exact.
+    g_hat). NaN flow marks a pixel that holds no measurement. A float32
+    array, such as a view of what `rasters.read_raster` returns, is kept as
+    it is, and anything else is made float64: `prepare` widens only the
+    valid pixels it gathers, which is exact.
     """
     flow: np.ndarray
     info: np.ndarray
-    valid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.flow = _float_raster(self.flow)
@@ -134,12 +132,17 @@ class FlowField:
         if self.flow.shape != size + (2,) or self.info.shape != size + (3,):
             raise ValueError("flow and info must be (H, W, 2) and (H, W, 3), "
                              f"got {self.flow.shape} and {self.info.shape}")
+
+    @property
+    def valid(self):
+        """(H, W) bool, True where all five channels are finite now."""
         # one elementwise pass per channel: np.all over the short channel
         # axis is several times slower
-        self.valid = np.ones(size, dtype=bool)
+        valid = np.ones(self.flow.shape[:2], dtype=bool)
         for raster in (self.flow, self.info):
             for c in range(raster.shape[-1]):
-                self.valid &= np.isfinite(raster[..., c])
+                valid &= np.isfinite(raster[..., c])
+        return valid
 
     @classmethod
     def from_raster(cls, data):

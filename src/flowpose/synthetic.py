@@ -351,7 +351,6 @@ def render(spec):
     del a2, b2
 
     flow_px, valid = camera.flow_from_pose(depth, T, K)
-    flow_px = camera.flow_normalised_to_pixels(flow_px, K)
     # a pixel without a measurement holds NaN flow, which a scene file keeps
     flow_px[~valid] = np.nan
 

@@ -103,7 +103,7 @@ class TestProjectBackproject:
         ox, oy = camera.pixel_offsets(K, (K.height, K.width))
         d = rng.uniform(0.3, 5.0, ox.shape)
         uv, front = camera.divide(np.stack([d * ox / K.fx, d * oy / K.fy, d]))
-        back = camera.flow_normalised_to_pixels(np.moveaxis(uv, 0, -1), K)
+        back = np.stack([uv[0] * K.fx, uv[1] * K.fy], axis=-1)
         assert front.all()
         assert np.max(np.abs(back - np.stack([ox, oy], axis=-1))) < 1e-9
 
@@ -179,6 +179,7 @@ class TestFlowFromPose:
         T = se3.exp([tx, 0, 0, 0, 0, 0])
         flow, mask = camera.flow_from_pose(depth, T, K)
         assert mask.all()
+        flow /= [K.fx, K.fy]        # pixels to normalised coordinates
         assert np.max(np.abs(flow[..., 0] - tx / d)) < 1e-12
         assert np.max(np.abs(flow[..., 1])) < 1e-15
 
@@ -187,6 +188,7 @@ class TestFlowFromPose:
         depth = 2.0 + 0.3 * rng.uniform(-1, 1, (K.height, K.width))
         T = se3.exp(rng.uniform(-0.05, 0.05, 6))
         flow, mask = camera.flow_from_pose(depth, T, K)
+        flow /= [K.fx, K.fy]        # pixels to normalised coordinates
         for _ in range(50):
             y = rng.integers(0, K.height)
             x = rng.integers(0, K.width)
@@ -207,11 +209,10 @@ class TestFlowFromPose:
         flow, fmask = camera.flow_from_pose(scene.depth, scene.transform, K)
         warped, wmask = camera.warp_image(scene.image_2, scene.depth,
                                           scene.transform, K)
-        pix = camera.flow_normalised_to_pixels(flow, K)
         xs, ys = np.meshgrid(np.arange(K.width, dtype=float),
                              np.arange(K.height, dtype=float))
-        sampled, ok = camera.bilinear_sample(scene.image_2,
-                                             xs + pix[..., 0], ys + pix[..., 1])
+        sampled, ok = camera.bilinear_sample(
+            scene.image_2, xs + flow[..., 0], ys + flow[..., 1])
         joint = fmask & wmask & ok
         assert joint.any()
         assert np.max(np.abs(sampled[joint] - warped[joint])) < 1e-9
@@ -278,19 +279,12 @@ class TestKernels:
         assert_same_bytes(front, want_front)
         assert_same_bytes(got, want)
 
-    def test_flow_normalised_to_pixels_matches_broadcast_product(self, K):
-        # one component at a time, with the bits of flow * (fx, fy)
-        rng = np.random.default_rng(34)
-        flow = rng.normal(0.0, 0.05, (K.height, K.width, 2))
-        flow[0, :3] = np.nan
-        got = camera.flow_normalised_to_pixels(flow, K)
-        assert_same_bytes(got, flow * np.array([K.fx, K.fy]))
-        assert not np.shares_memory(got, flow)
-
 
 # The project-transform-divide as written before the shared kernels and the
-# in-place grid and flow, kept verbatim as the reference they must reproduce
-# byte for byte (the synth manifests hash these rasters).
+# in-place grid and flow, kept as the reference they must reproduce byte for
+# byte (the synth manifests hash these rasters). The reference flow is the
+# normalised one scaled by (fx, fy) a component at a time, the order
+# flow_from_pose keeps.
 def reference_transform_grid(depth, T, K):
     depth = np.asarray(depth, dtype=float)
     h, w = depth.shape
@@ -332,8 +326,9 @@ def reference_flow_from_pose(depth, T, K):
     zsafe = np.where(cheir, z, 1.0)
     u0 = (xs - K.cx) / K.fx
     v0 = (ys - K.cy) / K.fy
-    flow = np.stack([Y[..., 0] / zsafe - u0,
-                     Y[..., 1] / zsafe - v0], axis=-1)
+    # the normalised flow, then each component in pixels
+    flow = np.stack([(Y[..., 0] / zsafe - u0) * K.fx,
+                     (Y[..., 1] / zsafe - v0) * K.fy], axis=-1)
     mask = valid & cheir
     flow = np.where(mask[..., None], flow, 0.0)
     return flow, mask

@@ -147,7 +147,30 @@ class TestRasterRoundtrip:
             tracemalloc.stop()
         assert peak < 1e5
 
-    @pytest.mark.parametrize("cut", [0, 4])
+    def test_header_beyond_the_pipe_allocates_nothing(self, tmp_path):
+        # the same lying header through a pipe, whose length the reader
+        # learns only by reading: no array of the claimed size is made
+        import struct
+        raw = struct.pack("<4sIIII", b"ENGR", 1, 65536, 16384, 1) \
+            + b"\x00" * 4
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=lambda: path.write_bytes(raw),
+                                  daemon=True)
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(RasterFormatError,
+                               match="expected 4294967296 data bytes, got 4$"):
+                rasters.read_raster(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert peak < 2e5
+
+    @pytest.mark.parametrize("cut", [0, 4, -4])
     def test_reads_a_pipe(self, tmp_path, cut):
         # a pipe's length is known only once it is read
         data = np.arange(12.0).reshape(3, 4)
@@ -155,12 +178,16 @@ class TestRasterRoundtrip:
         path = tmp_path / "pipe"
         os.mkfifo(path)
         writer = threading.Thread(
-            target=lambda: path.write_bytes(raw[:len(raw) - cut]), daemon=True)
+            target=lambda: path.write_bytes(
+                raw[:len(raw) - cut] if cut >= 0 else raw + b"\x00" * -cut),
+            daemon=True)
         writer.start()
         try:
             if cut:
+                # a longer stream is read only one byte past the count
+                got = "44" if cut > 0 else "more than 48"
                 with pytest.raises(RasterFormatError,
-                                   match="expected 48 data bytes, got 44$"):
+                                   match=f"expected 48 data bytes, got {got}$"):
                     rasters.read_raster(path)
             else:
                 assert np.array_equal(rasters.read_raster(path), data)

@@ -20,9 +20,8 @@ def K():
 
 def exact_flow_field(depth, xi, K):
     flow, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
-    pix = camera.flow_normalised_to_pixels(flow, K)
-    pix[~mask] = np.nan
-    return FlowField(flow=pix, info=np.zeros(depth.shape + (3,)))
+    flow[~mask] = np.nan
+    return FlowField(flow=flow, info=np.zeros(depth.shape + (3,)))
 
 
 class TestFlowField:
@@ -76,6 +75,29 @@ class TestFlowField:
         flow3 = np.concatenate([ff.flow, ff.info[..., :1]], axis=-1)
         with pytest.raises(ValueError, match=r"\(48, 64, 3\)"):
             solver.solve(scene.depth, FlowField(flow=flow3, info=ff.info), K)
+
+    def test_valid_follows_values_set_after_construction(self):
+        # a measurement removed after construction is skipped: a mask kept
+        # from construction counted the NaN pixel, and its NaN flow made
+        # the normal equations non-finite
+        K = Intrinsics(fx=120.0, fy=120.0, cx=48.0, cy=36.0, width=96,
+                       height=72)
+        scene = synthetic.render(synthetic.SceneSpec(
+            width=96, height=72, intrinsics=K, seed=5, noise_sigma=0.3,
+            motion=[0.02, -0.01, 0.01, 0.004, -0.003, 0.006]))
+        ff = scene.flow_field
+        assert ff.valid.all()
+        ff.flow[10, 10, 0] = np.nan
+        ff.info[20, 30, 1] = np.inf
+        assert np.count_nonzero(~ff.valid) == 2
+        assert not ff.valid[10, 10] and not ff.valid[20, 30]
+        got = solver.solve(scene.depth, ff, K)
+        fresh = FlowField(flow=ff.flow.copy(), info=ff.info.copy())
+        want = solver.solve(scene.depth, fresh, K)
+        assert got.converged and want.converged
+        assert got.xi.tobytes() == want.xi.tobytes()
+        assert np.array_equal(got.problem.index, want.problem.index)
+        assert len(got.problem.index) == ff.valid.size - 2
 
     def test_raster_round_trip(self):
         rng = np.random.default_rng(36)
@@ -156,6 +178,7 @@ class TestComputeResiduals:
         residuals = solver.compute_residuals(
             solver.prepare(depth, ff, K, config), np.zeros(6))
         expected, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
+        expected /= [K.fx, K.fy]        # residuals are normalised
         assert np.max(np.abs(residuals[mask] + expected[mask])) < 1e-12
 
     def test_insufficient_pixels(self, K):

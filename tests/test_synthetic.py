@@ -44,8 +44,7 @@ class TestRender:
         scene = synthetic.render(spec)
         K = spec.intrinsics
         flow, mask = camera.flow_from_pose(scene.depth, scene.transform, K)
-        pix = camera.flow_normalised_to_pixels(flow, K)
-        assert np.max(np.abs(scene.flow_field.flow[mask] - pix[mask])) < 1e-10
+        assert np.max(np.abs(scene.flow_field.flow[mask] - flow[mask])) < 1e-10
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.5])
     def test_flow_is_nan_exactly_where_unmeasured(self, noise_sigma):
@@ -768,6 +767,5 @@ class TestDivergingSecondView:
         # the first view's, finite at every pixel in front of both cameras
         assert np.all(np.isfinite(scene.image_2))
         flow, mask = camera.flow_from_pose(scene.depth, scene.transform, QVGA)
-        pix = camera.flow_normalised_to_pixels(flow, QVGA)
-        assert same_bytes(scene.flow_field.flow[mask], pix[mask])
+        assert same_bytes(scene.flow_field.flow[mask], flow[mask])
         assert np.all(np.isnan(scene.flow_field.flow[~mask]))

@@ -11,7 +11,6 @@ recovery another order of magnitude tighter.
 import numpy as np
 
 from flowpose import solver, synthetic
-from flowpose.solver import SolverConfig
 
 true_xi = np.array([0.04, 0.01, -0.02, 0.005, 0.008, -0.01])
 spec = synthetic.SceneSpec(
@@ -23,7 +22,7 @@ print("corrupted pixels:", int(scene.outlier_mask.sum()),
 
 with_conf = solver.solve(scene.depth, scene.flow_field, spec.intrinsics)
 without = solver.solve(scene.depth, scene.flow_field, spec.intrinsics,
-                       SolverConfig(use_confidence=False))
+                       use_confidence=False)
 
 err_with = np.linalg.norm(with_conf.xi - true_xi)
 err_without = np.linalg.norm(without.xi - true_xi)

@@ -2,8 +2,9 @@
 trajectories and evaluate losses.
 
 `solve` and `eval-traj` settings are flags with no default of their own:
-the library's defaults apply. The parser is built once per process, and no
-command line changes it. Each `loss` subcommand takes only the flags that
+each takes the default of the argument of its name of `solver.solve` or
+`trajectory.evaluate`. The parser is built once per process, and no command
+line changes it. Each `loss` subcommand takes only the flags that
 its loss reads. A value may start with `-` and a digit without `=`:
 `--motion -0.05,...`.
 
@@ -20,6 +21,7 @@ ValueError like every other usage fault: `error: <message>`, no usage block.
 import argparse
 import ctypes
 import functools
+import inspect
 import re
 import sys
 
@@ -101,11 +103,12 @@ def _parse_texture_model(text):
         raise ValueError(f"bad texture model '{text}': {exc}") from exc
 
 
-def _given_settings(args):
-    """The command's settings given on the command line; the library
-    supplies the rest."""
-    return {dest: getattr(args, dest) for dest in args.settings
-            if hasattr(args, dest)}
+def _settings(parser, flags, function):
+    """Declare flags as the settings of the parser's command: each takes
+    the default of the library function's argument of its name."""
+    parameters = inspect.signature(function).parameters
+    parser.set_defaults(settings=[a.dest for a in flags],
+                        **{a.dest: parameters[a.dest].default for a in flags})
 
 
 def cmd_synth(args):
@@ -127,16 +130,21 @@ def cmd_synth(args):
 
 def cmd_solve(args):
     # the rasters are bound to no name here, so `solve` frees them once it
-    # has gathered the valid pixels
+    # has gathered the valid pixels. The settings are named: a call with
+    # `**` would hold the rasters in its argument tuple until it returns
     result = solver.solve(
         rasters.read_raster(args.depth),
         solver.FlowField.from_raster(rasters.read_raster(args.flow)),
         rasters.read_intrinsics(args.intrinsics),
-        solver.SolverConfig(**_given_settings(args)))
+        max_iterations=args.max_iterations,
+        use_confidence=args.use_confidence, seed_xi=args.seed_xi)
     if args.residuals:
-        # the problem the solve built, not a second one
-        rasters.write_raster(args.residuals, solver.compute_residuals(
-            result.problem, result.xi))
+        # the problem the solve built, not a second one, scattered straight
+        # into the float32 raster that is written
+        with rasters.float32_cast(args.residuals):
+            residuals = solver.compute_residuals(result.problem, result.xi,
+                                                 np.float32)
+        rasters.write_raster(args.residuals, residuals)
     print(" ".join("%.17g" % x for x in result.xi)
           + " %d %d %.17g" % (result.iterations, int(result.converged),
                               result.reports[-1].weighted_cost))
@@ -154,7 +162,8 @@ def _quantiles(values):
 def cmd_eval_traj(args):
     est = trajectory.read_tum(args.est)
     gt = trajectory.read_tum(args.gt)
-    report = trajectory.evaluate(est, gt, **_given_settings(args))
+    report = trajectory.evaluate(est, gt, max_dt=args.max_dt,
+                                 rpe_delta=args.rpe_delta)
     q = _quantiles(report.per_pose_scales)
     print("%.12g %.12g %.12g matched %d"
           % (report.ate_rmse, report.rpe_trans, report.rpe_rot_deg,
@@ -237,22 +246,20 @@ def build_parser():
     p.add_argument('--flow', required=True)
     p.add_argument('--intrinsics', required=True)
     p.add_argument('--residuals', help='optional residual raster output')
-    g = p.add_argument_group('settings (defaults: solver.SolverConfig)',
-                             argument_default=argparse.SUPPRESS)
-    settings = [g.add_argument('--max-iterations', type=int),
-                g.add_argument('--no-confidence', dest='use_confidence',
-                               action='store_false'),
-                g.add_argument('--seed-xi', type=_parse_motion)]
-    p.set_defaults(settings=[a.dest for a in settings])
+    g = p.add_argument_group('settings (defaults: solver.solve)')
+    _settings(p, [g.add_argument('--max-iterations', type=int),
+                  g.add_argument('--no-confidence', dest='use_confidence',
+                                 action='store_false'),
+                  g.add_argument('--seed-xi', type=_parse_motion)],
+              solver.solve)
 
     p = sub.add_parser('eval-traj', help='score ATE/RPE of TUM trajectories')
     p.add_argument('--est', required=True)
     p.add_argument('--gt', required=True)
-    g = p.add_argument_group('settings (defaults: trajectory.evaluate)',
-                             argument_default=argparse.SUPPRESS)
-    settings = [g.add_argument('--rpe-delta', type=int),
-                g.add_argument('--max-dt', type=float)]
-    p.set_defaults(settings=[a.dest for a in settings])
+    g = p.add_argument_group('settings (defaults: trajectory.evaluate)')
+    _settings(p, [g.add_argument('--rpe-delta', type=int),
+                  g.add_argument('--max-dt', type=float)],
+              trajectory.evaluate)
 
     p = sub.add_parser('loss', help='evaluate a loss from raster files')
     # one parser per loss, with only its flags, each in full: an abbreviation

@@ -5,6 +5,7 @@ height, channels, followed by float32 data in row-major order with
 channels interleaved.
 """
 
+import contextlib
 import os
 import stat
 import struct
@@ -21,13 +22,23 @@ _HEADER = struct.Struct("<4sIIII")
 _QUIET_BIT = 0x00400000
 
 
+@contextlib.contextmanager
+def float32_cast(path):
+    """A block in which a finite value that overflows a float32 cast is a
+    ValueError that names `path`, the file the values are meant for."""
+    try:
+        with np.errstate(over='raise'):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{path}: a finite value overflows float32") from None
+
+
 def encode_raster(path, *parts):
     """The ENGR bytes of a raster whose channels are those of `parts`, in
     order: (H, W) or (H, W, C) float arrays of one size. Each part is cast
     straight into the float32 data, so no stacked or float64 copy is made.
     NaN and infinite values are encoded as they are; a finite value beyond
-    the float32 range is a ValueError that names `path`, the file the bytes
-    are meant for."""
+    the float32 range is the ValueError of float32_cast."""
     if not parts or any(np.ndim(part) not in (2, 3) for part in parts):
         raise ValueError("raster must be 2-D or 3-D, got shapes "
                          f"{[np.shape(part) for part in parts]}")
@@ -39,13 +50,10 @@ def encode_raster(path, *parts):
     data = np.frombuffer(encoded, dtype='<f4',
                          offset=_HEADER.size).reshape(h, w, c)
     start = 0
-    try:
-        with np.errstate(over='raise'):
-            for part in parts:
-                data[:, :, start:start + part.shape[2]] = part
-                start += part.shape[2]
-    except FloatingPointError:
-        raise ValueError(f"{path}: a finite value overflows float32") from None
+    with float32_cast(path):
+        for part in parts:
+            data[:, :, start:start + part.shape[2]] = part
+            start += part.shape[2]
     return encoded
 
 

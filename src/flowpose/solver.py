@@ -65,7 +65,7 @@ Conventions:
     2 * max_iterations Gauss-Newton steps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,19 +157,6 @@ class FlowField:
 
 
 @dataclass
-class SolverConfig:
-    max_iterations: int = 20
-    use_confidence: bool = True
-    seed_xi: np.ndarray = field(default_factory=lambda: np.zeros(6))
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}")
-        self.seed_xi = np.asarray(self.seed_xi, dtype=float)
-
-
-@dataclass
 class ResidualReport:
     """Residual statistics of one gauss_newton_step, at the xi it was given,
     its step and conditioning, and the kind of update `solve` made from it."""
@@ -217,7 +204,7 @@ _OVERFLOW_CHECKED = np.errstate(over='ignore', invalid='ignore')
 
 
 @_OVERFLOW_CHECKED
-def prepare(depth, flow_field, K, config):
+def prepare(depth, flow_field, K, *, use_confidence=True):
     """Everything constant over a solve: the valid pixels, their points and
     measured flow, and their confidences (ones with use_confidence off)."""
     depth = np.asarray(depth)
@@ -250,7 +237,7 @@ def prepare(depth, flow_field, K, config):
     for c, f in enumerate((K.fx, K.fy)):
         meas[c] = pixels[:, c][index]
         meas[c] /= f
-    if config.use_confidence:
+    if use_confidence:
         # only the a_hat and g_hat channels, each gathered into its row; the
         # exponentials overwrite them
         info = flow_field.info.reshape(-1, 3)
@@ -305,16 +292,19 @@ def _residuals(problem, xi):
     return r, keep
 
 
-def compute_residuals(problem, xi):
+def compute_residuals(problem, xi, dtype=float):
     """Residual flow r = F+ - F at exp(xi), in normalised camera
-    coordinates, as an (H, W, 2) raster that holds 0 at invalid pixels.
+    coordinates, as an (H, W, 2) raster of dtype that holds 0 at invalid
+    pixels.
 
     F+ is the flow induced by exp(xi) on the prepared problem's points; F
-    is the measured flow.
+    is the measured flow. The residuals are scattered straight into the
+    raster, so a float32 one is cast once, as numpy casts under the
+    caller's np.errstate (`rasters.float32_cast` raises on overflow).
     """
     r, keep = _residuals(problem, xi)
     h, w = problem.shape
-    residuals = np.zeros((h * w, 2))
+    residuals = np.zeros((h * w, 2), dtype=dtype)
     residuals[problem.index if keep is None else problem.index[keep]] = r.T
     return residuals.reshape(h, w, 2)
 
@@ -512,8 +502,8 @@ def _newton_update(H, b):
     return step if np.all(np.isfinite(step)) else None
 
 
-def _iterate(problem, xi, config, tol, reports, newton):
-    """The loop from xi until ||beta|| < tol or the iteration budget is
+def _iterate(problem, xi, max_iterations, tol, reports, newton):
+    """The loop from xi until ||beta|| < tol or max_iterations steps are
     spent; its first step is a Newton step only with `newton` set. Appends
     each step's report to reports and returns (xi, converged)."""
     converged = False
@@ -521,7 +511,7 @@ def _iterate(problem, xi, config, tol, reports, newton):
     H = None
     plain = None        # (point, ||beta||) of the plain step a Newton step
                         # replaced
-    for k in range(config.max_iterations):
+    for k in range(max_iterations):
         beta, report, terms = gauss_newton_step(problem, xi)
         reports.append(report)
         norm = report.step_norm
@@ -531,10 +521,10 @@ def _iterate(problem, xi, config, tol, reports, newton):
             break
         if plain is not None and norm > plain[1]:
             # the Newton step did worse: plain steps from the plain point on
-            xi, plain, first = plain[0], None, config.max_iterations
+            xi, plain, first = plain[0], None, max_iterations
             continue
         step, plain = beta, None
-        if first <= k < config.max_iterations - 1 and report.m > 0:
+        if first <= k < max_iterations - 1 and report.m > 0:
             if norm >= _WARM_TOL:
                 H = terms.matrix()
             newton_step = None if H is None else _newton_update(H, terms.b)
@@ -548,9 +538,11 @@ def _iterate(problem, xi, config, tol, reports, newton):
     return xi, converged
 
 
-def solve(depth, flow_field, K, config=None):
-    """Iterate gauss_newton_step until the update norm drops below
-    CONVERGENCE_TOL or the iteration budget is exhausted.
+def solve(depth, flow_field, K, *, max_iterations=20, use_confidence=True,
+          seed_xi=(0.0,) * 6):
+    """Iterate gauss_newton_step from seed_xi until the update norm drops
+    below CONVERGENCE_TOL or max_iterations steps are spent; with
+    use_confidence off every confidence is 1.
 
     The valid pixels, their points and the confidences are built once, by
     `prepare`; residuals, m and the weights are recomputed every iteration
@@ -561,13 +553,13 @@ def solve(depth, flow_field, K, config=None):
     the prepared Problem, so a caller can pass it to compute_residuals
     without building the geometry again.
     """
-    if config is None:
-        config = SolverConfig()
-    problem = prepare(depth, flow_field, K, config)
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    xi = np.array(seed_xi, dtype=float)
+    problem = prepare(depth, flow_field, K, use_confidence=use_confidence)
     # the loop reads only the problem: a caller that holds no reference of
     # its own to the rasters has them freed here
     del depth, flow_field
-    xi = np.array(config.seed_xi, dtype=float)
     reports = []
     warm = False
     if len(problem.index) >= _WARM_GATE:
@@ -575,14 +567,15 @@ def solve(depth, flow_field, K, config=None):
         # temporaries reuse its memory
         try:
             start, warm = _iterate(_subsample(problem, _WARM_STRIDE), xi,
-                                   config, _WARM_TOL, reports, newton=False)
+                                   max_iterations, _WARM_TOL, reports,
+                                   newton=False)
         except (InsufficientDataError, DegenerateGeometryError):
             warm = False
         for report in reports:
             report.update = 'coarse'
         if warm:
             xi = start
-    xi, converged = _iterate(problem, xi, config, CONVERGENCE_TOL, reports,
-                             newton=warm)
+    xi, converged = _iterate(problem, xi, max_iterations, CONVERGENCE_TOL,
+                             reports, newton=warm)
     return SolveResult(xi=xi, converged=converged, reports=reports,
                        problem=problem)

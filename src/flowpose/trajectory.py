@@ -108,6 +108,10 @@ class _Pairs(list):
     __slots__ = ('indices',)
 
 
+# ground-truth samples per side of an estimate that associate takes first
+_NEAREST = 4
+
+
 def associate(est, gt, max_dt=0.02):
     """Greedy nearest-timestamp matching, each sample used at most once.
 
@@ -121,6 +125,13 @@ def associate(est, gt, max_dt=0.02):
     two samples they leave free, which it meets in the same order with
     the same samples free; on 30 Hz estimates against 100 Hz ground truth
     that is a handful in thousands.
+
+    Each window first holds only the _NEAREST samples nearest its
+    estimate on each side. The cap doubles, up to the full windows, until
+    every estimate whose window was cut is matched at a smaller dt than
+    any sample its cut dropped, so before any dropped candidate came up:
+    the pairs are then the full windows'. Memory stays near linear at any
+    max_dt, unless estimates outnumber the samples near them.
 
     Returns a list of (est_index, gt_index) pairs sorted by time, with the
     same pairs as a (K, 2) array in its `indices`. Raises an
@@ -138,6 +149,40 @@ def associate(est, gt, max_dt=0.02):
     with np.errstate(over='ignore'):    # far-apart samples are no candidates
         lo = np.searchsorted(tg, te - pad, side='left')
         hi = np.searchsorted(tg, te + pad, side='right')
+    near = np.searchsorted(tg, te)      # dt grows away from it either side
+    reach = _NEAREST
+    while True:
+        start = np.maximum(lo, near - reach)
+        stop = np.minimum(hi, near + reach)
+        match = _greedy(te, tg, start, stop, max_dt)
+        cut = (start > lo) | (stop < hi)
+        if not cut.any():
+            break
+        # the dts of each match and of the samples just outside its kept
+        # window, where the cut dropped them (inf where not)
+        sides = ((match, match >= 0), (np.maximum(start - 1, 0), start > lo),
+                 (np.minimum(stop, len(tg) - 1), stop < hi))
+        with np.errstate(over='ignore'):
+            dt, left, right = (np.where(kept, np.abs(te - tg[j]), np.inf)
+                               for j, kept in sides)
+        if np.all(~cut | (dt < np.minimum(left, right))):
+            break
+        reach *= 2
+    ie = np.flatnonzero(match >= 0)     # estimate timestamps increase
+    if len(ie) < 2:
+        raise InsufficientDataError(
+            f"fewer than 2 associated samples: {len(ie)} within max_dt "
+            f"{max_dt:g} s", matched_count=len(ie), max_dt=max_dt)
+    ig = match[ie]
+    pairs = _Pairs(zip(ie.tolist(), ig.tolist()))
+    pairs.indices = np.column_stack((ie, ig))
+    return pairs
+
+
+def _greedy(te, tg, lo, hi, max_dt):
+    """Each estimate's gt index, or -1, from the greedy pass over the
+    candidates in the windows [lo, hi) of ground-truth indices."""
+    with np.errstate(over='ignore'):    # far-apart samples are no candidates
         counts = hi - lo
         i = np.repeat(np.arange(len(te)), counts)
         j = np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts,
@@ -154,7 +199,7 @@ def associate(est, gt, max_dt=0.02):
     np.minimum.at(first_e, i, rank)
     np.minimum.at(first_g, j, rank)
     first = (first_e[i] == rank) & (first_g[j] == rank)
-    match = np.full(len(te), -1)    # each estimate's gt index, or -1
+    match = np.full(len(te), -1)
     match[i[first]] = j[first]
     # the candidates neither of whose samples a first-for-both pair took
     rest = ~(first[first_e[i]] | first[first_g[j]])
@@ -164,15 +209,7 @@ def associate(est, gt, max_dt=0.02):
             continue
         used_e[a] = used_g[b] = 1
         match[a] = b
-    ie = np.flatnonzero(match >= 0)     # estimate timestamps increase
-    if len(ie) < 2:
-        raise InsufficientDataError(
-            f"fewer than 2 associated samples: {len(ie)} within max_dt "
-            f"{max_dt:g} s", matched_count=len(ie), max_dt=max_dt)
-    ig = match[ie]
-    pairs = _Pairs(zip(ie.tolist(), ig.tolist()))
-    pairs.indices = np.column_stack((ie, ig))
-    return pairs
+    return match
 
 
 def _per_pose_scales(est, gt, pairs):

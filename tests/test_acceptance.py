@@ -12,7 +12,7 @@ import pytest
 from flowpose import (camera, cli, infomat, losses, se3, solver, synthetic,
                       trajectory)
 from flowpose.camera import Intrinsics
-from flowpose.solver import FlowField, SolverConfig
+from flowpose.solver import FlowField
 from flowpose.trajectory import Trajectory
 
 
@@ -143,7 +143,7 @@ def test_05_confidence_ablation():
         scene = synthetic.render(spec)
         with_conf = solver.solve(scene.depth, scene.flow_field, spec.intrinsics)
         without = solver.solve(scene.depth, scene.flow_field, spec.intrinsics,
-                               SolverConfig(use_confidence=False))
+                               use_confidence=False)
         errs_conf.append(np.linalg.norm(with_conf.xi - xi))
         errs_noconf.append(np.linalg.norm(without.xi - xi))
     assert np.median(errs_noconf) >= 10 * np.median(errs_conf)
@@ -164,7 +164,7 @@ def test_06_iteration_ablation_rotation_dominant():
         scene = synthetic.render(spec)
         full = solver.solve(scene.depth, scene.flow_field, spec.intrinsics)
         single = solver.solve(scene.depth, scene.flow_field, spec.intrinsics,
-                              SolverConfig(max_iterations=1))
+                              max_iterations=1)
         if (np.linalg.norm(full.xi - xi) < np.linalg.norm(single.xi - xi)):
             wins += 1
     assert wins >= 18

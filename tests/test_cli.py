@@ -251,12 +251,27 @@ class TestSolve:
         flow = solver.FlowField.from_raster(
             rasters.read_raster(directory / "flow.engr"))
         K = rasters.read_intrinsics(directory / "intrinsics.txt")
-        config = solver.SolverConfig()
-        want = solver.compute_residuals(
-            solver.prepare(depth, flow, K, config), xi)
+        want = solver.compute_residuals(solver.prepare(depth, flow, K), xi)
         assert np.array_equal(resid, want.astype(np.float32))
         assert np.count_nonzero(resid[:, :5]) == 0
         assert np.all(resid[:, 5:].any(axis=-1))
+
+    def test_residual_beyond_float32_is_one_usage_line(
+            self, capsys, monkeypatch, scene_dir, tmp_path):
+        # no solve converges with such a residual, so the solve's problem
+        # gets one measured flow of -1e39 once it has returned
+        original = solver.compute_residuals
+
+        def overflowing(problem, *args):
+            problem.flow[0, 0] = -1e39
+            return original(problem, *args)
+        monkeypatch.setattr(solver, "compute_residuals", overflowing)
+        directory, _ = scene_dir
+        out = tmp_path / "resid.engr"
+        assert run_strict(capsys, *solve_args(
+            directory, "--residuals", str(out))) == (
+            2, "", f"error: {out}: a finite value overflows float32\n")
+        assert not out.exists()
 
     def test_damping_flag_rejected(self, capsys, scene_dir, tmp_path):
         # and the other deleted settings, each at its old default, and the
@@ -286,12 +301,15 @@ class TestSolve:
         result = solver.solve(
             rasters.read_raster(directory / "depth.engr"),
             solver.FlowField(flow=flow[..., :2], info=flow[..., 2:]),
-            rasters.read_intrinsics(directory / "intrinsics.txt"),
-            solver.SolverConfig())
+            rasters.read_intrinsics(directory / "intrinsics.txt"))
         want = (" ".join("%.17g" % x for x in result.xi)
                 + " %d %d %.17g\n" % (result.iterations, result.converged,
                                       result.reports[-1].weighted_cost))
         assert run(capsys, *solve_args(directory)) == (0, want, "")
+
+    def test_help_names_the_function_of_the_defaults(self, capsys):
+        code, out, _ = run(capsys, "solve", "--help")
+        assert code == 0 and "settings (defaults: solver.solve):" in out
 
     def test_insufficient_pixels_exit_code(self, capsys, scene_dir, tmp_path):
         directory, _ = scene_dir
@@ -461,9 +479,9 @@ class TestSolveOutputPinned:
         calls = []
         original = solver.prepare
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(solver, "prepare", counting)
         code, _, _ = run(capsys, *solve_args(pinned_scenes / "outliers",
@@ -549,6 +567,34 @@ class TestSolveMemory:
             tracemalloc.stop()
         assert (code, capsys.readouterr().out) == want[:2]
         assert peak < 11.5e6, peak
+
+    def test_residuals_add_nothing_to_the_vga_peak(self, capsys, tmp_path):
+        # the residuals are scattered straight into the float32 raster that
+        # is written, beside the Problem and the (2, M) residuals: below the
+        # solve's own peak. Through a float64 raster and its float32 copy
+        # the noisy VGA frame peaked 1.23 MB higher with --residuals. The
+        # slack covers the flag's path string in the parsed arguments
+        K = Intrinsics(fx=525.0, fy=525.0, cx=319.5, cy=239.5,
+                       width=640, height=480)
+        spec = synthetic.SceneSpec(
+            width=640, height=480, intrinsics=K,
+            motion=[0.012, -0.008, 0.01, -0.005, 0.007, 0.004],
+            depth_model=synthetic.SmoothRandomDepth(seed=7, amplitude=0.5),
+            noise_sigma=0.5, seed=7)
+        synthetic.write_scene(spec, tmp_path / "scene")
+        argv = solve_args(tmp_path / "scene")
+        want = run(capsys, *argv)       # the parser and caches built first
+        peaks = []
+        for extra in ([], ["--residuals", str(tmp_path / "r.engr")]):
+            tracemalloc.start()
+            try:
+                code = cli.main(argv + extra)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (code, capsys.readouterr().out) == want[:2]
+        assert rasters.read_raster(tmp_path / "r.engr").shape == (480, 640, 2)
+        assert peaks[1] <= peaks[0] + 16 * 1024, peaks
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ each module loads only the modules it calls.
 """
 
 import ast
-import dataclasses
 import inspect
 import os
 import subprocess
@@ -143,26 +142,15 @@ def test_every_helper_has_a_caller():
 
 
 def test_every_setting_is_read():
-    # a command's setting flags are exactly what the library takes, and the
-    # solver reads each of its settings outside SolverConfig itself
+    # a command's setting flags are exactly the keyword parameters with a
+    # default of the library function it passes them to
     def settings(*argv):
         return set(cli.build_parser().parse_args(argv).settings)
-    fields = {f.name for f in dataclasses.fields(solver.SolverConfig)}
-    assert settings('solve', '--depth', 'd', '--flow', 'f',
-                    '--intrinsics', 'k') == fields
-    keywords = {name for name, p in inspect.signature(
-        trajectory.evaluate).parameters.items() if p.default is not p.empty}
-    assert settings('eval-traj', '--est', 'e', '--gt', 'g') == keywords
 
-    read = set()
-    for module in MODULES:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            tree = ast.parse(fh.read())
-        config = [node for node in ast.walk(tree)
-                  if isinstance(node, ast.ClassDef)
-                  and node.name == 'SolverConfig']
-        inside = {id(node) for top in config for node in ast.walk(top)}
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.ctx, ast.Load) and id(node) not in inside}
-    assert fields - read == set()
+    def keywords(function):
+        return {name for name, p in inspect.signature(
+            function).parameters.items() if p.default is not p.empty}
+    assert settings('solve', '--depth', 'd', '--flow', 'f',
+                    '--intrinsics', 'k') == keywords(solver.solve)
+    assert settings('eval-traj', '--est', 'e', '--gt', 'g') == keywords(
+        trajectory.evaluate)

@@ -1,3 +1,4 @@
+import inspect
 import sys
 import tracemalloc
 import weakref
@@ -10,7 +11,7 @@ from flowpose import camera, infomat, se3, solver, synthetic
 from flowpose.camera import Intrinsics
 from flowpose.errors import (DegenerateGeometryError, InsufficientDataError,
                              RasterFormatError)
-from flowpose.solver import FlowField, SolverConfig
+from flowpose.solver import FlowField
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestDepthShape:
         depth = np.full((K.height, K.width, channels), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        run = {"prepare": lambda: solver.prepare(depth, ff, K, SolverConfig()),
+        run = {"prepare": lambda: solver.prepare(depth, ff, K),
                "solve": lambda: solver.solve(depth, ff, K)}[call]
         with pytest.raises(RasterFormatError,
                            match="^depth raster must have a single channel$"):
@@ -153,8 +154,7 @@ class TestComputeResiduals:
         depth = np.full((K.height, K.width), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         residuals = solver.compute_residuals(problem, np.zeros(6))
         assert residuals.shape == (K.height, K.width, 2)
         assert np.count_nonzero(residuals) == 0
@@ -165,18 +165,16 @@ class TestComputeResiduals:
         xi = np.array([0.03, -0.02, 0.01, 0.004, 0.006, -0.008])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi, K)
-        config = SolverConfig()
         residuals = solver.compute_residuals(
-            solver.prepare(depth, ff, K, config), xi)
+            solver.prepare(depth, ff, K), xi)
         assert np.max(np.abs(residuals)) < 1e-12
 
     def test_at_zero_equals_negative_flow(self, K):
         xi = np.array([0.02, 0.01, -0.01, 0.003, -0.002, 0.005])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi, K)
-        config = SolverConfig()
         residuals = solver.compute_residuals(
-            solver.prepare(depth, ff, K, config), np.zeros(6))
+            solver.prepare(depth, ff, K), np.zeros(6))
         expected, mask = camera.flow_from_pose(depth, se3.exp(xi), K)
         expected /= [K.fx, K.fy]        # residuals are normalised
         assert np.max(np.abs(residuals[mask] + expected[mask])) < 1e-12
@@ -186,8 +184,7 @@ class TestComputeResiduals:
         depth[0, :8] = 2.0
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         with pytest.raises(InsufficientDataError) as info:
             solver.compute_residuals(problem, np.zeros(6))
         # the error carries the numbers that tripped it
@@ -267,18 +264,16 @@ class TestGaussNewtonStep:
         xi_star = np.array([0.05, 0, 0, 0, 0, 0])
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
-        config = SolverConfig()
         beta, _, _ = solver.gauss_newton_step(
-            solver.prepare(depth, ff, K, config), np.zeros(6))
+            solver.prepare(depth, ff, K), np.zeros(6))
         assert np.linalg.norm(beta - xi_star) < 1e-10
 
     def test_zero_flow_zero_update(self, K):
         depth = np.full((K.height, K.width), 2.0)
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
-        config = SolverConfig()
         beta, _, _ = solver.gauss_newton_step(
-            solver.prepare(depth, ff, K, config), np.zeros(6))
+            solver.prepare(depth, ff, K), np.zeros(6))
         assert np.linalg.norm(beta) == 0.0
 
     def test_z_rotation_converges_quickly(self, K):
@@ -286,8 +281,7 @@ class TestGaussNewtonStep:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         xi = np.zeros(6)
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         for _ in range(3):
             beta, _, _ = solver.gauss_newton_step(problem, xi)
             xi = xi + beta
@@ -300,9 +294,8 @@ class TestGaussNewtonStep:
         depth = np.full((16, 16), 2.0)
         ff = FlowField(flow=np.full((16, 16, 2), 0.1),
                        info=np.zeros((16, 16, 3)))
-        config = SolverConfig()
         with pytest.raises(DegenerateGeometryError) as info:
-            solver.gauss_newton_step(solver.prepare(depth, ff, K, config),
+            solver.gauss_newton_step(solver.prepare(depth, ff, K),
                                      np.zeros(6))
         err = info.value
         assert str(err) == "normal equations singular or ill-conditioned"
@@ -321,8 +314,7 @@ class TestGaussNewtonStep:
         depth = rng.uniform(1.5, 5.0, (K.height, K.width))
         ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
                        info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         # at the identity every pixel is kept; 2 m backwards the pixels
         # nearer than 2 m fail the cheirality test, and the Jacobians of the
         # kept pixels would break the bound
@@ -348,7 +340,7 @@ class TestGaussNewtonStep:
         depth = rng.uniform(1.5, 5.0, (K.height, K.width))
         ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
                        info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
-        problem = solver.prepare(depth, ff, K, SolverConfig())
+        problem = solver.prepare(depth, ff, K)
         tracemalloc.start()
         try:
             step = solver.gauss_newton_step(
@@ -362,7 +354,7 @@ class TestGaussNewtonStep:
         assert held <= terms.r.nbytes + terms.cols.nbytes + 64 * 1024
 
 
-def reference_step(depth, flow_field, xi, K, config):
+def reference_step(depth, flow_field, xi, K, use_confidence=True):
     """Reference Gauss-Newton step: rebuilds the mask, points, Jacobians and
     confidences on the raster and assembles the normal equations by einsum.
     Returns (beta, extended-precision beta, weighted cost, valid count)."""
@@ -391,7 +383,7 @@ def reference_step(depth, flow_field, xi, K, config):
         np.stack([qq, zero, -uu * qq, -uu * vv, uu * uu + one, -vv], axis=-1),
         np.stack([zero, qq, -vv * qq, -vv * vv - one, uu * vv, uu], axis=-1),
     ], axis=1)
-    if config.use_confidence:
+    if use_confidence:
         c_x, c_y = (c[mask] for c in infomat.confidences(
             np.moveaxis(flow_field.info, -1, 0)[::2]))
     else:
@@ -455,17 +447,17 @@ class TestPreparedStep:
             seed=28)
         return synthetic.render(spec)
 
-    @pytest.mark.parametrize("config", [
-        SolverConfig(),
-        SolverConfig(use_confidence=False),
-    ], ids=["confidence", "no-confidence"])
-    def test_matches_reference_step_on_outliers(self, K, outlier_scene, config):
+    @pytest.mark.parametrize("use_confidence", [True, False],
+                             ids=["confidence", "no-confidence"])
+    def test_matches_reference_step_on_outliers(self, K, outlier_scene,
+                                                use_confidence):
         scene = outlier_scene
-        problem = solver.prepare(scene.depth, scene.flow_field, K, config)
+        problem = solver.prepare(scene.depth, scene.flow_field, K,
+                                 use_confidence=use_confidence)
         for xi in (np.zeros(6), np.array([0.02, 0.0, -0.01, 0.003, 0.004, -0.008])):
             beta, report, _ = solver.gauss_newton_step(problem, xi)
             ref, exact, cost, count = reference_step(
-                scene.depth, scene.flow_field, xi, K, config)
+                scene.depth, scene.flow_field, xi, K, use_confidence)
             assert_agrees_with_reference(beta, ref, exact)
             assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
             assert report.valid_count == count
@@ -481,10 +473,10 @@ class TestPreparedStep:
         # a backward step of 1 m puts every point nearer than 1 m behind
         # the camera
         xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
-        config = SolverConfig(use_confidence=use_confidence)
         beta, report, _ = solver.gauss_newton_step(
-            solver.prepare(depth, ff, K, config), xi)
-        ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
+            solver.prepare(depth, ff, K, use_confidence=use_confidence), xi)
+        ref, exact, cost, count = reference_step(depth, ff, xi, K,
+                                                 use_confidence)
         assert 0 < count < K.width * K.height
         assert report.valid_count == count
         assert_agrees_with_reference(beta, ref, exact)
@@ -496,8 +488,7 @@ class TestPreparedStep:
         ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
                        info=np.zeros((K.height, K.width, 3)))
         xi = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         residuals = solver.compute_residuals(problem, xi)
         assert np.count_nonzero(residuals[:, :10]) == 0
         _, report, _ = solver.gauss_newton_step(problem, xi)
@@ -543,17 +534,16 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("valid", [BLOCK - 1, BLOCK, BLOCK + 1,
                                        3 * BLOCK + 517])
-    @pytest.mark.parametrize("config", [
-        SolverConfig(),
-        SolverConfig(use_confidence=False),
-    ], ids=["confidence", "no-confidence"])
-    def test_matches_reference_step(self, valid, config):
+    @pytest.mark.parametrize("use_confidence", [True, False],
+                             ids=["confidence", "no-confidence"])
+    def test_matches_reference_step(self, valid, use_confidence):
         depth, ff, K = block_scene(valid, seed=valid)
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K, use_confidence=use_confidence)
         assert len(problem.index) == valid
         for xi in (np.zeros(6), np.array([0.02, 0.0, -0.01, 0.003, 0.004, -0.008])):
             beta, report, _ = solver.gauss_newton_step(problem, xi)
-            ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
+            ref, exact, cost, count = reference_step(depth, ff, xi, K,
+                                                     use_confidence)
             assert report.valid_count == count == valid
             assert_agrees_with_reference(beta, ref, exact)
             assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
@@ -571,13 +561,13 @@ class TestBlockBoundaries:
         near |= np.random.default_rng(31).random(depth.size) < 0.1
         depth.ravel()[near & np.isfinite(depth.ravel())] = 0.5
         xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
-        config = SolverConfig(use_confidence=use_confidence)
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K, use_confidence=use_confidence)
         _, keep = solver._residuals(problem, xi)
         assert np.array_equal(keep, ~near[problem.index])
         assert B < keep.sum() < 2 * B
         beta, report, _ = solver.gauss_newton_step(problem, xi)
-        ref, exact, cost, count = reference_step(depth, ff, xi, K, config)
+        ref, exact, cost, count = reference_step(depth, ff, xi, K,
+                                                 use_confidence)
         assert report.valid_count == count
         assert_agrees_with_reference(beta, ref, exact)
         assert report.weighted_cost == pytest.approx(cost, rel=1e-12)
@@ -594,8 +584,7 @@ class TestDroppedPixels:
         near = np.random.default_rng(31).random(depth.shape) < 0.1
         depth[near] = 0.5
         xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         r, _ = solver._residuals(problem, xi)
         assert r.flags.c_contiguous
         beta, report, terms = solver.gauss_newton_step(problem, xi)
@@ -604,7 +593,7 @@ class TestDroppedPixels:
         flow[near] = np.nan
         kept = FlowField(flow=flow, info=ff.info)
         ref_beta, ref_report, ref_terms = solver.gauss_newton_step(
-            solver.prepare(depth, kept, K, config), xi)
+            solver.prepare(depth, kept, K), xi)
         assert report == ref_report
         for got, want in ((beta, ref_beta), (terms.b, ref_terms.b),
                           (terms.matrix(), ref_terms.matrix())):
@@ -647,8 +636,7 @@ class TestResidualsMatchParent:
                  "random": random, "invalid": holes}[depth_name]
         ff = FlowField(flow=rng.normal(0.0, 2.0, a.shape + (2,)),
                        info=np.zeros(a.shape + (3,)))
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         ys, xs = np.divmod(problem.index, K.width)
         assert np.array_equal(problem.points[0], (xs - K.cx) / K.fx)
         assert np.array_equal(problem.points[1], (ys - K.cy) / K.fy)
@@ -679,7 +667,7 @@ class TestBlockResiduals:
     ], ids=["zero", "small", "behind"])
     def test_matches_raster_wide_product(self, valid, xi):
         depth, ff, K = block_scene(valid, seed=valid)
-        problem = solver.prepare(depth, ff, K, SolverConfig())
+        problem = solver.prepare(depth, ff, K)
         assert len(problem.index) == valid
         xi = np.array(xi)
         r, keep = solver._residuals(problem, xi)
@@ -699,7 +687,7 @@ class TestBlockResiduals:
 
 # The parent's prepare, verbatim but for its return value and the inlined
 # exp of infomat.confidences: the reference for the per-channel gathers.
-def reference_prepare(depth, flow_field, K, config):
+def reference_prepare(depth, flow_field, K, use_confidence=True):
     depth = np.asarray(depth, dtype=float)
     h, w = depth.shape
     ox, oy = camera.pixel_offsets(K, (h, w))
@@ -715,7 +703,7 @@ def reference_prepare(depth, flow_field, K, config):
     points[3] = q.ravel()[index]
     meas = flow_field.flow.reshape(-1, 2)[index] / np.array([K.fx, K.fy])
     flow = meas.T.copy()
-    if config.use_confidence:
+    if use_confidence:
         info = flow_field.info.reshape(-1, 3)[index]
         conf = np.stack((np.exp(info[..., 0]), np.exp(info[..., 2])))
     else:
@@ -764,11 +752,10 @@ class TestPrepareMatchesParent:
             ff = FlowField(flow=data[..., :2].copy(), info=data[..., 2:].copy())
         else:
             ff = FlowField(flow=data[..., :2], info=data[..., 2:])
-        config = SolverConfig(use_confidence=use_confidence)
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K, use_confidence=use_confidence)
         with np.errstate(over='ignore'):    # as in the parent's prepare
             index, points, flow, conf, J = reference_prepare(depth, ff, K,
-                                                             config)
+                                                             use_confidence)
         assert 0 < len(index) < depth.size
         edge_index = 24 * K.width + np.arange(20, 30)
         assert ff.valid[24, 20:30].all()
@@ -810,7 +797,7 @@ class TestSolve:
         scene = synthetic.render(spec)
         with_conf = solver.solve(scene.depth, scene.flow_field, K)
         without = solver.solve(scene.depth, scene.flow_field, K,
-                               SolverConfig(use_confidence=False))
+                               use_confidence=False)
         err_with = np.linalg.norm(with_conf.xi - spec.motion)
         err_without = np.linalg.norm(without.xi - spec.motion)
         assert err_with < 1e-4
@@ -822,16 +809,15 @@ class TestSolve:
             motion=[0.02, -0.01, 0.01, 0.003, 0.002, -0.004],
             noise_sigma=0.5, seed=25)
         scene = synthetic.render(spec)
-        config = SolverConfig()
         base, _, _ = solver.gauss_newton_step(
-            solver.prepare(scene.depth, scene.flow_field, K, config),
+            solver.prepare(scene.depth, scene.flow_field, K),
             np.zeros(6))
         scaled_info = scene.flow_field.info.copy()
         scaled_info[..., 0] += np.log(7.0)
         scaled_info[..., 2] += np.log(7.0)
         ff2 = FlowField(flow=scene.flow_field.flow, info=scaled_info)
         scaled, _, _ = solver.gauss_newton_step(
-            solver.prepare(scene.depth, ff2, K, config), np.zeros(6))
+            solver.prepare(scene.depth, ff2, K), np.zeros(6))
         assert np.max(np.abs(base - scaled)) < 1e-12
 
     def test_weighted_cost_not_worse_than_seed(self, K):
@@ -840,8 +826,7 @@ class TestSolve:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         res = solver.solve(depth, ff, K)
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         _, rep_final, _ = solver.gauss_newton_step(problem, res.xi)
         _, rep_zero, _ = solver.gauss_newton_step(problem, np.zeros(6))
         assert rep_final.weighted_cost <= rep_zero.weighted_cost
@@ -853,7 +838,7 @@ class TestSolve:
         rng = np.random.default_rng(27)
         for _ in range(5):
             seed = xi_star + rng.uniform(-0.05, 0.05, 6) * 0.5
-            res = solver.solve(depth, ff, K, SolverConfig(seed_xi=seed))
+            res = solver.solve(depth, ff, K, seed_xi=seed)
             assert np.linalg.norm(res.xi - xi_star) < 1e-8
 
     def test_single_iteration_worse_on_rotation(self, K):
@@ -861,23 +846,23 @@ class TestSolve:
         depth = np.full((K.height, K.width), 2.0)
         ff = exact_flow_field(depth, xi_star, K)
         full = solver.solve(depth, ff, K)
-        single = solver.solve(depth, ff, K, SolverConfig(max_iterations=1))
+        single = solver.solve(depth, ff, K, max_iterations=1)
         assert single.iterations == 1
         err_full = np.linalg.norm(full.xi - xi_star)
         err_single = np.linalg.norm(single.xi - xi_star)
         assert err_single > err_full
 
 
-def plain_reference_solve(depth, flow_field, K, config=None):
-    """The plain IRLS loop, xi <- xi + beta, with no Newton step and no
-    warm-up; verbatim but for how it builds its result."""
-    if config is None:
-        config = SolverConfig()
-    problem = solver.prepare(depth, flow_field, K, config)
-    xi = np.array(config.seed_xi, dtype=float)
+def plain_reference_solve(depth, flow_field, K, max_iterations=20,
+                          use_confidence=True):
+    """The plain IRLS loop, xi <- xi + beta, from the zero seed with no
+    Newton step and no warm-up; verbatim but for how it builds its result."""
+    problem = solver.prepare(depth, flow_field, K,
+                             use_confidence=use_confidence)
+    xi = np.zeros(6)
     reports = []
     converged = False
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         beta, report, _ = solver.gauss_newton_step(problem, xi)
         xi = xi + beta
         reports.append(report)
@@ -916,18 +901,17 @@ class TestMixedSteps:
                                          use_confidence):
         # at 0.5 px and fx 100 the plain loop contracts by about 0.5 per
         # step and takes up to 24 steps, so both loops get a budget of 100
-        config = SolverConfig(use_confidence=use_confidence,
-                              max_iterations=100)
+        settings = dict(use_confidence=use_confidence, max_iterations=100)
         for seed in range(40, 48):
             scene, spec = small_scene(seed, outliers)
             args = (scene.depth, scene.flow_field, spec.intrinsics)
             with monkeypatch.context() as tight:
                 tight.setattr(solver, 'CONVERGENCE_TOL', 1e-12)
-                limit = plain_reference_solve(*args, config).xi
-                assert np.max(np.abs(solver.solve(*args, config).xi
+                limit = plain_reference_solve(*args, **settings).xi
+                assert np.max(np.abs(solver.solve(*args, **settings).xi
                                      - limit)) < 1e-11
-            ref = plain_reference_solve(*args, config)
-            res = solver.solve(*args, config)
+            ref = plain_reference_solve(*args, **settings)
+            res = solver.solve(*args, **settings)
             assert ref.converged and res.converged
             # each stops within CONVERGENCE_TOL of the limit, so the two
             # answers may differ by up to twice that
@@ -990,8 +974,8 @@ class TestMixedSteps:
     def test_single_iteration_is_the_plain_first_step(self, outliers):
         scene, spec = small_scene(49, outliers)
         args = (scene.depth, scene.flow_field, spec.intrinsics)
-        ref = plain_reference_solve(*args, SolverConfig(max_iterations=1))
-        res = solver.solve(*args, SolverConfig(max_iterations=1))
+        ref = plain_reference_solve(*args, max_iterations=1)
+        res = solver.solve(*args, max_iterations=1)
         assert res.xi.tobytes() == ref.xi.tobytes()
         assert res.reports == ref.reports
         assert res.iterations == 1 and updates(res) == ['plain']
@@ -1000,9 +984,7 @@ class TestMixedSteps:
 class TestStepRecords:
     def test_step_norm_and_conditioning(self):
         scene, spec = small_scene(41, outliers=True)
-        config = SolverConfig()
-        res = solver.solve(scene.depth, scene.flow_field, spec.intrinsics,
-                           config)
+        res = solver.solve(scene.depth, scene.flow_field, spec.intrinsics)
         assert res.converged and res.iterations > 2
         assert res.reports[-1].step_norm < solver.CONVERGENCE_TOL
         assert all(r.step_norm >= solver.CONVERGENCE_TOL
@@ -1011,7 +993,7 @@ class TestStepRecords:
             assert 0 < r.eig_min <= r.eig_max
             assert r.eig_max / r.eig_min <= solver.CONDITION_LIMIT
         # the first step, from the seed, is the plain step and its record
-        beta, first, _ = solver.gauss_newton_step(res.problem, config.seed_xi)
+        beta, first, _ = solver.gauss_newton_step(res.problem, np.zeros(6))
         assert first == res.reports[0]
         assert first.step_norm == np.linalg.norm(beta)
 
@@ -1060,14 +1042,13 @@ class TestMixedStepsOnStub:
     @pytest.fixture
     def run(self, monkeypatch):
         # a stand-in with fewer valid pixels than the warm-up's gate
-        monkeypatch.setattr(solver, 'prepare',
-                            lambda *args: SimpleNamespace(index=np.arange(64)))
+        monkeypatch.setattr(solver, 'prepare', lambda *args, **kwargs:
+                            SimpleNamespace(index=np.arange(64)))
 
         def run(beta_of, matrix_of=constant(np.eye(6)), **settings):
             stub = StubStep(beta_of, matrix_of)
             monkeypatch.setattr(solver, 'gauss_newton_step', stub)
-            return solver.solve(None, None, None, SolverConfig(**settings)), \
-                stub
+            return solver.solve(None, None, None, **settings), stub
         return run
 
     def test_first_step_from_the_seed_is_plain(self, run):
@@ -1189,7 +1170,7 @@ class TestMixedStepsOnStub:
         full = SimpleNamespace(index=np.arange(32768),
                                target=2.0 * E0 + 1e-3 * E1)
         coarse = SimpleNamespace(index=np.arange(4096), target=2.0 * E0)
-        monkeypatch.setattr(solver, 'prepare', lambda *args: full)
+        monkeypatch.setattr(solver, 'prepare', lambda *args, **kwargs: full)
         monkeypatch.setattr(solver, '_subsample', lambda problem, s: coarse)
 
         def warm(**settings):
@@ -1197,8 +1178,7 @@ class TestMixedStepsOnStub:
                 lambda k, xi: 0.5 * (stub.problems[-1].target - xi),
                 constant(0.5 * np.eye(6)))
             monkeypatch.setattr(solver, 'gauss_newton_step', stub)
-            return solver.solve(None, None, None,
-                                SolverConfig(**settings)), stub
+            return solver.solve(None, None, None, **settings), stub
         return warm
 
     def test_first_full_step_after_a_converged_warm_up_is_newton(self, warm):
@@ -1230,8 +1210,8 @@ class TestNewtonMatrix:
         info = ff.info + np.random.default_rng(43).uniform(
             -1.0, 1.0, ff.info.shape)
         ff = FlowField(flow=ff.flow, info=info)
-        config = SolverConfig(use_confidence=use_confidence)
-        problem = solver.prepare(scene.depth, ff, spec.intrinsics, config)
+        problem = solver.prepare(scene.depth, ff, spec.intrinsics,
+                                 use_confidence=use_confidence)
         xi = spec.motion + np.random.default_rng(44).normal(size=6) * 2e-3
 
         def b(at):
@@ -1249,8 +1229,7 @@ class TestNewtonMatrix:
         depth = rng.uniform(1.5, 5.0, (K.height, K.width))
         ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
                        info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         xi = np.array([0.01, -0.02, -2.0, 0.01, 0.02, -0.01])
         _, report, terms = solver.gauss_newton_step(problem, xi)
         assert report.valid_count < len(problem.index)
@@ -1271,8 +1250,7 @@ class TestNewtonMatrix:
         depth = rng.uniform(1.5, 5.0, (K.height, K.width))
         ff = FlowField(flow=rng.normal(0.0, 2.0, (K.height, K.width, 2)),
                        info=rng.uniform(-1.0, 1.0, (K.height, K.width, 3)))
-        config = SolverConfig()
-        problem = solver.prepare(depth, ff, K, config)
+        problem = solver.prepare(depth, ff, K)
         _, _, terms = solver.gauss_newton_step(problem, np.full(6, 0.01))
         tracemalloc.start()
         try:
@@ -1300,15 +1278,16 @@ class TestNewtonMatrix:
         assert res.converged == ref.converged and res.reports == ref.reports
 
 
-def newton_reference_solve(depth, flow_field, K, config):
-    """The loop that `solve` runs from the seed when it takes no warm-up;
-    verbatim but for how it builds its result and its Newton update."""
-    problem = solver.prepare(depth, flow_field, K, config)
-    xi = np.array(config.seed_xi, dtype=float)
+def newton_reference_solve(depth, flow_field, K, max_iterations=20):
+    """The loop that `solve` runs from the zero seed when it takes no
+    warm-up; verbatim but for how it builds its result and its Newton
+    update."""
+    problem = solver.prepare(depth, flow_field, K)
+    xi = np.zeros(6)
     tol = solver.CONVERGENCE_TOL
     reports = []
     converged = False
-    max_iter = config.max_iterations
+    max_iter = max_iterations
     first = 1
     H = None
     plain = None
@@ -1393,18 +1372,15 @@ class TestWarmStart:
 
     def test_below_the_gate_takes_no_warm_up(self, noisy):
         ff = first_valid(noisy, self.GATE - 1)
-        config = SolverConfig()
-        res = solver.solve(noisy.depth, ff, QVGA, config)
+        res = solver.solve(noisy.depth, ff, QVGA)
         assert len(res.problem.index) == self.GATE - 1
-        assert_same_solve(res, newton_reference_solve(noisy.depth, ff, QVGA,
-                                                     config))
+        assert_same_solve(res, newton_reference_solve(noisy.depth, ff, QVGA))
         assert 'coarse' not in updates(res)
 
     def test_at_the_gate_warms_up(self, noisy):
         ff = first_valid(noisy, self.GATE)
-        config = SolverConfig()
-        res = solver.solve(noisy.depth, ff, QVGA, config)
-        ref = newton_reference_solve(noisy.depth, ff, QVGA, config)
+        res = solver.solve(noisy.depth, ff, QVGA)
+        ref = newton_reference_solve(noisy.depth, ff, QVGA)
         coarse = updates(res).count('coarse')
         assert coarse > 0
         assert updates(res)[:coarse] == ['coarse'] * coarse
@@ -1418,30 +1394,26 @@ class TestWarmStart:
     def test_too_few_subsampled_pixels_fall_back(self, noisy, monkeypatch):
         # the warm-up's first step raises InsufficientDataError; the solve
         # is the one without a warm-up, byte for byte
-        config = SolverConfig()
-        n = len(solver.prepare(noisy.depth, noisy.flow_field, QVGA,
-                               config).index)
+        n = len(solver.prepare(noisy.depth, noisy.flow_field, QVGA).index)
         monkeypatch.setattr(solver, 'MIN_VALID_PIXELS', -(-n // 8) + 1)
-        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA)
         assert_same_solve(res, newton_reference_solve(
-            noisy.depth, noisy.flow_field, QVGA, config))
+            noisy.depth, noisy.flow_field, QVGA))
         assert res.converged
 
     def test_unconverged_warm_up_is_dropped(self, noisy):
         # two steps do not reach the warm-up's tolerance on a noisy frame:
         # its steps are reported, and the full loop starts from the seed
-        config = SolverConfig(max_iterations=2)
-        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA,
+                           max_iterations=2)
         ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA,
-                                    config)
+                                    max_iterations=2)
         assert updates(res)[:2] == ['coarse', 'coarse']
         assert res.xi.tobytes() == ref.xi.tobytes()
         assert res.reports[2:] == ref.reports and res.iterations == 2
 
     def test_degenerate_warm_up_is_dropped(self, noisy, monkeypatch):
-        config = SolverConfig()
-        ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA,
-                                    config)
+        ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA)
         step = solver.gauss_newton_step
 
         def coarse_fails(problem, xi):
@@ -1449,16 +1421,16 @@ class TestWarmStart:
                 raise DegenerateGeometryError("coarse normal equations")
             return step(problem, xi)
         monkeypatch.setattr(solver, 'gauss_newton_step', coarse_fails)
-        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA)
         assert_same_solve(res, ref)
 
     def test_single_iteration_is_unchanged(self, noisy):
         # the one-step warm-up does not converge, so the full step starts
         # from the seed
-        config = SolverConfig(max_iterations=1)
-        res = solver.solve(noisy.depth, noisy.flow_field, QVGA, config)
+        res = solver.solve(noisy.depth, noisy.flow_field, QVGA,
+                           max_iterations=1)
         ref = newton_reference_solve(noisy.depth, noisy.flow_field, QVGA,
-                                     config)
+                                     max_iterations=1)
         assert res.xi.tobytes() == ref.xi.tobytes()
         assert res.converged == ref.converged
         assert res.reports[1:] == ref.reports
@@ -1518,9 +1490,8 @@ class TestFloat32Rasters:
         # a backward step of 1 m puts every point nearer than 1 m behind
         # the camera
         xi = np.array([0.01, -0.02, -1.0, 0.01, 0.02, -0.01])
-        config = SolverConfig(use_confidence=use_confidence)
         steps = [solver.gauss_newton_step(solver.prepare(
-            d, FlowField.from_raster(f), K, config), xi)
+            d, FlowField.from_raster(f), K, use_confidence=use_confidence), xi)
             for d, f in ((depth, data),
                          (depth.astype(float), data.astype(float)))]
         (beta, report, terms), (ref_beta, ref_report, ref_terms) = steps
@@ -1558,7 +1529,7 @@ class TestSolveMemory:
         ff = FlowField.from_raster(data)
         tracemalloc.start()
         try:
-            problem = solver.prepare(depth, ff, QVGA, SolverConfig())
+            problem = solver.prepare(depth, ff, QVGA)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1574,8 +1545,7 @@ class TestSolveMemory:
         # with the (3, N) product and a second (2, N) quotient a step
         # peaked at 3.15 MB here
         depth, data = float32_rasters(qvga_scene(2, noise_sigma=0.5)[0])
-        problem = solver.prepare(depth, FlowField.from_raster(data), QVGA,
-                                 SolverConfig())
+        problem = solver.prepare(depth, FlowField.from_raster(data), QVGA)
         tracemalloc.start()
         try:
             _, report, _ = solver.gauss_newton_step(problem, np.zeros(6))
@@ -1600,29 +1570,71 @@ class TestSolveMemory:
 
 
 class TestConfig:
-    def test_rejects_bad_iterations(self):
+    """The three settings are keyword-only arguments of `solve`, with the
+    defaults the CLI leaves to it; `prepare` takes only use_confidence."""
+
+    def test_keyword_only_defaults(self):
+        params = inspect.signature(solver.solve).parameters
+        assert list(params)[3:] == ['max_iterations', 'use_confidence',
+                                    'seed_xi']
+        assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY
+                   for name in list(params)[3:])
+        assert params['max_iterations'].default == 20
+        assert params['use_confidence'].default is True
+        assert np.array_equal(params['seed_xi'].default, np.zeros(6))
+        params = inspect.signature(solver.prepare).parameters
+        assert list(params)[3:] == ['use_confidence']
+        assert params['use_confidence'].kind is inspect.Parameter.KEYWORD_ONLY
+
+    # a fourth positional argument, such as a settings object of an older
+    # call, fails loudly rather than being read as a setting
+    @pytest.mark.parametrize("call", ["prepare", "solve"])
+    @pytest.mark.parametrize("fourth", [1, True, SimpleNamespace()])
+    def test_fourth_positional_argument_is_rejected(self, K, call, fourth):
+        depth = np.full((K.height, K.width), 2.0)
+        ff = FlowField(flow=np.zeros((K.height, K.width, 2)),
+                       info=np.zeros((K.height, K.width, 3)))
+        with pytest.raises(TypeError, match="positional argument"):
+            getattr(solver, call)(depth, ff, K, fourth)
+
+    def test_settings_class_is_gone(self):
+        with pytest.raises(ImportError):
+            from flowpose.solver import SolverConfig  # noqa: F401
+
+    def test_rejects_bad_iterations(self, K):
+        # checked before the rasters are read
         with pytest.raises(ValueError,
                            match=r"^max_iterations must be >= 1, got 0$"):
-            SolverConfig(max_iterations=0)
+            solver.solve(None, None, K, max_iterations=0)
+
+    def test_seed_is_copied_to_a_float_array(self, K):
+        xi_star = np.array([0.03, -0.01, 0.02, 0.005, -0.004, 0.008])
+        depth = np.full((K.height, K.width), 2.0)
+        ff = exact_flow_field(depth, xi_star, K)
+        seed = [0, 0, 0, 0, 0, 0]
+        res = solver.solve(depth, ff, K, seed_xi=seed, max_iterations=1)
+        assert seed == [0] * 6
+        assert res.reports[0] == solver.gauss_newton_step(
+            res.problem, np.zeros(6))[1]
 
     # the pixel floor and the tolerance are constants, not settings: a floor
     # below one let all-zero normal equations through, a loose tolerance
     # took an early step as converged, and no value reaches the solver now
     @pytest.mark.parametrize("floor", [0, -5, np.nan])
-    def test_rejects_min_valid_pixels_below_one(self, floor):
+    def test_rejects_min_valid_pixels_below_one(self, K, floor):
         with pytest.raises(TypeError, match="'min_valid_pixels'"):
-            SolverConfig(min_valid_pixels=floor)
+            solver.solve(None, None, K, min_valid_pixels=floor)
 
     # one step is max_iterations=1, with no second setting to override it
-    def test_rejects_single_iteration(self):
+    def test_rejects_single_iteration(self, K):
         with pytest.raises(TypeError, match="'single_iteration'"):
-            SolverConfig(single_iteration=True)
+            solver.solve(None, None, K, single_iteration=True)
 
-    def test_rejects_bad_tolerance(self):
+    def test_rejects_bad_tolerance(self, K):
         with pytest.raises(TypeError, match="'convergence_tol'"):
-            SolverConfig(convergence_tol=0.0)
+            solver.solve(None, None, K, convergence_tol=0.0)
 
     @pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
-    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+    def test_rejects_tolerance_not_positive_and_finite(self, K, tol):
         with pytest.raises(TypeError, match="'convergence_tol'"):
-            SolverConfig(convergence_tol=tol)
+            solver.solve(None, None, K, convergence_tol=tol)

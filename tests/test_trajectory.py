@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -903,6 +904,21 @@ class TestMatchesPerPoseLoops:
         gt = at_times(base + np.sort(gt_ticks) / 64.0)
         assert_same_associate(est, gt, window / 64.0)
 
+    # windows up to the whole sequence, with up to three times as many
+    # estimates as ground-truth samples: the windows are cut to the
+    # samples nearest each estimate, and the cap grows until the greedy
+    # pass on what is left is the full one
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=60, unique=True),
+           st.lists(st.integers(0, 200), min_size=1, max_size=20, unique=True),
+           st.sampled_from([0.0, 1.3e9]),
+           st.sampled_from([8, 20, 64, 200, 1e12]))
+    def test_associate_wide_windows_property(self, est_ticks, gt_ticks, base,
+                                             window):
+        est = at_times(base + np.sort(est_ticks) / 64.0)
+        gt = at_times(base + np.sort(gt_ticks) / 64.0)
+        assert_same_associate(est, gt, window / 64.0)
+
     def test_quaternion_stack_matches_per_matrix(self):
         R = rotations_on_every_branch(np.random.default_rng(49))
         d0, d1, d2 = R[:, 0, 0], R[:, 1, 1], R[:, 2, 2]
@@ -1012,3 +1028,97 @@ class TestMatchesPerPoseLoops:
             raise AssertionError("a well-formed file reached the line loop")
         monkeypatch.setattr(trajectory, "_tum_lines", line_loop)
         assert read_outcome(trajectory.read_tum, path) == want
+
+
+def steady_pair(n_gt, n_est, seed):
+    """100 Hz ground-truth timestamps and 30 Hz estimates jittered by up to
+    4 ms, as CI's long pair: each estimate's nearest sample is its own."""
+    rng = np.random.default_rng(seed)
+    t0 = 1305031100.0
+    t_est = (t0 + 0.005 + np.arange(n_est) / 30.0
+             + rng.uniform(-0.004, 0.004, n_est))
+    return at_times(t_est), at_times(t0 + 0.01 * np.arange(n_gt))
+
+
+class TestCappedWindows:
+    """associate cuts each window to the _NEAREST ground-truth samples
+    nearest its estimate on each side, and doubles the cap while an
+    estimate whose window was cut is not matched before the first
+    candidate the cut dropped."""
+
+    @pytest.fixture
+    def greedy_calls(self, monkeypatch):
+        calls = []
+        greedy = trajectory._greedy
+
+        def counting(te, tg, lo, hi, max_dt):
+            calls.append(int((hi - lo).sum()))
+            return greedy(te, tg, lo, hi, max_dt)
+        monkeypatch.setattr(trajectory, '_greedy', counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 9])
+    def test_default_window_is_not_cut(self, greedy_calls, seed):
+        # 100 Hz ground truth holds at most 5 samples within 20 ms: one
+        # greedy pass over every window, as with no cap
+        est, gt = gappy_pair(seed, 1305031100.0, n=900)
+        pairs = assert_same_associate(est, gt, 0.02)
+        with pytest.MonkeyPatch.context() as uncapped:
+            uncapped.setattr(trajectory, '_NEAREST', len(gt))
+            assert trajectory.associate(est, gt, 0.02) == pairs
+        assert len(greedy_calls) == 2 and greedy_calls[0] == greedy_calls[1]
+
+    def test_crowded_windows_grow_to_the_full_ones(self, greedy_calls):
+        # 40 estimates over 8 ground-truth samples: those left unmatched
+        # are cut, so the cap doubles until no window is
+        est = at_times(np.arange(40) / 64.0)
+        gt = at_times(np.arange(8) * 5 / 64.0)
+        pairs = assert_same_associate(est, gt, 1.0)
+        assert len(pairs) == 8
+        assert len(greedy_calls) == 2 and greedy_calls[-1] == 40 * 8
+
+    # an estimate whose window was cut is matched at the dt of the nearest
+    # sample the cut dropped: that sample may come first in (dt, est, gt)
+    # order, on the left, or not, on the right; either way the cap doubles
+    @pytest.mark.parametrize("est_ticks,gt_ticks,window", [
+        ([1, 6, 7, 15, 18, 19, 26, 32, 34, 39],
+         [1, 2, 7, 11, 15, 27, 31, 33, 37, 38], 64),
+        ([10, 12, 20, 21, 22, 23, 24, 34],
+         [0, 1, 5, 8, 13, 17, 25, 30, 33, 34, 37], 20),
+    ], ids=["left", "right"])
+    def test_tie_with_the_nearest_dropped_sample(self, greedy_calls,
+                                                 est_ticks, gt_ticks, window):
+        est = at_times(np.array(est_ticks) / 64.0)
+        gt = at_times(np.array(gt_ticks) / 64.0)
+        assert_same_associate(est, gt, window / 64.0)
+        assert len(greedy_calls) == 2
+
+    def test_span_wide_window_in_bounded_memory(self):
+        # 990 estimates against 3,300 ground-truth samples: every pair
+        # within max_dt took 170 MB (traced) at 1e9
+        est, gt = steady_pair(3300, 990, 4)
+        want = trajectory.associate(est, gt)
+        tracemalloc.start()
+        try:
+            pairs = trajectory.associate(est, gt, 1e9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs == want and len(pairs) == 990
+        assert peak < 2e6, peak
+
+    def test_ci_long_pair_at_any_window(self):
+        # the timestamps of CI's 30,000 estimates and 100,000 poses: at 1e9
+        # every pair within max_dt would take 22.4 GB; cut, the traced peak
+        # was 15.2 MB
+        est, gt = steady_pair(100000, 30000, 8)
+        want = trajectory.associate(est, gt)
+        tracemalloc.start()
+        try:
+            pairs = trajectory.associate(est, gt, 1e9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 30000
+        assert np.array_equal(pairs.indices, want.indices)
+        assert peak < 30e6, peak

@@ -1,11 +1,12 @@
 """Deterministic synthetic-scene generation: ground-truth depth, exact
 pose-induced flow, analytic image pairs, and optional noise/outliers.
 
-All randomness comes from a counter-based SplitMix64-style stream, so a
-given SceneSpec renders to the same bytes on every run with the same numpy
-build and CPU. The noise may differ in the last bit across them: numpy's
-SIMD float64 log, which stream_normal calls, can round differently from
-libm's.
+All randomness comes from one counter-based SplitMix64-style stream per
+seed; a tag only offsets its counter, so value i of tag t + k is value
+i + k of tag t. A given SceneSpec renders to the same bytes on every run
+with the same numpy build and CPU. The noise may differ in the last bit
+across them: numpy's SIMD float64 log and cos, which stream_normal calls,
+can round differently from libm's.
 """
 
 import functools
@@ -48,7 +49,9 @@ def _stream_base(seed, tag):
 
 
 def stream_uniform(seed, tag, count):
-    """count floats in [0, 1) from substream `tag` of `seed`."""
+    """count floats in [0, 1) from substream `tag` of `seed`. Value i is
+    the top 53 bits of the finaliser of seed + (i + 1 + tag) * golden, so
+    substream tag + k is substream tag moved k values on."""
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= _GOLDEN
     z += _stream_base(seed, tag)
@@ -61,13 +64,15 @@ def stream_uniform(seed, tag, count):
 
 def stream_normal(seed, tag, count):
     """count standard-normal samples via Box-Muller:
-    sqrt(-2 log(1 - u1)) cos(2 pi u2), computed in place."""
-    r = stream_uniform(seed, tag * 2 + 101, count)
-    c = stream_uniform(seed, tag * 2 + 102, count)
-    np.subtract(1.0, r, out=r)
+    sqrt(-2 log(1 - u1)) cos(2 pi u2), where u1 is substream 2 tag + 101
+    and u2 substream 2 tag + 102, which is u1 one value on; so both are
+    read from one draw of count + 1 values."""
+    u = stream_uniform(seed, tag * 2 + 101, count + 1)
+    r = np.subtract(1.0, u[:count])
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
+    c = u[1:]
     np.multiply(2.0 * np.pi, c, out=c)
     np.cos(c, out=c)
     r *= c
@@ -355,12 +360,14 @@ def render(spec):
     flow_px[~valid] = np.nan
 
     if spec.noise_sigma > 0:
+        # the y channel's normals (tag 22) are the x channel's (tag 21) two
+        # values on, so one draw serves both
         n = spec.height * spec.width
-        for c, tag in enumerate((21, 22)):
-            noise = stream_normal(spec.seed, tag, n)
-            noise *= spec.noise_sigma
-            flow_px[..., c] += noise.reshape(spec.height, spec.width)
-            del noise       # before the next draw
+        noise = stream_normal(spec.seed, 21, n + 2)
+        noise *= spec.noise_sigma
+        flow_px[..., 0] += noise[:n].reshape(spec.height, spec.width)
+        flow_px[..., 1] += noise[2:].reshape(spec.height, spec.width)
+        del noise       # before info is built
     info = np.zeros((spec.height, spec.width, 3))
     if spec.noise_sigma > 0:
         info[..., 0] = info[..., 2] = -2.0 * np.log(spec.noise_sigma)

@@ -447,6 +447,18 @@ PINNED_STDOUT = {
 }
 PINNED_RESIDUALS_SHA256 = (  # outliers scene
     "edbc07f3e03020dec01d4879034a2d6ea9d443d09ebdf2d34e544319a9f92bf1")
+# sha256 of each scene's manifest.txt, which lists the sha256 of every
+# file synth wrote, recorded on x86-64 with numpy 2.4.6. Unlike the solve
+# pins, these hold under OpenBLAS's SkylakeX, Haswell and Sandybridge
+# kernels alike
+PINNED_MANIFEST_SHA256 = {
+    "noiseless":
+        "41fb263bec035553d6b9248b3af63a98d567593f6d8312887f198642fff4f483",
+    "noisy":
+        "5ac209999189be66dd2ddddd7d55a492989449bbaeca3d5351ee3fba9ee65e2b",
+    "outliers":
+        "c7074879368bd9aa6039437c7dd98c396599109dc157ee1ca38ff64106160b49",
+}
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +467,14 @@ def pinned_scenes(tmp_path_factory):
     for kind, extra in PINNED_KINDS.items():
         assert cli.main([*PINNED_SYNTH, *extra, "--out", str(root / kind)]) == 0
     return root
+
+
+class TestSynthOutputPinned:
+    @pytest.mark.parametrize("kind", list(PINNED_KINDS))
+    def test_manifest_matches_recorded_bytes(self, pinned_scenes, kind):
+        manifest = (pinned_scenes / kind / "manifest.txt").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            PINNED_MANIFEST_SHA256[kind])
 
 
 class TestSolveOutputPinned:

@@ -622,7 +622,22 @@ class TestStreams:
         b = synthetic.stream_uniform(123, 4, 1000)
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() < 1.0
+        # tag 5 is tag 4 one value on (test_tag_offsets_one_counter), so
+        # this only shows that the stream does not repeat at lag 1
         assert not np.array_equal(a, synthetic.stream_uniform(123, 5, 1000))
+
+    # the identity that lets stream_normal and render draw each value once
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tag_offsets_one_counter(self, seed, k):
+        for tag in (0, 21, 143):
+            assert same_bytes(synthetic.stream_uniform(seed, tag + k, 1001),
+                              synthetic.stream_uniform(seed, tag, 1001 + k)[k:])
+
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+    def test_y_noise_is_x_noise_two_values_on(self, seed):
+        assert same_bytes(synthetic.stream_normal(seed, 22, 1001),
+                          synthetic.stream_normal(seed, 21, 1003)[2:])
 
     def test_normal_moments(self):
         x = synthetic.stream_normal(7, 1, 200000)
